@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .config import Configuration, MOST_PRECISE
 from .methodpaths import DependenceSet
 from .qlearn import LearnerParams, QTable, reward, select_action, update
-from .staticgraph import StaticDepGraph
+from .staticgraph import StaticDepGraph, reachable
 from .trace import EventGraph, MethodId, ProcessTrace, method_spans
 
 
@@ -140,15 +140,26 @@ def method_event_stream(trace: ProcessTrace, table: MethodTable) -> list[int]:
     return out
 
 
-def first_last_instances(qu: list[int]) -> list[int]:
-    """Keep each method's first entry and last event, preserving order."""
+def _queue_positions(
+    qu: list[int],
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Per method id: queue position of its first entry (entered methods
+    only), of its first event and of its last event."""
     first_entry: dict[int, int] = {}
+    first_any: dict[int, int] = {}
     last_any: dict[int, int] = {}
     for pos, e in enumerate(qu):
         m = abs(e)
-        if e < 0 and m not in first_entry:
-            first_entry[m] = pos
+        if e < 0:
+            first_entry.setdefault(m, pos)
+        first_any.setdefault(m, pos)
         last_any[m] = pos
+    return first_entry, first_any, last_any
+
+
+def first_last_instances(qu: list[int]) -> list[int]:
+    """Keep each method's first entry and last event, preserving order."""
+    first_entry, _, last_any = _queue_positions(qu)
     keep = set(first_entry.values()) | set(last_any.values())
     return [e for pos, e in enumerate(qu) if pos in keep]
 
@@ -194,13 +205,7 @@ def compute_deps(
             else:
                 _propagate_intervals(events, in_edges, ds)
         else:
-            first_entry: dict[int, int] = {}
-            last_any: dict[int, int] = {}
-            for pos, e in enumerate(events):
-                m = abs(e)
-                if e < 0 and m not in first_entry:
-                    first_entry[m] = pos
-                last_any[m] = pos
+            first_entry, _, last_any = _queue_positions(events)
             for m in executed:
                 if m not in first_entry:
                     continue
@@ -214,15 +219,7 @@ def compute_deps(
             for m1, _ in preds:
                 out_edges.setdefault(m1, set()).add(m2)
         for m in executed:
-            seen = {m}
-            stack = [m]
-            while stack:
-                cur = stack.pop()
-                for nxt in out_edges.get(cur, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            ds[m] |= seen & executed
+            ds[m] |= reachable(out_edges, (m,)) & executed
 
     return {
         table.method_of(m): DependenceSet(
@@ -280,15 +277,7 @@ def _propagate_intervals(
     ones.  Every instance-level chain stays feasible here, and every member
     still satisfies the event-order fallback relation.
     """
-    first_entry: dict[int, int] = {}
-    first_any: dict[int, int] = {}
-    last_any: dict[int, int] = {}
-    for pos, e in enumerate(events):
-        m = abs(e)
-        if e < 0 and m not in first_entry:
-            first_entry[m] = pos
-        first_any.setdefault(m, pos)
-        last_any[m] = pos
+    first_entry, first_any, last_any = _queue_positions(events)
     out_edges: dict[int, set[int]] = {}
     for m2, preds in in_edges.items():
         for m1, _ in preds:
@@ -313,7 +302,6 @@ class ArbiterState:
     event_threshold: int
     time_threshold: float
     config: Configuration = MOST_PRECISE
-    prev_config: Optional[Configuration] = None
     event_count: int = 0
     last_round_at: float = 0.0
     time: float = 0.0
@@ -467,7 +455,6 @@ def _run_round(
     state.event_count = 0
     state.last_round_at = state.time
     chosen = controller(config, cost).require_valid()
-    state.prev_config = config
     state.config = chosen
     return RoundRecord(index, config, cost, budget.total, timed_out, deps)
 
@@ -509,19 +496,18 @@ def merge_query(
         return DependenceSet(root, frozenset())
 
     anchor = min(instances, key=lambda m: (instances[m][0], m.process))
-    entry_ts = instances[anchor][0]
     proc_i = anchor.process
     members: set[MethodId] = set(
         per_process.get(proc_i, {}).get(anchor, DependenceSet(anchor, frozenset())).members
     )
     members.add(anchor)
 
-    graph = EventGraph(traces)
     fe_event = next(
         ev
         for ev in traces[proc_i].events
         if ev.kind == "entry" and ev.method == anchor
     )
+    reach = EventGraph(traces).first_reached_ts(fe_event)
 
     for proc_j in sorted(traces):
         if proc_j == proc_i:
@@ -531,32 +517,15 @@ def merge_query(
         if twin in spans:
             members |= local.get(twin, DependenceSet(twin, frozenset())).members
             members.add(twin)
-        reach_ts = _first_influenced_after(graph, traces, proc_i, fe_event, proc_j)
+        reach_ts = reach.get(proc_j)
         if reach_ts is None:
             continue
         for m, (_, lr) in spans.items():
-            if m.process != proc_j or lr < entry_ts or reach_ts > lr:
+            if m.process != proc_j or reach_ts > lr:
                 continue
             members |= local.get(m, DependenceSet(m, frozenset())).members
             members.add(m)
     return DependenceSet(anchor, frozenset(members))
-
-
-def _first_influenced_after(
-    graph: EventGraph,
-    traces: Mapping[str, ProcessTrace],
-    origin: str,
-    after_event,
-    target: str,
-) -> Optional[int]:
-    best: Optional[int] = None
-    for ev in traces[origin].events:
-        if ev.kind != "send" or ev.seq < after_event.seq:
-            continue
-        for recv in graph.downstream_recvs(ev):
-            if recv.process == target and (best is None or recv.ts < best):
-                best = recv.ts
-    return best
 
 
 def dep_data_from_run(
@@ -566,9 +535,10 @@ def dep_data_from_run(
     """Assemble coupling-metric inputs from per-process dependence results.
 
     Local dependents of a method are its intraprocess impact set (minus
-    itself); remote dependents are the methods of other processes whose last
-    event postdates the method's entry and that a message could have reached
-    in time.  Message counts come straight from send events.
+    itself); remote dependents are the methods of other processes that a
+    message chain from the method's first entry reached by their last event
+    (which therefore postdates that entry).  Message counts come straight
+    from send events.
     """
     from .metrics import DepData  # local import to avoid a cycle
 
@@ -582,29 +552,16 @@ def dep_data_from_run(
 
     local_ds = {}
     remote_ds = {}
-    reach_cache: dict[tuple[MethodId, str], Optional[int]] = {}
     for m in sorted(spans, key=MethodId.sort_key):
         intra = per_process.get(m.process, {}).get(
             m, DependenceSet(m, frozenset())
         )
         local_ds[m] = frozenset(x for x in intra.members if x != m)
-        remote: set[MethodId] = set()
-        entry_m = spans[m][0]
-        for proc_j in sorted(traces):
-            if proc_j == m.process:
-                continue
-            key = (m, proc_j)
-            if key not in reach_cache:
-                reach_cache[key] = _first_influenced_after(
-                    graph, traces, m.process, entry_events[m], proc_j
-                )
-            reach_ts = reach_cache[key]
-            if reach_ts is None:
-                continue
-            for m2, (_, lr) in spans.items():
-                if m2.process == proc_j and lr >= entry_m and reach_ts <= lr:
-                    remote.add(m2)
-        remote_ds[m] = frozenset(remote)
+        reach = graph.first_reached_ts(entry_events[m])
+        remote_ds[m] = frozenset(
+            m2 for m2, (_, lr) in spans.items()
+            if m2.process in reach and reach[m2.process] <= lr
+        )
 
     messages: dict[tuple[str, str], int] = {}
     for proc in sorted(traces):

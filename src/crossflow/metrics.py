@@ -12,10 +12,8 @@ computed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .trace import MethodId
@@ -225,34 +223,6 @@ QUALITY_METRICS = (
 )
 
 IPC_METRICS = ("RMC", "RCC", "CCC", "IPR", "CCL", "PLC")
-
-
-@dataclass(frozen=True)
-class QualityVector:
-    """One system's quality measurements; external scalars are ingested."""
-
-    exec_time: float
-    code_churn: float
-    cyclomatic: float
-    defect_density: float
-    path_count: float
-    path_length: float
-    attack_surface: float
-    vulnerableness: float
-    unit: str = "per-sloc"
-
-    def value(self, name: str) -> float:
-        if name not in QUALITY_METRICS:
-            raise MetricsError(f"unknown quality metric {name!r}")
-        return getattr(self, name)
-
-    @classmethod
-    def from_file(cls, path: Path) -> "QualityVector":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        kwargs = {k: float(data[k]) for k in QUALITY_METRICS}
-        if "unit" in data:
-            kwargs["unit"] = data["unit"]
-        return cls(**kwargs)
 
 
 def render_ipc_report(report: IpcReport) -> str:

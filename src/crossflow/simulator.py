@@ -103,14 +103,6 @@ class ProgramModel:
                 if stmt_id not in owners:
                     raise ScenarioError(f"designated stmt {stmt_id} not in any method")
 
-    def call_edges(self) -> set[tuple[MethodId, MethodId]]:
-        out = set()
-        for body in self.bodies.values():
-            for stmt in body.stmts:
-                if stmt.kind == "call":
-                    out.add((body.method, stmt.callee))
-        return out
-
     def stmt_owner(self) -> dict[str, MethodId]:
         return {
             s.stmt_id: body.method
@@ -234,14 +226,12 @@ class _ProgramBuilder:
         )
 
 
-def _filler(mb: _MethodBuilder, rng: random.Random, n: int) -> None:
-    for i in range(n):
+def _filler(mb: _MethodBuilder, n: int) -> None:
+    for _ in range(n):
         mb.assign(f"t{len(mb.stmts)}")
 
 
-def _local_work(
-    pb: _ProgramBuilder, proc: str, rng: random.Random, run: _MethodBuilder
-) -> None:
+def _local_work(pb: _ProgramBuilder, proc: str, run: _MethodBuilder) -> None:
     """Shared helper called from two distinct methods, plus a twice-defined
     local, so the four sensitivity variants differ strictly."""
     log = pb.method(proc, "Util", "note")
@@ -282,13 +272,13 @@ def _gen_client_server(pb, rng, fill, scenario) -> None:
 
     c_run = pb.method(client, "Main", "run")
     pb.entry(client, c_run)
-    _local_work(pb, client, rng, c_run)
+    _local_work(pb, client, c_run)
     c_run.source("sv")
     c_run.assign("a0", "sv")
     prep = pb.method(client, "Work", "prep", params=("p0_arg",))
     prep.assign("pv", "p0_arg")
     prep.field_set("F0", "pv")
-    _filler(prep, rng, fill)
+    _filler(prep, fill)
     if rng.random() < 0.7:
         prep.branch_block("b_prep", 1 + rng.randrange(2))
     prep.ret(None)
@@ -300,7 +290,7 @@ def _gen_client_server(pb, rng, fill, scenario) -> None:
     for i in range(rounds):
         c_run.call(ship.method, (), result=f"r_ship{i}")
         c_run.recv(f"resp{i}", server)
-    _filler(c_run, rng, fill)
+    _filler(c_run, fill)
 
     s_run = pb.method(server, "Main", "run")
     pb.entry(server, s_run)
@@ -314,7 +304,7 @@ def _gen_client_server(pb, rng, fill, scenario) -> None:
         s_run.call(consume.method, (f"incoming{i}",), result=f"r_cons{i}")
         s_run.assign(f"reply{i}")
         s_run.send(f"reply{i}", client)
-    _filler(s_run, rng, fill)
+    _filler(s_run, fill)
     if rng.random() < 0.5:
         s_run.branch_block("b_srv", 1)
 
@@ -325,10 +315,10 @@ def _gen_peer_to_peer(pb, rng, fill, scenario) -> None:
 
     origin = pb.method(procs[0], "Main", "run")
     pb.entry(procs[0], origin)
-    _local_work(pb, procs[0], rng, origin)
+    _local_work(pb, procs[0], origin)
     origin.source("sv")
     origin.assign("token", "sv")
-    _filler(origin, rng, fill)
+    _filler(origin, fill)
     origin.send("token", procs[1])
     origin.recv("back", procs[-1])
 
@@ -337,7 +327,7 @@ def _gen_peer_to_peer(pb, rng, fill, scenario) -> None:
         nxt = procs[(i + 1) % k]
         run = pb.method(me, "Main", "run")
         pb.entry(me, run)
-        _filler(run, rng, fill)
+        _filler(run, fill)
         if rng.random() < 0.5:
             run.branch_block(f"b_{me}", 1)
         run.recv("tok", left)
@@ -358,10 +348,10 @@ def _gen_n_tier(pb, rng, fill, scenario) -> None:
 
     first = pb.method(procs[0], "Main", "run")
     pb.entry(procs[0], first)
-    _local_work(pb, procs[0], rng, first)
+    _local_work(pb, procs[0], first)
     first.source("sv")
     first.assign("req", "sv")
-    _filler(first, rng, fill)
+    _filler(first, fill)
     for r in range(rounds):
         first.send("req", procs[1])
         first.recv(f"resp{r}", procs[1])
@@ -391,7 +381,7 @@ def _gen_n_tier(pb, rng, fill, scenario) -> None:
                 run.call(fin.method, (f"in{r}",), result=f"r_fin{r}")
                 run.assign(f"ok{r}")
                 run.send(f"ok{r}", left)
-        _filler(run, rng, fill)
+        _filler(run, fill)
         if rng.random() < 0.4:
             run.branch_block(f"b_{me}", 1)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .trace import MethodId
 
@@ -68,21 +68,6 @@ class StaticDepGraph:
             if e.kind in INTER_KINDS and same:
                 raise GraphFormatError(f"inter edge inside one method: {e}")
 
-    def method_of(self, stmt: str) -> MethodId:
-        return self.nodes[stmt]
-
-    def stmts_of(self, method: MethodId) -> list[str]:
-        return sorted(s for s, m in self.nodes.items() if m == method)
-
-    def methods(self) -> set[MethodId]:
-        return set(self.nodes.values())
-
-    def out_edges(self) -> dict[str, list[DepEdge]]:
-        adj: dict[str, list[DepEdge]] = {}
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.kind)):
-            adj.setdefault(e.src, []).append(e)
-        return adj
-
     def method_edges(
         self, coverage: Optional[set[str]] = None
     ) -> set[tuple[MethodId, MethodId, str]]:
@@ -117,9 +102,9 @@ class SourceSinkConfig:
             raise ConfigurationError("flow-path queries need sources and sinks")
 
 
-def _reachable(
-    adj: Mapping[str, Sequence[str]], starts: Iterable[str]
-) -> set[str]:
+def reachable(adj: Mapping, starts: Iterable) -> set:
+    """``starts`` (None dropped) plus every node reachable from them in the
+    adjacency map ``adj``."""
     seen = set(s for s in starts if s is not None)
     stack = list(seen)
     while stack:
@@ -147,8 +132,8 @@ def relevant_methods(
     for src, succs in graph.icfg_succ.items():
         for dst in succs:
             rev.setdefault(dst, []).append(src)
-    forward = _reachable(graph.icfg_succ, starts)
-    backward = _reachable(rev, ends)
+    forward = reachable(graph.icfg_succ, starts)
+    backward = reachable(rev, ends)
     on_path = forward & backward
     return {graph.nodes[s] for s in on_path}
 

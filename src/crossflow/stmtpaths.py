@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .methodpaths import PathSet
-from .staticgraph import StaticDepGraph, SourceSinkConfig, partial_graph
+from .staticgraph import StaticDepGraph, SourceSinkConfig, partial_graph, reachable
 from .trace import (
     GlobalOrder,
     MethodId,
@@ -32,7 +32,6 @@ from .trace import (
 )
 
 DEFAULT_STMT_PATH_LIMIT = 24
-SEGMENT_KINDS = ("intra", "source", "remote", "sink", "spliced")
 
 
 @dataclass(frozen=True)
@@ -143,26 +142,14 @@ def build_ddg(
     for a, b in active:
         fwd.setdefault(a, []).append(b)
         rev.setdefault(b, []).append(a)
-    reach_fwd = _closure(fwd, starts)
-    reach_rev = _closure(rev, ends)
+    reach_fwd = reachable(fwd, starts)
+    reach_rev = reachable(rev, ends)
     keep = reach_fwd & reach_rev
     return DynDepGraph(
         nodes=frozenset(keep),
         edges=frozenset((a, b) for a, b in active if a in keep and b in keep),
         methods={s: sdg.nodes[s] for s in keep},
     )
-
-
-def _closure(adj: Mapping[str, Sequence[str]], starts: set[str]) -> set[str]:
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        cur = stack.pop()
-        for nxt in adj.get(cur, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def prune_ddg(ddg: DynDepGraph, coverage: Iterable[str]) -> DynDepGraph:

@@ -1,16 +1,19 @@
-"""Event/trace data model, Lamport logical-clock stamping, and global ordering.
+"""Event/trace data model, Lamport logical-clock stamping, global ordering and
+the happens-before index.
 
 Every analysis in this package consumes the same trace representation: one
 ordered event sequence per process, where each event carries the enclosing
 method, a per-process sequence number, and (after stamping) a Lamport
 timestamp.  Message events are matched across processes by ``msg_id``; the
 happens-before relation is the transitive closure of per-process program
-order plus send->recv edges.
+order plus send->recv edges.  :class:`EventGraph` is the one index that
+answers it: Fidge/Mattern vector clocks kept at recv events.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -117,7 +120,7 @@ class ProcessTrace:
 class FirstMsgMap:
     """(receiver, sender) -> Lamport ts of the receiver's first message from
     that sender.  Only direct messages populate the map; transitive message
-    reachability is answered by :func:`happens_before`."""
+    reachability is answered by the vector clocks of :class:`EventGraph`."""
 
     entries: Mapping[tuple[str, str], int]
 
@@ -132,9 +135,6 @@ class GlobalOrder:
 
     merged: tuple[EventRecord, ...]
 
-    def method_events(self) -> tuple[EventRecord, ...]:
-        return tuple(e for e in self.merged if e.kind in METHOD_EVENT_KINDS)
-
 
 TraceMap = dict[str, ProcessTrace]
 
@@ -147,7 +147,7 @@ def stamp_lamport(
     Rules: each event increments its process counter; a send piggybacks its
     own timestamp; a recv takes max(local counter, piggybacked) + 1.  Existing
     timestamps on input events are ignored and recomputed, so stamping is
-    idempotent.
+    idempotent.  Each ``msg_id`` must be sent once and received at most once.
     """
     sends: dict[str, EventRecord] = {}
     for proc in raw_traces:
@@ -156,10 +156,16 @@ def stamp_lamport(
                 if ev.msg_id in sends:
                     raise MalformedTraceError(f"duplicate send msg_id {ev.msg_id!r}")
                 sends[ev.msg_id] = ev
+    received: set[str] = set()
     for proc in raw_traces:
         for ev in raw_traces[proc]:
-            if ev.kind == "recv" and ev.msg_id not in sends:
+            if ev.kind != "recv":
+                continue
+            if ev.msg_id not in sends:
                 raise MalformedTraceError(f"recv of unknown msg_id {ev.msg_id!r}")
+            if ev.msg_id in received:
+                raise MalformedTraceError(f"duplicate recv msg_id {ev.msg_id!r}")
+            received.add(ev.msg_id)
 
     counters = {proc: 0 for proc in raw_traces}
     cursors = {proc: 0 for proc in raw_traces}
@@ -214,61 +220,77 @@ def merge_global(traces: Mapping[str, ProcessTrace]) -> GlobalOrder:
 
 
 class EventGraph:
-    """Program-order plus message edges over a set of stamped traces.
+    """Happens-before index over a set of stamped traces.
 
-    Successor edges: each event to the next event of its process, and each
-    send to its matching recv.  Used both by :func:`happens_before` and by
-    the message-influence computations in the path analyses.
+    Built in one pass over the merged order, it keeps a Fidge/Mattern vector
+    clock at every recv event: per process, the largest ``seq`` of that
+    process that happens before or at the recv (-1 for none).  Other events
+    need no clock of their own, since only a recv can learn about another
+    process.  Along one process every component only grows, so the recvs of
+    a process that an event happens before form a suffix, found by one
+    binary search.  A message whose send or recv is missing from the traces
+    (e.g. after :func:`filter_traces`) adds no edge.
     """
 
     def __init__(self, traces: Mapping[str, ProcessTrace]):
-        self.traces = traces
-        self._succ: dict[tuple[str, int], list[tuple[str, int]]] = {}
-        self._events: dict[tuple[str, int], EventRecord] = {}
-        recv_by_msg: dict[str, EventRecord] = {}
-        for trace in traces.values():
-            for ev in trace.events:
-                self._events[ev.key()] = ev
-                if ev.kind == "recv":
-                    recv_by_msg[ev.msg_id] = ev
-        for trace in traces.values():
-            evs = trace.events
-            for i, ev in enumerate(evs):
-                succ = self._succ.setdefault(ev.key(), [])
-                if i + 1 < len(evs):
-                    succ.append(evs[i + 1].key())
-                if ev.kind == "send" and ev.msg_id in recv_by_msg:
-                    succ.append(recv_by_msg[ev.msg_id].key())
+        procs = sorted(traces)
+        self._index = {p: i for i, p in enumerate(procs)}
+        self._recvs: dict[str, list[EventRecord]] = {p: [] for p in procs}
+        clocks: dict[str, list[tuple[int, ...]]] = {p: [] for p in procs}
+        current = {p: [-1] * len(procs) for p in procs}
+        sent: dict[str, list[int]] = {}
+        received: set[str] = set()
+        for ev in merge_global(traces).merged:
+            clock = current[ev.process]
+            clock[self._index[ev.process]] = ev.seq
+            if ev.kind == "send":
+                if ev.msg_id in sent:
+                    raise MalformedTraceError(f"duplicate send msg_id {ev.msg_id!r}")
+                if ev.msg_id in received:
+                    raise CausalityError(f"recv of {ev.msg_id!r} is stamped before its send")
+                sent[ev.msg_id] = clock.copy()
+            elif ev.kind == "recv":
+                if ev.msg_id in received:
+                    raise MalformedTraceError(f"duplicate recv msg_id {ev.msg_id!r}")
+                received.add(ev.msg_id)
+                if ev.msg_id in sent:
+                    clock[:] = map(max, clock, sent[ev.msg_id])
+                self._recvs[ev.process].append(ev)
+                clocks[ev.process].append(tuple(clock))
+        # _columns[p][i]: component i of p's recv clocks in program order,
+        # nondecreasing; component p of a recv's clock is its own seq
+        self._columns = {p: list(zip(*clocks[p])) for p in procs}
 
     def reaches(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
-        if src == dst:
+        """True iff event ``src`` happens before event ``dst`` (both keys)."""
+        (p, s), (q, t) = src, dst
+        if p == q:
+            return s < t
+        columns = self._columns[q]
+        if not columns:
             return False
-        seen = {src}
-        stack = [src]
-        while stack:
-            cur = stack.pop()
-            for nxt in self._succ.get(cur, ()):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        k = bisect_right(columns[self._index[q]], t)  # recvs at or before dst
+        return k > 0 and columns[self._index[p]][k - 1] >= s
 
     def downstream_recvs(self, start: EventRecord) -> list[EventRecord]:
-        """All recv events reachable from ``start`` (inclusive of chains)."""
+        """All recv events that ``start`` happens before, each process's in
+        program order."""
+        i = self._index[start.process]
         out = []
-        seen = {start.key()}
-        stack = [start.key()]
-        while stack:
-            cur = stack.pop()
-            for nxt in self._succ.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    ev = self._events[nxt]
-                    if ev.kind == "recv":
-                        out.append(ev)
-                    stack.append(nxt)
+        for proc, recvs in self._recvs.items():
+            if recvs:
+                # a recv of start's own process must come after start
+                bound = start.seq + 1 if proc == start.process else start.seq
+                out.extend(recvs[bisect_left(self._columns[proc][i], bound):])
+        return out
+
+    def first_reached_ts(self, start: EventRecord) -> dict[str, int]:
+        """Per process other than ``start``'s, the ts of its first recv that
+        ``start`` happens before."""
+        out: dict[str, int] = {}
+        for recv in self.downstream_recvs(start):
+            if recv.process != start.process:
+                out.setdefault(recv.process, recv.ts)
         return out
 
 
@@ -278,10 +300,6 @@ def happens_before(
     """True iff e1 precedes e2 in the closure of program order and messages."""
     if e1.ts is None or e2.ts is None:
         raise TraceError("happens_before requires stamped events")
-    if e1.process == e2.process:
-        return e1.seq < e2.seq
-    if e1.ts >= e2.ts:
-        return False  # Lamport: causality implies strictly increasing ts
     return EventGraph(traces).reaches(e1.key(), e2.key())
 
 
@@ -318,19 +336,15 @@ def influenced_recv_ts(
 ) -> dict[tuple[str, str], int]:
     """(receiver, origin) -> ts of receiver's first recv that is causally
     downstream of any send in the origin process, directly or via message
-    chains through other processes."""
+    chains through other processes.  Influence leaves a process only through
+    its sends, so querying from the origin's first event covers them all."""
     graph = EventGraph(traces)
     out: dict[tuple[str, str], int] = {}
     for origin in sorted(traces):
-        for ev in traces[origin].events:
-            if ev.kind != "send":
-                continue
-            for recv in graph.downstream_recvs(ev):
-                if recv.process == origin:
-                    continue
-                key = (recv.process, origin)
-                if key not in out or recv.ts < out[key]:
-                    out[key] = recv.ts
+        if traces[origin].events:
+            first = traces[origin].events[0]
+            for receiver, ts in graph.first_reached_ts(first).items():
+                out[(receiver, origin)] = ts
     return out
 
 

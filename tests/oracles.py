@@ -64,6 +64,38 @@ def influenced_map_oracle(
     return out
 
 
+def remote_deps_oracle(
+    traces: dict[str, ProcessTrace],
+    reach: dict[tuple, set[tuple]] | None = None,
+) -> dict[MethodId, set[MethodId]]:
+    """Remote dependents of every executed method m, from the definition: the
+    methods m2 of other processes whose last method or message event is no
+    earlier than m's first entry, and for which some recv in m2's process
+    that m's first entry happens before lands no later than that last event.
+    """
+    reach = closure_matrix(traces) if reach is None else reach
+    events = {ev.key(): ev for t in traces.values() for ev in t.events}
+    first_entry: dict[MethodId, EventRecord] = {}
+    last_ts: dict[MethodId, int] = {}
+    for trace in traces.values():
+        for ev in trace.events:
+            if ev.kind == "entry" and ev.method not in first_entry:
+                first_entry[ev.method] = ev
+            if ev.kind in ("entry", "returned_into", "send", "recv"):
+                last_ts[ev.method] = max(last_ts.get(ev.method, 0), ev.ts)
+    out: dict[MethodId, set[MethodId]] = {}
+    for m, fe in first_entry.items():
+        caused = [events[k] for k in reach[fe.key()] if events[k].kind == "recv"]
+        out[m] = {
+            m2
+            for m2 in first_entry
+            if m2.process != m.process
+            and fe.ts <= last_ts[m2]
+            and any(r.process == m2.process and r.ts <= last_ts[m2] for r in caused)
+        }
+    return out
+
+
 def brute_force_ds(
     q: MethodId,
     traces: dict[str, ProcessTrace],

@@ -133,6 +133,38 @@ class TestFlowpaths:
         assert (out / "phase1.txt").read_text() == ""
         assert (out / "phase2.txt").read_text() == ""
 
+    def test_duplicate_recv_exit_3(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        bundle = tmp_path / "dup"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(json.dumps({
+            "scenario": {}, "processes": ["A", "B"],
+            "files": {"A": "A.trace", "B": "B.trace"},
+        }))
+
+        def rec(proc, seq, ts, kind, **kw):
+            return json.dumps({"proc": proc, "seq": seq, "ts": ts, "kind": kind,
+                               "class": "Main", "method": "run", **kw}) + "\n"
+
+        (bundle / "A.trace").write_text(
+            rec("A", 0, 1, "entry") + rec("A", 1, 2, "send", msg_id="m0", peer="B")
+        )
+        (bundle / "B.trace").write_text(
+            rec("B", 0, 1, "entry")
+            + rec("B", 1, 3, "recv", msg_id="m0", peer="A")
+            + rec("B", 2, 4, "recv", msg_id="m0", peer="A")
+        )
+        code = main([
+            "flowpaths",
+            "--bundle", str(bundle),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--mode", "sim",
+            "--out", str(tmp_path / "fp"),
+        ])
+        assert code == 3
+        assert "duplicate recv msg_id 'm0'" in capsys.readouterr().err
+
 
 class TestTuneAndQuery:
     def run_tune(self, tmp_path, sim, name="run", **flags):

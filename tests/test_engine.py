@@ -15,12 +15,15 @@ from crossflow.engine import (
     QLearnController,
     arbitrate,
     compute_deps,
+    dep_data_from_run,
     first_last_instances,
     merge_query,
     method_event_stream,
 )
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
-from crossflow.trace import EventRecord, MethodId, stamp_lamport
+from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
+
+from oracles import remote_deps_oracle
 
 C = Configuration.from_string
 
@@ -362,3 +365,42 @@ class TestMergeQuery:
                         continue
                     merged = merge_query(m1, per_proc, traces)
                     assert m2 in merged.members, (sc, cfg.encode(), m1, m2)
+
+
+def remote_runs():
+    for topology, tiers in (("client_server", None), ("peer_to_peer", 4), ("n_tier", 4)):
+        for seed in range(4):
+            sc = Scenario(topology, seed=seed, length=100, tiers=tiers)
+            yield sc, simulate(generate_program(sc), sc)[0]
+    # B.early ends after A.go's entry but before A's message lands: not a dependent
+    go, early, serve = mid("A", "go"), mid("B", "early"), mid("B", "serve")
+    raw = {
+        "A": [EventRecord("entry", go, 0),
+              EventRecord("send", go, 1, msg_id="m0", peer="B")],
+        "B": [EventRecord("entry", early, 0),
+              EventRecord("entry", serve, 1),
+              EventRecord("recv", serve, 2, msg_id="m0", peer="A")],
+    }
+    yield "early-span", stamp_lamport(raw)[0]
+
+
+class TestRemoteDependence:
+    """Remote dependents from the message rule alone (no per-process sets),
+    checked against the closure oracle on every topology."""
+
+    def test_dep_data_remote_ds_equals_oracle(self):
+        for name, traces in remote_runs():
+            want = remote_deps_oracle(traces)
+            assert any(want.values()), name
+            assert dict(dep_data_from_run(traces, {}).remote_ds) == want, name
+
+    def test_merge_query_remote_members_equal_oracle(self):
+        for name, traces in remote_runs():
+            want = remote_deps_oracle(traces)
+            spans = method_spans(traces)
+            for m in spans:
+                twins = {t for t in spans if t.code_key == m.code_key}
+                anchor = min(twins, key=lambda t: (spans[t][0], t.process))
+                if anchor == m:
+                    merged = merge_query(m, {}, traces)
+                    assert merged.members == {m} | twins | want[m], (name, m)

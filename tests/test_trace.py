@@ -8,20 +8,23 @@ from hypothesis import strategies as st
 
 from crossflow.trace import (
     CausalityError,
+    EventGraph,
     EventRecord,
     MalformedTraceError,
     MethodId,
     ProcessTrace,
+    filter_traces,
     happens_before,
     influenced_recv_ts,
     merge_global,
     method_spans,
     read_bundle,
+    reduce_first_last,
     stamp_lamport,
     write_bundle,
 )
 
-from oracles import closure_matrix, hb_oracle
+from oracles import closure_matrix, hb_oracle, influenced_map_oracle
 
 
 def mid(proc: str, cls: str = "Main", name: str = "run") -> MethodId:
@@ -71,6 +74,12 @@ class TestStampLamport:
         assert fmm.first_recv_ts("B", "A") == 3
         assert fmm.first_recv_ts("C", "B") == 5
         assert fmm.first_recv_ts("A", "B") is None
+
+    def test_duplicate_recv_rejected(self):
+        raw = three_process_figure()
+        raw["C"].append(ev("C", 2, "recv", msg="m1", peer="A"))
+        with pytest.raises(MalformedTraceError, match="duplicate recv"):
+            stamp_lamport(raw)
 
     def test_unknown_msg_id_rejected(self):
         raw = {"A": [ev("A", 0, "recv", msg="ghost", peer="B")],
@@ -178,19 +187,20 @@ def random_schedule(draw):
     for step in range(length):
         proc = draw(st.sampled_from(procs))
         seq = len(raw[proc])
+        method = mid(proc, name=draw(st.sampled_from(["run", "aux"])))
         deliverable = [m for m in pending if m[1] != proc]
         do_recv = deliverable and draw(st.booleans())
         if do_recv:
             msg_id, _ = deliverable[0]
             pending.remove(deliverable[0])
-            raw[proc].append(ev(proc, seq, "recv", msg=msg_id, peer="x"))
+            raw[proc].append(ev(proc, seq, "recv", msg=msg_id, peer="x", method=method))
         elif draw(st.booleans()):
             counter += 1
             msg_id = f"m{counter}"
             pending.append((msg_id, proc))
-            raw[proc].append(ev(proc, seq, "send", msg=msg_id, peer="x"))
+            raw[proc].append(ev(proc, seq, "send", msg=msg_id, peer="x", method=method))
         else:
-            raw[proc].append(ev(proc, seq, "entry"))
+            raw[proc].append(ev(proc, seq, "entry", method=method))
     # drop sends that never got received? not needed: unmatched sends are fine
     return raw
 
@@ -216,13 +226,50 @@ def test_lts_correctness_property(raw):
 @given(random_schedule())
 @settings(max_examples=30, deadline=None)
 def test_happens_before_equals_oracle(raw):
-    traces, _ = stamp_lamport(raw)
-    events = [e for t in traces.values() for e in t.events]
-    for e1 in events:
-        for e2 in events:
-            if e1.key() == e2.key():
-                continue
-            assert happens_before(e1, e2, traces) == hb_oracle(traces, e1, e2)
+    """On the full traces and on two restrictions that drop message ends
+    (relevance filtering) or method instances (first/last reduction)."""
+    full, _ = stamp_lamport(raw)
+    runs = {e.method for t in full.values() for e in t.events if e.method.method_name == "run"}
+    for traces in (
+        full,
+        filter_traces(full, runs),
+        {p: reduce_first_last(t) for p, t in full.items()},
+    ):
+        reach = closure_matrix(traces)
+        graph = EventGraph(traces)
+        events = [e for t in traces.values() for e in t.events]
+        for e1 in events:
+            want = sorted(
+                (e for e in events if e.kind == "recv" and e.key() in reach[e1.key()]),
+                key=EventRecord.key,
+            )
+            assert graph.downstream_recvs(e1) == want
+            for e2 in events:
+                if e1.key() == e2.key():
+                    continue
+                assert happens_before(e1, e2, traces) == (e2.key() in reach[e1.key()])
+        assert influenced_recv_ts(traces) == influenced_map_oracle(traces, reach)
+
+
+@pytest.mark.parametrize("kind", ["recv", "send"])
+def test_event_graph_rejects_reused_msg_id(kind):
+    """Bundles are read without restamping, so the index checks them."""
+    traces, _ = stamp_lamport(three_process_figure())
+    extra = EventRecord(kind, mid("C"), 2, ts=6, msg_id="m1", peer="A")
+    traces["C"] = ProcessTrace("C", traces["C"].events + (extra,))
+    with pytest.raises(MalformedTraceError, match=f"duplicate {kind}"):
+        EventGraph(traces)
+
+
+def test_event_graph_rejects_recv_stamped_before_send():
+    a = mid("A")
+    traces = {
+        "A": ProcessTrace("A", (EventRecord("entry", a, 0, ts=1),
+                                EventRecord("send", a, 1, ts=5, msg_id="m", peer="B"))),
+        "B": ProcessTrace("B", (EventRecord("recv", mid("B"), 0, ts=2, msg_id="m", peer="A"),)),
+    }
+    with pytest.raises(CausalityError):
+        EventGraph(traces)
 
 
 def test_method_spans_uses_last_event():
