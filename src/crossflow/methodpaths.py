@@ -12,6 +12,7 @@ first-entry/last-event ordering is consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .trace import (
@@ -44,14 +45,21 @@ class MethodFlowPath:
     def sink_method(self) -> MethodId:
         return self.methods[-1]
 
-    def render(self) -> str:
-        return " -> ".join(m.qualified() for m in self.methods)
-
 
 @dataclass(frozen=True)
 class PathSet:
     paths: frozenset[MethodFlowPath]
     truncated: bool
+
+    @cached_property
+    def pair_methods(self) -> dict[tuple[MethodId, MethodId], frozenset[MethodId]]:
+        """(source method, sink method) -> every method on a path between
+        them; phase 2 and the ``mul`` trace restriction both read it."""
+        by_pair: dict[tuple[MethodId, MethodId], set[MethodId]] = {}
+        for p in self.paths:
+            key = (p.source_method, p.sink_method)
+            by_pair.setdefault(key, set()).update(p.methods)
+        return {key: frozenset(ms) for key, ms in by_pair.items()}
 
 
 def method_ds(
@@ -132,50 +140,68 @@ def _enumerate(
     (appending only raises the running max fe, so the cut is exact).  The
     enumeration reports truncation when the length cap, the path cap, or the
     work budget bites.
+
+    The walk runs on indices into that order; q, a member of its own DS,
+    starts the sequence.  Paths become ``MethodFlowPath`` objects once the
+    walk has ended.
     """
     ordered = sorted(
         members, key=lambda m: (spans[m][0], spans[m][1], m.sort_key())
     )
-    reachable_sinks = members & sinks
+    first = [spans[m][0] for m in ordered]
+    last = [spans[m][1] for m in ordered]
+    is_sink = [m in sinks for m in ordered]
+    # reachable sinks, latest last event first: the scan for one that can
+    # still be appended stops at the first that ends too early
+    sinks_by_last = sorted(
+        (i for i in range(len(ordered)) if is_sink[i]), key=lambda i: -last[i]
+    )
+    candidates = range(len(ordered))
+    qi = ordered.index(q)
+    in_seq = [False] * len(ordered)
+    in_seq[qi] = True
+    seq = [qi]
+    found: list[tuple[int, ...]] = []
+    room = max_paths - len(out)  # paths of other sources never repeat q's
     truncated = False
     steps = 0
-    seq: list[MethodId] = [q]
-    in_seq = {q}
 
     def walk(max_fe: int) -> None:
         nonlocal truncated, steps
-        if seq[-1] in sinks:
-            if len(out) >= max_paths:
+        if is_sink[seq[-1]]:
+            if len(found) >= room:
                 truncated = True
                 return
-            out.add(MethodFlowPath(tuple(seq)))
+            found.append(tuple(seq))
         if len(seq) >= path_limit:
             truncated = True
             return
-        for m in ordered:
-            if truncated and len(out) >= max_paths:
+        for m in candidates:
+            if truncated and len(found) >= room:
                 return
-            if m in in_seq:
-                continue
-            m_first, m_last = spans[m]
-            if m_last < max_fe:
-                continue  # some earlier member would start after m ended
+            if in_seq[m] or last[m] < max_fe:
+                continue  # already on the path, or ended before it could start
             steps += 1
             if steps > work_budget:
                 truncated = True
                 return
-            new_max = max(max_fe, m_first)
+            new_max = first[m] if first[m] > max_fe else max_fe
             seq.append(m)
-            in_seq.add(m)
-            if m in sinks or any(
-                s not in in_seq and spans[s][1] >= new_max
-                for s in reachable_sinks
-            ):
+            in_seq[m] = True
+            if is_sink[m]:
                 walk(new_max)
+            else:
+                for s in sinks_by_last:
+                    if last[s] < new_max:
+                        break
+                    if not in_seq[s]:
+                        walk(new_max)
+                        break
             seq.pop()
-            in_seq.discard(m)
+            in_seq[m] = False
 
-    walk(spans[q][0])
+    walk(first[qi])
+    out.update(MethodFlowPath(tuple([ordered[i] for i in p])) for p in found)
     return truncated
 
 
@@ -201,8 +227,14 @@ def covers_chain(paths: Iterable[MethodFlowPath], chain: tuple[MethodId, ...]) -
 
 
 def render_paths(paths: Iterable[MethodFlowPath]) -> str:
+    """``phase1.txt``: one line per path, ordered by the paths' method sort
+    keys.  Methods are ranked once; rank tuples sort as the key tuples do."""
+    paths = list(paths)
+    ranked = sorted(set().union(*(p.methods for p in paths)), key=MethodId.sort_key)
+    rank = {m: i for i, m in enumerate(ranked)}
+    names = [m.qualified() for m in ranked]
     lines = [
-        f"path level=method {p.render()}"
-        for p in sorted(paths, key=lambda p: tuple(m.sort_key() for m in p.methods))
+        "path level=method " + " -> ".join([names[i] for i in key])
+        for key in sorted(tuple([rank[m] for m in p.methods]) for p in paths)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -122,7 +122,7 @@ def analyze_flows(
     )
 
     if mode == "mul":
-        path_methods = {m for p in p1.paths for m in p.methods}
+        path_methods = set().union(*p1.pair_methods.values())
         phase2_traces = filter_traces(traces, path_methods)
 
     if coverage_style == "direct":

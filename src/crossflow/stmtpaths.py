@@ -210,7 +210,16 @@ def splice_segments(
 ) -> list[StmtFlowPath]:
     """Concatenate source, remote, and sink segments whose junctions have no
     intervening inlet/outlet events (or no intervening events at all when
-    ``strict``)."""
+    ``strict``).
+
+    A junction (outlet stmt, inlet stmt) holds when a send at the outlet is
+    immediately followed by a recv at the inlet in the junction sequence
+    restricted to the two statements' processes.  The adjacent (send stmt,
+    recv stmt) pairs are indexed once per unordered process pair, on the
+    pair's first junction test, so each test is a set lookup.  ``strict``,
+    or a call without ``stmt_methods``, uses one index over the whole
+    sequence instead.
+    """
     junction_seq = [
         ev
         for ev in order.merged
@@ -221,25 +230,27 @@ def splice_segments(
             and (ev.stmt_id in index.inlets or ev.stmt_id in index.outlets)
         )
     ]
+    whole_seq = strict or stmt_methods is None
+    junctions: dict[Optional[frozenset[str]], set[tuple[str, str]]] = {}
 
     def junction_ok(out_stmt: str, in_stmt: str) -> bool:
-        if strict or stmt_methods is None:
-            sub = junction_seq  # literal reading: the whole merged sequence
+        if whole_seq:
+            key = None  # literal reading: the whole merged sequence
         else:
-            proc_a = stmt_methods[out_stmt].process
-            proc_b = stmt_methods[in_stmt].process
-            sub = [
-                ev for ev in junction_seq if ev.process in (proc_a, proc_b)
+            key = frozenset(
+                (stmt_methods[out_stmt].process, stmt_methods[in_stmt].process)
+            )
+        pairs = junctions.get(key)
+        if pairs is None:
+            sub = junction_seq if key is None else [
+                ev for ev in junction_seq if ev.process in key
             ]
-        for e1, e2 in zip(sub, sub[1:]):
-            if (
-                e1.kind == "send"
-                and e1.stmt_id == out_stmt
-                and e2.kind == "recv"
-                and e2.stmt_id == in_stmt
-            ):
-                return True
-        return False
+            pairs = junctions[key] = {
+                (e1.stmt_id, e2.stmt_id)
+                for e1, e2 in zip(sub, sub[1:])
+                if e1.kind == "send" and e2.kind == "recv"
+            }
+        return (out_stmt, in_stmt) in pairs
 
     spliced: list[StmtFlowPath] = []
     seen: set[tuple[str, ...]] = set()
@@ -309,18 +320,13 @@ def phase2(
         proc: {ev.method for ev in trace.events} for proc, trace in traces.items()
     }
 
-    by_pair: dict[tuple[MethodId, MethodId], set[MethodId]] = {}
-    for p in method_paths.paths:
-        key = (p.source_method, p.sink_method)
-        by_pair.setdefault(key, set()).update(p.methods)
-
     results = []
     for s in sorted(cfg.sources):
         for t in sorted(cfg.sinks):
             ms, mt = sdg.nodes.get(s), sdg.nodes.get(t)
             if ms is None or mt is None:
                 continue
-            path_methods = by_pair.get((ms, mt))
+            path_methods = method_paths.pair_methods.get((ms, mt))
             if not path_methods:
                 continue
             partial = partial_graph(sdg, path_methods)

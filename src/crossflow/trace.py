@@ -297,7 +297,12 @@ class EventGraph:
 def happens_before(
     e1: EventRecord, e2: EventRecord, traces: Mapping[str, ProcessTrace]
 ) -> bool:
-    """True iff e1 precedes e2 in the closure of program order and messages."""
+    """True iff e1 precedes e2 in the closure of program order and messages.
+
+    Each call builds a whole ``EventGraph`` (a sort of every event plus the
+    vector-clock pass) to answer one question.  A caller that asks about
+    many pairs should build one ``EventGraph`` and call ``reaches`` on it.
+    """
     if e1.ts is None or e2.ts is None:
         raise TraceError("happens_before requires stamped events")
     return EventGraph(traces).reaches(e1.key(), e2.key())

@@ -2,12 +2,32 @@
 
 Everything here recomputes results straight from definitions, by exhaustive
 closure or enumeration, deliberately avoiding the incremental algorithms in
-the package under test.
+the package under test.  Two oracles are earlier versions of package code,
+kept as they were so that optimized versions can be held to exactly the
+same output: ``reference_method_paths`` (the phase-1 enumerator, whose caps
+decide which paths are emitted) and ``junction_oracle`` (the splice junction
+rule, re-evaluated per question).
 """
 
 from __future__ import annotations
 
-from crossflow.trace import EventRecord, MethodId, ProcessTrace
+from typing import Iterable, Mapping
+
+from crossflow.methodpaths import (
+    DEFAULT_MAX_PATHS,
+    DEFAULT_PATH_LIMIT,
+    DEFAULT_WORK_BUDGET,
+    MethodFlowPath,
+    PathSet,
+    method_ds,
+)
+from crossflow.trace import (
+    EventRecord,
+    MethodId,
+    ProcessTrace,
+    influenced_recv_ts,
+    method_spans,
+)
 
 
 def closure_matrix(traces: dict[str, ProcessTrace]) -> dict[tuple, set[tuple]]:
@@ -127,6 +147,39 @@ def brute_force_ds(
     return members
 
 
+def junction_oracle(
+    order,
+    index,
+    out_stmt: str,
+    in_stmt: str,
+    strict: bool = False,
+    stmt_methods: Mapping[str, MethodId] | None = None,
+) -> bool:
+    """The splice junction rule, re-filtering the merged order on every
+    call: a send at ``out_stmt`` immediately followed by a recv at
+    ``in_stmt`` among the message-callsite events (all events when
+    ``strict``) of the two statements' processes (of every process when
+    ``strict`` or without ``stmt_methods``)."""
+    seq = [
+        ev
+        for ev in order.merged
+        if strict
+        or (
+            ev.kind in ("send", "recv")
+            and ev.stmt_id is not None
+            and (ev.stmt_id in index.inlets or ev.stmt_id in index.outlets)
+        )
+    ]
+    if not strict and stmt_methods is not None:
+        procs = (stmt_methods[out_stmt].process, stmt_methods[in_stmt].process)
+        seq = [ev for ev in seq if ev.process in procs]
+    return any(
+        e1.kind == "send" and e1.stmt_id == out_stmt
+        and e2.kind == "recv" and e2.stmt_id == in_stmt
+        for e1, e2 in zip(seq, seq[1:])
+    )
+
+
 def all_simple_paths(
     edges: set[tuple[str, str]],
     starts: set[str],
@@ -167,3 +220,97 @@ def rank_with_ties(values: list[float]) -> list[float]:
         # positions less+1 .. less+equal share the average rank
         ranks[i] = less + (equal + 1) / 2.0
     return ranks
+
+
+def reference_method_paths(
+    traces: Mapping[str, ProcessTrace],
+    source_methods: Iterable[MethodId],
+    sink_methods: Iterable[MethodId],
+    path_limit: int = DEFAULT_PATH_LIMIT,
+    max_paths: int = DEFAULT_MAX_PATHS,
+    work_budget: int = DEFAULT_WORK_BUDGET,
+) -> PathSet:
+    """``methodpaths.method_level_paths`` as it was before its DFS moved to
+    integer indices: the same visit order and cap checks over ``MethodId``
+    objects, kept as the exact-equivalence oracle for the enumerator."""
+    spans = method_spans(traces)
+    influenced = influenced_recv_ts(traces)
+    sinks = {m for m in sink_methods if m in spans}
+    sources = sorted(
+        (m for m in source_methods if m in spans), key=MethodId.sort_key
+    )
+    paths: set[MethodFlowPath] = set()
+    truncated = False
+    for q in sources:
+        ds = method_ds(q, traces, spans, influenced).members
+        if not ds & sinks:
+            continue
+        truncated |= _reference_enumerate(
+            q, ds, sinks, spans, path_limit, max_paths, work_budget, paths
+        )
+    return PathSet(frozenset(paths), truncated)
+
+
+def _reference_enumerate(
+    q: MethodId,
+    members: frozenset[MethodId],
+    sinks: set[MethodId],
+    spans: Mapping[MethodId, tuple[int, int]],
+    path_limit: int,
+    max_paths: int,
+    work_budget: int,
+    out: set[MethodFlowPath],
+) -> bool:
+    """DFS over sequences where no member's first entry postdates a later
+    member's last event.
+
+    Candidates are visited in (fe, lr, name) order so causally early methods
+    come first.  Branches from which no sink can be appended any more are cut
+    (appending only raises the running max fe, so the cut is exact).  The
+    enumeration reports truncation when the length cap, the path cap, or the
+    work budget bites.
+    """
+    ordered = sorted(
+        members, key=lambda m: (spans[m][0], spans[m][1], m.sort_key())
+    )
+    reachable_sinks = members & sinks
+    truncated = False
+    steps = 0
+    seq: list[MethodId] = [q]
+    in_seq = {q}
+
+    def walk(max_fe: int) -> None:
+        nonlocal truncated, steps
+        if seq[-1] in sinks:
+            if len(out) >= max_paths:
+                truncated = True
+                return
+            out.add(MethodFlowPath(tuple(seq)))
+        if len(seq) >= path_limit:
+            truncated = True
+            return
+        for m in ordered:
+            if truncated and len(out) >= max_paths:
+                return
+            if m in in_seq:
+                continue
+            m_first, m_last = spans[m]
+            if m_last < max_fe:
+                continue  # some earlier member would start after m ended
+            steps += 1
+            if steps > work_budget:
+                truncated = True
+                return
+            new_max = max(max_fe, m_first)
+            seq.append(m)
+            in_seq.add(m)
+            if m in sinks or any(
+                s not in in_seq and spans[s][1] >= new_max
+                for s in reachable_sinks
+            ):
+                walk(new_max)
+            seq.pop()
+            in_seq.discard(m)
+
+    walk(spans[q][0])
+    return truncated

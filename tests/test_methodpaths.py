@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 from crossflow.methodpaths import (
+    DEFAULT_MAX_PATHS,
+    DEFAULT_PATH_LIMIT,
+    DEFAULT_WORK_BUDGET,
     MethodFlowPath,
     check_path_ordering,
     covers_chain,
     method_ds,
     method_level_paths,
+    render_paths,
 )
 from crossflow.simulator import Scenario, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
-from oracles import brute_force_ds
+from oracles import brute_force_ds, reference_method_paths
 
 
 def mid(proc, name):
@@ -188,6 +194,77 @@ class TestMethodLevelPaths:
         assert tiny.truncated
         assert all(len(p.methods) <= 2 for p in tiny.paths)
 
+    def test_equals_reference_enumerator_at_every_cap(self):
+        # small caps put the point where each cap cuts in inside the walk,
+        # so visit order and cap checks must match the reference exactly
+        rng = random.Random(20231)
+        scenarios = (
+            [Scenario("client_server", seed=s, length=100) for s in range(4)]
+            + [Scenario("peer_to_peer", seed=s, length=90) for s in range(4)]
+            + [Scenario("n_tier", seed=s, length=120, tiers=4) for s in range(4)]
+        )
+        seen_truncated = seen_whole = 0
+        for sc in scenarios:
+            model = generate_program(sc)
+            traces, _ = simulate(model, sc)
+            owner = model.stmt_owner()
+            srcs = {owner[s] for s in model.sources}
+            sinks = {owner[s] for s in model.sinks}
+            caps = [(DEFAULT_PATH_LIMIT, DEFAULT_MAX_PATHS, DEFAULT_WORK_BUDGET)]
+            caps += [
+                (rng.randint(2, 6), rng.randint(1, 50), rng.randint(1, 500))
+                for _ in range(6)
+            ]
+            caps += [(2, DEFAULT_MAX_PATHS, DEFAULT_WORK_BUDGET),
+                     (DEFAULT_PATH_LIMIT, 1, DEFAULT_WORK_BUDGET),
+                     (DEFAULT_PATH_LIMIT, DEFAULT_MAX_PATHS, 1)]
+            for limit, max_paths, budget in caps:
+                got = method_level_paths(
+                    traces, srcs, sinks, path_limit=limit,
+                    max_paths=max_paths, work_budget=budget,
+                )
+                want = reference_method_paths(
+                    traces, srcs, sinks, path_limit=limit,
+                    max_paths=max_paths, work_budget=budget,
+                )
+                assert got.paths == want.paths, (sc, limit, max_paths, budget)
+                assert got.truncated == want.truncated, (sc, limit, max_paths, budget)
+                seen_truncated += want.truncated
+                seen_whole += not want.truncated and bool(want.paths)
+        assert seen_truncated and seen_whole
+
+    def test_equals_reference_when_a_sink_ends_as_a_member_starts(self):
+        # B's m2 starts at the timestamp where A's sink s ends, so s can
+        # still follow m2; two sinks make the cut scan look past the first
+        raw = {
+            "A": [ev("A", 0, "entry", "q"),
+                  ev("A", 1, "send", "q", msg_id="m1", peer="B"),
+                  ev("A", 2, "entry", "x"),
+                  ev("A", 3, "entry", "s")],
+            "B": [ev("B", 0, "entry", "m0"),
+                  ev("B", 1, "recv", "m0", msg_id="m1", peer="A"),
+                  ev("B", 2, "entry", "m2"),
+                  ev("B", 3, "entry", "s2")],
+        }
+        traces, _ = stamp_lamport(raw)
+        spans = method_spans(traces)
+        assert spans[mid("B", "m2")][0] == spans[mid("A", "s")][1]
+        srcs = [mid("A", "q")]
+        for sinks in ([mid("A", "s")], [mid("A", "s"), mid("B", "s2")]):
+            full = method_level_paths(traces, srcs, sinks)
+            assert (mid("A", "q"), mid("B", "m2"), mid("A", "s")) in {
+                p.methods for p in full.paths
+            }
+            for limit in range(2, 7):
+                for max_paths in range(1, 8):
+                    for budget in range(1, 40):
+                        kw = dict(
+                            path_limit=limit, max_paths=max_paths, work_budget=budget
+                        )
+                        got = method_level_paths(traces, srcs, sinks, **kw)
+                        want = reference_method_paths(traces, srcs, sinks, **kw)
+                        assert got == want, (sinks, kw)
+
 
 def test_covers_chain_subsequence_semantics():
     a, b, c = mid("A", "a"), mid("A", "b"), mid("A", "c")
@@ -195,3 +272,21 @@ def test_covers_chain_subsequence_semantics():
     assert covers_chain(paths, (a, c))
     assert covers_chain(paths, (a, b, c))
     assert not covers_chain(paths, (c, a))
+
+
+def test_render_paths_orders_by_method_sort_keys():
+    # "P-x.A.b" sorts before "P.Z.a" as a name, but process "P-x" after
+    # "P"; a path sorts after its own prefix
+    a, b = MethodId("P", "Z", "a"), MethodId("P-x", "A", "b")
+    c = MethodId("P", "Main", "c")
+    paths = [
+        MethodFlowPath(ms)
+        for ms in [(a, b), (c, a), (a,), (b, c, a), (a, c), (c,), (a, b, c)]
+    ]
+    want = [
+        "path level=method " + " -> ".join(m.qualified() for m in p.methods)
+        for p in sorted(paths, key=lambda p: [m.sort_key() for m in p.methods])
+    ]
+    assert render_paths(paths) == "\n".join(want) + "\n"
+    assert render_paths(reversed(paths)) == render_paths(paths)
+    assert render_paths([]) == ""

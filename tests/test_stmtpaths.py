@@ -18,7 +18,7 @@ from crossflow.stmtpaths import (
 )
 from crossflow.trace import EventRecord, MethodId, merge_global, stamp_lamport
 
-from oracles import all_simple_paths
+from oracles import all_simple_paths, junction_oracle
 
 
 def mid(proc, name):
@@ -221,6 +221,96 @@ class TestSplice:
             procs = {owner[s].process for s in truth_path}
             if len(procs) == 3:
                 assert truth_path in {p.stmts for p in spliced}
+
+
+def round_trip_fixture():
+    """A sends to B, B answers A; entry and coverage events in between."""
+    ma, mb = mid("A", "go"), mid("B", "serve")
+    stmt_methods = {"a_out": ma, "a_in": ma, "b_in": mb, "b_out": mb}
+    raw = {
+        "A": [
+            EventRecord("entry", ma, 0),
+            EventRecord("send", ma, 1, msg_id="m0", peer="B", stmt_id="a_out"),
+            EventRecord("stmt_cover", ma, 2, stmt_id="a_cov"),
+            EventRecord("recv", ma, 3, msg_id="m1", peer="B", stmt_id="a_in"),
+        ],
+        "B": [
+            EventRecord("entry", mb, 0),
+            EventRecord("recv", mb, 1, msg_id="m0", peer="A", stmt_id="b_in"),
+            EventRecord("send", mb, 2, msg_id="m1", peer="A", stmt_id="b_out"),
+        ],
+    }
+    traces, _ = stamp_lamport(raw)
+    return traces, stmt_methods
+
+
+class TestJunctionIndex:
+    """Every junction ``splice_segments`` accepts, against the rule evaluated
+    by re-filtering the merged order per (outlet, inlet) question."""
+
+    def spliced_junctions(self, traces, stmt_methods, strict, outlets=None):
+        order = merge_global(traces)
+        index = InletOutletIndex.build(traces, set(stmt_methods.values()))
+        outlets = sorted(index.outlets) if outlets is None else outlets
+        spliced = splice_segments(
+            [(o,) for o in outlets], [], [(i,) for i in sorted(index.inlets)],
+            order, index, strict=strict, stmt_methods=stmt_methods,
+        )
+        want = {
+            (o, i)
+            for o in outlets
+            for i in index.inlets
+            if junction_oracle(order, index, o, i, strict, stmt_methods)
+        }
+        return {p.stmts for p in spliced}, want
+
+    def test_within_one_process(self):
+        traces, stmt_methods = round_trip_fixture()
+        got, want = self.spliced_junctions(traces, stmt_methods, strict=False)
+        # restricted to A alone, A's send is followed by A's recv
+        assert ("a_out", "a_in") in want
+        assert got == want
+
+    def test_both_orders_of_a_process_pair(self):
+        traces, stmt_methods = round_trip_fixture()
+        for outlets in (["a_out", "b_out"], ["b_out", "a_out"]):
+            got, want = self.spliced_junctions(
+                traces, stmt_methods, strict=False, outlets=outlets
+            )
+            # (A, B) and (B, A) share one process-pair index
+            assert {("a_out", "b_in"), ("b_out", "a_in")} <= want
+            assert got == want
+
+    def test_strict_and_whole_sequence(self):
+        traces, stmt_methods = round_trip_fixture()
+        got, want = self.spliced_junctions(traces, stmt_methods, strict=True)
+        # A's coverage event lands between its send and B's recv
+        assert got == want == {("b_out", "a_in")}
+        order = merge_global(traces)
+        index = InletOutletIndex.build(traces, set(stmt_methods.values()))
+        spliced = splice_segments(
+            [("a_out",), ("b_out",)], [], [("a_in",), ("b_in",)], order, index,
+        )
+        assert {p.stmts for p in spliced} == {
+            (o, i)
+            for o in ("a_out", "b_out")
+            for i in ("a_in", "b_in")
+            if junction_oracle(order, index, o, i)
+        } == {("a_out", "b_in"), ("b_out", "a_in")}
+
+    def test_simulated_runs(self):
+        for sc in [
+            Scenario("client_server", seed=1, length=90),
+            Scenario("peer_to_peer", seed=2, length=90),
+            Scenario("n_tier", seed=3, length=110, tiers=3),
+        ]:
+            model = generate_program(sc)
+            traces, _ = simulate(model, sc)
+            stmt_methods = model.stmt_owner()
+            for strict in (False, True):
+                got, want = self.spliced_junctions(traces, stmt_methods, strict)
+                assert got == want, (sc, strict)
+                assert want or strict, sc
 
 
 class TestPhase2EndToEnd:
