@@ -28,7 +28,7 @@ from .config import Configuration, MOST_PRECISE
 from .methodpaths import DependenceSet
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import StaticDepGraph, reachable
-from .trace import EventGraph, MethodId, ProcessTrace, method_spans
+from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans
 
 
 class EngineError(ValueError):
@@ -485,6 +485,7 @@ def merge_query(
     message-induced dependents of shared code would be dropped).
     """
     key = query.code_key if isinstance(query, MethodId) else tuple(query)
+    entries = first_entries(traces)
     spans = method_spans(traces)
     instances = {m: span for m, span in spans.items() if m.code_key == key}
     if not instances:
@@ -496,36 +497,23 @@ def merge_query(
         return DependenceSet(root, frozenset())
 
     anchor = min(instances, key=lambda m: (instances[m][0], m.process))
-    proc_i = anchor.process
-    members: set[MethodId] = set(
-        per_process.get(proc_i, {}).get(anchor, DependenceSet(anchor, frozenset())).members
-    )
-    members.add(anchor)
-
-    fe_event = next(
-        ev
-        for ev in traces[proc_i].events
-        if ev.kind == "entry" and ev.method == anchor
-    )
-    reach = EventGraph(traces).first_reached_ts(fe_event)
-
-    for proc_j in sorted(traces):
-        if proc_j == proc_i:
-            continue
-        local = per_process.get(proc_j, {})
-        twin = MethodId(proc_j, key[0], key[1])
-        if twin in spans:
-            members |= local.get(twin, DependenceSet(twin, frozenset())).members
-            members.add(twin)
-        reach_ts = reach.get(proc_j)
-        if reach_ts is None:
-            continue
-        for m, (_, lr) in spans.items():
-            if m.process != proc_j or reach_ts > lr:
-                continue
-            members |= local.get(m, DependenceSet(m, frozenset())).members
-            members.add(m)
+    reach = EventGraph(traces).first_reached_ts(entries[anchor])
+    members: set[MethodId] = set()
+    for m in instances.keys() | _reached_methods(spans, reach):
+        local = per_process.get(m.process, {})
+        members |= local.get(m, DependenceSet(m, frozenset())).members | {m}
     return DependenceSet(anchor, frozenset(members))
+
+
+def _reached_methods(
+    spans: Mapping[MethodId, tuple[int, int]], reach: Mapping[str, int]
+) -> set[MethodId]:
+    """Methods of each process in ``reach`` whose last event is at or after
+    ``reach[process]``, the ts of the first recv a message chain reached."""
+    return {
+        m for m, (_, lr) in spans.items()
+        if m.process in reach and reach[m.process] <= lr
+    }
 
 
 def dep_data_from_run(
@@ -542,13 +530,9 @@ def dep_data_from_run(
     """
     from .metrics import DepData  # local import to avoid a cycle
 
+    entries = first_entries(traces)
     spans = method_spans(traces)
     graph = EventGraph(traces)
-    entry_events = {}
-    for proc in sorted(traces):
-        for ev in traces[proc].events:
-            if ev.kind == "entry" and ev.method not in entry_events:
-                entry_events[ev.method] = ev
 
     local_ds = {}
     remote_ds = {}
@@ -557,10 +541,8 @@ def dep_data_from_run(
             m, DependenceSet(m, frozenset())
         )
         local_ds[m] = frozenset(x for x in intra.members if x != m)
-        reach = graph.first_reached_ts(entry_events[m])
         remote_ds[m] = frozenset(
-            m2 for m2, (_, lr) in spans.items()
-            if m2.process in reach and reach[m2.process] <= lr
+            _reached_methods(spans, graph.first_reached_ts(entries[m]))
         )
 
     messages: dict[tuple[str, str], int] = {}

@@ -7,13 +7,15 @@ a remote method joins when the remote process received its first
 origin-influenced message inside q's span.  Paths are then every duplicate-free
 sequence of DS(q) members from q to a sink-enclosing method whose pairwise
 first-entry/last-event ordering is consistent.
+
+Phase 2 reads the closed form of :func:`pair_methods`, not these paths, so
+the enumeration's caps bound only the ``phase1.txt`` report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .trace import (
     MethodId,
@@ -51,16 +53,6 @@ class PathSet:
     paths: frozenset[MethodFlowPath]
     truncated: bool
 
-    @cached_property
-    def pair_methods(self) -> dict[tuple[MethodId, MethodId], frozenset[MethodId]]:
-        """(source method, sink method) -> every method on a path between
-        them; phase 2 and the ``mul`` trace restriction both read it."""
-        by_pair: dict[tuple[MethodId, MethodId], set[MethodId]] = {}
-        for p in self.paths:
-            key = (p.source_method, p.sink_method)
-            by_pair.setdefault(key, set()).update(p.methods)
-        return {key: frozenset(ms) for key, ms in by_pair.items()}
-
 
 def method_ds(
     q: MethodId,
@@ -95,6 +87,37 @@ def method_ds(
     return DependenceSet(q, frozenset(members))
 
 
+def _source_ds(
+    traces: Mapping[str, ProcessTrace], source_methods: Iterable[MethodId]
+) -> Iterator[tuple[MethodId, frozenset[MethodId], dict[MethodId, tuple[int, int]]]]:
+    """(q, DS(q), spans of the traces) for each source q, in sort-key order;
+    the spans and the influence map are built once for all sources."""
+    spans = method_spans(traces)
+    influenced = influenced_recv_ts(traces)
+    for q in sorted(source_methods, key=MethodId.sort_key):
+        yield q, method_ds(q, traces, spans, influenced).members, spans
+
+
+def pair_methods(
+    traces: Mapping[str, ProcessTrace],
+    source_methods: Iterable[MethodId],
+    sink_methods: Iterable[MethodId],
+) -> dict[tuple[MethodId, MethodId], frozenset[MethodId]]:
+    """(source method q, sink method t) -> every method on some q -> t path,
+    for each sink t in DS(q): {q} for t == q, else each m in DS(q) with
+    fe(m) <= lr(t) (every subsequence of a valid path is valid, and
+    fe(q) <= lr(x) for every x in DS(q)).  Without truncation this is the
+    union of the q -> t paths that :func:`method_level_paths` enumerates."""
+    sinks = set(sink_methods)
+    out: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
+    for q, ds, spans in _source_ds(traces, source_methods):
+        for t in ds & sinks:
+            out[(q, t)] = frozenset(
+                [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
+            )
+    return out
+
+
 def method_level_paths(
     traces: Mapping[str, ProcessTrace],
     source_methods: Iterable[MethodId],
@@ -104,16 +127,10 @@ def method_level_paths(
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> PathSet:
     """All method-level flow paths between executed sources and sinks."""
-    spans = method_spans(traces)
-    influenced = influenced_recv_ts(traces)
-    sinks = {m for m in sink_methods if m in spans}
-    sources = sorted(
-        (m for m in source_methods if m in spans), key=MethodId.sort_key
-    )
+    sinks = set(sink_methods)
     paths: set[MethodFlowPath] = set()
     truncated = False
-    for q in sources:
-        ds = method_ds(q, traces, spans, influenced).members
+    for q, ds, spans in _source_ds(traces, source_methods):
         if not ds & sinks:
             continue
         truncated |= _enumerate(

@@ -9,6 +9,9 @@ Three pipeline modes trade pre-analysis work against tracing scope:
   mul      the first phase sees only first/last method event instances, then
            the second phase re-reads full instances for path methods only.
 
+Phase 2 and the ``mul`` restriction read :func:`methodpaths.pair_methods`;
+the capped phase-1 enumeration only feeds ``phase1.txt`` and ``summary.txt``.
+
 On deterministic traces all three produce identical statement-level paths.
 The statement-level static stage always uses the context-insensitive,
 intraprocedurally flow-sensitive graph variant.
@@ -17,13 +20,13 @@ intraprocedurally flow-sensitive graph variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .methodpaths import (
-    DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
     PathSet,
     method_level_paths,
+    pair_methods,
 )
 from .staticgraph import (
     SourceSinkConfig,
@@ -33,7 +36,6 @@ from .staticgraph import (
 )
 from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, Phase2Result, phase2
 from .trace import (
-    MethodId,
     ProcessTrace,
     TraceMap,
     filter_traces,
@@ -50,10 +52,8 @@ class ModeError(ValueError):
 
 @dataclass(frozen=True)
 class FlowAnalysis:
-    mode: str
     phase1: PathSet
     phase2: Phase2Result
-    relevant: Optional[frozenset[MethodId]]
 
 
 def direct_coverage(traces: Mapping[str, ProcessTrace]) -> set[str]:
@@ -90,7 +90,6 @@ def analyze_flows(
     mode: str = "default",
     path_limit: int = DEFAULT_PATH_LIMIT,
     stmt_path_limit: int = DEFAULT_STMT_PATH_LIMIT,
-    max_paths: int = DEFAULT_MAX_PATHS,
     strict_splice: bool = False,
     coverage_style: str = "direct",
 ) -> FlowAnalysis:
@@ -99,10 +98,8 @@ def analyze_flows(
     graph = graphs[PHASE2_VARIANT]
     cfg.require_nonempty()
 
-    relevant: Optional[frozenset[MethodId]] = None
     if mode == "default":
-        relevant = frozenset(relevant_methods(graph, cfg))
-        phase1_traces: TraceMap = filter_traces(traces, relevant)
+        phase1_traces: TraceMap = filter_traces(traces, relevant_methods(graph, cfg))
         phase2_traces = phase1_traces
     elif mode == "sim":
         phase1_traces = traces
@@ -117,13 +114,12 @@ def analyze_flows(
     src_methods = {owner[s] for s in cfg.sources if s in owner}
     sink_methods = {owner[t] for t in cfg.sinks if t in owner}
     p1 = method_level_paths(
-        phase1_traces, src_methods, sink_methods,
-        path_limit=path_limit, max_paths=max_paths,
+        phase1_traces, src_methods, sink_methods, path_limit=path_limit
     )
+    pairs = pair_methods(phase1_traces, src_methods, sink_methods)
 
     if mode == "mul":
-        path_methods = set().union(*p1.pair_methods.values())
-        phase2_traces = filter_traces(traces, path_methods)
+        phase2_traces = filter_traces(traces, set().union(*pairs.values()))
 
     if coverage_style == "direct":
         coverage = direct_coverage(phase2_traces)
@@ -131,7 +127,7 @@ def analyze_flows(
         coverage = inferred_coverage(graph, phase2_traces)
 
     p2 = phase2(
-        graph, p1, phase2_traces, coverage, cfg,
+        graph, pairs, phase2_traces, coverage, cfg,
         path_limit=stmt_path_limit, strict_splice=strict_splice,
     )
-    return FlowAnalysis(mode=mode, phase1=p1, phase2=p2, relevant=relevant)
+    return FlowAnalysis(phase1=p1, phase2=p2)

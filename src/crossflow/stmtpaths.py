@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .methodpaths import PathSet
 from .staticgraph import StaticDepGraph, SourceSinkConfig, partial_graph, reachable
 from .trace import (
     GlobalOrder,
@@ -205,8 +204,8 @@ def splice_segments(
     sink_segs: Sequence[tuple[str, ...]],
     order: GlobalOrder,
     index: InletOutletIndex,
+    stmt_methods: Mapping[str, MethodId],
     strict: bool = False,
-    stmt_methods: Optional[Mapping[str, MethodId]] = None,
 ) -> list[StmtFlowPath]:
     """Concatenate source, remote, and sink segments whose junctions have no
     intervening inlet/outlet events (or no intervening events at all when
@@ -214,10 +213,10 @@ def splice_segments(
 
     A junction (outlet stmt, inlet stmt) holds when a send at the outlet is
     immediately followed by a recv at the inlet in the junction sequence
-    restricted to the two statements' processes.  The adjacent (send stmt,
-    recv stmt) pairs are indexed once per unordered process pair, on the
-    pair's first junction test, so each test is a set lookup.  ``strict``,
-    or a call without ``stmt_methods``, uses one index over the whole
+    restricted to the two statements' processes (``stmt_methods`` names
+    them).  The adjacent (send stmt, recv stmt) pairs are indexed once per
+    unordered process pair, on the pair's first junction test, so each test
+    is a set lookup.  ``strict`` uses one index over the whole merged
     sequence instead.
     """
     junction_seq = [
@@ -230,16 +229,13 @@ def splice_segments(
             and (ev.stmt_id in index.inlets or ev.stmt_id in index.outlets)
         )
     ]
-    whole_seq = strict or stmt_methods is None
     junctions: dict[Optional[frozenset[str]], set[tuple[str, str]]] = {}
 
     def junction_ok(out_stmt: str, in_stmt: str) -> bool:
-        if whole_seq:
-            key = None  # literal reading: the whole merged sequence
-        else:
-            key = frozenset(
-                (stmt_methods[out_stmt].process, stmt_methods[in_stmt].process)
-            )
+        # strict is the literal reading: the whole merged sequence
+        key = None if strict else frozenset(
+            (stmt_methods[out_stmt].process, stmt_methods[in_stmt].process)
+        )
         pairs = junctions.get(key)
         if pairs is None:
             sub = junction_seq if key is None else [
@@ -304,16 +300,17 @@ class Phase2Result:
 
 def phase2(
     sdg: StaticDepGraph,
-    method_paths: PathSet,
+    pair_methods: Mapping[tuple[MethodId, MethodId], frozenset[MethodId]],
     traces: Mapping[str, ProcessTrace],
     coverage: set[str],
     cfg: SourceSinkConfig,
     path_limit: int = DEFAULT_STMT_PATH_LIMIT,
     strict_splice: bool = False,
 ) -> Phase2Result:
-    """Statement-level flow paths for every covered source/sink callsite pair."""
+    """Statement-level flow paths for every covered source/sink callsite pair,
+    over the methods ``pair_methods`` gives its (source method, sink method)."""
     cfg.require_nonempty()
-    if not method_paths.paths:
+    if not pair_methods:
         return Phase2Result(())
     order = merge_global(traces)
     executed_by_proc: dict[str, set[MethodId]] = {
@@ -326,7 +323,7 @@ def phase2(
             ms, mt = sdg.nodes.get(s), sdg.nodes.get(t)
             if ms is None or mt is None:
                 continue
-            path_methods = method_paths.pair_methods.get((ms, mt))
+            path_methods = pair_methods.get((ms, mt))
             if not path_methods:
                 continue
             partial = partial_graph(sdg, path_methods)
@@ -368,7 +365,7 @@ def phase2(
             )
             spliced = splice_segments(
                 source_segs, remote_segs, sink_segs, order, index,
-                strict=strict_splice, stmt_methods=ddg.methods,
+                ddg.methods, strict=strict_splice,
             )
             results.append(
                 PairResult(s, t, tuple(intra), tuple(spliced))

@@ -311,6 +311,16 @@ def happens_before(
 SPAN_EVENT_KINDS = frozenset({"entry", "returned_into", "send", "recv"})
 
 
+def first_entries(traces: Mapping[str, ProcessTrace]) -> dict[MethodId, EventRecord]:
+    """Each executed method's first entry event, in order of the traces."""
+    out: dict[MethodId, EventRecord] = {}
+    for trace in traces.values():
+        for ev in trace.events:
+            if ev.kind == "entry" and ev.method not in out:
+                out[ev.method] = ev
+    return out
+
+
 def method_spans(
     traces: Mapping[str, ProcessTrace]
 ) -> dict[MethodId, tuple[int, int]]:
@@ -321,19 +331,16 @@ def method_spans(
     the last returned-into event, and it degrades gracefully for leaf methods
     (which never have one).  Coverage events carry no ordering information of
     their own and are excluded, so spans are identical whether a trace holds
-    all instances or only the first/last ones.
+    all instances or only the first/last ones.  fe comes from
+    :func:`first_entries`.
     """
-    first_entry: dict[MethodId, int] = {}
+    entries = first_entries(traces)
     last_event: dict[MethodId, int] = {}
     for trace in traces.values():
         for ev in trace.events:
-            if ev.kind == "entry" and ev.method not in first_entry:
-                first_entry[ev.method] = ev.ts
             if ev.kind in SPAN_EVENT_KINDS:
                 last_event[ev.method] = max(last_event.get(ev.method, 0), ev.ts)
-    return {
-        m: (first_entry[m], last_event[m]) for m in first_entry
-    }
+    return {m: (ev.ts, last_event[m]) for m, ev in entries.items()}
 
 
 def influenced_recv_ts(

@@ -33,7 +33,12 @@ from crossflow.engine import (
     method_event_stream,
 )
 from crossflow.metrics import DepData, ipc_metrics
-from crossflow.methodpaths import covers_chain, method_ds, method_level_paths
+from crossflow.methodpaths import (
+    covers_chain,
+    method_ds,
+    method_level_paths,
+    pair_methods,
+)
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.qlearn import (
     LearnerParams,
@@ -48,11 +53,13 @@ from crossflow.simulator import (
     generate_program,
     simulate,
 )
+from crossflow.staticgraph import relevant_methods
 from crossflow.stats import kmeans2, rank_average_ties, spearman
 from crossflow.stmtpaths import InletOutletIndex
 from crossflow.trace import (
     EventRecord,
     MethodId,
+    filter_traces,
     merge_global,
     method_spans,
     stamp_lamport,
@@ -210,12 +217,12 @@ def test_criterion_3_statement_level_soundness():
         # (b) spliced junctions satisfy the no-intervening-event predicate
         graph = graphs[(False, True)]
         order = merge_global(traces)
-        by_pair = {}
-        for p in base.phase1.paths:
-            by_pair.setdefault((p.source_method, p.sink_method), set()).update(
-                p.methods
-            )
         owner = model.stmt_owner()
+        by_pair = pair_methods(
+            filter_traces(traces, relevant_methods(graph, cfg)),
+            {owner[s] for s in cfg.sources if s in owner},
+            {owner[t] for t in cfg.sinks if t in owner},
+        )
         for pair in base.phase2.pairs:
             methods = by_pair[(owner[pair.source_stmt], owner[pair.sink_stmt])]
             index = InletOutletIndex.build(traces, methods)

@@ -20,6 +20,7 @@ from crossflow.engine import (
     merge_query,
     method_event_stream,
 )
+from crossflow.methodpaths import DependenceSet
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
@@ -404,3 +405,17 @@ class TestRemoteDependence:
                 if anchor == m:
                     merged = merge_query(m, {}, traces)
                     assert merged.members == {m} | twins | want[m], (name, m)
+
+    def test_merge_query_joins_a_twin_no_message_reached(self):
+        # B also ran the query's code, but no message links A and B: B's
+        # instance and its per-process set still join
+        go_a, go_b, helper = mid("A", "go"), mid("B", "go"), mid("B", "helper")
+        raw = {
+            "A": [EventRecord("entry", go_a, 0)],
+            "B": [EventRecord("entry", helper, 0), EventRecord("entry", go_b, 1)],
+        }
+        traces = stamp_lamport(raw)[0]
+        per_process = {"B": {go_b: DependenceSet(go_b, frozenset({go_b, helper}))}}
+        merged = merge_query(go_a, per_process, traces)
+        assert merged.root == go_a
+        assert merged.members == {go_a, go_b, helper}

@@ -13,6 +13,7 @@ from crossflow.methodpaths import (
     covers_chain,
     method_ds,
     method_level_paths,
+    pair_methods,
     render_paths,
 )
 from crossflow.simulator import Scenario, generate_program, simulate
@@ -27,6 +28,14 @@ def mid(proc, name):
 
 def ev(proc, seq, kind, name="run", **kw):
     return EventRecord(kind=kind, method=mid(proc, name), seq=seq, **kw)
+
+
+def path_unions(paths):
+    """(source, sink) -> union of the methods of the enumerated paths."""
+    by_pair = {}
+    for p in paths:
+        by_pair.setdefault((p.source_method, p.sink_method), set()).update(p.methods)
+    return by_pair
 
 
 def owner_chains(model, truth):
@@ -210,6 +219,7 @@ class TestMethodLevelPaths:
             owner = model.stmt_owner()
             srcs = {owner[s] for s in model.sources}
             sinks = {owner[s] for s in model.sinks}
+            pairs = pair_methods(traces, srcs, sinks)
             caps = [(DEFAULT_PATH_LIMIT, DEFAULT_MAX_PATHS, DEFAULT_WORK_BUDGET)]
             caps += [
                 (rng.randint(2, 6), rng.randint(1, 50), rng.randint(1, 500))
@@ -229,6 +239,13 @@ class TestMethodLevelPaths:
                 )
                 assert got.paths == want.paths, (sc, limit, max_paths, budget)
                 assert got.truncated == want.truncated, (sc, limit, max_paths, budget)
+                # the closed form is the enumerated union, or a superset of
+                # it when a cap cut the enumeration off
+                unions = path_unions(want.paths)
+                if want.truncated:
+                    assert all(ms <= pairs[key] for key, ms in unions.items())
+                else:
+                    assert pairs == unions, (sc, limit, max_paths, budget)
                 seen_truncated += want.truncated
                 seen_whole += not want.truncated and bool(want.paths)
         assert seen_truncated and seen_whole
@@ -264,6 +281,29 @@ class TestMethodLevelPaths:
                         got = method_level_paths(traces, srcs, sinks, **kw)
                         want = reference_method_paths(traces, srcs, sinks, **kw)
                         assert got == want, (sinks, kw)
+
+
+def test_pair_methods_when_a_source_is_also_a_sink():
+    # q is a source and a sink: its only path to itself is (q,), while
+    # q -> x -> s and q -> B.m -> s reach the other sink
+    raw = {
+        "A": [ev("A", 0, "entry", "q"),
+              ev("A", 1, "send", "q", msg_id="m1", peer="B"),
+              ev("A", 2, "entry", "x"),
+              ev("A", 3, "entry", "s")],
+        "B": [ev("B", 0, "entry", "m"),
+              ev("B", 1, "recv", "m", msg_id="m1", peer="A"),
+              ev("B", 2, "returned_into", "m")],
+    }
+    traces, _ = stamp_lamport(raw)
+    q, s = mid("A", "q"), mid("A", "s")
+    pairs = pair_methods(traces, [q], [q, s])
+    assert pairs == {
+        (q, q): {q},
+        (q, s): {q, mid("A", "x"), mid("B", "m"), s},
+    }
+    assert pairs == path_unions(reference_method_paths(traces, [q], [q, s]).paths)
+    assert pair_methods(traces, [mid("A", "ghost")], [q, s]) == {}
 
 
 def test_covers_chain_subsequence_semantics():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from crossflow.methodpaths import MethodFlowPath, PathSet
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.staticgraph import DepEdge, SourceSinkConfig, StaticDepGraph
@@ -286,17 +285,6 @@ class TestJunctionIndex:
         got, want = self.spliced_junctions(traces, stmt_methods, strict=True)
         # A's coverage event lands between its send and B's recv
         assert got == want == {("b_out", "a_in")}
-        order = merge_global(traces)
-        index = InletOutletIndex.build(traces, set(stmt_methods.values()))
-        spliced = splice_segments(
-            [("a_out",), ("b_out",)], [], [("a_in",), ("b_in",)], order, index,
-        )
-        assert {p.stmts for p in spliced} == {
-            (o, i)
-            for o in ("a_out", "b_out")
-            for i in ("a_in", "b_in")
-            if junction_oracle(order, index, o, i)
-        } == {("a_out", "b_in"), ("b_out", "a_in")}
 
     def test_simulated_runs(self):
         for sc in [
@@ -317,15 +305,14 @@ class TestPhase2EndToEnd:
     def test_empty_phase1_yields_empty(self):
         graph, traces, ma, mb = two_process_fixture()
         cfg = SourceSinkConfig(frozenset({"src"}), frozenset({"sink"}))
-        empty = PathSet(frozenset(), False)
-        res = phase2(graph, empty, traces, {"src", "out", "in_", "sink"}, cfg)
+        res = phase2(graph, {}, traces, {"src", "out", "in_", "sink"}, cfg)
         assert res.pairs == ()
 
     def test_two_process_fixture_end_to_end(self):
         graph, traces, ma, mb = two_process_fixture()
         cfg = SourceSinkConfig(frozenset({"src"}), frozenset({"sink"}))
-        p1 = PathSet(frozenset({MethodFlowPath((ma, mb))}), False)
-        res = phase2(graph, p1, traces, {"src", "out", "in_", "sink"}, cfg)
+        pairs = {(ma, mb): {ma, mb}}
+        res = phase2(graph, pairs, traces, {"src", "out", "in_", "sink"}, cfg)
         assert res.all_stmt_sequences() == {("src", "out", "in_", "sink")}
         counts = summary_counts(res)
         assert counts["interprocess_paths"] == 1
@@ -376,6 +363,28 @@ class TestPhase2EndToEnd:
             base = outs["default"].phase2.all_stmt_sequences()
             assert outs["sim"].phase2.all_stmt_sequences() == base, sc
             assert outs["mul"].phase2.all_stmt_sequences() == base, sc
+
+    def test_truncated_phase1_leaves_phase2_whole(self):
+        # a 2-method cap truncates phase 1 on every run; phase 2 reads the
+        # closed-form method sets, so its paths must not change
+        scenarios = (
+            [Scenario("client_server", seed=s, length=90) for s in range(2)]
+            + [Scenario("peer_to_peer", seed=s, length=80) for s in range(2)]
+            + [Scenario("n_tier", seed=s, length=110, tiers=3) for s in range(2)]
+        )
+        for sc in scenarios:
+            model = generate_program(sc)
+            traces, truth = simulate(model, sc)
+            graphs = all_graph_variants(model)
+            for mode in ("default", "sim", "mul"):
+                full = analyze_flows(traces, graphs, model.default_cfg(), mode=mode)
+                cut = analyze_flows(
+                    traces, graphs, model.default_cfg(), mode=mode, path_limit=2
+                )
+                assert cut.phase1.truncated, (sc, mode)
+                emitted = cut.phase2.all_stmt_sequences()
+                assert emitted == full.phase2.all_stmt_sequences(), (sc, mode)
+                assert set(truth.dyn_paths) <= emitted, (sc, mode)
 
     def test_coverage_styles_equivalent(self):
         sc = Scenario("client_server", seed=2, length=120)
