@@ -177,7 +177,7 @@ def cmd_flowpaths(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "phase1.txt").write_text(render_paths(result.phase1.paths), encoding="utf-8")
+    (out / "phase1.txt").write_text(render_paths(result.phase1), encoding="utf-8")
     (out / "phase2.txt").write_text(render_stmt_paths(result.phase2), encoding="utf-8")
     counts = summary_counts(result.phase2)
     counts["phase1_paths"] = len(result.phase1.paths)
@@ -414,6 +414,15 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a limit: an integer of at least 1 (a limit of 0
+    would silently empty its report)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
     """--out falls back to the CROSSFLOW_OUT environment variable."""
     env_default = os.environ.get(OUT_DIR_ENV)
@@ -443,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, default="default")
-    p.add_argument("--path-limit", type=int, default=16)
-    p.add_argument("--stmt-path-limit", type=int, default=24)
+    p.add_argument("--path-limit", type=positive_int, default=16)
+    p.add_argument("--stmt-path-limit", type=positive_int, default=24)
     p.add_argument("--strict-splice", action="store_true")
     p.add_argument("--coverage", choices=("direct", "branches"), default="direct")
     _add_out(p)

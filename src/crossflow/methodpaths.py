@@ -9,7 +9,9 @@ sequence of DS(q) members from q to a sink-enclosing method whose pairwise
 first-entry/last-event ordering is consistent.
 
 Phase 2 reads the closed form of :func:`pair_methods`, not these paths, so
-the enumeration's caps bound only the ``phase1.txt`` report.
+the enumeration's caps bound only the ``phase1.txt`` report.  The paths stay
+in one compact form from the DFS to that report: a tuple of ranks into the
+executed methods in ``MethodId.sort_key`` order (see :class:`PathSet`).
 """
 
 from __future__ import annotations
@@ -39,19 +41,26 @@ class DependenceSet:
 class MethodFlowPath:
     methods: tuple[MethodId, ...]
 
-    @property
-    def source_method(self) -> MethodId:
-        return self.methods[0]
-
-    @property
-    def sink_method(self) -> MethodId:
-        return self.methods[-1]
-
 
 @dataclass(frozen=True)
 class PathSet:
-    paths: frozenset[MethodFlowPath]
+    """Phase-1 paths as method-rank tuples.
+
+    ``methods`` is the rank table: every executed method, in sort-key order.
+    Each path key holds the ranks of its methods, so keys sort as the paths'
+    sort-key tuples do; ``paths`` is sorted and strictly increasing (paths of
+    different sources differ in their first method, and one source's DFS
+    never repeats a sequence).
+    """
+
+    methods: tuple[MethodId, ...]
+    paths: tuple[tuple[int, ...], ...]
     truncated: bool
+
+    def flow_paths(self) -> frozenset[MethodFlowPath]:
+        """The paths as ``MethodFlowPath`` objects (for checks, not output)."""
+        ms = self.methods
+        return frozenset(MethodFlowPath(tuple([ms[i] for i in k])) for k in self.paths)
 
 
 def method_ds(
@@ -88,14 +97,15 @@ def method_ds(
 
 
 def _source_ds(
-    traces: Mapping[str, ProcessTrace], source_methods: Iterable[MethodId]
-) -> Iterator[tuple[MethodId, frozenset[MethodId], dict[MethodId, tuple[int, int]]]]:
-    """(q, DS(q), spans of the traces) for each source q, in sort-key order;
-    the spans and the influence map are built once for all sources."""
-    spans = method_spans(traces)
+    traces: Mapping[str, ProcessTrace],
+    spans: Mapping[MethodId, tuple[int, int]],
+    source_methods: Iterable[MethodId],
+) -> Iterator[tuple[MethodId, frozenset[MethodId]]]:
+    """(q, DS(q)) for each source q, in sort-key order; the influence map is
+    built once for all sources."""
     influenced = influenced_recv_ts(traces)
     for q in sorted(source_methods, key=MethodId.sort_key):
-        yield q, method_ds(q, traces, spans, influenced).members, spans
+        yield q, method_ds(q, traces, spans, influenced).members
 
 
 def pair_methods(
@@ -109,8 +119,9 @@ def pair_methods(
     fe(q) <= lr(x) for every x in DS(q)).  Without truncation this is the
     union of the q -> t paths that :func:`method_level_paths` enumerates."""
     sinks = set(sink_methods)
+    spans = method_spans(traces)
     out: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
-    for q, ds, spans in _source_ds(traces, source_methods):
+    for q, ds in _source_ds(traces, spans, source_methods):
         for t in ds & sinks:
             out[(q, t)] = frozenset(
                 [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
@@ -126,60 +137,67 @@ def method_level_paths(
     max_paths: int = DEFAULT_MAX_PATHS,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> PathSet:
-    """All method-level flow paths between executed sources and sinks."""
+    """All method-level flow paths between executed sources and sinks.
+
+    The executed methods are ranked once by sort key, and the DFS records
+    each path as a tuple of those ranks."""
+    spans = method_spans(traces)
+    methods = tuple(sorted(spans, key=MethodId.sort_key))
+    rank = {m: i for i, m in enumerate(methods)}
+    first = [spans[m][0] for m in methods]
+    last = [spans[m][1] for m in methods]
     sinks = set(sink_methods)
-    paths: set[MethodFlowPath] = set()
+    is_sink = [m in sinks for m in methods]
+    keys: list[tuple[int, ...]] = []
     truncated = False
-    for q, ds, spans in _source_ds(traces, source_methods):
+    for q, ds in _source_ds(traces, spans, source_methods):
         if not ds & sinks:
             continue
         truncated |= _enumerate(
-            q, ds, sinks, spans, path_limit, max_paths, work_budget, paths
+            rank[q], [rank[m] for m in ds], first, last, is_sink,
+            path_limit, max_paths, work_budget, keys,
         )
-    return PathSet(frozenset(paths), truncated)
+    keys.sort()
+    return PathSet(methods, tuple(keys), truncated)
 
 
 def _enumerate(
-    q: MethodId,
-    members: frozenset[MethodId],
-    sinks: set[MethodId],
-    spans: Mapping[MethodId, tuple[int, int]],
+    q: int,
+    members: list[int],
+    first: list[int],
+    last: list[int],
+    is_sink: list[bool],
     path_limit: int,
     max_paths: int,
     work_budget: int,
-    out: set[MethodFlowPath],
+    out: list[tuple[int, ...]],
 ) -> bool:
     """DFS over sequences where no member's first entry postdates a later
     member's last event.
 
-    Candidates are visited in (fe, lr, name) order so causally early methods
-    come first.  Branches from which no sink can be appended any more are cut
-    (appending only raises the running max fe, so the cut is exact).  The
-    enumeration reports truncation when the length cap, the path cap, or the
-    work budget bites.
+    Methods are ranks; ``first``, ``last`` and ``is_sink`` are indexed by
+    rank.  Candidates are visited in (fe, lr, sort key) order so causally
+    early methods come first.  Branches from which no sink can be appended
+    any more are cut (appending only raises the running max fe, so the cut
+    is exact).  The enumeration reports truncation when the length cap, the
+    path cap, or the work budget bites.
 
-    The walk runs on indices into that order; q, a member of its own DS,
-    starts the sequence.  Paths become ``MethodFlowPath`` objects once the
-    walk has ended.
+    q, a member of its own DS, starts the sequence.  Each path found is
+    appended to ``out`` as its rank tuple; no set is needed, because the
+    walk never repeats a sequence and the paths of other sources start with
+    another method.
     """
-    ordered = sorted(
-        members, key=lambda m: (spans[m][0], spans[m][1], m.sort_key())
-    )
-    first = [spans[m][0] for m in ordered]
-    last = [spans[m][1] for m in ordered]
-    is_sink = [m in sinks for m in ordered]
+    candidates = sorted(members, key=lambda m: (first[m], last[m], m))
     # reachable sinks, latest last event first: the scan for one that can
     # still be appended stops at the first that ends too early
     sinks_by_last = sorted(
-        (i for i in range(len(ordered)) if is_sink[i]), key=lambda i: -last[i]
+        (m for m in candidates if is_sink[m]), key=lambda m: -last[m]
     )
-    candidates = range(len(ordered))
-    qi = ordered.index(q)
-    in_seq = [False] * len(ordered)
-    in_seq[qi] = True
-    seq = [qi]
-    found: list[tuple[int, ...]] = []
+    in_seq = [False] * len(first)
+    in_seq[q] = True
+    seq = [q]
     room = max_paths - len(out)  # paths of other sources never repeat q's
+    found: list[tuple[int, ...]] = []
     truncated = False
     steps = 0
 
@@ -217,8 +235,8 @@ def _enumerate(
             seq.pop()
             in_seq[m] = False
 
-    walk(first[qi])
-    out.update(MethodFlowPath(tuple([ordered[i] for i in p])) for p in found)
+    walk(first[q])
+    out.extend(found)
     return truncated
 
 
@@ -243,15 +261,12 @@ def covers_chain(paths: Iterable[MethodFlowPath], chain: tuple[MethodId, ...]) -
     return False
 
 
-def render_paths(paths: Iterable[MethodFlowPath]) -> str:
-    """``phase1.txt``: one line per path, ordered by the paths' method sort
-    keys.  Methods are ranked once; rank tuples sort as the key tuples do."""
-    paths = list(paths)
-    ranked = sorted(set().union(*(p.methods for p in paths)), key=MethodId.sort_key)
-    rank = {m: i for i, m in enumerate(ranked)}
-    names = [m.qualified() for m in ranked]
+def render_paths(ps: PathSet) -> str:
+    """``phase1.txt``: one line per path, in the order of the path keys,
+    which is the order of the paths' method sort keys."""
+    names = [m.qualified() for m in ps.methods]
     lines = [
         "path level=method " + " -> ".join([names[i] for i in key])
-        for key in sorted(tuple([rank[m] for m in p.methods]) for p in paths)
+        for key in ps.paths
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,23 +2,24 @@
 
 Everything here recomputes results straight from definitions, by exhaustive
 closure or enumeration, deliberately avoiding the incremental algorithms in
-the package under test.  Two oracles are earlier versions of package code,
+the package under test.  Three oracles are earlier versions of package code,
 kept as they were so that optimized versions can be held to exactly the
 same output: ``reference_method_paths`` (the phase-1 enumerator, whose caps
-decide which paths are emitted) and ``junction_oracle`` (the splice junction
+decide which paths are emitted; it keeps its own record, not the package's
+``PathSet``), ``reference_render_paths`` (the ``phase1.txt`` writer over
+``MethodFlowPath`` objects) and ``junction_oracle`` (the splice junction
 rule, re-evaluated per question).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
     MethodFlowPath,
-    PathSet,
     method_ds,
 )
 from crossflow.trace import (
@@ -222,6 +223,11 @@ def rank_with_ties(values: list[float]) -> list[float]:
     return ranks
 
 
+class ReferencePaths(NamedTuple):
+    paths: frozenset[tuple[MethodId, ...]]
+    truncated: bool
+
+
 def reference_method_paths(
     traces: Mapping[str, ProcessTrace],
     source_methods: Iterable[MethodId],
@@ -229,17 +235,19 @@ def reference_method_paths(
     path_limit: int = DEFAULT_PATH_LIMIT,
     max_paths: int = DEFAULT_MAX_PATHS,
     work_budget: int = DEFAULT_WORK_BUDGET,
-) -> PathSet:
+) -> ReferencePaths:
     """``methodpaths.method_level_paths`` as it was before its DFS moved to
     integer indices: the same visit order and cap checks over ``MethodId``
-    objects, kept as the exact-equivalence oracle for the enumerator."""
+    objects, kept as the exact-equivalence oracle for the enumerator.  Its
+    set of method tuples would absorb a repeated sequence that the package's
+    list of rank tuples keeps, so equal path counts show that none occurs."""
     spans = method_spans(traces)
     influenced = influenced_recv_ts(traces)
     sinks = {m for m in sink_methods if m in spans}
     sources = sorted(
         (m for m in source_methods if m in spans), key=MethodId.sort_key
     )
-    paths: set[MethodFlowPath] = set()
+    paths: set[tuple[MethodId, ...]] = set()
     truncated = False
     for q in sources:
         ds = method_ds(q, traces, spans, influenced).members
@@ -248,7 +256,7 @@ def reference_method_paths(
         truncated |= _reference_enumerate(
             q, ds, sinks, spans, path_limit, max_paths, work_budget, paths
         )
-    return PathSet(frozenset(paths), truncated)
+    return ReferencePaths(frozenset(paths), truncated)
 
 
 def _reference_enumerate(
@@ -259,7 +267,7 @@ def _reference_enumerate(
     path_limit: int,
     max_paths: int,
     work_budget: int,
-    out: set[MethodFlowPath],
+    out: set[tuple[MethodId, ...]],
 ) -> bool:
     """DFS over sequences where no member's first entry postdates a later
     member's last event.
@@ -285,7 +293,7 @@ def _reference_enumerate(
             if len(out) >= max_paths:
                 truncated = True
                 return
-            out.add(MethodFlowPath(tuple(seq)))
+            out.add(tuple(seq))
         if len(seq) >= path_limit:
             truncated = True
             return
@@ -314,3 +322,17 @@ def _reference_enumerate(
 
     walk(spans[q][0])
     return truncated
+
+
+def reference_render_paths(paths: Iterable[MethodFlowPath]) -> str:
+    """``methodpaths.render_paths`` as it was before phase 1 kept its paths
+    as rank tuples: ``phase1.txt`` from ``MethodFlowPath`` objects."""
+    paths = list(paths)
+    ranked = sorted(set().union(*(p.methods for p in paths)), key=MethodId.sort_key)
+    rank = {m: i for i, m in enumerate(ranked)}
+    names = [m.qualified() for m in ranked]
+    lines = [
+        "path level=method " + " -> ".join([names[i] for i in key])
+        for key in sorted(tuple([rank[m] for m in p.methods]) for p in paths)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

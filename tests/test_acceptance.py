@@ -156,7 +156,7 @@ def test_criterion_2_method_level_oracle_equivalence():
         assert not ps.truncated, sc
         for chain in gt_method_chains(model, truth):
             chains_checked += 1
-            assert covers_chain(ps.paths, chain), (sc, chain)
+            assert covers_chain(ps.flow_paths(), chain), (sc, chain)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(

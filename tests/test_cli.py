@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -164,6 +165,126 @@ class TestFlowpaths:
         ])
         assert code == 3
         assert "duplicate recv msg_id 'm0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--path-limit", "--stmt-path-limit"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_limit_usage_error(self, tmp_path, capsys, flag, value):
+        sim = run_sim(tmp_path)
+        out = tmp_path / "fp"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "flowpaths",
+                "--bundle", str(sim / "traces"),
+                "--graphs", str(sim / "graphs"),
+                "--config", str(sim / "config.json"),
+                f"{flag}={value}",
+                "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_limits_of_one_accepted(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        out = tmp_path / "fp"
+        assert main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--path-limit", "1",
+            "--stmt-path-limit", "1",
+            "--out", str(out),
+        ]) == 0
+        assert "phase1_truncated 1\n" in (out / "summary.txt").read_text()
+
+
+# sha256 of phase1.txt, phase2.txt and summary.txt per flowpaths run, taken
+# before phase 1 kept its paths as rank tuples; any change to the reports'
+# bytes must show here
+RECORDED_DIGESTS = {
+    "n_tier": (
+        {"topology": "n_tier", "tiers": 4, "seed": 4, "length": 130},
+        {
+            "default": (
+                "5b49493f497a6d986f1dfdb8e2f4f68dab5f2a97086da2a8bc0069bf23e31b7e",
+                "3239d45d167dc36ec7efcb711055f8a53f3d33200c1785befd4fc87ee611d76c",
+                "9dba86d2e82894dbe49a30da1d48eeca2b21b67bd83b2827d3448ee310d5008d",
+            ),
+            "sim": (
+                "d4beaa3eb894087b018c98932f3dd819160b9c99f6699d7695a12c82ff17071c",
+                "3239d45d167dc36ec7efcb711055f8a53f3d33200c1785befd4fc87ee611d76c",
+                "7d7a7bc52f733ed188098c966b891275f100f59406746e1940423b9784f8c43c",
+            ),
+            "mul": (
+                "d4beaa3eb894087b018c98932f3dd819160b9c99f6699d7695a12c82ff17071c",
+                "3239d45d167dc36ec7efcb711055f8a53f3d33200c1785befd4fc87ee611d76c",
+                "7d7a7bc52f733ed188098c966b891275f100f59406746e1940423b9784f8c43c",
+            ),
+            "sim-limit-3": (
+                "bf973628b4df0fcb9261523b05dc04ecdee63050483a2e77bb49750ad2394540",
+                "3239d45d167dc36ec7efcb711055f8a53f3d33200c1785befd4fc87ee611d76c",
+                "47ba3643910fd9af09d1fba16f306132fcd1cee492fab7bd486dbb78ad742500",
+            ),
+        },
+    ),
+    "peer_to_peer": (
+        {"topology": "peer_to_peer", "seed": 1, "length": 90},
+        {
+            "default": (
+                "49c38140fca63bae1c1d02b55a414420ed41d0ed0425b95b63272e65bdfeb32a",
+                "16d2c5602b92999a7cf3d100b06ef870eb2fac3c93c83060855207645819b382",
+                "54c94cf19fe4c2caefa8039259c86d11d5a7c97f4f4455c6f5e85474e8a50ae5",
+            ),
+            "sim": (
+                "0dc8799deef63f8a7ac3fdb16a6aa8b73c784661eb11abd2ace3d61691ec2580",
+                "16d2c5602b92999a7cf3d100b06ef870eb2fac3c93c83060855207645819b382",
+                "298774028024c4a0fbf312c5c3f12b8ce671bedf613aaf3a89e465c61fa6c135",
+            ),
+            "mul": (
+                "0dc8799deef63f8a7ac3fdb16a6aa8b73c784661eb11abd2ace3d61691ec2580",
+                "16d2c5602b92999a7cf3d100b06ef870eb2fac3c93c83060855207645819b382",
+                "298774028024c4a0fbf312c5c3f12b8ce671bedf613aaf3a89e465c61fa6c135",
+            ),
+            "sim-limit-3": (
+                "ee9fa1a2efb5a31a672c262266f0e268ac75df463ce05e0ca1766525b2869688",
+                "16d2c5602b92999a7cf3d100b06ef870eb2fac3c93c83060855207645819b382",
+                "7f61e160d15a5a51ca2742376cac7a092076407b74a76b64f7cba1c69925c19c",
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DIGESTS))
+def test_flowpaths_reports_match_recorded_digests(tmp_path, capsys, name):
+    scenario, want = RECORDED_DIGESTS[name]
+    sim = run_sim(tmp_path, name, **scenario)
+    n_events = sum(
+        len(f.read_text().splitlines()) for f in (sim / "traces").glob("*.trace")
+    )
+    assert n_events <= 300
+    runs = {mode: ["--mode", mode] for mode in ("default", "sim", "mul")}
+    runs["sim-limit-3"] = ["--mode", "sim", "--path-limit", "3"]
+    for run, flags in runs.items():
+        out = tmp_path / f"fp_{run}"
+        assert main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            *flags,
+            "--out", str(out),
+        ]) == 0
+        got = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("phase1.txt", "phase2.txt", "summary.txt")
+        )
+        assert got == want[run], (name, run)
+        counts = dict(line.split() for line in (out / "summary.txt").read_text().splitlines())
+        phase1_lines = (out / "phase1.txt").read_text().splitlines()
+        assert int(counts["phase1_paths"]) == len(phase1_lines) > 0, (name, run)
+        assert counts["phase1_truncated"] == ("1" if run == "sim-limit-3" else "0")
 
 
 class TestTuneAndQuery:

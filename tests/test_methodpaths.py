@@ -9,6 +9,7 @@ from crossflow.methodpaths import (
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
     MethodFlowPath,
+    PathSet,
     check_path_ordering,
     covers_chain,
     method_ds,
@@ -19,7 +20,7 @@ from crossflow.methodpaths import (
 from crossflow.simulator import Scenario, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
-from oracles import brute_force_ds, reference_method_paths
+from oracles import brute_force_ds, reference_method_paths, reference_render_paths
 
 
 def mid(proc, name):
@@ -31,11 +32,37 @@ def ev(proc, seq, kind, name="run", **kw):
 
 
 def path_unions(paths):
-    """(source, sink) -> union of the methods of the enumerated paths."""
+    """(source, sink) -> union of the methods of the enumerated method tuples."""
     by_pair = {}
-    for p in paths:
-        by_pair.setdefault((p.source_method, p.sink_method), set()).update(p.methods)
+    for ms in paths:
+        by_pair.setdefault((ms[0], ms[-1]), set()).update(ms)
     return by_pair
+
+
+def path_set(paths):
+    """A ``PathSet`` laid out as ``method_level_paths`` lays it out: the
+    methods ranked by sort key, the rank tuples sorted."""
+    paths = list(paths)
+    methods = tuple(sorted({m for ms in paths for m in ms}, key=MethodId.sort_key))
+    rank = {m: i for i, m in enumerate(methods)}
+    keys = sorted(tuple(rank[m] for m in ms) for ms in paths)
+    return PathSet(methods, tuple(keys), False)
+
+
+def strictly_increasing(keys):
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def assert_matches_reference(got, want, where):
+    """Same paths, count, truncation flag and ``phase1.txt`` text as the
+    reference enumerator and writer, with keys strictly increasing."""
+    assert {p.methods for p in got.flow_paths()} == want.paths, where
+    assert len(got.paths) == len(want.paths), where
+    assert got.truncated == want.truncated, where
+    assert strictly_increasing(got.paths), where
+    assert render_paths(got) == reference_render_paths(
+        MethodFlowPath(ms) for ms in want.paths
+    ), where
 
 
 def owner_chains(model, truth):
@@ -148,7 +175,7 @@ class TestMethodLevelPaths:
         ps = method_level_paths(traces, src_methods, sink_methods)
         assert not ps.truncated
         spanning = [
-            p for p in ps.paths
+            p for p in ps.flow_paths()
             if {m.process for m in p.methods} == {"p0", "p1", "p2"}
         ]
         assert spanning
@@ -165,7 +192,7 @@ class TestMethodLevelPaths:
                 {owner[s] for s in model.sources},
                 {owner[s] for s in model.sinks},
             )
-            for p in ps.paths:
+            for p in ps.flow_paths():
                 assert check_path_ordering(p, spans)
                 assert len(set(p.methods)) == len(p.methods)
 
@@ -188,7 +215,7 @@ class TestMethodLevelPaths:
             )
             assert not ps.truncated, sc
             for chain in owner_chains(model, truth):
-                assert covers_chain(ps.paths, chain), (sc, chain)
+                assert covers_chain(ps.flow_paths(), chain), (sc, chain)
 
     def test_duplicate_suppression_and_truncation_flag(self):
         sc = Scenario("peer_to_peer", seed=1, length=90)
@@ -198,10 +225,11 @@ class TestMethodLevelPaths:
         srcs = {owner[s] for s in model.sources}
         sinks = {owner[s] for s in model.sinks}
         full = method_level_paths(traces, srcs, sinks)
-        assert len({p.methods for p in full.paths}) == len(full.paths)
+        assert len(full.flow_paths()) == len(full.paths)
+        assert strictly_increasing(full.paths)
         tiny = method_level_paths(traces, srcs, sinks, path_limit=2)
         assert tiny.truncated
-        assert all(len(p.methods) <= 2 for p in tiny.paths)
+        assert all(len(key) <= 2 for key in tiny.paths)
 
     def test_equals_reference_enumerator_at_every_cap(self):
         # small caps put the point where each cap cuts in inside the walk,
@@ -237,8 +265,7 @@ class TestMethodLevelPaths:
                     traces, srcs, sinks, path_limit=limit,
                     max_paths=max_paths, work_budget=budget,
                 )
-                assert got.paths == want.paths, (sc, limit, max_paths, budget)
-                assert got.truncated == want.truncated, (sc, limit, max_paths, budget)
+                assert_matches_reference(got, want, (sc, limit, max_paths, budget))
                 # the closed form is the enumerated union, or a superset of
                 # it when a cap cut the enumeration off
                 unions = path_unions(want.paths)
@@ -270,7 +297,7 @@ class TestMethodLevelPaths:
         for sinks in ([mid("A", "s")], [mid("A", "s"), mid("B", "s2")]):
             full = method_level_paths(traces, srcs, sinks)
             assert (mid("A", "q"), mid("B", "m2"), mid("A", "s")) in {
-                p.methods for p in full.paths
+                p.methods for p in full.flow_paths()
             }
             for limit in range(2, 7):
                 for max_paths in range(1, 8):
@@ -280,7 +307,39 @@ class TestMethodLevelPaths:
                         )
                         got = method_level_paths(traces, srcs, sinks, **kw)
                         want = reference_method_paths(traces, srcs, sinks, **kw)
-                        assert got == want, (sinks, kw)
+                        assert_matches_reference(got, want, (sinks, kw))
+
+    def test_path_cap_at_the_boundary_between_sources(self):
+        # DS(q1) = {q1, q2, m, s} and DS(q2) = {q2, m, s} overlap; q1 has
+        # five paths to s, q2 two, so a cap of five bites exactly where q2
+        # starts and a cap of six one path past it
+        raw = {
+            "A": [ev("A", 0, "entry", "q1"),
+                  ev("A", 1, "send", "q1", msg_id="m1", peer="B"),
+                  ev("A", 2, "entry", "q2"),
+                  ev("A", 3, "send", "q2", msg_id="m2", peer="B"),
+                  ev("A", 4, "entry", "s")],
+            "B": [ev("B", 0, "entry", "m"),
+                  ev("B", 1, "recv", "m", msg_id="m1", peer="A"),
+                  ev("B", 2, "recv", "m", msg_id="m2", peer="A"),
+                  ev("B", 3, "returned_into", "m")],
+        }
+        traces, _ = stamp_lamport(raw)
+        q1, q2, s = mid("A", "q1"), mid("A", "q2"), mid("A", "s")
+        srcs, sinks = [q2, q1], [s]
+        assert method_ds(q1, traces).members == {q1, q2, mid("B", "m"), s}
+        assert method_ds(q2, traces).members == {q2, mid("B", "m"), s}
+        full = method_level_paths(traces, srcs, sinks)
+        starts = [full.methods[key[0]] for key in full.paths]
+        assert starts == [q1] * 5 + [q2] * 2
+        assert not full.truncated
+        for max_paths, count, truncated in [(5, 5, True), (6, 6, True), (7, 7, False)]:
+            got = method_level_paths(traces, srcs, sinks, max_paths=max_paths)
+            want = reference_method_paths(traces, srcs, sinks, max_paths=max_paths)
+            assert (len(got.paths), got.truncated) == (count, truncated), max_paths
+            assert_matches_reference(got, want, max_paths)
+        cut = method_level_paths(traces, srcs, sinks, max_paths=5)
+        assert {full.methods[key[0]] for key in cut.paths} == {q1}
 
 
 def test_pair_methods_when_a_source_is_also_a_sink():
@@ -303,6 +362,9 @@ def test_pair_methods_when_a_source_is_also_a_sink():
         (q, s): {q, mid("A", "x"), mid("B", "m"), s},
     }
     assert pairs == path_unions(reference_method_paths(traces, [q], [q, s]).paths)
+    assert pairs == path_unions(
+        p.methods for p in method_level_paths(traces, [q], [q, s]).flow_paths()
+    )
     assert pair_methods(traces, [mid("A", "ghost")], [q, s]) == {}
 
 
@@ -319,14 +381,44 @@ def test_render_paths_orders_by_method_sort_keys():
     # "P"; a path sorts after its own prefix
     a, b = MethodId("P", "Z", "a"), MethodId("P-x", "A", "b")
     c = MethodId("P", "Main", "c")
-    paths = [
-        MethodFlowPath(ms)
-        for ms in [(a, b), (c, a), (a,), (b, c, a), (a, c), (c,), (a, b, c)]
-    ]
+    paths = [(a, b), (c, a), (a,), (b, c, a), (a, c), (c,), (a, b, c)]
     want = [
-        "path level=method " + " -> ".join(m.qualified() for m in p.methods)
-        for p in sorted(paths, key=lambda p: [m.sort_key() for m in p.methods])
+        "path level=method " + " -> ".join(m.qualified() for m in ms)
+        for ms in sorted(paths, key=lambda ms: [m.sort_key() for m in ms])
     ]
-    assert render_paths(paths) == "\n".join(want) + "\n"
-    assert render_paths(reversed(paths)) == render_paths(paths)
-    assert render_paths([]) == ""
+    ps = path_set(paths)
+    assert ps.methods == (c, a, b)
+    assert ps.flow_paths() == {MethodFlowPath(ms) for ms in paths}
+    assert render_paths(ps) == "\n".join(want) + "\n"
+    assert render_paths(ps) == reference_render_paths(map(MethodFlowPath, paths))
+    assert render_paths(PathSet((), (), False)) == ""
+
+
+def test_enumerated_paths_rank_by_sort_key_not_name():
+    # a, c in process "P" and b in "P-x" all overlap, so every ordering of
+    # them is a path; the rank table must put "P-x" after "P"
+    def at(proc, cls, name, seq, kind, **kw):
+        return EventRecord(kind=kind, method=MethodId(proc, cls, name), seq=seq, **kw)
+
+    raw = {
+        "P": [at("P", "Z", "a", 0, "entry"),
+              at("P", "Main", "c", 1, "entry"),
+              at("P", "Main", "c", 2, "send", msg_id="m1", peer="P-x"),
+              at("P", "Z", "a", 3, "returned_into")],
+        "P-x": [at("P-x", "A", "b", 0, "entry"),
+                at("P-x", "A", "b", 1, "recv", msg_id="m1", peer="P")],
+    }
+    traces, _ = stamp_lamport(raw)
+    a, b = MethodId("P", "Z", "a"), MethodId("P-x", "A", "b")
+    c = MethodId("P", "Main", "c")
+    ps = method_level_paths(traces, [a, c], [a, b, c])
+    assert ps.methods == (c, a, b)
+    assert {(a, c), (a, b), (a, b, c), (a, c, b), (c, a, b)} <= {
+        p.methods for p in ps.flow_paths()
+    }
+    assert strictly_increasing(ps.paths)
+    assert render_paths(ps) == reference_render_paths(ps.flow_paths())
+    lines = render_paths(ps).splitlines()
+    assert lines.index("path level=method P.Z.a -> P.Main.c") < lines.index(
+        "path level=method P.Z.a -> P-x.A.b"
+    )
