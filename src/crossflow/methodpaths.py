@@ -199,20 +199,27 @@ def _enumerate(
     room = max_paths - len(out)  # paths of other sources never repeat q's
     found: list[tuple[int, ...]] = []
     truncated = False
+    # stop == truncated and len(found) >= room, which ends the walk.  Both
+    # halves only ever turn true, so stop is updated where found reaches a
+    # sink and where the length cap truncates; once the work budget is spent,
+    # every later candidate returns at once without it.
+    stop = False
     steps = 0
 
     def walk(max_fe: int) -> None:
-        nonlocal truncated, steps
+        nonlocal truncated, stop, steps
         if is_sink[seq[-1]]:
             if len(found) >= room:
-                truncated = True
+                truncated = stop = True
                 return
             found.append(tuple(seq))
+            stop = truncated and len(found) >= room
         if len(seq) >= path_limit:
             truncated = True
+            stop = len(found) >= room
             return
         for m in candidates:
-            if truncated and len(found) >= room:
+            if stop:
                 return
             if in_seq[m] or last[m] < max_fe:
                 continue  # already on the path, or ended before it could start

@@ -1,22 +1,24 @@
-"""Rank correlation and two-cluster classification.
+"""Rank correlation and two-cluster classification, in pure Python.
 
-Spearman correlation uses average ranks for ties, an exact permutation
-p-value for small samples, and the t approximation otherwise; an absolute
-coefficient of at least 0.4 counts as significant.  Clustering is plain
-Lloyd iteration with k = 2 (normal versus anomalous) and deterministic
-farthest-point initialization.
+Spearman correlation uses average ranks for ties; an absolute coefficient
+of at least 0.4 counts as significant.  Its two-sided p-value is exact for
+n <= 10: a dynamic program over the set of used ranks keeps how many
+pairings of the two rank vectors reach each value of the cross sum
+sum_i x_i * y_pi(i); doubled ranks make every sum an integer, ties
+included.  For larger n it is the Student t tail with df = n - 2,
+2 * sf(|t|, df) = I_x(df / 2, 1/2) at x = df / (df + t^2) = 1 - r^2, where
+the regularized incomplete beta function I comes from a Lentz continued
+fraction over ``math.lgamma``.  Clustering is plain Lloyd iteration with
+k = 2 (normal versus anomalous) and deterministic farthest-point
+initialization.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
-from scipy.stats import t as t_dist
 
 SIGNIFICANT_ABS_R = 0.4
 EXACT_PERMUTATION_MAX_N = 10
@@ -83,47 +85,104 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> SpearmanResult:
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _exact_permutation_p(rx, ry, abs(r))
     else:
-        tv = r * math.sqrt((n - 2) / max(1e-300, 1.0 - r * r))
-        p = 2.0 * float(t_dist.sf(abs(tv), n - 2))
+        p = _t_tail_p(r, n)
     return SpearmanResult(r, min(p, 1.0), abs(r) >= SIGNIFICANT_ABS_R, n)
 
 
 def _exact_permutation_p(
     rx: Sequence[float], ry: Sequence[float], observed_abs: float
 ) -> float:
-    """Exact two-sided p over all permutations of one rank vector.
+    """Exact two-sided p over all n! pairings of the two rank vectors.
 
-    Only the cross term of the correlation varies across permutations, so
-    each permutation costs one dot product, evaluated in vectorized chunks.
+    Only the cross sum sum_i x_i * y_pi(i) varies across permutations pi.
+    x_0, x_1, ... are paired in turn; a partial pairing is keyed by the set
+    of y positions it used (a bitmask), and each key keeps how many
+    pairings reach each partial sum, so at most 2^n keys stand for the n!
+    permutations.  Average ranks are multiples of 1/2, so doubled ranks
+    make every sum an exact integer.
     """
     n = len(rx)
-    x = np.asarray(rx, dtype=float)
-    y = np.asarray(ry, dtype=float)
-    mx, my = x.mean(), y.mean()
-    sxx = float(((x - mx) ** 2).sum())
-    syy = float(((y - my) ** 2).sum())
-    denom = math.sqrt(sxx * syy)
-    xc = x - mx
-    total = 0
-    at_least = 0
-    chunk: list[tuple] = []
+    xs = [round(2 * v) for v in rx]
+    ys = [round(2 * v) for v in ry]
+    layer: dict[int, dict[int, int]] = {0: {0: 1}}
+    for x in xs:
+        products = [(1 << j, x * y) for j, y in enumerate(ys)]
+        nxt: dict[int, dict[int, int]] = {}
+        for used, sums in layer.items():
+            for bit, xy in products:
+                if used & bit:
+                    continue
+                dist = nxt.setdefault(used | bit, {})
+                for s, count in sums.items():
+                    dist[s + xy] = dist.get(s + xy, 0) + count
+        layer = nxt
+    (sums,) = layer.values()
+    mx = sum(rx) / n
+    my = sum(ry) / n
+    denom = math.sqrt(
+        sum((v - mx) ** 2 for v in rx) * sum((v - my) ** 2 for v in ry)
+    )
+    shift = n * mx * my  # sum (x - mx)(y - my) = sum x * y - n * mx * my
+    at_least = sum(
+        count
+        for s, count in sums.items()
+        if abs(s / 4 - shift) / denom >= observed_abs - 1e-12
+    )
+    return at_least / math.factorial(n)
 
-    def flush() -> None:
-        nonlocal total, at_least
-        if not chunk:
-            return
-        arr = np.asarray(chunk, dtype=float) - my
-        rs = np.abs(arr @ xc) / denom
-        total += len(chunk)
-        at_least += int((rs >= observed_abs - 1e-12).sum())
-        chunk.clear()
 
-    for perm in itertools.permutations(y.tolist()):
-        chunk.append(perm)
-        if len(chunk) >= 50000:
-            flush()
-    flush()
-    return at_least / total
+def _t_tail_p(r: float, n: int) -> float:
+    """Two-sided p of the t test of a correlation r over n observations.
+
+    With df = n - 2 and t = r * sqrt(df / (1 - r^2)), 2 * sf(|t|, df) is
+    I_x(df / 2, 1/2) at x = df / (df + t^2), which is just 1 - r^2; it
+    needs no t, so |r| = 1 gives p = 0 without overflow.
+    """
+    y = r * r
+    if y >= 1.0:
+        return 0.0
+    return _betainc(0.5 * (n - 2), 0.5, 1.0 - y, y)
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for 0 < x <= 1, with
+    y = 1 - x given separately so that a small y keeps its precision."""
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    # the continued fraction converges fast below the mode; above it, use
+    # I_x(a, b) = 1 - I_y(b, a)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
+_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """1 / (1 + d1 / (1 + d2 / (1 + ...))), the continued fraction of the
+    incomplete beta function, by the modified Lentz method, where
+    d(2m+1) = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)) and
+    d(2m) = m(b-m)x / ((a+2m-1)(a+2m))."""
+    f, c, d = 1.0, 1.0, 0.0
+    for m in range(10_000):
+        for term in (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)),
+        ):
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + term / c
+            if abs(c) < _TINY:
+                c = _TINY
+            f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return 1.0 / f
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,22 @@
 
 Everything here recomputes results straight from definitions, by exhaustive
 closure or enumeration, deliberately avoiding the incremental algorithms in
-the package under test.  Three oracles are earlier versions of package code,
-kept as they were so that optimized versions can be held to exactly the
-same output: ``reference_method_paths`` (the phase-1 enumerator, whose caps
-decide which paths are emitted; it keeps its own record, not the package's
-``PathSet``), ``reference_render_paths`` (the ``phase1.txt`` writer over
-``MethodFlowPath`` objects) and ``junction_oracle`` (the splice junction
-rule, re-evaluated per question).
+the package under test; method spans, influence and dependence sets come
+from a plain scan of the traces and from ``closure_matrix``.  Four oracles
+are earlier versions of package code, kept as they were so that optimized
+versions can be held to exactly the same output: ``reference_method_paths``
+(the phase-1 enumerator, whose caps decide which paths are emitted; it
+keeps its own record, not the package's ``PathSet``),
+``reference_render_paths`` (the ``phase1.txt`` writer over
+``MethodFlowPath`` objects), ``junction_oracle`` (the splice junction rule,
+re-evaluated per question) and ``permutation_p_oracle`` (the exact Spearman
+p over every permutation, once a vectorized loop, here a plain one).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Mapping, NamedTuple
 
 from crossflow.methodpaths import (
@@ -20,15 +25,8 @@ from crossflow.methodpaths import (
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
     MethodFlowPath,
-    method_ds,
 )
-from crossflow.trace import (
-    EventRecord,
-    MethodId,
-    ProcessTrace,
-    influenced_recv_ts,
-    method_spans,
-)
+from crossflow.trace import EventRecord, MethodId, ProcessTrace
 
 
 def closure_matrix(traces: dict[str, ProcessTrace]) -> dict[tuple, set[tuple]]:
@@ -117,16 +115,36 @@ def remote_deps_oracle(
     return out
 
 
+def spans_oracle(
+    traces: Mapping[str, ProcessTrace],
+) -> dict[MethodId, tuple[int, int]]:
+    """(first entry ts, last method or message event ts) of every method
+    with an entry, by a plain scan of each trace."""
+    entry: dict[MethodId, int] = {}
+    last: dict[MethodId, int] = {}
+    for trace in traces.values():
+        for ev in trace.events:
+            if ev.kind == "entry":
+                entry[ev.method] = min(entry.get(ev.method, ev.ts), ev.ts)
+            if ev.kind in ("entry", "returned_into", "send", "recv"):
+                last[ev.method] = max(last.get(ev.method, ev.ts), ev.ts)
+    return {m: (ts, last[m]) for m, ts in entry.items()}
+
+
 def brute_force_ds(
     q: MethodId,
     traces: dict[str, ProcessTrace],
-    spans: dict[MethodId, tuple[int, int]],
+    spans: dict[MethodId, tuple[int, int]] | None = None,
     influenced: dict[tuple[str, str], int] | None = None,
 ) -> set[MethodId]:
     """DS(q) recomputed from the definition: a local member's last event must
     not precede q's first entry; a remote member needs the per-pair first
     influenced recv timestamp to land between q's entry and its own last
-    event, with influence taken as the full transitive closure."""
+    event, with influence taken as the full transitive closure.  ``spans``
+    and ``influenced`` default to :func:`spans_oracle` and
+    :func:`influenced_map_oracle`."""
+    if spans is None:
+        spans = spans_oracle(traces)
     if q not in spans:
         return set()
     if influenced is None:
@@ -211,6 +229,25 @@ def all_simple_paths(
     return out
 
 
+def permutation_p_oracle(
+    rx: list[float], ry: list[float], observed_abs: float
+) -> float:
+    """Exact two-sided Spearman p by brute force: the share of all
+    permutations of ``ry`` whose |r| against ``rx`` reaches
+    ``observed_abs`` (less 1e-12), each permutation's r computed in full."""
+    n = len(rx)
+    mx, my = sum(rx) / n, sum(ry) / n
+    xc = [x - mx for x in rx]
+    denom = math.sqrt(sum(v * v for v in xc) * sum((y - my) ** 2 for y in ry))
+    total = at_least = 0
+    for perm in itertools.permutations(ry):
+        total += 1
+        r = abs(sum(a * (b - my) for a, b in zip(xc, perm))) / denom
+        if r >= observed_abs - 1e-12:
+            at_least += 1
+    return at_least / total
+
+
 def rank_with_ties(values: list[float]) -> list[float]:
     """Average ranks computed by explicit position counting."""
     n = len(values)
@@ -240,9 +277,11 @@ def reference_method_paths(
     integer indices: the same visit order and cap checks over ``MethodId``
     objects, kept as the exact-equivalence oracle for the enumerator.  Its
     set of method tuples would absorb a repeated sequence that the package's
-    list of rank tuples keeps, so equal path counts show that none occurs."""
-    spans = method_spans(traces)
-    influenced = influenced_recv_ts(traces)
+    list of rank tuples keeps, so equal path counts show that none occurs.
+    Spans, influence and DS come from the brute-force oracles above, not
+    from the package."""
+    spans = spans_oracle(traces)
+    influenced = influenced_map_oracle(traces)
     sinks = {m for m in sink_methods if m in spans}
     sources = sorted(
         (m for m in source_methods if m in spans), key=MethodId.sort_key
@@ -250,7 +289,7 @@ def reference_method_paths(
     paths: set[tuple[MethodId, ...]] = set()
     truncated = False
     for q in sources:
-        ds = method_ds(q, traces, spans, influenced).members
+        ds = frozenset(brute_force_ds(q, traces, spans, influenced))
         if not ds & sinks:
             continue
         truncated |= _reference_enumerate(

@@ -70,6 +70,7 @@ from oracles import (
     closure_matrix,
     influenced_map_oracle,
     rank_with_ties,
+    spans_oracle,
 )
 
 C = Configuration.from_string
@@ -140,11 +141,13 @@ def test_criterion_2_method_level_oracle_equivalence():
         assert len(traces) <= 5 and n_events <= 200, sc
 
         spans = method_spans(traces)
+        want_spans = spans_oracle(traces)
+        assert spans == want_spans, sc
         reach = closure_matrix(traces)
         influenced = influenced_map_oracle(traces, reach)
         for q in spans:
             got = method_ds(q, traces, spans).members
-            want = brute_force_ds(q, traces, spans, influenced)
+            want = brute_force_ds(q, traces, want_spans, influenced)
             assert got == want, (sc, q)
 
         owner = model.stmt_owner()

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from crossflow.cli import main
+from crossflow.metrics import IPC_METRICS
 
 
 def write_scenario(path: Path, **kw) -> Path:
@@ -465,3 +468,61 @@ class TestMetricsCommands:
         f = tmp_path / "f.json"
         f.write_text("{not json")
         assert main(["classify", "--features", str(f)]) == 3
+
+
+# sha256 of the `correlate` report on the fixtures of `correlate_rows`,
+# recorded while the p-values still came from scipy's t tail and a numpy
+# permutation loop: n = 6 and n = 10 (with ties) take the exact permutation
+# p, n = 15 the t tail; each fixture also has a constant (nan) column
+CORRELATE_DIGESTS = {
+    (6, 7): "43e98b3e200f5ea4a7b415da1b8ced547c610f96a66532d5f7c0d1de3d60dd0a",
+    (10, 7): "15738f966840895063808f510eae263cfef31e958c1845bd4543ddfed7ba2f20",
+    (15, 13): "5b9adddc63f6973a03c3350f976c5bf596f6638c34cd34daffcf3457e8b7c506",
+}
+
+
+def correlate_rows(n: int, modulus: int) -> tuple[dict, dict]:
+    """Residues of linear sequences: values repeat when n > modulus, and
+    the PLC column (step 7) is constant when the modulus is 7."""
+    ipc = {
+        name: [float((i * (k + 2) + k) % modulus) for i in range(n)]
+        for k, name in enumerate(IPC_METRICS)
+    }
+    quality = {
+        name: [float((i * (j + 3) + 2 * j) % modulus) for i in range(n)]
+        for j, name in enumerate(("exec_time", "code_churn"))
+    }
+    return ipc, quality
+
+
+@pytest.mark.parametrize("n,modulus", sorted(CORRELATE_DIGESTS))
+def test_correlate_report_matches_recorded_digest(tmp_path, capsys, n, modulus):
+    ipc, quality = correlate_rows(n, modulus)
+    fi, fq, out = tmp_path / "ipc.json", tmp_path / "q.json", tmp_path / "c.txt"
+    fi.write_text(json.dumps(ipc))
+    fq.write_text(json.dumps(quality))
+    assert main(["correlate", "--ipc", str(fi), "--quality", str(fq),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CORRELATE_DIGESTS[(n, modulus)]
+
+
+def test_cli_imports_neither_numpy_nor_scipy(tmp_path):
+    """A launch must not pay for numpy or scipy, which nothing needs."""
+    scen = write_scenario(tmp_path / "s.json", length=30)
+    code = f"""
+import sys
+from crossflow.cli import main
+assert main(["simulate", "--scenario", {str(scen)!r},
+             "--out", {str(tmp_path / "sim")!r}]) == 0
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not heavy, heavy[:5]
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr

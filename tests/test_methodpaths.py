@@ -20,7 +20,13 @@ from crossflow.methodpaths import (
 from crossflow.simulator import Scenario, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
-from oracles import brute_force_ds, reference_method_paths, reference_render_paths
+from oracles import (
+    brute_force_ds,
+    influenced_map_oracle,
+    reference_method_paths,
+    reference_render_paths,
+    spans_oracle,
+)
 
 
 def mid(proc, name):
@@ -111,8 +117,7 @@ class TestMethodDs:
         traces, _ = stamp_lamport(raw)
         ds = method_ds(mid("A", "q"), traces)
         assert mid("B", "m") in ds.members
-        spans = method_spans(traces)
-        assert ds.members == brute_force_ds(mid("A", "q"), traces, spans)
+        assert ds.members == brute_force_ds(mid("A", "q"), traces)
 
     def test_message_before_fe_not_counted(self):
         # B's only message from A arrives before q starts
@@ -124,10 +129,9 @@ class TestMethodDs:
                   ev("B", 1, "returned_into", "m")],
         }
         traces, _ = stamp_lamport(raw)
-        spans = method_spans(traces)
         ds = method_ds(mid("A", "q"), traces)
         assert mid("B", "m") not in ds.members
-        assert ds.members == brute_force_ds(mid("A", "q"), traces, spans)
+        assert ds.members == brute_force_ds(mid("A", "q"), traces)
 
     def test_equals_brute_force_over_seeds(self):
         scenarios = [
@@ -141,9 +145,12 @@ class TestMethodDs:
             model = generate_program(sc)
             traces, _ = simulate(model, sc)
             spans = method_spans(traces)
+            want_spans = spans_oracle(traces)
+            assert spans == want_spans, sc
+            influenced = influenced_map_oracle(traces)
             for q in spans:
                 got = method_ds(q, traces, spans).members
-                want = brute_force_ds(q, traces, spans)
+                want = brute_force_ds(q, traces, want_spans, influenced)
                 assert got == want, (sc, q)
 
 

@@ -11,12 +11,71 @@ from hypothesis import strategies as st
 
 from crossflow.stats import (
     DegenerateDataError,
+    _t_tail_p,
     kmeans2,
     rank_average_ties,
     spearman,
 )
 
-from oracles import rank_with_ties
+from oracles import permutation_p_oracle, rank_with_ties
+
+# Two-sided t-test p of a correlation r over n observations, n -> r -> p, as
+# scipy.stats.t.sf gave it (2 * sf(|t|, n - 2), t = r * sqrt((n - 2) /
+# (1 - r^2))); recorded before the t tail moved to the incomplete beta
+# function.  The values are even in r.
+SCIPY_T_TAIL = {
+    11: {
+        0.0: 1.0,
+        0.05: 0.8839284218322622,
+        0.4: 0.22286835013351997,
+        0.9: 0.00015997142806871366,
+        0.999: 1.8483855820426185e-13,
+        1.0: 0.0,
+    },
+    12: {
+        0.0: 1.0,
+        0.05: 0.8773623594965363,
+        0.4: 0.19761731999999993,
+        0.9: 6.644441406249981e-05,
+        0.999: 7.861883435038807e-15,
+        1.0: 0.0,
+    },
+    20: {
+        0.0: 1.0,
+        0.05: 0.8341834790286147,
+        0.4: 0.08055387210850923,
+        0.9: 6.574284544497215e-08,
+        0.999: 9.461962149391849e-26,
+        1.0: 0.0,
+    },
+    50: {
+        0.0: 1.0,
+        0.05: 0.7302245731006409,
+        0.4: 0.004000671057148972,
+        0.9: 6.207067394041554e-19,
+        0.999: 1.9009987456813004e-66,
+        1.0: 0.0,
+    },
+    400: {
+        0.0: 1.0,
+        0.05: 0.3185245342647711,
+        0.4: 8.427883920459842e-17,
+        0.9: 1.315817018253777e-145,
+        0.999: 0.0,
+        1.0: 0.0,
+    },
+}
+
+# Tied n = 10 inputs with their exact permutation p (a count over 10!),
+# recorded from the numpy permutation loop this module used before.
+TIED_N10 = [
+    ([1, 2, 2, 3, 4, 5, 5, 6, 7, 8], [2, 1, 3, 3, 5, 4, 7, 6, 6, 9],
+     0.0008024691358024691),
+    ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [2, 7, 1, 8, 2, 8, 1, 8, 2, 8],
+     0.7065873015873015),
+    ([1, 1, 1, 2, 2, 2, 3, 3, 3, 4], [4, 3, 3, 3, 2, 2, 2, 1, 1, 2],
+     0.008809523809523809),
+]
 
 
 class TestSpearman:
@@ -83,6 +142,39 @@ class TestSpearman:
         base = spearman(xs, ys)
         cubed = spearman([x**3 for x in xs], ys)
         assert base.r == pytest.approx(cubed.r, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in SCIPY_T_TAIL for r in SCIPY_T_TAIL[n]]
+    )
+    def test_t_tail_matches_recorded_scipy_values(self, n, r):
+        want = SCIPY_T_TAIL[n][r]
+        for signed in (r, -r):
+            got = _t_tail_p(signed, n)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("xs,ys,want", TIED_N10)
+    def test_tied_n10_matches_recorded_p(self, xs, ys, want):
+        assert spearman(xs, ys).p == want
+
+    @given(
+        st.integers(min_value=3, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                st.lists(st.integers(0, 4), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_p_equals_brute_force(self, pair):
+        xs, ys = pair
+        res = spearman(xs, ys)
+        if res.r is None:
+            assert len(set(xs)) == 1 or len(set(ys)) == 1
+            return
+        want = permutation_p_oracle(
+            rank_with_ties(xs), rank_with_ties(ys), abs(res.r)
+        )
+        assert res.p == want
 
 
 class TestKMeans2:

@@ -24,7 +24,9 @@ from crossflow.trace import (
     write_bundle,
 )
 
-from oracles import closure_matrix, hb_oracle, influenced_map_oracle
+from crossflow.simulator import Scenario, generate_program, simulate
+
+from oracles import closure_matrix, hb_oracle, influenced_map_oracle, spans_oracle
 
 
 def mid(proc: str, cls: str = "Main", name: str = "run") -> MethodId:
@@ -284,6 +286,27 @@ def test_method_spans_uses_last_event():
     spans = method_spans(traces)
     assert spans[mid("A", "Main", "run")] == (1, 3)
     assert spans[mid("A", "Main", "leaf")] == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario("client_server", seed=1, length=90),
+        Scenario("peer_to_peer", seed=2, length=90),
+        Scenario("n_tier", seed=3, length=110, tiers=3),
+    ],
+    ids=lambda sc: sc.topology,
+)
+def test_method_spans_equal_plain_scan(scenario):
+    """On simulated runs, which carry coverage and returned-into events, and
+    on their first/last reduction, which keeps every span, and a relevance
+    filter."""
+    full, _ = simulate(generate_program(scenario), scenario)
+    reduced = {p: reduce_first_last(t) for p, t in full.items()}
+    some = sorted(spans_oracle(full), key=MethodId.sort_key)[::2]
+    for traces in (full, reduced, filter_traces(full, some)):
+        assert method_spans(traces) == spans_oracle(traces)
+    assert spans_oracle(reduced) == spans_oracle(full)
 
 
 def test_influenced_recv_transitive():
