@@ -433,21 +433,13 @@ def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crossflow",
-        description="Trace-driven cross-process information-flow and "
-        "dependence analysis toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate traces, graphs, ground truth")
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
     _add_out(p)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("flowpaths", help="two-phase information flow paths")
+
+def _flowpaths_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--graphs", required=True)
     p.add_argument("--config", required=True)
@@ -457,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-splice", action="store_true")
     p.add_argument("--coverage", choices=("direct", "branches"), default="direct")
     _add_out(p)
-    p.set_defaults(func=cmd_flowpaths)
 
-    p = sub.add_parser("tune", help="self-tuning online dependence analysis")
+
+def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--graphs", required=True)
     p.add_argument("--budget", type=float, required=True)
@@ -473,21 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-qtable", action="store_true")
     _add_out(p)
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("query", help="merged dependence set for a method")
+
+def _query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run", required=True)
     p.add_argument("--method", required=True)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("metrics", help="IPC coupling/cohesion report")
+
+def _metrics_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run")
     p.add_argument("--depdata")
     p.add_argument("--table-rcc", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("quality", help="assemble a quality metric vector")
+
+def _quality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths-report", default=None)
     p.add_argument("--ksloc", type=float, default=1.0)
     p.add_argument("--sloc", type=float, default=1000.0)
@@ -501,25 +493,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclomatic", type=float, default=0.0)
     p.add_argument("--defect-density", type=float, default=0.0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("correlate", help="IPC x quality Spearman matrix")
+
+def _correlate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ipc", required=True)
     p.add_argument("--quality", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("classify", help="two-cluster feature classification")
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
+
+# name -> (help, add-arguments function, handler), in the order help lists them
+COMMANDS = {
+    "simulate": ("generate traces, graphs, ground truth", _simulate_args, cmd_simulate),
+    "flowpaths": ("two-phase information flow paths", _flowpaths_args, cmd_flowpaths),
+    "tune": ("self-tuning online dependence analysis", _tune_args, cmd_tune),
+    "query": ("merged dependence set for a method", _query_args, cmd_query),
+    "metrics": ("IPC coupling/cohesion report", _metrics_args, cmd_metrics),
+    "quality": ("assemble a quality metric vector", _quality_args, cmd_quality),
+    "correlate": ("IPC x quality Spearman matrix", _correlate_args, cmd_correlate),
+    "classify": ("two-cluster feature classification", _classify_args, cmd_classify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` one that holds only
+    that command's subparser.
+
+    Building a subparser costs far more than parsing (each argument makes
+    a help formatter), so ``main`` builds just the one it runs.  The
+    one-command parser prints the same top-level usage line, which errors
+    such as unrecognized arguments show.  Only the full parser can reject
+    an unknown or missing command, and only there does the metavar stay
+    unset: argparse names the argument in those errors by its metavar.
+    """
+    parser = argparse.ArgumentParser(
+        prog="crossflow",
+        description="Trace-driven cross-process information-flow and "
+        "dependence analysis toolkit",
+    )
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "metrics" and not (args.run or args.depdata):
         parser.error("metrics needs --run or --depdata")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import Configuration, valid_configurations
 
@@ -30,14 +31,25 @@ class LearnerParams:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
+@lru_cache(maxsize=1)
+def _zero_values() -> dict[tuple[Configuration, Configuration], float]:
+    """The all-zero table; only ever copied, never handed out."""
+    actions = valid_configurations()
+    return {(s, a): 0.0 for s in actions for a in actions}
+
+
 class QTable:
-    """Dense (state, action) -> expected reward over valid configurations."""
+    """Dense (state, action) -> expected reward over valid configurations.
+
+    A new table is a copy of one all-zero table built once per process:
+    copying a dict reuses its stored key hashes, where building it would
+    hash all 676 configuration pairs again.
+    """
 
     def __init__(self) -> None:
-        actions = valid_configurations()
-        self.values: dict[tuple[Configuration, Configuration], float] = {
-            (s, a): 0.0 for s in actions for a in actions
-        }
+        self.values: dict[tuple[Configuration, Configuration], float] = (
+            _zero_values().copy()
+        )
 
     def get(self, state: Configuration, action: Configuration) -> float:
         return self.values[(state, action)]
@@ -88,9 +100,9 @@ def update(
 
 def greedy_action(table: QTable, state: Configuration) -> Configuration:
     """Argmax-valued action with deterministic lowest-encoding tiebreak."""
-    actions = valid_configurations()
+    actions = valid_configurations()  # in encoding order
     best = max(table.values[(state, a)] for a in actions)
-    for a in sorted(actions, key=Configuration.encode):
+    for a in actions:
         if table.values[(state, a)] == best:
             return a
     raise AssertionError("unreachable")
@@ -106,8 +118,7 @@ def select_action_traced(
     state.require_valid()
     if rng.random() <= 1.0 - params.epsilon:
         return greedy_action(table, state), True
-    actions = sorted(valid_configurations(), key=Configuration.encode)
-    return rng.choice(actions), False
+    return rng.choice(valid_configurations()), False
 
 
 def select_action(

@@ -15,7 +15,9 @@ message events by the path analyses.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -296,11 +298,45 @@ def write_graph_set(
     )
 
 
-def read_graph_set(directory: Path) -> dict[tuple[bool, bool], StaticDepGraph]:
+class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):
+    """The sensitivity variants of a graph directory, each parsed from its
+    file on its first lookup.  ``in``, ``len`` and iteration answer from the
+    manifest and parse nothing, so a run reads only the variants it uses."""
+
+    def __init__(self, files: dict[tuple[bool, bool], Path]):
+        self._files = files
+        self._graphs: dict[tuple[bool, bool], StaticDepGraph] = {}
+
+    def __getitem__(self, key: tuple[bool, bool]) -> StaticDepGraph:
+        graph = self._graphs.get(key)
+        if graph is None:
+            graph = self._graphs[key] = read_graph(self._files[key])
+        return graph
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._files
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+
+def read_graph_set(directory: Path) -> GraphSet:
+    """The variants that ``directory``'s manifest lists.
+
+    Every listed file must exist (else ``FileNotFoundError`` before any
+    analysis runs), but a variant is parsed only when first looked up: a
+    malformed variant raises ``GraphFormatError`` then, and one that is
+    never looked up is never reported.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    out = {}
+    files = {}
     for key, name in manifest["variants"].items():
-        ctx, flow = bool(int(key[0])), bool(int(key[1]))
-        out[(ctx, flow)] = read_graph(directory / name)
-    return out
+        path = directory / name
+        if not path.is_file():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        files[(bool(int(key[0])), bool(int(key[1])))] = path
+    return GraphSet(files)

@@ -423,9 +423,17 @@ def event_to_record(ev: EventRecord) -> dict:
     return rec
 
 
-def event_from_record(rec: Mapping) -> EventRecord:
+def event_from_record(
+    rec: Mapping, methods: dict[tuple[str, str, str], MethodId]
+) -> EventRecord:
+    """The event of one decoded record.  ``methods`` holds the MethodIds
+    made so far, keyed by (proc, class, method), so that records of one
+    method share one MethodId; a new one is added to it."""
     try:
-        method = MethodId(rec["proc"], rec["class"], rec["method"])
+        key = (rec["proc"], rec["class"], rec["method"])
+        method = methods.get(key)
+        if method is None:
+            method = methods[key] = MethodId(*key)
         return EventRecord(
             kind=rec["kind"],
             method=method,
@@ -446,18 +454,34 @@ def write_trace(path: Path, trace: ProcessTrace) -> None:
             fh.write(json.dumps(event_to_record(ev), sort_keys=True) + "\n")
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_trace(path: Path, process: str) -> ProcessTrace:
+    """The trace of ``process`` in the file at ``path``: one JSON record per
+    non-blank line, else :class:`MalformedTraceError` quoting the first bad
+    line.
+
+    A line is decoded by ``raw_decode``, which skips the per-call checks of
+    ``json.loads``; since the line is stripped, it is valid JSON exactly
+    when that decode consumes all of it.  (One decode of all lines joined
+    into an array is faster but unsound: a record split over two lines
+    next to a line holding two records decodes to the right count.)
+    """
     events = []
+    methods: dict[tuple[str, str, str], MethodId] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
-            events.append(event_from_record(rec))
+            events.append(event_from_record(rec, methods))
     return ProcessTrace(process, tuple(events))
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from crossflow.cli import main
+from crossflow import cli
+from crossflow.cli import OUT_DIR_ENV, main
 from crossflow.metrics import IPC_METRICS
 
 
@@ -385,7 +386,7 @@ class TestDeterminismAcrossProcesses:
                  "--out", str(out / "metrics.txt")],
             ):
                 r = subprocess.run(
-                    ["python3", "-m", "crossflow.cli", *argv],
+                    [sys.executable, "-m", "crossflow.cli", *argv],
                     env=env, capture_output=True, text=True,
                 )
                 assert r.returncode == 0, r.stderr
@@ -469,6 +470,15 @@ class TestMetricsCommands:
         f.write_text("{not json")
         assert main(["classify", "--features", str(f)]) == 3
 
+    def test_correlate_names_missing_ipc_metrics(self, tmp_path, capsys):
+        fi, fq = tmp_path / "ipc.json", tmp_path / "q.json"
+        fi.write_text(json.dumps({"RMC": [1.0, 2.0, 3.0], "CCC": [3.0, 1.0, 2.0]}))
+        fq.write_text(json.dumps({"exec_time": [1.0, 2.0, 3.0]}))
+        assert main(["correlate", "--ipc", str(fi), "--quality", str(fq)]) == 3
+        assert capsys.readouterr().err == (
+            "error: IPC data lacks metric(s): RCC, IPR, CCL, PLC\n"
+        )
+
 
 # sha256 of the `correlate` report on the fixtures of `correlate_rows`,
 # recorded while the p-values still came from scipy's t tail and a numpy
@@ -526,3 +536,191 @@ assert not heavy, heavy[:5]
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
+
+
+# sha256 of f"{exit code}\n{stdout}\0{stderr}" for `crossflow ARGV` with
+# COLUMNS=80 and CROSSFLOW_OUT unset, recorded while main built every
+# subparser on each call.  Python 3.10 to 3.12 print the same text; 3.13
+# wraps the top-level usage and words some errors differently.
+CLI_SURFACE = {
+    "--help": "6df2b8811be6dbde3e24c7d676b1d8f80b8deabd7cc3749828d7a5ea2c0c0a51",
+    "simulate --help": "0e54485a7dc3a660c351f2c267abcbe0cd82acfc64f419f168beeeac41bfcefb",
+    "flowpaths --help": "ad02311009029ddb0546a2147bb22fe1679a29ecf67bd57bae489628c8ca098e",
+    "tune --help": "c811b6d111f7383558b7f3d3028e5aeed3e4b75354fb674d39e4cef12e30159a",
+    "query --help": "278782ff292321928b3eaa639a2a91a5ca7626416857761247b444c378b1c9a3",
+    "metrics --help": "83c8eddf52342327eba0119afc1c3cc164261e0e06f6bb686a1dffe37697a577",
+    "quality --help": "a9895a9872075a078995f5fa6046533d80675c46805757cade5f72698ff8549e",
+    "correlate --help": "6c57f8f434b785674a98d10e2602b93e22970f7fd14dc722b01af89bba06b142",
+    "classify --help": "91e7f9ad12bd352e6466f6f0c901cd9189a20cf0ab87f5ef965b65c490ec899a",
+    "simulate": "316d03cddf4751858cce93fc2cc70610578801b149a124590c60ec67562a0223",
+    "flowpaths": "c540d656937a924ae41ec054c7b42cd790e05e716f126df38372f3318ecbef7e",
+    "tune": "fb8cfe2eaa5b95bc966925f5ee72678d9493e91356c097bfecf8b26a8ecb75f1",
+    "query": "010b873225d15a4d3cb2a7d7d939c5ca4a42f874bcff7f7caebf89d2432bc3cc",
+    "correlate": "ccc99e6c89d32dbaafe2bb5156c77441d4fd42ea9a5d6fa7ea63608f5beef3e3",
+    "classify": "5cb9afd93ed9156166e99cf0a289ee0ea04ca1a2e01a0471c9cd0c1d6d8a2479",
+    "bogus": "90db063df5b1cf3a722805c599d348c7fa3e2b7cbcfb0a4241a26428d320b0c5",
+    "": "99fa113498f87d60353661d13a3c68281d62831904164160f76b57b0fee0978f",
+    # neither --run nor --depdata: the top-level usage line and an error
+    "metrics": "93760e7b7fbd6c3717e40ff2846cf8dfd9f07e9fc25e989319b2b8002068bb02",
+    "metrics --bogus": "84eb3d132c29745caadf158d93f12369636e3e81682d319986f4d8b24e197e14",
+    "query --run r --method m extra": "7e09c9ba1f7edb8ff9dcbbb1a4626f1756a18b2732943c74cf54006cac104714",
+}
+CLI_SURFACE_313 = {
+    "--help": "7c42d8b74f672d142d7d50f4af80d649f6ad6335561f1544318fbfcb2b181d3a",
+    "flowpaths --help": "789b19db41af4456166066667b20abecf0b0b513c6dddf8ffb57bbef85b62f94",
+    "flowpaths": "8688aff45a0635830904e5f791440a98d42ae7ca3fee2caca13f3bb75923061b",
+    "bogus": "f7a245b33fa78802f2742c62846eec8a9c4d6f7517c75f37f2b02246abbcafbd",
+    "": "83f2166b204a6b1b94980c4a41f8326050f459f55d6f7f664c2ec713a54be9d5",
+    "metrics": "6868fea920415e7299f2a5c7694f7b7c09a4ea75db6d64e41fd5ebec875c312f",
+    "metrics --bogus": "a9bd07f54ca49a91b72b50e4d82dcfda1a34923d98fd5c24db08a31ca6561780",
+    "query --run r --method m extra": "401a83ebba2ad0534202407c84367b60c532f9aaf1b93bf9a65748a8671d7d4a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_SURFACE), ids=lambda a: a or "<none>")
+def test_cli_surface_matches_recorded_digest(capsys, monkeypatch, argv):
+    """Help and usage errors are byte-identical whether main builds every
+    subparser or only the invoked one."""
+    if sys.version_info >= (3, 14):
+        pytest.skip("argparse output of this Python was not recorded")
+    want = CLI_SURFACE[argv]
+    if sys.version_info >= (3, 13):
+        want = CLI_SURFACE_313.get(argv, want)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest() == want
+
+
+def test_main_builds_a_parser_per_call_for_the_invoked_command(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["query", "--help"], ["query", "--help"], ["--help"], ["bogus"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["query", "query", None, None, None]
+
+
+def test_out_env_read_on_every_call(tmp_path, capsys, monkeypatch):
+    scen = write_scenario(tmp_path / "s.json", length=30)
+    for name in ("a", "b"):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / name))
+        assert main(["simulate", "--scenario", str(scen)]) == 0
+        assert (tmp_path / name / "config.json").is_file()
+
+
+class TestInputReaders:
+    """A bad trace line exits 3 with the message recorded when each line
+    went through ``json.loads``; graph variants are parsed only when a
+    command uses them."""
+
+    GOOD = '{"class": "C", "kind": "entry", "method": "m", "proc": "A", "seq": 0}'
+    GOOD1 = '{"class": "C", "kind": "entry", "method": "m", "proc": "A", "seq": 1}'
+
+    @pytest.mark.parametrize("lines,message", [
+        ([GOOD, '{"proc": "A", "seq": 1,'],
+         "not a JSON record: '{\"proc\": \"A\", \"seq\": 1,'"),
+        ([GOOD + ", " + GOOD1],
+         "not a JSON record: '" + GOOD + ", " + GOOD1 + "'"),
+        ([GOOD + " " + GOOD1, GOOD],
+         "not a JSON record: '" + GOOD + " " + GOOD1 + "'"),
+        (["[1", "2]"], "not a JSON record: '[1'"),
+        # joined into one array, these three lines decode to three records
+        ([GOOD + ", " + GOOD1, GOOD.replace("0}", "2"), '"seq": 3}'],
+         "not a JSON record: '" + GOOD + ", " + GOOD1 + "'"),
+        ([GOOD, "7"], "bad trace record 7"),
+        ([GOOD, '{"class": "C", "method": "m", "proc": "A", "seq": 1}'],
+         "bad trace record {'class': 'C', 'method': 'm', 'proc': 'A', 'seq': 1}"),
+        (["7", '{"proc"'], "bad trace record 7"),
+    ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
+            "record-over-two-lines", "bare-number", "missing-kind",
+            "bad-record-before-bad-json"])
+    def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, message):
+        bundle = tmp_path / "traces"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(json.dumps(
+            {"processes": ["A"], "files": {"A": "A.trace"}, "scenario": {}}
+        ))
+        (bundle / "A.trace").write_text("\n".join(["", *lines, "  "]) + "\n")
+        assert main([
+            "flowpaths", "--bundle", str(bundle), "--graphs", str(tmp_path / "g"),
+            "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+        ]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def flowpaths(self, sim, out):
+        return main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--out", str(out),
+        ])
+
+    def test_malformed_variant_never_read_is_not_parsed(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        assert self.flowpaths(sim, tmp_path / "intact") == 0
+        # flowpaths reads only the context-insensitive, flow-sensitive variant
+        with open(sim / "graphs" / "graph_11.txt", "a") as fh:
+            fh.write("node lonely\n")
+        assert self.flowpaths(sim, tmp_path / "out") == 0
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "intact")
+
+    def test_malformed_variant_read_exit_3_names_line(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        path = sim / "graphs" / "graph_01.txt"
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a") as fh:
+            fh.write("node lonely\n")
+        assert self.flowpaths(sim, tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}:{lineno}: bad record 'node lonely'\n"
+        )
+
+    def test_missing_variant_file_exit_2_before_analysis(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        path = sim / "graphs" / "graph_11.txt"
+        path.unlink()
+        assert self.flowpaths(sim, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: missing file: {path}\n"
+        assert not (tmp_path / "out").exists()
+
+
+# sha256 over the name and bytes of every file `tune --dump-qtable` writes
+# but run.json (which holds paths), recorded when a QTable was built key by
+# key and action selection sorted the configurations on every call
+TUNE_QTABLE_DIGEST = "9d01a66efc34a5c5573611f29128aa1f7186798ce403f29cb29f9d52d38ff874"
+
+
+def test_tune_dump_qtable_matches_recorded_digest(tmp_path, capsys):
+    sim = run_sim(tmp_path, topology="n_tier", tiers=5, seed=2, length=1000)
+    out = tmp_path / "run"
+    # a budget most rounds overrun, and half the actions drawn at random
+    assert main([
+        "tune",
+        "--bundle", str(sim / "traces"),
+        "--graphs", str(sim / "graphs"),
+        "--budget", "12", "--tc", "1", "--epsilon", "0.5", "--seed", "7",
+        "--dump-qtable", "--out", str(out),
+    ]) == 0
+    files = {k: v for k, v in tree_bytes(out).items() if k != "run.json"}
+    rows = [
+        line.split() for k, v in files.items() if k.startswith("qtable_")
+        for line in v.decode().splitlines()
+    ]
+    assert len(rows) == 5 * 26 * 26
+    assert sum(float(value) != 0 for _, _, value in rows) >= 10
+    h = hashlib.sha256()
+    for name, data in sorted(files.items()):
+        h.update(name.encode() + b"\0" + data + b"\0")
+    assert h.hexdigest() == TUNE_QTABLE_DIGEST

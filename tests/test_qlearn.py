@@ -21,6 +21,23 @@ from crossflow.qlearn import (
 C = Configuration.from_string
 
 
+def test_valid_configurations_in_encoding_order():
+    """greedy_action's tiebreak and select_action's draw rely on it."""
+    actions = valid_configurations()
+    assert list(actions) == sorted(actions, key=Configuration.encode)
+    assert len(actions) == 26
+
+
+def test_fresh_table_is_zero_after_another_is_mutated():
+    t = QTable()
+    update(t, C("111111"), C("000100"), 1000.0, LearnerParams())
+    t.values[(C("000100"), C("111111"))] = -5.0
+    fresh = QTable()
+    assert fresh.values is not t.values
+    assert len(fresh.values) == 26 * 26
+    assert set(fresh.values.values()) == {0.0}
+
+
 class TestReward:
     def test_paper_example(self):
         assert reward(60000, 40000) == 0.05

@@ -209,6 +209,47 @@ def test_graph_file_round_trip(tmp_path):
         assert loaded_set[key].edges == variants[key].edges
 
 
+def test_graph_set_parses_a_variant_on_first_lookup(tmp_path, monkeypatch):
+    from crossflow import staticgraph
+
+    variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
+    write_graph_set(tmp_path, variants)
+    parsed = []
+    real = staticgraph.read_graph
+
+    def spy(path):
+        parsed.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(staticgraph, "read_graph", spy)
+    graphs = read_graph_set(tmp_path)
+    assert (True, True) in graphs and (2, 2) not in graphs
+    assert len(graphs) == 4 and set(graphs) == set(variants)
+    assert parsed == []
+    assert graphs[(False, True)].edges == variants[(False, True)].edges
+    assert graphs[(False, True)] is graphs[(False, True)]
+    assert parsed == ["graph_01.txt"]
+
+
+def test_graph_set_reports_a_malformed_variant_when_read(tmp_path):
+    variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
+    write_graph_set(tmp_path, variants)
+    (tmp_path / "graph_10.txt").write_text("node lonely\n")
+    graphs = read_graph_set(tmp_path)
+    assert graphs[(True, True)].edges == variants[(True, True)].edges
+    with pytest.raises(GraphFormatError, match="graph_10.txt:1: bad record"):
+        graphs[(True, False)]
+
+
+def test_graph_set_missing_file_raises_up_front(tmp_path):
+    variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
+    write_graph_set(tmp_path, variants)
+    (tmp_path / "graph_00.txt").unlink()
+    with pytest.raises(FileNotFoundError) as info:
+        read_graph_set(tmp_path)
+    assert info.value.filename == str(tmp_path / "graph_00.txt")
+
+
 def test_bad_edge_kind_rejected():
     with pytest.raises(GraphFormatError):
         DepEdge("sideways", "a", "b")

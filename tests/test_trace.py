@@ -337,3 +337,70 @@ def test_unknown_fields_ignored(tmp_path):
 
     trace = read_trace(path, "A")
     assert trace.events[0].ts == 1
+
+
+def test_read_trace_shares_one_method_id_per_method(tmp_path):
+    from crossflow.trace import read_trace
+
+    path = tmp_path / "p.trace"
+    path.write_text("".join(
+        f'{{"proc": "A", "seq": {i}, "kind": "entry", "class": "C", '
+        f'"method": "{name}"}}\n'
+        for i, name in enumerate(("m", "n", "m", "m"))
+    ))
+    events = read_trace(path, "A").events
+    assert [ev.method for ev in events] == [
+        MethodId("A", "C", name) for name in ("m", "n", "m", "m")
+    ]
+    assert events[0].method is events[2].method is events[3].method
+
+
+def read_trace_per_line(path, process):
+    """Reference: decode the file one stripped, non-blank line at a time."""
+    import json
+
+    from crossflow.trace import MalformedTraceError, ProcessTrace, event_from_record
+
+    events = []
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        line = line.strip()
+        if line:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
+            events.append(event_from_record(rec, {}))
+    return ProcessTrace(process, tuple(events))
+
+
+TRACE_LINE_PARTS = (
+    '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": ',
+    '{"proc": "A", "kind": "entry", "class": "C", "method": "n", "seq": ',
+    "}", "{", "[", "]", ",", "1", "7", '"s"', "null", " ", ":", '"seq": 3',
+)
+
+
+@given(st.lists(
+    st.lists(st.sampled_from(TRACE_LINE_PARTS), max_size=4).map("".join),
+    max_size=6,
+), st.lists(st.integers(0, 40), min_size=6, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_read_trace_equals_per_line_decoding(tmp_path_factory, fragments, seqs):
+    """Whatever the lines hold, one decode of the joined lines gives the
+    events or the error that decoding line by line gives."""
+    from crossflow.trace import TraceError, read_trace
+
+    good = [
+        '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": %d}' % s
+        for s in sorted(set(seqs))
+    ]
+    lines = [x for pair in zip(good, fragments) for x in pair] + good[len(fragments):]
+    path = tmp_path_factory.mktemp("t") / "A.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcomes = []
+    for reader in (read_trace, read_trace_per_line):
+        try:
+            outcomes.append(reader(path, "A"))
+        except TraceError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
