@@ -101,10 +101,10 @@ def _source_ds(
     spans: Mapping[MethodId, tuple[int, int]],
     source_methods: Iterable[MethodId],
 ) -> Iterator[tuple[MethodId, frozenset[MethodId]]]:
-    """(q, DS(q)) for each source q, in sort-key order; the influence map is
-    built once for all sources."""
+    """(q, DS(q)) for each distinct source q, in sort-key order; the
+    influence map is built once for all sources."""
     influenced = influenced_recv_ts(traces)
-    for q in sorted(source_methods, key=MethodId.sort_key):
+    for q in sorted(set(source_methods), key=MethodId.sort_key):
         yield q, method_ds(q, traces, spans, influenced).members
 
 
@@ -182,19 +182,40 @@ def _enumerate(
     is exact).  The enumeration reports truncation when the length cap, the
     path cap, or the work budget bites.
 
+    The walk's state is ``int`` bitmasks over the candidates, bit i
+    standing for the i-th in visit order.  ``alive[i]`` holds the members
+    whose last event is no earlier than candidate i's first entry, the ones
+    that can still follow it, and ``sinks`` the sinks.  A node's ``live``
+    mask holds its candidates: the members not on the path that have not
+    ended before the path's latest first entry.  Appending candidate i
+    leaves ``live & alive[i]`` less i itself, so the walk visits live
+    candidates only, lowest bit first, and a sink can still follow a node
+    exactly when ``live & sinks`` is not empty.  Every candidate tried
+    costs one step of the work budget; at a node that no sink can follow,
+    each live candidate is tried and cut, so their steps are charged
+    together.
+
     q, a member of its own DS, starts the sequence.  Each path found is
     appended to ``out`` as its rank tuple; no set is needed, because the
     walk never repeats a sequence and the paths of other sources start with
     another method.
     """
     candidates = sorted(members, key=lambda m: (first[m], last[m], m))
-    # reachable sinks, latest last event first: the scan for one that can
-    # still be appended stops at the first that ends too early
-    sinks_by_last = sorted(
-        (m for m in candidates if is_sink[m]), key=lambda m: -last[m]
-    )
-    in_seq = [False] * len(first)
-    in_seq[q] = True
+    sinks = 0
+    for i, m in enumerate(candidates):
+        if is_sink[m]:
+            sinks |= 1 << i
+    # candidates are in first-entry order, so going down it, each alive
+    # mask adds the members that end no earlier than the new first entry
+    n = len(candidates)
+    by_last = sorted(range(n), key=lambda i: -last[candidates[i]])
+    alive = [0] * n
+    mask = j = 0
+    for i in reversed(range(n)):
+        while j < n and last[candidates[by_last[j]]] >= first[candidates[i]]:
+            mask |= 1 << by_last[j]
+            j += 1
+        alive[i] = mask
     seq = [q]
     room = max_paths - len(out)  # paths of other sources never repeat q's
     found: list[tuple[int, ...]] = []
@@ -206,9 +227,9 @@ def _enumerate(
     stop = False
     steps = 0
 
-    def walk(max_fe: int) -> None:
+    def walk(live: int, at_sink: int) -> None:
         nonlocal truncated, stop, steps
-        if is_sink[seq[-1]]:
+        if at_sink:
             if len(found) >= room:
                 truncated = stop = True
                 return
@@ -218,31 +239,34 @@ def _enumerate(
             truncated = True
             stop = len(found) >= room
             return
-        for m in candidates:
-            if stop:
-                return
-            if in_seq[m] or last[m] < max_fe:
-                continue  # already on the path, or ended before it could start
+        if stop:
+            return
+        if not live & sinks:
+            # no sink can follow: every live candidate is one step, then cut
+            steps += live.bit_count()
+            if steps > work_budget:
+                truncated = True
+            return
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
             steps += 1
             if steps > work_budget:
                 truncated = True
                 return
-            new_max = first[m] if first[m] > max_fe else max_fe
-            seq.append(m)
-            in_seq[m] = True
-            if is_sink[m]:
-                walk(new_max)
-            else:
-                for s in sinks_by_last:
-                    if last[s] < new_max:
-                        break
-                    if not in_seq[s]:
-                        walk(new_max)
-                        break
+            i = low.bit_length() - 1
+            after = (live & alive[i]) ^ low
+            sink_bit = low & sinks
+            seq.append(candidates[i])
+            if sink_bit or after & sinks:
+                walk(after, sink_bit)
             seq.pop()
-            in_seq[m] = False
+            if stop:
+                return
 
-    walk(first[q])
+    root = candidates.index(q)
+    walk(alive[root] ^ (1 << root), is_sink[q])
     out.extend(found)
     return truncated
 

@@ -270,15 +270,18 @@ def read_graph(path: Path) -> StaticDepGraph:
             raise GraphFormatError(f"{path}:{lineno}: bad record {line!r}") from exc
     for stmt in nodes:
         guards.setdefault(stmt, None)
-    return StaticDepGraph(
-        nodes=nodes,
-        edges=frozenset(edges),
-        icfg_succ={s: tuple(d) for s, d in ((k, tuple(v)) for k, v in icfg.items())},
-        entry_points={p: tuple(v) for p, v in entries.items()},
-        send_sites=frozenset(sends),
-        recv_sites=frozenset(recvs),
-        guards=guards,
-    )
+    try:
+        return StaticDepGraph(
+            nodes=nodes,
+            edges=frozenset(edges),
+            icfg_succ={s: tuple(d) for s, d in icfg.items()},
+            entry_points={p: tuple(v) for p, v in entries.items()},
+            send_sites=frozenset(sends),
+            recv_sites=frozenset(recvs),
+            guards=guards,
+        )
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
 
 
 def write_graph_set(
@@ -326,17 +329,24 @@ class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):
 def read_graph_set(directory: Path) -> GraphSet:
     """The variants that ``directory``'s manifest lists.
 
-    Every listed file must exist (else ``FileNotFoundError`` before any
-    analysis runs), but a variant is parsed only when first looked up: a
-    malformed variant raises ``GraphFormatError`` then, and one that is
+    Each manifest key is two characters, ``0`` or ``1`` (context, flow
+    sensitivity); any other key raises ``GraphFormatError``.  Every listed
+    file must exist (else ``FileNotFoundError`` before any analysis runs),
+    but a variant is parsed only when first looked up: a malformed variant
+    raises ``GraphFormatError`` then, naming its file, and one that is
     never looked up is never reported.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     files = {}
     for key, name in manifest["variants"].items():
+        if len(key) != 2 or not set(key) <= {"0", "1"}:
+            raise GraphFormatError(
+                f"{directory / 'manifest.json'}: bad variant key {key!r}"
+                " (want two characters, each 0 or 1)"
+            )
         path = directory / name
         if not path.is_file():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-        files[(bool(int(key[0])), bool(int(key[1])))] = path
+        files[(key[0] == "1", key[1] == "1")] = path
     return GraphSet(files)

@@ -218,6 +218,12 @@ def splice_segments(
     unordered process pair, on the pair's first junction test, so each test
     is a set lookup.  ``strict`` uses one index over the whole merged
     sequence instead.
+
+    A prefix can only continue at its end statement, so the junction tests
+    are made once per end statement: its successor lists hold the sink
+    segments and the indexes of the remote segments whose first statement
+    it joins, each in input order, and every prefix ending there walks
+    only those.
     """
     junction_seq = [
         ev
@@ -248,23 +254,33 @@ def splice_segments(
             }
         return (out_stmt, in_stmt) in pairs
 
+    # end stmt -> (sink segments, remote segment indexes) it joins
+    successors: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
     spliced: list[StmtFlowPath] = []
     seen: set[tuple[str, ...]] = set()
 
     def extend(prefix: tuple[str, ...], used: frozenset[int]) -> None:
+        end = prefix[-1]
+        joined = successors.get(end)
+        if joined is None:
+            joined = successors[end] = (
+                [seg for seg in sink_segs if junction_ok(end, seg[0])],
+                [
+                    i for i, seg in enumerate(remote_segs)
+                    if junction_ok(end, seg[0])
+                ],
+            )
+        sink_next, remote_next = joined
         # close with a sink segment
-        for sink_seg in sink_segs:
-            if junction_ok(prefix[-1], sink_seg[0]):
-                full = prefix + sink_seg
-                if full not in seen:
-                    seen.add(full)
-                    spliced.append(StmtFlowPath(full, "spliced"))
+        for sink_seg in sink_next:
+            full = prefix + sink_seg
+            if full not in seen:
+                seen.add(full)
+                spliced.append(StmtFlowPath(full, "spliced"))
         # or continue through an unused remote segment
-        for i, remote_seg in enumerate(remote_segs):
-            if i in used:
-                continue
-            if junction_ok(prefix[-1], remote_seg[0]):
-                extend(prefix + remote_seg, used | {i})
+        for i in remote_next:
+            if i not in used:
+                extend(prefix + remote_segs[i], used | {i})
 
     for source_seg in source_segs:
         extend(tuple(source_seg), frozenset())

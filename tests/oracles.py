@@ -10,15 +10,17 @@ versions can be held to exactly the same output: ``reference_method_paths``
 keeps its own record, not the package's ``PathSet``),
 ``reference_render_paths`` (the ``phase1.txt`` writer over
 ``MethodFlowPath`` objects), ``junction_oracle`` (the splice junction rule,
-re-evaluated per question) and ``permutation_p_oracle`` (the exact Spearman
-p over every permutation, once a vectorized loop, here a plain one).
+re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
+every junction of every prefix with ``junction_oracle``) and
+``permutation_p_oracle`` (the exact Spearman p over every permutation, once
+a vectorized loop, here a plain one).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
@@ -197,6 +199,44 @@ def junction_oracle(
         and e2.kind == "recv" and e2.stmt_id == in_stmt
         for e1, e2 in zip(seq, seq[1:])
     )
+
+
+def splice_oracle(
+    source_segs: Sequence[tuple[str, ...]],
+    remote_segs: Sequence[tuple[str, ...]],
+    sink_segs: Sequence[tuple[str, ...]],
+    order,
+    index,
+    stmt_methods: Mapping[str, MethodId],
+    strict: bool = False,
+) -> list[tuple[str, ...]]:
+    """``stmtpaths.splice_segments`` as it was before it kept per-statement
+    successor lists: every prefix tests the junction to every sink segment
+    and every unused remote segment afresh.  Returns the spliced statement
+    sequences in output order."""
+    spliced: list[tuple[str, ...]] = []
+    seen: set[tuple[str, ...]] = set()
+
+    def joins(out_stmt: str, in_stmt: str) -> bool:
+        return junction_oracle(order, index, out_stmt, in_stmt, strict, stmt_methods)
+
+    def extend(prefix: tuple[str, ...], used: frozenset[int]) -> None:
+        for sink_seg in sink_segs:
+            if joins(prefix[-1], sink_seg[0]):
+                full = prefix + sink_seg
+                if full not in seen:
+                    seen.add(full)
+                    spliced.append(full)
+        for i, remote_seg in enumerate(remote_segs):
+            if i in used:
+                continue
+            if joins(prefix[-1], remote_seg[0]):
+                extend(prefix + remote_seg, used | {i})
+
+    for source_seg in source_segs:
+        extend(tuple(source_seg), frozenset())
+    spliced.sort()
+    return spliced
 
 
 def all_simple_paths(

@@ -291,6 +291,50 @@ def test_flowpaths_reports_match_recorded_digests(tmp_path, capsys, name):
         assert counts["phase1_truncated"] == ("1" if run == "sim-limit-3" else "0")
 
 
+# sha256 of phase1.txt, phase2.txt and summary.txt of a run where the
+# 20,000-path cap bites in every mode, taken before the phase-1 walk kept
+# its candidates as bitmasks: pins which paths the capped walk keeps
+CAPPED_SCENARIO = {"topology": "peer_to_peer", "tiers": 8, "seed": 1, "length": 1000}
+CAPPED_DIGESTS = {
+    "default": (
+        "8adafee84c2fcfb21dff99f6f291fcb3b57e86a742ea1a9afa3af49390d206f1",
+        "ed771ea6c42c3e923211cf4a44ed0e7069af9d7fe376c01fad9bdf2a0b29e452",
+        "db84f7a4b4e2ea25dc0297b9d623fa4010e4fba85e9e2acf30c3cb532ca8b98d",
+    ),
+    "sim": (
+        "fd617526ee59d328208fb0da6c60a5193846510cea426b04a9a06f6f4c029a2f",
+        "ed771ea6c42c3e923211cf4a44ed0e7069af9d7fe376c01fad9bdf2a0b29e452",
+        "db84f7a4b4e2ea25dc0297b9d623fa4010e4fba85e9e2acf30c3cb532ca8b98d",
+    ),
+    "mul": (
+        "fd617526ee59d328208fb0da6c60a5193846510cea426b04a9a06f6f4c029a2f",
+        "ed771ea6c42c3e923211cf4a44ed0e7069af9d7fe376c01fad9bdf2a0b29e452",
+        "db84f7a4b4e2ea25dc0297b9d623fa4010e4fba85e9e2acf30c3cb532ca8b98d",
+    ),
+}
+
+
+def test_capped_flowpaths_reports_match_recorded_digests(tmp_path, capsys):
+    sim = run_sim(tmp_path, **CAPPED_SCENARIO)
+    for mode, want in CAPPED_DIGESTS.items():
+        out = tmp_path / f"fp_{mode}"
+        assert main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--mode", mode,
+            "--out", str(out),
+        ]) == 0
+        got = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("phase1.txt", "phase2.txt", "summary.txt")
+        )
+        assert got == want, mode
+        summary = (out / "summary.txt").read_text()
+        assert "phase1_paths 20000\nphase1_truncated 1\n" in summary, mode
+
+
 class TestTuneAndQuery:
     def run_tune(self, tmp_path, sim, name="run", **flags):
         out = tmp_path / name
@@ -686,6 +730,31 @@ class TestInputReaders:
         assert capsys.readouterr().err == (
             f"error: {path}:{lineno}: bad record 'node lonely'\n"
         )
+
+    def test_edge_to_unknown_statement_exit_3_names_file(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        path = sim / "graphs" / "graph_01.txt"
+        with open(path, "a") as fh:
+            fh.write("edge intra_data ghost.s1 ghost.s2\n")
+        assert self.flowpaths(sim, tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: edge endpoint missing: "
+            "DepEdge(kind='intra_data', src='ghost.s1', dst='ghost.s2')\n"
+        )
+
+    @pytest.mark.parametrize("key", ["1", "2x", "011"])
+    def test_bad_manifest_key_exit_3(self, tmp_path, capsys, key):
+        sim = run_sim(tmp_path)
+        manifest = sim / "graphs" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["variants"][key] = data["variants"].pop("11")
+        manifest.write_text(json.dumps(data))
+        assert self.flowpaths(sim, tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: bad variant key {key!r}"
+            " (want two characters, each 0 or 1)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_variant_file_exit_2_before_analysis(self, tmp_path, capsys):
         sim = run_sim(tmp_path)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
@@ -347,6 +350,113 @@ class TestMethodLevelPaths:
             assert_matches_reference(got, want, max_paths)
         cut = method_level_paths(traces, srcs, sinks, max_paths=5)
         assert {full.methods[key[0]] for key in cut.paths} == {q1}
+
+
+@st.composite
+def stamped_traces(draw):
+    """Stamped traces of 2-3 processes with four methods each: entries,
+    returns, and sends each received later, in one drawn interleaving."""
+    procs = [f"p{i}" for i in range(draw(st.integers(2, 3)))]
+    names = ["a", "b", "c", "d"]
+    raw = {p: [] for p in procs}
+    pending: list[tuple[str, str]] = []  # (msg_id, sender)
+    for n in range(draw(st.integers(4, 30))):
+        proc = draw(st.sampled_from(procs))
+        method = draw(st.sampled_from(names))
+        deliverable = [m for m in pending if m[1] != proc]
+        kind = draw(st.sampled_from(["entry", "entry", "returned_into", "send", "recv"]))
+        kw = {}
+        if kind == "recv":
+            if not deliverable:
+                kind = "entry"
+            else:
+                msg = draw(st.sampled_from(deliverable))
+                pending.remove(msg)
+                kw = dict(msg_id=msg[0], peer=msg[1])
+        elif kind == "send":
+            peer = draw(st.sampled_from([p for p in procs if p != proc]))
+            pending.append((f"m{n}", proc))
+            kw = dict(msg_id=f"m{n}", peer=peer)
+        raw[proc].append(ev(proc, len(raw[proc]), kind, method, **kw))
+    traces, _ = stamp_lamport(raw)
+    return traces, [mid(p, name) for p in procs for name in names]
+
+
+caps = st.tuples(st.integers(1, 5), st.integers(1, 30), st.integers(1, 200))
+
+
+@given(stamped_traces(), st.data(), caps)
+@settings(max_examples=200, deadline=None)
+def test_equals_reference_on_random_traces(drawn, data, cap):
+    traces, methods = drawn
+    # the reference walks a source listed twice twice; the package once
+    srcs = data.draw(
+        st.lists(st.sampled_from(methods), min_size=1, max_size=3, unique=True)
+    )
+    sinks = data.draw(st.lists(st.sampled_from(methods), min_size=1, max_size=4))
+    limit, max_paths, budget = cap
+    kw = dict(path_limit=limit, max_paths=max_paths, work_budget=budget)
+    got = method_level_paths(traces, srcs, sinks, **kw)
+    want = reference_method_paths(traces, srcs, sinks, **kw)
+    assert_matches_reference(got, want, kw)
+    assert method_level_paths(traces, srcs + srcs, sinks, **kw) == got
+
+
+def wide_fixture():
+    """70 methods in DS(A.w0), more than a machine word of candidates: A
+    enters w0..w39 and sends to B, then returns into w39..w20; B enters v0,
+    receives, and enters v1..v29, whose first entries come after every
+    other member's, so they take bits 41-69 of the walk's masks."""
+    a = [("entry", f"w{i}", {}) for i in range(40)]
+    a.append(("send", "w39", dict(msg_id="m1", peer="B")))
+    a += [("returned_into", f"w{i}", {}) for i in range(39, 19, -1)]
+    b = [("entry", "v0", {}), ("recv", "v0", dict(msg_id="m1", peer="A"))]
+    b += [("entry", f"v{i}", {}) for i in range(1, 30)]
+    b.append(("returned_into", "v0", {}))
+    traces, _ = stamp_lamport({
+        proc: [ev(proc, seq, kind, name, **kw) for seq, (kind, name, kw) in enumerate(evs)]
+        for proc, evs in (("A", a), ("B", b))
+    })
+    return traces
+
+
+WIDE = wide_fixture()
+
+
+@given(
+    st.lists(st.sampled_from(range(20, 30)), min_size=1, max_size=4),
+    st.booleans(),
+    caps,
+)
+@settings(max_examples=60, deadline=None)
+def test_equals_reference_beyond_a_machine_word(late_sinks, early_sink, cap):
+    assert len(method_ds(mid("A", "w0"), WIDE).members) == 70
+    sinks = [mid("B", f"v{i}") for i in late_sinks]
+    sinks += [mid("A", "w25")] if early_sink else []
+    limit, max_paths, budget = cap
+    kw = dict(path_limit=limit, max_paths=max_paths, work_budget=budget)
+    got = method_level_paths(WIDE, [mid("A", "w0"), mid("A", "w3")], sinks, **kw)
+    want = reference_method_paths(WIDE, [mid("A", "w0"), mid("A", "w3")], sinks, **kw)
+    assert_matches_reference(got, want, (late_sinks, early_sink, kw))
+
+
+def test_every_work_budget_beyond_a_machine_word():
+    # the budget runs out at every step, inside a run of cut candidates
+    # charged together too.  With the source A.w0 as the only sink, no sink
+    # can follow it, so its whole walk is one such run of 69 steps, and one
+    # budget is spent by it exactly.
+    srcs = [mid("A", "w0"), mid("A", "w3")]
+    late = [mid("B", "v25"), mid("B", "v28")]
+    for limit, sinks, budgets in [
+        (5, [mid("A", "w0")], range(1, 101)),
+        (5, [mid("A", "w1")], range(1, 301)),
+        (3, late + [mid("A", "w25")], range(1, 121)),
+    ]:
+        for budget in budgets:
+            kw = dict(path_limit=limit, max_paths=DEFAULT_MAX_PATHS, work_budget=budget)
+            got = method_level_paths(WIDE, srcs, sinks, **kw)
+            want = reference_method_paths(WIDE, srcs, sinks, **kw)
+            assert_matches_reference(got, want, (sinks, kw))
 
 
 def test_pair_methods_when_a_source_is_also_a_sink():

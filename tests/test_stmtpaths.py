@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.staticgraph import DepEdge, SourceSinkConfig, StaticDepGraph
@@ -17,7 +19,7 @@ from crossflow.stmtpaths import (
 )
 from crossflow.trace import EventRecord, MethodId, merge_global, stamp_lamport
 
-from oracles import all_simple_paths, junction_oracle
+from oracles import all_simple_paths, junction_oracle, splice_oracle
 
 
 def mid(proc, name):
@@ -285,6 +287,56 @@ class TestJunctionIndex:
         got, want = self.spliced_junctions(traces, stmt_methods, strict=True)
         # A's coverage event lands between its send and B's recv
         assert got == want == {("b_out", "a_in")}
+
+    def test_splice_equals_oracle_on_random_segments(self):
+        # few distinct statements, drawn with replacement, so that segments
+        # repeat and many prefixes share an end statement
+        rng = random.Random(8)
+        seen_spliced = seen_relayed = 0
+        for sc in [
+            Scenario("client_server", seed=1, length=90),
+            Scenario("peer_to_peer", seed=2, length=90, tiers=4),
+            Scenario("n_tier", seed=3, length=110, tiers=4),
+        ]:
+            model = generate_program(sc)
+            traces, _ = simulate(model, sc)
+            stmt_methods = model.stmt_owner()
+            order = merge_global(traces)
+            index = InletOutletIndex.build(traces, set(stmt_methods.values()))
+            inlets, outlets = sorted(index.inlets), sorted(index.outlets)
+            filler = sorted(stmt_methods)[:4]
+
+            def segs(heads, tails, most):
+                return [
+                    (rng.choice(heads),)
+                    + tuple(rng.sample(filler, rng.randint(0, 2)))
+                    + (rng.choice(tails),)
+                    for _ in range(rng.randint(0, most))
+                ]
+
+            for _ in range(30):
+                source_segs = segs(filler, outlets, 3)
+                remote_segs = segs(inlets, outlets, 5)
+                remote_segs += rng.sample(remote_segs, min(len(remote_segs), 2))
+                sink_segs = segs(inlets, filler, 3)
+                sink_segs += sink_segs[:1]
+                for strict in (False, True):
+                    got = splice_segments(
+                        source_segs, remote_segs, sink_segs, order, index,
+                        stmt_methods, strict=strict,
+                    )
+                    want = splice_oracle(
+                        source_segs, remote_segs, sink_segs, order, index,
+                        stmt_methods, strict=strict,
+                    )
+                    assert [p.stmts for p in got] == want, (sc, strict)
+                    assert all(p.segment_kind == "spliced" for p in got)
+                    seen_spliced += bool(want)
+                    seen_relayed += any(
+                        len(p) > max(map(len, source_segs)) + max(map(len, sink_segs))
+                        for p in want
+                    )
+        assert seen_spliced and seen_relayed
 
     def test_simulated_runs(self):
         for sc in [
