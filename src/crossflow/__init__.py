@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 
 from .trace import (
     EventRecord,
-    FirstMsgMap,
-    GlobalOrder,
     MethodId,
     ProcessTrace,
     happens_before,
@@ -23,8 +21,6 @@ from .trace import (
 
 __all__ = [
     "EventRecord",
-    "FirstMsgMap",
-    "GlobalOrder",
     "MethodId",
     "ProcessTrace",
     "happens_before",

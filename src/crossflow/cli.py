@@ -44,7 +44,7 @@ from .metrics import (
     render_ipc_report,
     vulnerableness,
 )
-from .methodpaths import DependenceSet, render_paths
+from .methodpaths import render_paths
 from .pipeline import MODES, analyze_flows
 from .qlearn import LearnerParams
 from .simulator import (
@@ -86,22 +86,30 @@ def _parse_method(text: str) -> MethodId:
     return MethodId(*parts)
 
 
-def _load_scenario(path: Path) -> Scenario:
+def _load_object(path: Path) -> dict:
+    """The JSON object in the file at ``path``; anything else is a data
+    error naming the file."""
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return data
+
+
+def _load_scenario(path: Path) -> Scenario:
+    data = _load_object(path)
     return Scenario(
         topology=data["topology"],
         seed=int(data.get("seed", 0)),
         length=int(data.get("length", 80)),
-        tiers=data.get("tiers"),
+        tiers=None if data.get("tiers") is None else int(data["tiers"]),
     )
 
 
 def _load_cfg(path: Path) -> SourceSinkConfig:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _load_object(path)
     return SourceSinkConfig(
         sources=frozenset(data.get("sources", ())),
         sinks=frozenset(data.get("sinks", ())),
-        msg_api_list=tuple(data.get("msg_apis", ("net.send", "net.recv"))),
     )
 
 
@@ -144,7 +152,6 @@ def cmd_simulate(args) -> int:
             {
                 "sources": sorted(cfg.sources),
                 "sinks": sorted(cfg.sinks),
-                "msg_apis": list(cfg.msg_api_list),
             },
             indent=2,
             sort_keys=True,
@@ -250,7 +257,7 @@ def cmd_tune(args) -> int:
         deps_files[proc] = deps_name
         with open(out / deps_name, "w", encoding="utf-8") as fh:
             for method in sorted(final, key=MethodId.sort_key):
-                for member in sorted(final[method].members, key=MethodId.sort_key):
+                for member in sorted(final[method], key=MethodId.sort_key):
                     fh.write(f"dep {_method_str(method)} {_method_str(member)}\n")
     (out / "run.json").write_text(
         json.dumps(
@@ -273,7 +280,7 @@ def cmd_tune(args) -> int:
 
 
 def _load_run(run_dir: Path):
-    manifest = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    manifest = _load_object(run_dir / "run.json")
     traces, _ = read_bundle(Path(manifest["bundle"]))
     per_process = {}
     for proc, name in manifest["deps_files"].items():
@@ -286,8 +293,7 @@ def _load_run(run_dir: Path):
             member = _parse_method(parts[2])
             deps.setdefault(method, set()).add(member)
         per_process[proc] = {
-            method: DependenceSet(method, frozenset(members))
-            for method, members in deps.items()
+            method: frozenset(members) for method, members in deps.items()
         }
     return manifest, traces, per_process
 
@@ -306,7 +312,7 @@ def cmd_query(args) -> int:
     else:
         query = _parse_method(args.method)
     merged = merge_query(query, per_process, traces)
-    for member in sorted(merged.members, key=MethodId.sort_key):
+    for member in sorted(merged, key=MethodId.sort_key):
         print(_method_str(member))
     return 0
 
@@ -317,7 +323,7 @@ def cmd_query(args) -> int:
 
 
 def _dep_data_from_json(path: Path) -> DepData:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _load_object(path)
     parse = _parse_method
     return DepData(
         local_ds={
@@ -360,7 +366,7 @@ def cmd_quality(args) -> int:
     vuln_entries = []
     n_non_nvd = 0
     if args.vulns:
-        vdata = json.loads(Path(args.vulns).read_text(encoding="utf-8"))
+        vdata = _load_object(Path(args.vulns))
         n_non_nvd = int(vdata.get("n_non_nvd", 0))
         vuln_entries = [tuple(e) for e in vdata.get("entries", ())]
     vector = {

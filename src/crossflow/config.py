@@ -12,16 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-BIT_NAMES = (
-    "static_graph",
-    "context_sensitivity",
-    "flow_sensitivity",
-    "method_event",
-    "statement_coverage",
-    "method_instance_level",
-)
-
-
 class InvalidConfigError(ValueError):
     def __init__(self, encoding: str, reason: str):
         super().__init__(f"invalid configuration {encoding}: {reason}")

@@ -18,14 +18,14 @@ ticks and analysis costs.  A wallclock mode exists for demos.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
 from .config import Configuration, MOST_PRECISE
-from .methodpaths import DependenceSet
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import StaticDepGraph, reachable
 from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans
@@ -46,7 +46,10 @@ class Budget:
     compute: float
 
     def __post_init__(self) -> None:
-        if min(self.total, self.construct, self.load, self.compute) <= 0:
+        parts = (self.total, self.construct, self.load, self.compute)
+        if not all(map(math.isfinite, parts)):
+            raise EngineError("budget components must be finite")
+        if min(parts) <= 0:
             raise EngineError("budget components must be positive")
         if self.construct + self.load + self.compute > self.total + 1e-9:
             raise EngineError("sub-budgets exceed the total budget")
@@ -100,7 +103,23 @@ class CostModel:
 
     @classmethod
     def from_file(cls, path: Path) -> "CostModel":
+        """The model in a JSON object of field values; a non-object, an
+        unknown field or a cost that is not a finite number raises
+        ``ValueError`` naming the file."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: cost model must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key, value in data.items():
+            if key not in known:
+                raise ValueError(f"{path}: unknown cost-model field {key!r}")
+            # type() rather than isinstance(): JSON true is no cost
+            if key != "mode" and (
+                type(value) not in (int, float) or not -math.inf < value < math.inf
+            ):
+                raise ValueError(
+                    f"{path}: cost-model field {key!r} must be a finite number"
+                )
         return cls(**data)
 
 
@@ -170,7 +189,7 @@ def compute_deps(
     graphs: Mapping[tuple[bool, bool], StaticDepGraph],
     coverage: Optional[set[str]],
     table: MethodTable,
-) -> dict[MethodId, DependenceSet]:
+) -> dict[MethodId, frozenset[MethodId]]:
     """One round of intraprocess dependence computation.
 
     Semantics by configuration bits: without instance-level granularity the
@@ -222,10 +241,7 @@ def compute_deps(
             ds[m] |= reachable(out_edges, (m,)) & executed
 
     return {
-        table.method_of(m): DependenceSet(
-            table.method_of(m),
-            frozenset(table.method_of(x) for x in members),
-        )
+        table.method_of(m): frozenset(table.method_of(x) for x in members)
         for m, members in ds.items()
     }
 
@@ -316,7 +332,7 @@ class RoundRecord:
     cost: float
     budget: float
     timed_out: bool
-    deps: Optional[dict[MethodId, DependenceSet]]
+    deps: Optional[dict[MethodId, frozenset[MethodId]]]
 
     def log_line(self) -> str:
         return (
@@ -419,7 +435,7 @@ def _run_round(
     config = state.config
     timed_out = False
     cost = 0.0
-    deps: Optional[dict[MethodId, DependenceSet]] = None
+    deps: Optional[dict[MethodId, frozenset[MethodId]]] = None
     wall_start = time.perf_counter() if costs.mode == "wallclock" else None
 
     if config.static_graph:
@@ -471,9 +487,9 @@ def render_round_log(rounds: Iterable[RoundRecord]) -> str:
 
 def merge_query(
     query: MethodId | tuple[str, str],
-    per_process: Mapping[str, Mapping[MethodId, DependenceSet]],
+    per_process: Mapping[str, Mapping[MethodId, frozenset[MethodId]]],
     traces: Mapping[str, ProcessTrace],
-) -> DependenceSet:
+) -> frozenset[MethodId]:
     """Merge per-process dependence sets for a query into the final set.
 
     The query names code (class, method); the process where it first entered
@@ -489,20 +505,15 @@ def merge_query(
     spans = method_spans(traces)
     instances = {m: span for m, span in spans.items() if m.code_key == key}
     if not instances:
-        root = (
-            query
-            if isinstance(query, MethodId)
-            else MethodId("unexecuted", key[0], key[1])
-        )
-        return DependenceSet(root, frozenset())
+        return frozenset()
 
     anchor = min(instances, key=lambda m: (instances[m][0], m.process))
     reach = EventGraph(traces).first_reached_ts(entries[anchor])
     members: set[MethodId] = set()
     for m in instances.keys() | _reached_methods(spans, reach):
         local = per_process.get(m.process, {})
-        members |= local.get(m, DependenceSet(m, frozenset())).members | {m}
-    return DependenceSet(anchor, frozenset(members))
+        members |= local.get(m, frozenset()) | {m}
+    return frozenset(members)
 
 
 def _reached_methods(
@@ -518,7 +529,7 @@ def _reached_methods(
 
 def dep_data_from_run(
     traces: Mapping[str, ProcessTrace],
-    per_process: Mapping[str, Mapping[MethodId, DependenceSet]],
+    per_process: Mapping[str, Mapping[MethodId, frozenset[MethodId]]],
 ):
     """Assemble coupling-metric inputs from per-process dependence results.
 
@@ -537,10 +548,8 @@ def dep_data_from_run(
     local_ds = {}
     remote_ds = {}
     for m in sorted(spans, key=MethodId.sort_key):
-        intra = per_process.get(m.process, {}).get(
-            m, DependenceSet(m, frozenset())
-        )
-        local_ds[m] = frozenset(x for x in intra.members if x != m)
+        intra = per_process.get(m.process, {}).get(m, frozenset())
+        local_ds[m] = frozenset(x for x in intra if x != m)
         remote_ds[m] = frozenset(
             _reached_methods(spans, graph.first_reached_ts(entries[m]))
         )

@@ -32,17 +32,6 @@ DEFAULT_WORK_BUDGET = 400000
 
 
 @dataclass(frozen=True)
-class DependenceSet:
-    root: MethodId
-    members: frozenset[MethodId]
-
-
-@dataclass(frozen=True)
-class MethodFlowPath:
-    methods: tuple[MethodId, ...]
-
-
-@dataclass(frozen=True)
 class PathSet:
     """Phase-1 paths as method-rank tuples.
 
@@ -57,10 +46,10 @@ class PathSet:
     paths: tuple[tuple[int, ...], ...]
     truncated: bool
 
-    def flow_paths(self) -> frozenset[MethodFlowPath]:
-        """The paths as ``MethodFlowPath`` objects (for checks, not output)."""
+    def flow_paths(self) -> frozenset[tuple[MethodId, ...]]:
+        """The paths as method tuples (for checks, not output)."""
         ms = self.methods
-        return frozenset(MethodFlowPath(tuple([ms[i] for i in k])) for k in self.paths)
+        return frozenset(tuple([ms[i] for i in k]) for k in self.paths)
 
 
 def method_ds(
@@ -68,7 +57,7 @@ def method_ds(
     traces: Mapping[str, ProcessTrace],
     spans: Optional[Mapping[MethodId, tuple[int, int]]] = None,
     influenced: Optional[Mapping[tuple[str, str], int]] = None,
-) -> DependenceSet:
+) -> frozenset[MethodId]:
     """Forward impact set of q: methods whose execution may depend on it.
 
     An unexecuted q yields the empty set.  Remote membership uses only the
@@ -77,7 +66,7 @@ def method_ds(
     """
     spans = method_spans(traces) if spans is None else spans
     if q not in spans:
-        return DependenceSet(q, frozenset())
+        return frozenset()
     influenced = influenced_recv_ts(traces) if influenced is None else influenced
     entry_ts = spans[q][0]
     members = {
@@ -93,7 +82,7 @@ def method_ds(
         for m, (_, lr) in spans.items():
             if m.process == proc and t <= lr:
                 members.add(m)
-    return DependenceSet(q, frozenset(members))
+    return frozenset(members)
 
 
 def _source_ds(
@@ -105,7 +94,7 @@ def _source_ds(
     influence map is built once for all sources."""
     influenced = influenced_recv_ts(traces)
     for q in sorted(set(source_methods), key=MethodId.sort_key):
-        yield q, method_ds(q, traces, spans, influenced).members
+        yield q, method_ds(q, traces, spans, influenced)
 
 
 def pair_methods(
@@ -272,21 +261,22 @@ def _enumerate(
 
 
 def check_path_ordering(
-    path: MethodFlowPath, spans: Mapping[MethodId, tuple[int, int]]
+    path: tuple[MethodId, ...], spans: Mapping[MethodId, tuple[int, int]]
 ) -> bool:
     """The emitted-path predicate, machine-checkable per path."""
-    ms = path.methods
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if spans[ms[i]][0] > spans[ms[j]][1]:
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            if spans[path[i]][0] > spans[path[j]][1]:
                 return False
     return True
 
 
-def covers_chain(paths: Iterable[MethodFlowPath], chain: tuple[MethodId, ...]) -> bool:
+def covers_chain(
+    paths: Iterable[tuple[MethodId, ...]], chain: tuple[MethodId, ...]
+) -> bool:
     """True if some path contains the chain as an ordered subsequence."""
     for path in paths:
-        it = iter(path.methods)
+        it = iter(path)
         if all(m in it for m in chain):
             return True
     return False

@@ -27,11 +27,6 @@ from .trace import EventRecord, MethodId, TraceMap, stamp_lamport
 
 TOPOLOGIES = ("client_server", "peer_to_peer", "n_tier")
 
-STMT_KINDS = (
-    "source", "sink", "assign", "field_set", "field_get",
-    "call", "send", "recv", "branch",
-)
-
 
 class ScenarioError(ValueError):
     pass
@@ -83,7 +78,6 @@ class MethodBody:
 @dataclass(frozen=True)
 class ProgramModel:
     processes: tuple[str, ...]
-    classes: Mapping[str, tuple[str, ...]]
     bodies: Mapping[MethodId, MethodBody]
     entries: Mapping[str, MethodId]
     sources: frozenset[str]
@@ -186,7 +180,6 @@ class _MethodBuilder:
 class _ProgramBuilder:
     def __init__(self) -> None:
         self.methods: list[_MethodBuilder] = []
-        self.classes: dict[str, set[str]] = {}
         self.entries: dict[str, MethodId] = {}
 
     def method(
@@ -194,7 +187,6 @@ class _ProgramBuilder:
     ) -> _MethodBuilder:
         mb = _MethodBuilder(MethodId(proc, cls, name), params)
         self.methods.append(mb)
-        self.classes.setdefault(proc, set()).add(cls)
         return mb
 
     def entry(self, proc: str, mb: _MethodBuilder) -> None:
@@ -213,10 +205,8 @@ class _ProgramBuilder:
                     sends.add(s.stmt_id)
                 elif s.kind == "recv":
                     recvs.add(s.stmt_id)
-        procs = tuple(sorted(self.entries))
         return ProgramModel(
-            processes=procs,
-            classes={p: tuple(sorted(self.classes[p])) for p in procs},
+            processes=tuple(sorted(self.entries)),
             bodies=bodies,
             entries=dict(self.entries),
             sources=frozenset(sources),
@@ -563,7 +553,7 @@ def simulate(
             raise ScenarioError(f"simulation deadlock: {blocked}")
 
     raw = {p: states[p].events for p in model.processes}
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     return traces, GroundTruth(frozenset(deps), frozenset(paths))
 
 

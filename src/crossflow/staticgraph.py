@@ -93,11 +93,10 @@ class StaticDepGraph:
 
 @dataclass(frozen=True)
 class SourceSinkConfig:
-    """Sources and sinks of interest plus the message-passing API names."""
+    """Source and sink statements of interest."""
 
     sources: frozenset[str]
     sinks: frozenset[str]
-    msg_api_list: tuple[str, ...] = ("net.send", "net.recv")
 
     def require_nonempty(self) -> None:
         if not self.sources or not self.sinks:

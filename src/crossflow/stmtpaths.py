@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .staticgraph import StaticDepGraph, SourceSinkConfig, partial_graph, reachable
-from .trace import (
-    GlobalOrder,
-    MethodId,
-    ProcessTrace,
-    merge_global,
-)
+from .trace import EventRecord, MethodId, ProcessTrace, merge_global
 
 DEFAULT_STMT_PATH_LIMIT = 24
 
@@ -37,7 +32,6 @@ DEFAULT_STMT_PATH_LIMIT = 24
 class DynDepGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
-    methods: Mapping[str, MethodId]
 
     def out_adj(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {}
@@ -47,20 +41,12 @@ class DynDepGraph:
 
 
 @dataclass(frozen=True)
-class StmtFlowPath:
-    stmts: tuple[str, ...]
-    segment_kind: str
-
-    def render(self) -> str:
-        return " -> ".join(self.stmts)
-
-
-@dataclass(frozen=True)
 class InletOutletIndex:
-    """Message callsites on path methods, with their event timestamps."""
+    """Statement ids of the message callsites that path methods executed:
+    recv sites (inlets) and send sites (outlets)."""
 
-    inlets: Mapping[str, tuple[int, ...]]
-    outlets: Mapping[str, tuple[int, ...]]
+    inlets: frozenset[str]
+    outlets: frozenset[str]
 
     @classmethod
     def build(
@@ -68,20 +54,17 @@ class InletOutletIndex:
         traces: Mapping[str, ProcessTrace],
         path_methods: set[MethodId],
     ) -> "InletOutletIndex":
-        inlets: dict[str, list[int]] = {}
-        outlets: dict[str, list[int]] = {}
+        inlets: set[str] = set()
+        outlets: set[str] = set()
         for trace in traces.values():
             for ev in trace.events:
                 if ev.method not in path_methods or ev.stmt_id is None:
                     continue
                 if ev.kind == "recv":
-                    inlets.setdefault(ev.stmt_id, []).append(ev.ts)
+                    inlets.add(ev.stmt_id)
                 elif ev.kind == "send":
-                    outlets.setdefault(ev.stmt_id, []).append(ev.ts)
-        return cls(
-            {s: tuple(v) for s, v in inlets.items()},
-            {s: tuple(v) for s, v in outlets.items()},
-        )
+                    outlets.add(ev.stmt_id)
+        return cls(frozenset(inlets), frozenset(outlets))
 
 
 def _method_event_seq(trace: ProcessTrace) -> list[MethodId]:
@@ -118,7 +101,7 @@ def build_ddg(
     src_method = sdg.nodes.get(source_stmt)
     sink_method = sdg.nodes.get(sink_stmt)
     if src_method not in executed or sink_method not in executed:
-        return DynDepGraph(frozenset(), frozenset(), {})
+        return DynDepGraph(frozenset(), frozenset())
 
     active: set[tuple[str, str]] = set()
     for e in sdg.edges:
@@ -147,7 +130,6 @@ def build_ddg(
     return DynDepGraph(
         nodes=frozenset(keep),
         edges=frozenset((a, b) for a, b in active if a in keep and b in keep),
-        methods={s: sdg.nodes[s] for s in keep},
     )
 
 
@@ -157,7 +139,6 @@ def prune_ddg(ddg: DynDepGraph, coverage: Iterable[str]) -> DynDepGraph:
     return DynDepGraph(
         nodes=frozenset(keep),
         edges=frozenset((a, b) for a, b in ddg.edges if a in keep and b in keep),
-        methods={s: m for s, m in ddg.methods.items() if s in keep},
     )
 
 
@@ -165,14 +146,13 @@ def find_paths(
     ddg: DynDepGraph,
     ins: Iterable[str],
     outs: Iterable[str],
-    allowed_methods: set[MethodId],
+    allowed: set[str],
     limit: int = DEFAULT_STMT_PATH_LIMIT,
 ) -> list[tuple[str, ...]]:
-    """All simple paths from ``ins`` to ``outs`` over statements whose
-    enclosing methods executed in the given trace restriction."""
-    allowed = {
-        s for s in ddg.nodes if ddg.methods[s] in allowed_methods
-    }
+    """All simple paths from ``ins`` to ``outs`` over the ``allowed``
+    statements of ``ddg``, each a statement tuple, at most ``limit`` long.
+    ``allowed`` must hold only nodes of ``ddg``; phase 2 passes those whose
+    enclosing methods executed in one process."""
     starts = sorted(set(ins) & allowed)
     ends = set(outs) & allowed
     adj = ddg.out_adj()
@@ -202,11 +182,11 @@ def splice_segments(
     source_segs: Sequence[tuple[str, ...]],
     remote_segs: Sequence[tuple[str, ...]],
     sink_segs: Sequence[tuple[str, ...]],
-    order: GlobalOrder,
+    order: Sequence[EventRecord],
     index: InletOutletIndex,
     stmt_methods: Mapping[str, MethodId],
     strict: bool = False,
-) -> list[StmtFlowPath]:
+) -> list[tuple[str, ...]]:
     """Concatenate source, remote, and sink segments whose junctions have no
     intervening inlet/outlet events (or no intervening events at all when
     ``strict``).
@@ -227,7 +207,7 @@ def splice_segments(
     """
     junction_seq = [
         ev
-        for ev in order.merged
+        for ev in order
         if strict
         or (
             ev.kind in ("send", "recv")
@@ -256,7 +236,7 @@ def splice_segments(
 
     # end stmt -> (sink segments, remote segment indexes) it joins
     successors: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
-    spliced: list[StmtFlowPath] = []
+    spliced: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()
 
     def extend(prefix: tuple[str, ...], used: frozenset[int]) -> None:
@@ -276,7 +256,7 @@ def splice_segments(
             full = prefix + sink_seg
             if full not in seen:
                 seen.add(full)
-                spliced.append(StmtFlowPath(full, "spliced"))
+                spliced.append(full)
         # or continue through an unused remote segment
         for i in remote_next:
             if i not in used:
@@ -284,7 +264,7 @@ def splice_segments(
 
     for source_seg in source_segs:
         extend(tuple(source_seg), frozenset())
-    spliced.sort(key=lambda p: p.stmts)
+    spliced.sort()
     return spliced
 
 
@@ -292,26 +272,22 @@ def splice_segments(
 class PairResult:
     source_stmt: str
     sink_stmt: str
-    intra: tuple[StmtFlowPath, ...]
-    interprocess: tuple[StmtFlowPath, ...]
+    intra: tuple[tuple[str, ...], ...]
+    interprocess: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
 class Phase2Result:
     pairs: tuple[PairResult, ...]
 
-    def intra_paths(self) -> list[StmtFlowPath]:
+    def intra_paths(self) -> list[tuple[str, ...]]:
         return [p for pair in self.pairs for p in pair.intra]
 
-    def interprocess_paths(self) -> list[StmtFlowPath]:
+    def interprocess_paths(self) -> list[tuple[str, ...]]:
         return [p for pair in self.pairs for p in pair.interprocess]
 
     def all_stmt_sequences(self) -> set[tuple[str, ...]]:
-        return {
-            p.stmts
-            for pair in self.pairs
-            for p in list(pair.intra) + list(pair.interprocess)
-        }
+        return {p for pair in self.pairs for p in pair.intra + pair.interprocess}
 
 
 def phase2(
@@ -352,36 +328,34 @@ def phase2(
             if not ddg.nodes:
                 continue
             src_proc, sink_proc = ms.process, mt.process
-            outlet_stmts = set(index.outlets)
-            inlet_stmts = set(index.inlets)
+            # per process, the DDG statements whose methods executed there
+            allowed = {
+                proc: {s for s in ddg.nodes if partial.nodes[s] in methods}
+                for proc, methods in executed_by_proc.items()
+            }
 
             source_segs = find_paths(
-                ddg, {s}, outlet_stmts, executed_by_proc[src_proc], path_limit
+                ddg, {s}, index.outlets, allowed[src_proc], path_limit
             )
-            intra: list[StmtFlowPath] = []
+            intra: list[tuple[str, ...]] = []
             if src_proc == sink_proc:
-                intra = [
-                    StmtFlowPath(p, "intra")
-                    for p in find_paths(
-                        ddg, {s}, {t}, executed_by_proc[src_proc], path_limit
-                    )
-                ]
+                intra = find_paths(ddg, {s}, {t}, allowed[src_proc], path_limit)
             remote_segs: list[tuple[str, ...]] = []
             for proc in sorted(traces):
                 if proc in (src_proc, sink_proc):
                     continue
                 remote_segs.extend(
                     find_paths(
-                        ddg, inlet_stmts, outlet_stmts,
-                        executed_by_proc[proc], path_limit,
+                        ddg, index.inlets, index.outlets, allowed[proc],
+                        path_limit,
                     )
                 )
             sink_segs = find_paths(
-                ddg, inlet_stmts, {t}, executed_by_proc[sink_proc], path_limit
+                ddg, index.inlets, {t}, allowed[sink_proc], path_limit
             )
             spliced = splice_segments(
                 source_segs, remote_segs, sink_segs, order, index,
-                ddg.methods, strict=strict_splice,
+                partial.nodes, strict=strict_splice,
             )
             results.append(
                 PairResult(s, t, tuple(intra), tuple(spliced))
@@ -393,9 +367,9 @@ def render_stmt_paths(result: Phase2Result) -> str:
     lines = []
     for pair in result.pairs:
         for p in pair.intra:
-            lines.append(f"path level=stmt kind=intra {p.render()}")
+            lines.append(f"path level=stmt kind=intra {' -> '.join(p)}")
         for p in pair.interprocess:
-            lines.append(f"path level=stmt kind=spliced {p.render()}")
+            lines.append(f"path level=stmt kind=spliced {' -> '.join(p)}")
     lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")
 

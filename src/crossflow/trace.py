@@ -116,46 +116,26 @@ class ProcessTrace:
         return all(ev.ts is not None for ev in self.events)
 
 
-@dataclass(frozen=True)
-class FirstMsgMap:
-    """(receiver, sender) -> Lamport ts of the receiver's first message from
-    that sender.  Only direct messages populate the map; transitive message
-    reachability is answered by the vector clocks of :class:`EventGraph`."""
-
-    entries: Mapping[tuple[str, str], int]
-
-    def first_recv_ts(self, receiver: str, sender: str) -> Optional[int]:
-        return self.entries.get((receiver, sender))
-
-
-@dataclass(frozen=True)
-class GlobalOrder:
-    """All events merged into one deterministic total order extending the
-    Lamport partial order; tiebreak is (ts, process id, seq)."""
-
-    merged: tuple[EventRecord, ...]
-
-
 TraceMap = dict[str, ProcessTrace]
 
 
-def stamp_lamport(
-    raw_traces: Mapping[str, Sequence[EventRecord]],
-) -> tuple[TraceMap, FirstMsgMap]:
-    """Assign Lamport timestamps to every event and build the first-message map.
+def stamp_lamport(raw_traces: Mapping[str, Sequence[EventRecord]]) -> TraceMap:
+    """Assign Lamport timestamps to every event.
 
     Rules: each event increments its process counter; a send piggybacks its
     own timestamp; a recv takes max(local counter, piggybacked) + 1.  Existing
     timestamps on input events are ignored and recomputed, so stamping is
     idempotent.  Each ``msg_id`` must be sent once and received at most once.
+    Which process first heard from which is answered by the vector clocks
+    of :class:`EventGraph` (see :func:`influenced_recv_ts`).
     """
-    sends: dict[str, EventRecord] = {}
+    sends: set[str] = set()
     for proc in raw_traces:
         for ev in raw_traces[proc]:
             if ev.kind == "send":
                 if ev.msg_id in sends:
                     raise MalformedTraceError(f"duplicate send msg_id {ev.msg_id!r}")
-                sends[ev.msg_id] = ev
+                sends.add(ev.msg_id)
     received: set[str] = set()
     for proc in raw_traces:
         for ev in raw_traces[proc]:
@@ -171,7 +151,6 @@ def stamp_lamport(
     cursors = {proc: 0 for proc in raw_traces}
     send_ts: dict[str, int] = {}
     stamped: dict[str, list[EventRecord]] = {proc: [] for proc in raw_traces}
-    first_msgs: dict[tuple[str, str], int] = {}
     order = sorted(raw_traces)
 
     remaining = sum(len(raw_traces[p]) for p in raw_traces)
@@ -192,23 +171,18 @@ def stamp_lamport(
                 stamped[proc].append(new)
                 if ev.kind == "send":
                     send_ts[ev.msg_id] = ts
-                elif ev.kind == "recv":
-                    sender = sends[ev.msg_id].process
-                    first_msgs.setdefault((proc, sender), ts)
                 cursors[proc] += 1
                 remaining -= 1
                 progressed = True
         if not progressed:
             raise CausalityError("cyclic message causality; cannot stamp traces")
 
-    traces = {
-        proc: ProcessTrace(proc, tuple(stamped[proc])) for proc in raw_traces
-    }
-    return traces, FirstMsgMap(dict(first_msgs))
+    return {proc: ProcessTrace(proc, tuple(stamped[proc])) for proc in raw_traces}
 
 
-def merge_global(traces: Mapping[str, ProcessTrace]) -> GlobalOrder:
-    """Merge stamped traces into one total order by (ts, process, seq)."""
+def merge_global(traces: Mapping[str, ProcessTrace]) -> tuple[EventRecord, ...]:
+    """All stamped events in one deterministic total order extending the
+    Lamport partial order: sorted by (ts, process, seq)."""
     flat: list[EventRecord] = []
     for proc in sorted(traces):
         trace = traces[proc]
@@ -216,7 +190,7 @@ def merge_global(traces: Mapping[str, ProcessTrace]) -> GlobalOrder:
             raise TraceError(f"trace of {proc} is not stamped")
         flat.extend(trace.events)
     flat.sort(key=lambda e: (e.ts, e.process, e.seq))
-    return GlobalOrder(tuple(flat))
+    return tuple(flat)
 
 
 class EventGraph:
@@ -240,7 +214,7 @@ class EventGraph:
         current = {p: [-1] * len(procs) for p in procs}
         sent: dict[str, list[int]] = {}
         received: set[str] = set()
-        for ev in merge_global(traces).merged:
+        for ev in merge_global(traces):
             clock = current[ev.process]
             clock[self._index[ev.process]] = ev.seq
             if ev.kind == "send":
@@ -508,7 +482,15 @@ def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     if not manifest_path.exists():
         raise MalformedTraceError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise MalformedTraceError(f"{manifest_path}: not a JSON object")
+    files = manifest.get("files")
     traces = {}
     for proc in manifest["processes"]:
-        traces[proc] = read_trace(directory / manifest["files"][proc], proc)
+        name = files.get(proc) if isinstance(files, dict) else None
+        if not isinstance(name, str):
+            raise MalformedTraceError(
+                f"{manifest_path}: no trace file named for process {proc!r}"
+            )
+        traces[proc] = read_trace(directory / name, proc)
     return traces, manifest

@@ -9,7 +9,7 @@ versions can be held to exactly the same output: ``reference_method_paths``
 (the phase-1 enumerator, whose caps decide which paths are emitted; it
 keeps its own record, not the package's ``PathSet``),
 ``reference_render_paths`` (the ``phase1.txt`` writer over
-``MethodFlowPath`` objects), ``junction_oracle`` (the splice junction rule,
+method tuples), ``junction_oracle`` (the splice junction rule,
 re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
 every junction of every prefix with ``junction_oracle``) and
 ``permutation_p_oracle`` (the exact Spearman p over every permutation, once
@@ -26,7 +26,6 @@ from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
-    MethodFlowPath,
 )
 from crossflow.trace import EventRecord, MethodId, ProcessTrace
 
@@ -183,7 +182,7 @@ def junction_oracle(
     ``strict`` or without ``stmt_methods``)."""
     seq = [
         ev
-        for ev in order.merged
+        for ev in order
         if strict
         or (
             ev.kind in ("send", "recv")
@@ -403,15 +402,15 @@ def _reference_enumerate(
     return truncated
 
 
-def reference_render_paths(paths: Iterable[MethodFlowPath]) -> str:
+def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
     """``methodpaths.render_paths`` as it was before phase 1 kept its paths
-    as rank tuples: ``phase1.txt`` from ``MethodFlowPath`` objects."""
+    as rank tuples: ``phase1.txt`` from method tuples."""
     paths = list(paths)
-    ranked = sorted(set().union(*(p.methods for p in paths)), key=MethodId.sort_key)
+    ranked = sorted(set().union(*paths), key=MethodId.sort_key)
     rank = {m: i for i, m in enumerate(ranked)}
     names = [m.qualified() for m in ranked]
     lines = [
         "path level=method " + " -> ".join([names[i] for i in key])
-        for key in sorted(tuple([rank[m] for m in p.methods]) for p in paths)
+        for key in sorted(tuple([rank[m] for m in p]) for p in paths)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -119,7 +119,7 @@ def test_criterion_1_lamport_fixture():
         "C": [EventRecord("entry", mk("C"), 0),
               EventRecord("recv", mk("C"), 1, msg_id="m2", peer="B")],
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     ts_c = traces["B"].events[0].ts
     ts_f = traces["C"].events[1].ts
     assert ts_c == 3, "recv of m1 must get max(0, 2) + 1 = 3"
@@ -146,7 +146,7 @@ def test_criterion_2_method_level_oracle_equivalence():
         reach = closure_matrix(traces)
         influenced = influenced_map_oracle(traces, reach)
         for q in spans:
-            got = method_ds(q, traces, spans).members
+            got = method_ds(q, traces, spans)
             want = brute_force_ds(q, traces, want_spans, influenced)
             assert got == want, (sc, q)
 
@@ -179,7 +179,7 @@ def _junction_oracle(path_stmts, graph, traces, index, order):
             pa, pb = nodes[a].process, nodes[b].process
             sub = [
                 ev
-                for ev in order.merged
+                for ev in order
                 if ev.kind in ("send", "recv")
                 and ev.stmt_id is not None
                 and (ev.stmt_id in index.inlets or ev.stmt_id in index.outlets)
@@ -231,7 +231,7 @@ def test_criterion_3_statement_level_soundness():
             index = InletOutletIndex.build(traces, methods)
             for p in pair.interprocess:
                 junctions += 1
-                assert _junction_oracle(p.stmts, graph, traces, index, order), (sc, p)
+                assert _junction_oracle(p, graph, traces, index, order), (sc, p)
 
         # (c) ground truth is a subset of the emitted paths
         for gt in truth.dyn_paths:
@@ -297,15 +297,15 @@ def test_criterion_5_subsumption_and_recall():
             for proc, deps in baseline.items():
                 for q, ds in deps.items():
                     ds_checks += 1
-                    assert ds.members <= per_proc[proc][q].members, (sc, enc, q)
+                    assert ds <= per_proc[proc][q], (sc, enc, q)
             # recall: every ground-truth dependence appears under this config
             for m1, m2 in truth.dyn_dep:
                 if m1.process == m2.process:
-                    assert m2 in per_proc[m1.process][m1].members, (sc, enc, m1, m2)
+                    assert m2 in per_proc[m1.process][m1], (sc, enc, m1, m2)
                 else:
                     merged = merge_query(m1, per_proc, traces)
                     merged_checks += 1
-                    assert m2 in merged.members, (sc, enc, m1, m2)
+                    assert m2 in merged, (sc, enc, m1, m2)
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
     report(

@@ -793,3 +793,160 @@ def test_tune_dump_qtable_matches_recorded_digest(tmp_path, capsys):
     for name, data in sorted(files.items()):
         h.update(name.encode() + b"\0" + data + b"\0")
     assert h.hexdigest() == TUNE_QTABLE_DIGEST
+
+
+# sha256 of f"{exit code}\n{stdout}" for `query` and `metrics --run` on one
+# seeded tune run, recorded while the dependence sets crossed from `tune`
+# to `query` and `metrics` as records with a root field
+DEPSET_SCENARIO = {"topology": "n_tier", "tiers": 4, "seed": 3, "length": 400}
+DEPSET_DIGESTS = {
+    ("query", "Main.run"): "21e41c1800e62dfde97d1057c8d3cdd44b48a72b4ab97578ddf7967436ebcde8",
+    ("query", "p2.Tier.forward"): "f2236d2c79cedd71593c1fee3f9944d3c3ccf522497a740427960af2fb9af7ee",
+    ("query", "Ghost.none"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("query", "p0.Ghost.none"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("metrics",): "5c517be951292e50e056a575187c1227166c57d8f08cc007915415e20e8efb83",
+}
+
+
+def test_query_and_metrics_match_recorded_digests(tmp_path, capsys):
+    sim = run_sim(tmp_path, **DEPSET_SCENARIO)
+    run = tmp_path / "run"
+    assert main([
+        "tune",
+        "--bundle", str(sim / "traces"),
+        "--graphs", str(sim / "graphs"),
+        "--budget", "100000", "--tc", "4", "--seed", "5",
+        "--out", str(run),
+    ]) == 0
+    got = {}
+    for key in DEPSET_DIGESTS:
+        capsys.readouterr()
+        if key[0] == "query":
+            code = main(["query", "--run", str(run), "--method", key[1]])
+        else:
+            code = main(["metrics", "--run", str(run)])
+        out = capsys.readouterr().out
+        got[key] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == DEPSET_DIGESTS
+
+
+class TestMalformedInputs:
+    """Malformed input files and values end with a documented exit code and
+    an error naming the file, never a traceback."""
+
+    def tune(self, sim, out, *flags):
+        return main([
+            "tune",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--tc", "4",
+            *flags,
+            "--out", str(out),
+        ])
+
+    def test_string_tiers_coerced_like_seed(self, tmp_path, capsys):
+        sim = run_sim(tmp_path, topology="n_tier", tiers="3", seed="2")
+        manifest = json.loads((sim / "traces" / "manifest.json").read_text())
+        assert manifest["processes"] == ["p0", "p1", "p2"]
+        assert manifest["scenario"]["tiers"] == 3
+
+    def test_non_integer_tiers_exit_3(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", topology="n_tier", tiers="three")
+        code = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "three" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["scenario", "config", "run", "depdata", "vulns"])
+    def test_non_object_json_exit_3_names_file(self, tmp_path, capsys, name):
+        sim = run_sim(tmp_path)
+        (tmp_path / "run").mkdir()
+        bad = tmp_path / ("run/run.json" if name == "run" else "bad.json")
+        bad.write_text("[1]")
+        argv = {
+            "scenario": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
+            "config": [
+                "flowpaths", "--bundle", str(sim / "traces"),
+                "--graphs", str(sim / "graphs"), "--config", str(bad),
+                "--out", str(tmp_path / "o"),
+            ],
+            "run": ["query", "--run", str(tmp_path / "run"), "--method", "Main.run"],
+            "depdata": ["metrics", "--depdata", str(bad)],
+            "vulns": ["quality", "--vulns", str(bad)],
+        }[name]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {bad}: not a JSON object\n"
+        )
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"compute_base": 1.0, "bogus": 2}', "unknown cost-model field 'bogus'"),
+        ("[1]", "cost model must be a JSON object"),
+        ('{"load_base": "1"}', "cost-model field 'load_base' must be a finite number"),
+        ('{"event_tick": NaN}', "cost-model field 'event_tick' must be a finite number"),
+        ('{"flow_factor": true}', "cost-model field 'flow_factor' must be a finite number"),
+    ], ids=["unknown-key", "not-an-object", "not-a-number", "nan", "boolean"])
+    def test_bad_cost_model_exit_3_names_file(self, tmp_path, capsys, text, message):
+        sim = run_sim(tmp_path)
+        costs = tmp_path / "costs.json"
+        costs.write_text(text)
+        code = self.tune(
+            sim, tmp_path / "out", "--budget", "1000", "--cost-model", str(costs)
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: bad input data: {costs}: {message}\n"
+
+    def test_cost_model_of_known_fields_accepted(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        costs = tmp_path / "costs.json"
+        costs.write_text('{"mode": "synthetic", "compute_base": 2, "event_tick": 0.5}')
+        code = self.tune(
+            sim, tmp_path / "out", "--budget", "1000", "--cost-model", str(costs)
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_exit_4(self, tmp_path, capsys, budget):
+        sim = run_sim(tmp_path)
+        assert self.tune(sim, tmp_path / "out", f"--budget={budget}") == 4
+        assert capsys.readouterr().err == "error: budget components must be finite\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        {"processes": ["p0", "p1"], "files": {"p1": "p1.trace"}, "scenario": {}},
+        {"processes": ["p0", "p1"], "scenario": {}},
+    ], ids=["not-an-object", "no-file-for-process", "no-files"])
+    def test_bad_trace_manifest_exit_3_names_it(self, tmp_path, capsys, manifest):
+        sim = run_sim(tmp_path)
+        path = sim / "traces" / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert self.tune(sim, tmp_path / "out", "--budget", "1000") == 3
+        want = (
+            "not a JSON object" if manifest == []
+            else "no trace file named for process 'p0'"
+        )
+        assert capsys.readouterr().err == f"error: {path}: {want}\n"
+
+    def test_simulate_config_has_no_msg_apis(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        assert sorted(json.loads((sim / "config.json").read_text())) == [
+            "sinks", "sources",
+        ]
+
+    def test_old_config_with_msg_apis_loads(self, tmp_path, capsys):
+        sim = run_sim(tmp_path, topology="n_tier", tiers=3, seed=2, length=100)
+        cfg = json.loads((sim / "config.json").read_text())
+        old = tmp_path / "old_config.json"
+        old.write_text(json.dumps({**cfg, "msg_apis": ["net.send", "net.recv"]}))
+        outs = {}
+        for name, config in (("new", sim / "config.json"), ("old", old)):
+            assert main([
+                "flowpaths",
+                "--bundle", str(sim / "traces"),
+                "--graphs", str(sim / "graphs"),
+                "--config", str(config),
+                "--out", str(tmp_path / name),
+            ]) == 0
+            outs[name] = tree_bytes(tmp_path / name)
+        assert outs["old"] == outs["new"]
+        assert "interprocess_paths 0\n" not in outs["new"]["summary.txt"].decode()

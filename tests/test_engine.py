@@ -20,7 +20,6 @@ from crossflow.engine import (
     merge_query,
     method_event_stream,
 )
-from crossflow.methodpaths import DependenceSet
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
@@ -73,16 +72,16 @@ class TestComputeDeps:
         m = mid("P", "m")
         qu = [-table.id_of(m)]
         deps = compute_deps(qu, C("000100"), {}, None, table)
-        assert deps[m].members == {m}
+        assert deps[m] == {m}
 
     def test_eas_later_method_joins(self):
         table = MethodTable()
         m1, m2 = mid("P", "m1"), mid("P", "m2")
         qu = [-table.id_of(m1), -table.id_of(m2), table.id_of(m1)]
         deps = compute_deps(qu, C("000100"), {}, None, table)
-        assert deps[m1].members == {m1, m2}
+        assert deps[m1] == {m1, m2}
         # m2's entry precedes m1's last event, so m1 depends on m2 as well
-        assert m1 in deps[m2].members
+        assert m1 in deps[m2]
 
     def test_instance_reduction_keeps_first_and_last(self):
         assert first_last_instances([-1, 1, -1, 1, -2]) == [-1, 1, -2]
@@ -95,7 +94,7 @@ class TestComputeDeps:
                 eas = compute_deps(qu, C("000100"), graphs, coverage, table)
                 full = compute_deps(qu, C("111111"), graphs, coverage, table)
                 for m, ds in full.items():
-                    assert ds.members <= eas[m].members, (sc, proc, m)
+                    assert ds <= eas[m], (sc, proc, m)
 
     def test_every_valid_config_subsumes_most_precise(self):
         for sc in SCENARIOS[:3]:
@@ -106,7 +105,7 @@ class TestComputeDeps:
                 for cfg in valid_configurations():
                     got = compute_deps(qu, cfg, graphs, coverage, table)
                     for m, ds in full.items():
-                        assert ds.members <= got[m].members, (sc, proc, cfg, m)
+                        assert ds <= got[m], (sc, proc, cfg, m)
 
     def test_interval_mode_keeps_interleaved_chain(self):
         # a is live across m and b; the impact of m must reach b through a
@@ -133,8 +132,8 @@ class TestComputeDeps:
         qu = [-ia, -im, ia, -ib, ia]
         full = compute_deps(qu, C("111111"), graphs, set(nodes), table)
         reduced = compute_deps(qu, C("111110"), graphs, set(nodes), table)
-        assert mb in full[mm].members
-        assert full[mm].members <= reduced[mm].members
+        assert mb in full[mm]
+        assert full[mm] <= reduced[mm]
 
     def test_single_bit_off_never_shrinks(self):
         for sc in SCENARIOS[:3]:
@@ -158,7 +157,7 @@ class TestComputeDeps:
                             qu, flipped, graphs, coverage, table
                         )
                         for m, ds in base.items():
-                            assert ds.members <= coarser[m].members, (
+                            assert ds <= coarser[m], (
                                 sc, proc, cfg.encode(), flipped.encode(), m,
                             )
 
@@ -176,7 +175,7 @@ class TestComputeDeps:
                 for m1, m2 in truth.dyn_dep:
                     if m1.process != m2.process:
                         continue
-                    assert m2 in per_proc[m1.process][m1].members, (sc, cfg, m1, m2)
+                    assert m2 in per_proc[m1.process][m1], (sc, cfg, m1, m2)
 
 
 class TestBudget:
@@ -286,9 +285,9 @@ class TestArbitrate:
 class TestMergeQuery:
     def test_unexecuted_query_empty(self):
         raw = {"A": [EventRecord("entry", mid("A", "m"), 0)]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ds = merge_query(("Main", "ghost"), {}, traces)
-        assert ds.members == frozenset()
+        assert ds == frozenset()
 
     def test_single_process_equals_intra(self):
         sc = Scenario("client_server", seed=0, length=90)
@@ -306,7 +305,7 @@ class TestMergeQuery:
         # the intraprocess set
         q = mid("p0", "scratch", "Util")
         merged = merge_query(q, per_proc, traces)
-        assert per_proc["p0"][q].members <= merged.members
+        assert per_proc["p0"][q] <= merged
 
     def test_two_process_message_gating(self):
         ma, mb = mid("A", "go"), mid("B", "serve")
@@ -321,7 +320,7 @@ class TestMergeQuery:
                 EventRecord("returned_into", mb, 2),
             ],
         }
-        traces, _ = stamp_lamport(with_msg)
+        traces = stamp_lamport(with_msg)
         table = MethodTable.from_traces(traces)
         per_proc = {
             proc: compute_deps(
@@ -331,14 +330,14 @@ class TestMergeQuery:
             for proc in traces
         }
         merged = merge_query(ma, per_proc, traces)
-        assert mb in merged.members
+        assert mb in merged
 
         no_msg = {
             "A": [EventRecord("entry", ma, 0)],
             "B": [EventRecord("entry", mb, 0),
                   EventRecord("returned_into", mb, 1)],
         }
-        traces2, _ = stamp_lamport(no_msg)
+        traces2 = stamp_lamport(no_msg)
         table2 = MethodTable.from_traces(traces2)
         per2 = {
             proc: compute_deps(
@@ -348,7 +347,7 @@ class TestMergeQuery:
             for proc in traces2
         }
         merged2 = merge_query(ma, per2, traces2)
-        assert mb not in merged2.members
+        assert mb not in merged2
 
     def test_interprocess_ground_truth_recalled(self):
         for sc in SCENARIOS:
@@ -365,7 +364,7 @@ class TestMergeQuery:
                     if m1.process == m2.process:
                         continue
                     merged = merge_query(m1, per_proc, traces)
-                    assert m2 in merged.members, (sc, cfg.encode(), m1, m2)
+                    assert m2 in merged, (sc, cfg.encode(), m1, m2)
 
 
 def remote_runs():
@@ -382,7 +381,7 @@ def remote_runs():
               EventRecord("entry", serve, 1),
               EventRecord("recv", serve, 2, msg_id="m0", peer="A")],
     }
-    yield "early-span", stamp_lamport(raw)[0]
+    yield "early-span", stamp_lamport(raw)
 
 
 class TestRemoteDependence:
@@ -404,7 +403,7 @@ class TestRemoteDependence:
                 anchor = min(twins, key=lambda t: (spans[t][0], t.process))
                 if anchor == m:
                     merged = merge_query(m, {}, traces)
-                    assert merged.members == {m} | twins | want[m], (name, m)
+                    assert merged == {m} | twins | want[m], (name, m)
 
     def test_merge_query_joins_a_twin_no_message_reached(self):
         # B also ran the query's code, but no message links A and B: B's
@@ -414,8 +413,7 @@ class TestRemoteDependence:
             "A": [EventRecord("entry", go_a, 0)],
             "B": [EventRecord("entry", helper, 0), EventRecord("entry", go_b, 1)],
         }
-        traces = stamp_lamport(raw)[0]
-        per_process = {"B": {go_b: DependenceSet(go_b, frozenset({go_b, helper}))}}
+        traces = stamp_lamport(raw)
+        per_process = {"B": {go_b: frozenset({go_b, helper})}}
         merged = merge_query(go_a, per_process, traces)
-        assert merged.root == go_a
-        assert merged.members == {go_a, go_b, helper}
+        assert merged == {go_a, go_b, helper}

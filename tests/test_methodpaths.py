@@ -11,7 +11,6 @@ from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
-    MethodFlowPath,
     PathSet,
     check_path_ordering,
     covers_chain,
@@ -65,13 +64,11 @@ def strictly_increasing(keys):
 def assert_matches_reference(got, want, where):
     """Same paths, count, truncation flag and ``phase1.txt`` text as the
     reference enumerator and writer, with keys strictly increasing."""
-    assert {p.methods for p in got.flow_paths()} == want.paths, where
+    assert {p for p in got.flow_paths()} == want.paths, where
     assert len(got.paths) == len(want.paths), where
     assert got.truncated == want.truncated, where
     assert strictly_increasing(got.paths), where
-    assert render_paths(got) == reference_render_paths(
-        MethodFlowPath(ms) for ms in want.paths
-    ), where
+    assert render_paths(got) == reference_render_paths(want.paths), where
 
 
 def owner_chains(model, truth):
@@ -91,23 +88,23 @@ def owner_chains(model, truth):
 class TestMethodDs:
     def test_last_event_single_process(self):
         raw = {"A": [ev("A", 0, "entry", "m1"), ev("A", 1, "entry", "q")]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ds = method_ds(mid("A", "q"), traces)
-        assert ds.members == {mid("A", "q")}
+        assert ds == {mid("A", "q")}
 
     def test_unexecuted_method_empty(self):
         raw = {"A": [ev("A", 0, "entry", "m1")]}
-        traces, _ = stamp_lamport(raw)
-        assert method_ds(mid("A", "ghost"), traces).members == frozenset()
+        traces = stamp_lamport(raw)
+        assert method_ds(mid("A", "ghost"), traces) == frozenset()
 
     def test_silent_remote_process_contributes_nothing(self):
         raw = {
             "A": [ev("A", 0, "entry", "q")],
             "B": [ev("B", 0, "entry", "m")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ds = method_ds(mid("A", "q"), traces)
-        assert all(m.process == "A" for m in ds.members)
+        assert all(m.process == "A" for m in ds)
 
     def test_remote_member_via_message(self):
         raw = {
@@ -117,10 +114,10 @@ class TestMethodDs:
                   ev("B", 1, "recv", "m", msg_id="m1", peer="A"),
                   ev("B", 2, "returned_into", "m")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ds = method_ds(mid("A", "q"), traces)
-        assert mid("B", "m") in ds.members
-        assert ds.members == brute_force_ds(mid("A", "q"), traces)
+        assert mid("B", "m") in ds
+        assert ds == brute_force_ds(mid("A", "q"), traces)
 
     def test_message_before_fe_not_counted(self):
         # B's only message from A arrives before q starts
@@ -131,10 +128,10 @@ class TestMethodDs:
             "B": [ev("B", 0, "recv", "m", msg_id="m1", peer="A"),
                   ev("B", 1, "returned_into", "m")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ds = method_ds(mid("A", "q"), traces)
-        assert mid("B", "m") not in ds.members
-        assert ds.members == brute_force_ds(mid("A", "q"), traces)
+        assert mid("B", "m") not in ds
+        assert ds == brute_force_ds(mid("A", "q"), traces)
 
     def test_equals_brute_force_over_seeds(self):
         scenarios = [
@@ -152,7 +149,7 @@ class TestMethodDs:
             assert spans == want_spans, sc
             influenced = influenced_map_oracle(traces)
             for q in spans:
-                got = method_ds(q, traces, spans).members
+                got = method_ds(q, traces, spans)
                 want = brute_force_ds(q, traces, want_spans, influenced)
                 assert got == want, (sc, q)
 
@@ -160,7 +157,7 @@ class TestMethodDs:
 class TestMethodLevelPaths:
     def test_no_source_executed(self):
         raw = {"A": [ev("A", 0, "entry", "m1")]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ps = method_level_paths(traces, [mid("A", "ghost")], [mid("A", "m1")])
         assert not ps.paths
 
@@ -169,7 +166,7 @@ class TestMethodLevelPaths:
         raw = {
             "A": [ev("A", 0, "entry", "sinky"), ev("A", 1, "entry", "q")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         spans = method_spans(traces)
         assert spans[mid("A", "sinky")][1] < spans[mid("A", "q")][0]
         ps = method_level_paths(traces, [mid("A", "q")], [mid("A", "sinky")])
@@ -186,7 +183,7 @@ class TestMethodLevelPaths:
         assert not ps.truncated
         spanning = [
             p for p in ps.flow_paths()
-            if {m.process for m in p.methods} == {"p0", "p1", "p2"}
+            if {m.process for m in p} == {"p0", "p1", "p2"}
         ]
         assert spanning
 
@@ -204,7 +201,7 @@ class TestMethodLevelPaths:
             )
             for p in ps.flow_paths():
                 assert check_path_ordering(p, spans)
-                assert len(set(p.methods)) == len(p.methods)
+                assert len(set(p)) == len(p)
 
     def test_ground_truth_chains_covered(self):
         scenarios = [
@@ -300,14 +297,14 @@ class TestMethodLevelPaths:
                   ev("B", 2, "entry", "m2"),
                   ev("B", 3, "entry", "s2")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         spans = method_spans(traces)
         assert spans[mid("B", "m2")][0] == spans[mid("A", "s")][1]
         srcs = [mid("A", "q")]
         for sinks in ([mid("A", "s")], [mid("A", "s"), mid("B", "s2")]):
             full = method_level_paths(traces, srcs, sinks)
             assert (mid("A", "q"), mid("B", "m2"), mid("A", "s")) in {
-                p.methods for p in full.flow_paths()
+                p for p in full.flow_paths()
             }
             for limit in range(2, 7):
                 for max_paths in range(1, 8):
@@ -334,11 +331,11 @@ class TestMethodLevelPaths:
                   ev("B", 2, "recv", "m", msg_id="m2", peer="A"),
                   ev("B", 3, "returned_into", "m")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         q1, q2, s = mid("A", "q1"), mid("A", "q2"), mid("A", "s")
         srcs, sinks = [q2, q1], [s]
-        assert method_ds(q1, traces).members == {q1, q2, mid("B", "m"), s}
-        assert method_ds(q2, traces).members == {q2, mid("B", "m"), s}
+        assert method_ds(q1, traces) == {q1, q2, mid("B", "m"), s}
+        assert method_ds(q2, traces) == {q2, mid("B", "m"), s}
         full = method_level_paths(traces, srcs, sinks)
         starts = [full.methods[key[0]] for key in full.paths]
         assert starts == [q1] * 5 + [q2] * 2
@@ -378,7 +375,7 @@ def stamped_traces(draw):
             pending.append((f"m{n}", proc))
             kw = dict(msg_id=f"m{n}", peer=peer)
         raw[proc].append(ev(proc, len(raw[proc]), kind, method, **kw))
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     return traces, [mid(p, name) for p in procs for name in names]
 
 
@@ -413,7 +410,7 @@ def wide_fixture():
     b = [("entry", "v0", {}), ("recv", "v0", dict(msg_id="m1", peer="A"))]
     b += [("entry", f"v{i}", {}) for i in range(1, 30)]
     b.append(("returned_into", "v0", {}))
-    traces, _ = stamp_lamport({
+    traces = stamp_lamport({
         proc: [ev(proc, seq, kind, name, **kw) for seq, (kind, name, kw) in enumerate(evs)]
         for proc, evs in (("A", a), ("B", b))
     })
@@ -430,7 +427,7 @@ WIDE = wide_fixture()
 )
 @settings(max_examples=60, deadline=None)
 def test_equals_reference_beyond_a_machine_word(late_sinks, early_sink, cap):
-    assert len(method_ds(mid("A", "w0"), WIDE).members) == 70
+    assert len(method_ds(mid("A", "w0"), WIDE)) == 70
     sinks = [mid("B", f"v{i}") for i in late_sinks]
     sinks += [mid("A", "w25")] if early_sink else []
     limit, max_paths, budget = cap
@@ -471,7 +468,7 @@ def test_pair_methods_when_a_source_is_also_a_sink():
               ev("B", 1, "recv", "m", msg_id="m1", peer="A"),
               ev("B", 2, "returned_into", "m")],
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     q, s = mid("A", "q"), mid("A", "s")
     pairs = pair_methods(traces, [q], [q, s])
     assert pairs == {
@@ -480,14 +477,14 @@ def test_pair_methods_when_a_source_is_also_a_sink():
     }
     assert pairs == path_unions(reference_method_paths(traces, [q], [q, s]).paths)
     assert pairs == path_unions(
-        p.methods for p in method_level_paths(traces, [q], [q, s]).flow_paths()
+        p for p in method_level_paths(traces, [q], [q, s]).flow_paths()
     )
     assert pair_methods(traces, [mid("A", "ghost")], [q, s]) == {}
 
 
 def test_covers_chain_subsequence_semantics():
     a, b, c = mid("A", "a"), mid("A", "b"), mid("A", "c")
-    paths = [MethodFlowPath((a, b, c))]
+    paths = [(a, b, c)]
     assert covers_chain(paths, (a, c))
     assert covers_chain(paths, (a, b, c))
     assert not covers_chain(paths, (c, a))
@@ -505,9 +502,9 @@ def test_render_paths_orders_by_method_sort_keys():
     ]
     ps = path_set(paths)
     assert ps.methods == (c, a, b)
-    assert ps.flow_paths() == {MethodFlowPath(ms) for ms in paths}
+    assert ps.flow_paths() == {ms for ms in paths}
     assert render_paths(ps) == "\n".join(want) + "\n"
-    assert render_paths(ps) == reference_render_paths(map(MethodFlowPath, paths))
+    assert render_paths(ps) == reference_render_paths(paths)
     assert render_paths(PathSet((), (), False)) == ""
 
 
@@ -525,13 +522,13 @@ def test_enumerated_paths_rank_by_sort_key_not_name():
         "P-x": [at("P-x", "A", "b", 0, "entry"),
                 at("P-x", "A", "b", 1, "recv", msg_id="m1", peer="P")],
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     a, b = MethodId("P", "Z", "a"), MethodId("P-x", "A", "b")
     c = MethodId("P", "Main", "c")
     ps = method_level_paths(traces, [a, c], [a, b, c])
     assert ps.methods == (c, a, b)
     assert {(a, c), (a, b), (a, b, c), (a, c, b), (c, a, b)} <= {
-        p.methods for p in ps.flow_paths()
+        p for p in ps.flow_paths()
     }
     assert strictly_increasing(ps.paths)
     assert render_paths(ps) == reference_render_paths(ps.flow_paths())

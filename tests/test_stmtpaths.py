@@ -55,7 +55,7 @@ class TestBuildDdg:
         raw = {"P": [
             EventRecord("entry", m, seq=i) for i, m in enumerate(order)
         ]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         return traces
 
     def test_never_after_no_edge(self):
@@ -91,18 +91,16 @@ class TestBuildDdg:
             ],
         )
         raw = {"P": [EventRecord("entry", m, seq=0)]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         ddg = build_ddg(graph, "s", "t", traces)
         assert ddg.nodes == {"s", "x", "t"}
 
 
 class TestPruneDdg:
     def _ddg(self):
-        m = mid("P", "m")
         return DynDepGraph(
             nodes=frozenset({"s", "x", "t"}),
             edges=frozenset({("s", "x"), ("x", "t")}),
-            methods={"s": m, "x": m, "t": m},
         )
 
     def test_full_coverage_identity(self):
@@ -119,33 +117,25 @@ class TestPruneDdg:
 
 class TestFindPaths:
     def test_zero_length_path_when_in_meets_out(self):
-        m = mid("P", "m")
-        ddg = DynDepGraph(frozenset({"x"}), frozenset(), {"x": m})
-        assert find_paths(ddg, {"x"}, {"x"}, {m}) == [("x",)]
+        ddg = DynDepGraph(frozenset({"x"}), frozenset())
+        assert find_paths(ddg, {"x"}, {"x"}, {"x"}) == [("x",)]
 
     def test_disconnected_empty(self):
-        m = mid("P", "m")
-        ddg = DynDepGraph(
-            frozenset({"a", "b"}), frozenset(), {"a": m, "b": m}
-        )
-        assert find_paths(ddg, {"a"}, {"b"}, {m}) == []
+        ddg = DynDepGraph(frozenset({"a", "b"}), frozenset())
+        assert find_paths(ddg, {"a"}, {"b"}, {"a", "b"}) == []
 
     def test_diamond_both_branches(self):
-        m = mid("P", "m")
         edges = {("s", "l"), ("s", "r"), ("l", "t"), ("r", "t")}
         nodes = frozenset({"s", "l", "r", "t"})
-        ddg = DynDepGraph(nodes, frozenset(edges), {n: m for n in nodes})
-        got = set(find_paths(ddg, {"s"}, {"t"}, {m}))
+        ddg = DynDepGraph(nodes, frozenset(edges))
+        got = set(find_paths(ddg, {"s"}, {"t"}, set(nodes)))
         want = all_simple_paths(edges, {"s"}, {"t"}, set(nodes))
         assert got == want == {("s", "l", "t"), ("s", "r", "t")}
 
     def test_trace_restriction_excludes_other_process(self):
-        ma, mb = mid("A", "m"), mid("B", "m")
         nodes = frozenset({"a1", "b1"})
-        ddg = DynDepGraph(
-            nodes, frozenset({("a1", "b1")}), {"a1": ma, "b1": mb}
-        )
-        assert find_paths(ddg, {"a1"}, {"b1"}, {ma}) == []
+        ddg = DynDepGraph(nodes, frozenset({("a1", "b1")}))
+        assert find_paths(ddg, {"a1"}, {"b1"}, {"a1"}) == []
 
 
 def two_process_fixture():
@@ -171,7 +161,7 @@ def two_process_fixture():
             EventRecord("stmt_cover", mb, 3, stmt_id="sink"),
         ],
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     return graph, traces, ma, mb
 
 
@@ -184,7 +174,7 @@ class TestSplice:
             [("src", "out")], [], [("in_", "sink")], order, index,
             stmt_methods=dict(graph.nodes),
         )
-        assert [p.stmts for p in spliced] == [("src", "out", "in_", "sink")]
+        assert [p for p in spliced] == [("src", "out", "in_", "sink")]
 
     def test_junction_with_intervening_event_rejected(self):
         ma, mb = mid("A", "go"), mid("B", "serve")
@@ -198,7 +188,7 @@ class TestSplice:
                 EventRecord("recv", mb, 1, msg_id="m1", peer="A", stmt_id="in2"),
             ],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         order = merge_global(traces)
         index = InletOutletIndex.build(traces, {ma, mb})
         # out's recv is not adjacent to out: out2 intervenes in the
@@ -221,7 +211,7 @@ class TestSplice:
         for truth_path in truth.dyn_paths:
             procs = {owner[s].process for s in truth_path}
             if len(procs) == 3:
-                assert truth_path in {p.stmts for p in spliced}
+                assert truth_path in {p for p in spliced}
 
 
 def round_trip_fixture():
@@ -241,7 +231,7 @@ def round_trip_fixture():
             EventRecord("send", mb, 2, msg_id="m1", peer="A", stmt_id="b_out"),
         ],
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     return traces, stmt_methods
 
 
@@ -263,7 +253,7 @@ class TestJunctionIndex:
             for i in index.inlets
             if junction_oracle(order, index, o, i, strict, stmt_methods)
         }
-        return {p.stmts for p in spliced}, want
+        return {p for p in spliced}, want
 
     def test_within_one_process(self):
         traces, stmt_methods = round_trip_fixture()
@@ -329,8 +319,7 @@ class TestJunctionIndex:
                         source_segs, remote_segs, sink_segs, order, index,
                         stmt_methods, strict=strict,
                     )
-                    assert [p.stmts for p in got] == want, (sc, strict)
-                    assert all(p.segment_kind == "spliced" for p in got)
+                    assert [p for p in got] == want, (sc, strict)
                     seen_spliced += bool(want)
                     seen_relayed += any(
                         len(p) > max(map(len, source_segs)) + max(map(len, sink_segs))
@@ -460,8 +449,8 @@ class TestPhase2EndToEnd:
             strict = analyze_flows(
                 traces, graphs, model.default_cfg(), strict_splice=True
             )
-            loose_inter = {p.stmts for p in loose.phase2.interprocess_paths()}
-            strict_inter = {p.stmts for p in strict.phase2.interprocess_paths()}
+            loose_inter = {p for p in loose.phase2.interprocess_paths()}
+            strict_inter = {p for p in strict.phase2.interprocess_paths()}
             assert strict_inter <= loose_inter
 
     def test_strict_splice_two_process_junction_survives(self):
@@ -473,4 +462,4 @@ class TestPhase2EndToEnd:
             strict=True, stmt_methods=dict(graph.nodes),
         )
         # the recv is the very next event after the send in the merged order
-        assert [p.stmts for p in spliced] == [("src", "out", "in_", "sink")]
+        assert [p for p in spliced] == [("src", "out", "in_", "sink")]

@@ -56,26 +56,19 @@ def three_process_figure():
 
 class TestStampLamport:
     def test_figure_recv_takes_max_plus_one(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         c = traces["B"].events[0]
         assert c.ts == 3  # max(0, 2) + 1
 
     def test_figure_second_hop(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         f = traces["C"].events[1]
         assert f.ts == 5  # max(1, 4) + 1
 
     def test_single_process_counts_up(self):
         raw = {"A": [ev("A", i, "entry") for i in range(3)]}
-        traces, fmm = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         assert [e.ts for e in traces["A"].events] == [1, 2, 3]
-        assert fmm.entries == {}
-
-    def test_first_msg_map(self):
-        traces, fmm = stamp_lamport(three_process_figure())
-        assert fmm.first_recv_ts("B", "A") == 3
-        assert fmm.first_recv_ts("C", "B") == 5
-        assert fmm.first_recv_ts("A", "B") is None
 
     def test_duplicate_recv_rejected(self):
         raw = three_process_figure()
@@ -100,10 +93,9 @@ class TestStampLamport:
             stamp_lamport(raw)
 
     def test_idempotent(self):
-        traces, fmm = stamp_lamport(three_process_figure())
-        again, fmm2 = stamp_lamport({p: list(t.events) for p, t in traces.items()})
+        traces = stamp_lamport(three_process_figure())
+        again = stamp_lamport({p: list(t.events) for p, t in traces.items()})
         assert again == traces
-        assert fmm2 == fmm
 
 
 class TestMergeGlobal:
@@ -112,21 +104,21 @@ class TestMergeGlobal:
             "A": [ev("A", 0, "entry"), ev("A", 1, "entry")],
             "B": [ev("B", 0, "entry")],
         }
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         order = merge_global(traces)
-        assert [e.ts for e in order.merged] == [1, 1, 2]
+        assert [e.ts for e in order] == [1, 1, 2]
 
     def test_equal_ts_lower_process_first(self):
         raw = {"A": [ev("A", 0, "entry")], "B": [ev("B", 0, "entry")]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         order = merge_global(traces)
-        assert [e.process for e in order.merged] == ["A", "B"]
+        assert [e.process for e in order] == ["A", "B"]
 
     def test_figure_order_respects_happens_before(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         order = merge_global(traces)
         reach = closure_matrix(traces)
-        pos = {e.key(): i for i, e in enumerate(order.merged)}
+        pos = {e.key(): i for i, e in enumerate(order)}
         for src, dsts in reach.items():
             for dst in dsts:
                 assert pos[src] < pos[dst]
@@ -137,34 +129,34 @@ class TestMergeGlobal:
             merge_global({"A": trace})
 
     def test_deterministic(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         assert merge_global(traces) == merge_global(traces)
 
 
 class TestHappensBefore:
     def test_same_process_by_seq(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         a, b = traces["A"].events
         assert happens_before(a, b, traces)
         assert not happens_before(b, a, traces)
 
     def test_concurrent_unlinked_processes(self):
         raw = {"A": [ev("A", 0, "entry")], "B": [ev("B", 0, "entry")]}
-        traces, _ = stamp_lamport(raw)
+        traces = stamp_lamport(raw)
         a = traces["A"].events[0]
         b = traces["B"].events[0]
         assert not happens_before(a, b, traces)
         assert not happens_before(b, a, traces)
 
     def test_send_to_post_recv_event(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         send = traces["A"].events[1]
         post = traces["B"].events[1]
         assert happens_before(send, post, traces)
         assert hb_oracle(traces, send, post)
 
     def test_matches_closure_oracle_on_figure(self):
-        traces, _ = stamp_lamport(three_process_figure())
+        traces = stamp_lamport(three_process_figure())
         events = [e for t in traces.values() for e in t.events]
         for e1 in events:
             for e2 in events:
@@ -210,19 +202,12 @@ def random_schedule(draw):
 @given(random_schedule())
 @settings(max_examples=60, deadline=None)
 def test_lts_correctness_property(raw):
-    traces, fmm = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     reach = closure_matrix(traces)
     events = {e.key(): e for t in traces.values() for e in t.events}
     for src, dsts in reach.items():
         for dst in dsts:
             assert events[src].ts < events[dst].ts
-    # FirstMsgMap minimality: stored ts <= every recv from that sender
-    sends = {e.msg_id: e for t in traces.values() for e in t.events if e.kind == "send"}
-    for t in traces.values():
-        for e in t.events:
-            if e.kind == "recv":
-                sender = sends[e.msg_id].process
-                assert fmm.first_recv_ts(e.process, sender) <= e.ts
 
 
 @given(random_schedule())
@@ -230,7 +215,7 @@ def test_lts_correctness_property(raw):
 def test_happens_before_equals_oracle(raw):
     """On the full traces and on two restrictions that drop message ends
     (relevance filtering) or method instances (first/last reduction)."""
-    full, _ = stamp_lamport(raw)
+    full = stamp_lamport(raw)
     runs = {e.method for t in full.values() for e in t.events if e.method.method_name == "run"}
     for traces in (
         full,
@@ -256,7 +241,7 @@ def test_happens_before_equals_oracle(raw):
 @pytest.mark.parametrize("kind", ["recv", "send"])
 def test_event_graph_rejects_reused_msg_id(kind):
     """Bundles are read without restamping, so the index checks them."""
-    traces, _ = stamp_lamport(three_process_figure())
+    traces = stamp_lamport(three_process_figure())
     extra = EventRecord(kind, mid("C"), 2, ts=6, msg_id="m1", peer="A")
     traces["C"] = ProcessTrace("C", traces["C"].events + (extra,))
     with pytest.raises(MalformedTraceError, match=f"duplicate {kind}"):
@@ -282,7 +267,7 @@ def test_method_spans_uses_last_event():
             EventRecord("returned_into", mid("A", "Main", "run"), 2),
         ]
     }
-    traces, _ = stamp_lamport(raw)
+    traces = stamp_lamport(raw)
     spans = method_spans(traces)
     assert spans[mid("A", "Main", "run")] == (1, 3)
     assert spans[mid("A", "Main", "leaf")] == (2, 2)
@@ -310,7 +295,7 @@ def test_method_spans_equal_plain_scan(scenario):
 
 
 def test_influenced_recv_transitive():
-    traces, _ = stamp_lamport(three_process_figure())
+    traces = stamp_lamport(three_process_figure())
     infl = influenced_recv_ts(traces)
     assert infl[("B", "A")] == 3
     assert infl[("C", "B")] == 5
@@ -319,7 +304,7 @@ def test_influenced_recv_transitive():
 
 
 def test_bundle_round_trip(tmp_path):
-    traces, _ = stamp_lamport(three_process_figure())
+    traces = stamp_lamport(three_process_figure())
     write_bundle(tmp_path / "bundle", traces, {"topology": "n_tier", "seed": 0})
     loaded, manifest = read_bundle(tmp_path / "bundle")
     assert loaded == traces
