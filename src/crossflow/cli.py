@@ -45,7 +45,7 @@ from .metrics import (
     vulnerableness,
 )
 from .methodpaths import render_paths
-from .pipeline import MODES, analyze_flows
+from .pipeline import MODES, analyze_flows, direct_coverage
 from .qlearn import LearnerParams
 from .simulator import (
     Scenario,
@@ -105,11 +105,19 @@ def _load_scenario(path: Path) -> Scenario:
     )
 
 
+def _string_list(value, path: Path, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings; anything else is a data
+    error naming the file and the member."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{path}: {what} must be a list of strings")
+    return value
+
+
 def _load_cfg(path: Path) -> SourceSinkConfig:
     data = _load_object(path)
     return SourceSinkConfig(
-        sources=frozenset(data.get("sources", ())),
-        sinks=frozenset(data.get("sinks", ())),
+        sources=frozenset(_string_list(data.get("sources", []), path, "'sources'")),
+        sinks=frozenset(_string_list(data.get("sinks", []), path, "'sinks'")),
     )
 
 
@@ -222,9 +230,7 @@ def cmd_tune(args) -> int:
     deps_files = {}
     for idx, proc in enumerate(sorted(traces)):
         trace = traces[proc]
-        coverage = {
-            ev.stmt_id for ev in trace.events if ev.kind == "stmt_cover"
-        }
+        coverage = direct_coverage({proc: trace})
         if pinned is not None:
             controller = PinnedController(pinned)
             state = ArbiterState(
@@ -323,22 +329,43 @@ def cmd_query(args) -> int:
 
 
 def _dep_data_from_json(path: Path) -> DepData:
+    """The dependence data of a ``--depdata`` file: ``executed``, a list of
+    methods; ``local`` and ``remote``, each mapping a method to a list of
+    methods; ``messages``, a list of ``[from, to, count]`` with two process
+    names and an integer.  A member of another shape is a data error naming
+    the file."""
     data = _load_object(path)
-    parse = _parse_method
+
+    def parse(text: str) -> MethodId:
+        try:
+            return _parse_method(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    def methods(value, what: str) -> frozenset[MethodId]:
+        return frozenset(parse(v) for v in _string_list(value, path, what))
+
+    def dep_sets(key: str) -> dict[MethodId, frozenset[MethodId]]:
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {key!r} must map each method to a list")
+        return {parse(k): methods(vs, f"{key}[{k!r}]") for k, vs in value.items()}
+
+    messages = data.get("messages", [])
+    if not isinstance(messages, list) or not all(
+        isinstance(item, list)
+        and len(item) == 3
+        and isinstance(item[0], str)
+        and isinstance(item[1], str)
+        and type(item[2]) is int
+        for item in messages
+    ):
+        raise ValueError(f"{path}: 'messages' must be a list of [from, to, count]")
     return DepData(
-        local_ds={
-            parse(k): frozenset(parse(v) for v in vs)
-            for k, vs in data.get("local", {}).items()
-        },
-        remote_ds={
-            parse(k): frozenset(parse(v) for v in vs)
-            for k, vs in data.get("remote", {}).items()
-        },
-        executed=frozenset(parse(v) for v in data["executed"]),
-        messages={
-            (a, b): int(n)
-            for a, b, n in (tuple(item) for item in data.get("messages", ()))
-        },
+        local_ds=dep_sets("local"),
+        remote_ds=dep_sets("remote"),
+        executed=methods(data.get("executed"), "'executed'"),
+        messages={(a, b): n for a, b, n in messages},
     )
 
 

@@ -39,6 +39,7 @@ from .trace import (
     ProcessTrace,
     TraceMap,
     filter_traces,
+    first_entries,
     reduce_first_last,
 )
 
@@ -74,13 +75,7 @@ def inferred_coverage(
         for ev in trace.events
         if ev.kind == "branch"
     }
-    entered = {
-        ev.method
-        for trace in traces.values()
-        for ev in trace.events
-        if ev.kind == "entry"
-    }
-    return coverage_from_branches(graph, taken, entered)
+    return coverage_from_branches(graph, taken, first_entries(traces))
 
 
 def analyze_flows(

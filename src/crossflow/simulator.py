@@ -562,36 +562,38 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def emit_static_graph(
-    model: ProgramModel, ctx_sensitive: bool, flow_sensitive: bool
-) -> StaticDepGraph:
-    """Build one sensitivity variant of the static dependence graph.
+def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDepGraph]:
+    """The static dependence graph at its four sensitivity levels, keyed by
+    (context-sensitive, flow-sensitive).
 
-    All four variants share the node set and are sound over-approximations of
-    the runtime dependencies; dropping a sensitivity bit only adds edges
-    (merged def sites for flow, merged calling contexts for context).
+    The levels form a lattice over one shared graph: nodes, guards, ICFG,
+    message sites and the fully sensitive edges.  Dropping flow sensitivity
+    adds the order-ignoring def-use edges (every def of a local reaches
+    every use); dropping context sensitivity adds the merged-context edges
+    (data entering a callee at one callsite may emerge at any other).  Each
+    variant is the shared edges plus the extra sets of its dropped bits, so
+    dropping a bit only adds edges, and all four are sound
+    over-approximations of the runtime dependencies.
     """
     nodes: dict[str, MethodId] = {}
     guards: dict[str, Optional[str]] = {}
-    edges: set[DepEdge] = set()
     icfg: dict[str, list[str]] = {}
     callsites: dict[MethodId, list[tuple[MethodId, Stmt]]] = {}
+    field_defs: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
+    field_uses: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
+    edges: set[DepEdge] = set()       # in every variant
+    flow_extra: set[DepEdge] = set()  # order-ignoring def-use edges
+    ctx_extra: set[DepEdge] = set()   # merged calling contexts
 
     for body in model.bodies.values():
+        _intra_edges(body, edges, flow_extra, icfg)
+        proc = body.method.process
         for stmt in body.stmts:
             nodes[stmt.stmt_id] = body.method
             guards[stmt.stmt_id] = stmt.guard
             if stmt.kind == "call":
                 callsites.setdefault(stmt.callee, []).append((body.method, stmt))
-
-    field_defs: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
-    field_uses: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
-
-    for body in model.bodies.values():
-        _intra_edges(body, edges, icfg, flow_sensitive)
-        proc = body.method.process
-        for stmt in body.stmts:
-            if stmt.kind == "field_set":
+            elif stmt.kind == "field_set":
                 field_defs.setdefault((proc, stmt.field_name), []).append(
                     (body.method, stmt)
                 )
@@ -611,77 +613,70 @@ def emit_static_graph(
                         DepEdge("inter_posterior", d_stmt.stmt_id, u_stmt.stmt_id)
                     )
 
-    # parameter and return-value passing
+    # parameter and return-value passing, and interprocedural control flow
+    # (callsite -> callee entry; callee end -> statement after the callsite).
+    # A call's uses are its args, so the param users include the calls that
+    # pass a param on.
     for callee, sites in callsites.items():
         body = model.bodies[callee]
         param_users = [
             s for s in body.stmts if set(s.uses) & set(body.params)
         ]
-        first_param_binders = [
-            s for s in body.stmts if set(s.args) and s.kind == "call"
-            and set(s.args) & set(body.params)
-        ]
-        for caller, call_stmt in sites:
-            if body.stmts:
-                # invocation itself: the callee's execution depends on the call
-                edges.add(
-                    DepEdge("inter_adjacent", call_stmt.stmt_id, body.stmts[0].stmt_id)
-                )
-            for user in param_users + first_param_binders:
-                edges.add(
-                    DepEdge("inter_adjacent", call_stmt.stmt_id, user.stmt_id)
-                )
-            if body.ret_var is not None:
-                for s in body.stmts:
-                    if body.ret_var in s.defs:
-                        edges.add(
-                            DepEdge("inter_adjacent", s.stmt_id, call_stmt.stmt_id)
-                        )
-        if not ctx_sensitive and len(sites) > 1:
-            # merged calling contexts: data entering at one callsite may
-            # emerge at any other callsite of the same callee
-            for c1_method, c1 in sites:
-                for c2_method, c2 in sites:
-                    if c1 is c2 or c1_method == c2_method:
-                        continue
-                    edges.add(DepEdge("inter_posterior", c1.stmt_id, c2.stmt_id))
-
-        # interprocedural control flow: callsite -> callee entry; callee end
-        # -> statement after the callsite
+        ret_defs = [s for s in body.stmts if body.ret_var in s.defs]
         entry_stmt = body.stmts[0].stmt_id if body.stmts else None
         exit_stmt = body.stmts[-1].stmt_id if body.stmts else None
         for caller, call_stmt in sites:
-            caller_body = model.bodies[caller]
             if entry_stmt:
-                icfg.setdefault(call_stmt.stmt_id, []).append(entry_stmt)
-            idx = [s.stmt_id for s in caller_body.stmts].index(call_stmt.stmt_id)
-            if exit_stmt and idx + 1 < len(caller_body.stmts):
-                icfg.setdefault(exit_stmt, []).append(
-                    caller_body.stmts[idx + 1].stmt_id
+                # invocation itself: the callee's execution depends on the call
+                edges.add(
+                    DepEdge("inter_adjacent", call_stmt.stmt_id, entry_stmt)
                 )
+                icfg.setdefault(call_stmt.stmt_id, []).append(entry_stmt)
+            for user in param_users:
+                edges.add(
+                    DepEdge("inter_adjacent", call_stmt.stmt_id, user.stmt_id)
+                )
+            for s in ret_defs:
+                edges.add(
+                    DepEdge("inter_adjacent", s.stmt_id, call_stmt.stmt_id)
+                )
+            caller_stmts = model.bodies[caller].stmts
+            idx = caller_stmts.index(call_stmt)
+            if exit_stmt and idx + 1 < len(caller_stmts):
+                icfg.setdefault(exit_stmt, []).append(
+                    caller_stmts[idx + 1].stmt_id
+                )
+        for c1_method, c1 in sites:
+            for c2_method, c2 in sites:
+                if c1 is not c2 and c1_method != c2_method:
+                    ctx_extra.add(DepEdge("inter_posterior", c1.stmt_id, c2.stmt_id))
 
-    entry_points = {
-        proc: (model.bodies[model.entries[proc]].stmts[0].stmt_id,)
-        for proc in model.processes
-        if model.bodies[model.entries[proc]].stmts
+    icfg_succ = {k: tuple(dict.fromkeys(v)) for k, v in icfg.items()}
+    return {
+        (ctx, flow): StaticDepGraph(
+            nodes=nodes,
+            edges=frozenset(
+                edges.union(() if flow else flow_extra, () if ctx else ctx_extra)
+            ),
+            icfg_succ=icfg_succ,
+            send_sites=model.send_sites,
+            recv_sites=model.recv_sites,
+            guards=guards,
+        )
+        for ctx in (True, False)
+        for flow in (True, False)
     }
-    return StaticDepGraph(
-        nodes=nodes,
-        edges=frozenset(edges),
-        icfg_succ={k: tuple(dict.fromkeys(v)) for k, v in icfg.items()},
-        entry_points=entry_points,
-        send_sites=model.send_sites,
-        recv_sites=model.recv_sites,
-        guards=guards,
-    )
 
 
 def _intra_edges(
     body: MethodBody,
     edges: set[DepEdge],
+    flow_extra: set[DepEdge],
     icfg: dict[str, list[str]],
-    flow_sensitive: bool,
 ) -> None:
+    """Add the body's control successors to ``icfg``, its control and
+    reaching-definition edges to ``edges``, and its order-ignoring def-use
+    edges to ``flow_extra``."""
     stmts = body.stmts
     # control-flow successors: linear, with branches able to skip their block
     for i, stmt in enumerate(stmts):
@@ -691,43 +686,25 @@ def _intra_edges(
             after = i + 1 + stmt.block_len
             if after < len(stmts):
                 icfg.setdefault(stmt.stmt_id, []).append(stmts[after].stmt_id)
-        if stmt.kind == "branch":
             for guarded in stmts[i + 1 : i + 1 + stmt.block_len]:
                 edges.add(DepEdge("intra_control", stmt.stmt_id, guarded.stmt_id))
 
-    params = set(body.params)
-    defs_seen: dict[str, list[tuple[int, Stmt, Optional[str]]]] = {
-        p: [] for p in params
-    }
     all_defs: dict[str, list[Stmt]] = {}
     all_uses: dict[str, list[Stmt]] = {}
-    for i, stmt in enumerate(stmts):
+    for stmt in stmts:
         for var in stmt.uses:
             all_uses.setdefault(var, []).append(stmt)
             # reaching definitions: the latest unconditional def kills earlier
             # ones; guarded defs reach alongside the def they may override
-            reaching: list[Stmt] = []
-            for j, d_stmt, d_guard in reversed(defs_seen.get(var, ())):
-                reaching.append(d_stmt)
-                if d_guard is None:
-                    break
-            for d in reaching:
+            for d in reversed(all_defs.get(var, ())):
                 edges.add(DepEdge("intra_data", d.stmt_id, stmt.stmt_id))
+                if d.guard is None:
+                    break
         for var in stmt.defs:
-            defs_seen.setdefault(var, []).append((i, stmt, stmt.guard))
             all_defs.setdefault(var, []).append(stmt)
-    if not flow_sensitive:
-        # order-ignoring variant: every def of a variable reaches every use
-        for var, defs in all_defs.items():
-            for d in defs:
-                for u in all_uses.get(var, ()):
-                    if d.stmt_id != u.stmt_id:
-                        edges.add(DepEdge("intra_data", d.stmt_id, u.stmt_id))
-
-
-def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDepGraph]:
-    return {
-        (ctx, flow): emit_static_graph(model, ctx, flow)
-        for ctx in (True, False)
-        for flow in (True, False)
-    }
+    # order-ignoring: every def of a variable reaches every use
+    for var, defs in all_defs.items():
+        for d in defs:
+            for u in all_uses.get(var, ()):
+                if d.stmt_id != u.stmt_id:
+                    flow_extra.add(DepEdge("intra_data", d.stmt_id, u.stmt_id))

@@ -55,7 +55,6 @@ class StaticDepGraph:
     nodes: Mapping[str, MethodId]            # stmt id -> enclosing method
     edges: frozenset[DepEdge]
     icfg_succ: Mapping[str, tuple[str, ...]]  # control-flow successors
-    entry_points: Mapping[str, tuple[str, ...]]  # process -> entry statements
     send_sites: frozenset[str] = frozenset()
     recv_sites: frozenset[str] = frozenset()
     guards: Mapping[str, Optional[str]] = field(default_factory=dict)
@@ -145,39 +144,21 @@ def partial_graph(
     """Restrict the graph to statements of the given methods."""
     keep_methods = set(methods)
     nodes = {s: m for s, m in graph.nodes.items() if m in keep_methods}
-    return _restrict(graph, set(nodes))
-
-
-def prune_by_coverage(
-    graph: StaticDepGraph, covered_stmts: Iterable[str]
-) -> StaticDepGraph:
-    """Keep exactly the covered statements and edges between them."""
-    keep = set(covered_stmts) & set(graph.nodes)
-    return _restrict(graph, keep)
-
-
-def _restrict(graph: StaticDepGraph, keep: set[str]) -> StaticDepGraph:
-    nodes = {s: m for s, m in graph.nodes.items() if s in keep}
     edges = frozenset(
-        e for e in graph.edges if e.src in keep and e.dst in keep
+        e for e in graph.edges if e.src in nodes and e.dst in nodes
     )
     icfg = {
-        s: tuple(d for d in succs if d in keep)
+        s: tuple(d for d in succs if d in nodes)
         for s, succs in graph.icfg_succ.items()
-        if s in keep
-    }
-    entries = {
-        proc: tuple(s for s in stmts if s in keep)
-        for proc, stmts in graph.entry_points.items()
+        if s in nodes
     }
     return StaticDepGraph(
         nodes=nodes,
         edges=edges,
         icfg_succ=icfg,
-        entry_points=entries,
-        send_sites=frozenset(s for s in graph.send_sites if s in keep),
-        recv_sites=frozenset(s for s in graph.recv_sites if s in keep),
-        guards={s: g for s, g in graph.guards.items() if s in keep},
+        send_sites=frozenset(s for s in graph.send_sites if s in nodes),
+        recv_sites=frozenset(s for s in graph.recv_sites if s in nodes),
+        guards={s: g for s, g in graph.guards.items() if s in nodes},
     )
 
 
@@ -207,8 +188,8 @@ def coverage_from_branches(
 
 # ---------------------------------------------------------------------------
 # Graph files: line-delimited records.  `node` and `edge` records carry the
-# dependence graph; `cfg`, `entry`, `guard` and `msgsite` records carry the
-# ICFG, entry points, branch guards, and message callsites.
+# dependence graph; `cfg`, `guard` and `msgsite` records carry the ICFG,
+# branch guards, and message callsites.
 # ---------------------------------------------------------------------------
 
 
@@ -222,9 +203,6 @@ def write_graph(path: Path, graph: StaticDepGraph) -> None:
     for src in sorted(graph.icfg_succ):
         for dst in graph.icfg_succ[src]:
             lines.append(f"cfg {src} {dst}")
-    for proc in sorted(graph.entry_points):
-        for stmt in graph.entry_points[proc]:
-            lines.append(f"entry {proc} {stmt}")
     for stmt in sorted(graph.guards):
         guard = graph.guards[stmt]
         if guard is not None:
@@ -240,7 +218,6 @@ def read_graph(path: Path) -> StaticDepGraph:
     nodes: dict[str, MethodId] = {}
     edges = set()
     icfg: dict[str, list[str]] = {}
-    entries: dict[str, list[str]] = {}
     guards: dict[str, Optional[str]] = {}
     sends, recvs = set(), set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -258,13 +235,12 @@ def read_graph(path: Path) -> StaticDepGraph:
                 edges.add(DepEdge(kind, src, dst))
             elif tag == "cfg":
                 icfg.setdefault(parts[1], []).append(parts[2])
-            elif tag == "entry":
-                entries.setdefault(parts[1], []).append(parts[2])
             elif tag == "guard":
                 guards[parts[1]] = parts[2]
             elif tag == "msgsite":
                 (sends if parts[1] == "send" else recvs).add(parts[2])
-            # unknown record tags tolerated
+            # unknown record tags tolerated, such as the `entry` records
+            # that older graph files hold
         except (IndexError, ValueError) as exc:
             raise GraphFormatError(f"{path}:{lineno}: bad record {line!r}") from exc
     for stmt in nodes:
@@ -274,7 +250,6 @@ def read_graph(path: Path) -> StaticDepGraph:
             nodes=nodes,
             edges=frozenset(edges),
             icfg_succ={s: tuple(d) for s, d in icfg.items()},
-            entry_points={p: tuple(v) for p, v in entries.items()},
             send_sites=frozenset(sends),
             recv_sites=frozenset(recvs),
             guards=guards,

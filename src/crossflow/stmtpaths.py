@@ -157,14 +157,10 @@ def find_paths(
     ends = set(outs) & allowed
     adj = ddg.out_adj()
     out: list[tuple[str, ...]] = []
-    seen_paths: set[tuple[str, ...]] = set()
 
     def walk(node: str, path: list[str]) -> None:
         if node in ends:
-            t = tuple(path)
-            if t not in seen_paths:
-                seen_paths.add(t)
-                out.append(t)
+            out.append(tuple(path))
         if len(path) >= limit:
             return
         for nxt in adj.get(node, ()):

@@ -56,6 +56,51 @@ class TestSimulate:
         assert code == 2
 
 
+# sha256 of every graph file `simulate` writes, recorded while each
+# sensitivity variant was built by its own pass over the program model
+# (those files also held `entry <proc> <stmt>` lines, removed before hashing)
+GRAPH_DIGESTS = {
+    "n_tier": (
+        {"topology": "n_tier", "tiers": 4, "seed": 4, "length": 130},
+        {
+            "graph_00.txt": "81eb6121e8b33435d25354bbd24f7d5a334745b99ac9e61f0df6b85c5a8cea3c",
+            "graph_01.txt": "167cb183e1567bacaae0e600d80a3f7f5c012301e7effa714011ee7efe1c30a3",
+            "graph_10.txt": "219ea798b4184e783e95945c7b30273dec654dd0fc40663fd2bff59084f45548",
+            "graph_11.txt": "176bda0a793310573a157bc751aee73e54f1a501e08a9a1721e9ffb661da0661",
+        },
+    ),
+    "peer_to_peer": (
+        {"topology": "peer_to_peer", "seed": 1, "length": 90},
+        {
+            "graph_00.txt": "1ca0ffcb128043a707000dd31c813856f1800087010b5bd7ba4f251037253bd4",
+            "graph_01.txt": "980dba2782238b93d867ecbc71c9a7853dca42fc7a7e209e9d64406de7f1074b",
+            "graph_10.txt": "aa52af36ecef95282dc7b23a734aa32ed48f63d70794bd678730ea65852c5c2c",
+            "graph_11.txt": "d3465a68319d499561f75d252503bcb2f921737f053a3ecdcd20f1c6f915680c",
+        },
+    ),
+    "client_server": (
+        {"topology": "client_server", "seed": 0, "length": 90},
+        {
+            "graph_00.txt": "89691c97ff45b63c781fb2f6fe9d5170d8da25d1550b9f1095e0e9c49a95be75",
+            "graph_01.txt": "9f9f773ad188cd67543d48de3a1253c32f72aeb6f26328e3cb96b2a7246fa1ab",
+            "graph_10.txt": "c0b4789d5b2fcdd4dc9232cfa8a2430e061b52539856ab40f67836092cbd05f1",
+            "graph_11.txt": "4efcd1ffeaf89f3472e20ff71fb5c470a39fa72f9a099752dabd1b609d5a6a58",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_DIGESTS))
+def test_graph_files_match_recorded_digests(tmp_path, capsys, name):
+    scenario, want = GRAPH_DIGESTS[name]
+    graphs = run_sim(tmp_path, name, **scenario) / "graphs"
+    got = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(graphs.glob("*.txt"))
+    }
+    assert got == want
+
+
 class TestFlowpaths:
     def test_reports_written_and_modes_agree(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
@@ -585,7 +630,8 @@ assert not heavy, heavy[:5]
 # sha256 of f"{exit code}\n{stdout}\0{stderr}" for `crossflow ARGV` with
 # COLUMNS=80 and CROSSFLOW_OUT unset, recorded while main built every
 # subparser on each call.  Python 3.10 to 3.12 print the same text; 3.13
-# wraps the top-level usage and words some errors differently.
+# wraps the top-level usage and words some errors differently, and 3.13.0
+# still quotes the choices of an invalid-choice error.
 CLI_SURFACE = {
     "--help": "6df2b8811be6dbde3e24c7d676b1d8f80b8deabd7cc3749828d7a5ea2c0c0a51",
     "simulate --help": "0e54485a7dc3a660c351f2c267abcbe0cd82acfc64f419f168beeeac41bfcefb",
@@ -619,6 +665,9 @@ CLI_SURFACE_313 = {
     "metrics --bogus": "a9bd07f54ca49a91b72b50e4d82dcfda1a34923d98fd5c24db08a31ca6561780",
     "query --run r --method m extra": "401a83ebba2ad0534202407c84367b60c532f9aaf1b93bf9a65748a8671d7d4a",
 }
+CLI_SURFACE_3130 = {
+    "bogus": "7fc20286195bb9b4afb124747df0c60460055c5a40f8fbc4ce946db9cc754211",
+}
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_SURFACE), ids=lambda a: a or "<none>")
@@ -630,6 +679,8 @@ def test_cli_surface_matches_recorded_digest(capsys, monkeypatch, argv):
     want = CLI_SURFACE[argv]
     if sys.version_info >= (3, 13):
         want = CLI_SURFACE_313.get(argv, want)
+    if sys.version_info[:3] == (3, 13, 0):
+        want = CLI_SURFACE_3130.get(argv, want)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv(OUT_DIR_ENV, raising=False)
     try:
@@ -926,6 +977,62 @@ class TestMalformedInputs:
             else "no trace file named for process 'p0'"
         )
         assert capsys.readouterr().err == f"error: {path}: {want}\n"
+
+    @pytest.mark.parametrize("cfg,member", [
+        ({"sources": "p0.Main.run.s2", "sinks": []}, "'sources'"),
+        ({"sources": [], "sinks": {"p1.Srv.consume.s1": 1}}, "'sinks'"),
+        ({"sources": ["p0.Main.run.s2", 7], "sinks": []}, "'sources'"),
+        ({"sources": None}, "'sources'"),
+    ], ids=["string", "object", "non-string-member", "null"])
+    def test_config_member_not_a_string_list_exit_3(self, tmp_path, capsys, cfg, member):
+        sim = run_sim(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main([
+            "flowpaths", "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"), "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {bad}: {member} must be a list of strings\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    DEP_OK = {
+        "executed": ["p.K.a", "p.K.b", "q.K.a"],
+        "local": {"p.K.a": ["p.K.b"]},
+        "remote": {"p.K.a": ["q.K.a"]},
+        "messages": [["p", "q", 4]],
+    }
+
+    @pytest.mark.parametrize("change,message", [
+        ({"local": {"p.K.a": 5}}, "local['p.K.a'] must be a list of strings"),
+        ({"executed": "p.K.a"}, "'executed' must be a list of strings"),
+        ({"executed": ["p.K.a", 3]}, "'executed' must be a list of strings"),
+        ({"executed": None}, "'executed' must be a list of strings"),
+        ({"executed": ["p.K"]}, "method must be process.Class.method, got 'p.K'"),
+        ({"remote": ["p.K.a"]}, "'remote' must map each method to a list"),
+        ({"remote": {"p.K.a": [None]}}, "remote['p.K.a'] must be a list of strings"),
+        ({"messages": [["p", "q"]]}, "'messages' must be a list of [from, to, count]"),
+        ({"messages": [["p", "q", "4"]]}, "'messages' must be a list of [from, to, count]"),
+        ({"messages": [["p", "q", None]]}, "'messages' must be a list of [from, to, count]"),
+        ({"messages": {"p": "q"}}, "'messages' must be a list of [from, to, count]"),
+        ({"messages": ["pq4"]}, "'messages' must be a list of [from, to, count]"),
+    ], ids=["local-not-list", "executed-string", "executed-number", "executed-null",
+            "bad-method", "remote-list", "remote-null", "message-pair",
+            "message-string-count", "message-null-count", "messages-object",
+            "message-string"])
+    def test_bad_depdata_member_exit_3_names_file(self, tmp_path, capsys, change, message):
+        bad = tmp_path / "dep.json"
+        bad.write_text(json.dumps({**self.DEP_OK, **change}))
+        assert main(["metrics", "--depdata", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: bad input data: {bad}: {message}\n"
+
+    def test_depdata_without_optional_members_accepted(self, tmp_path, capsys):
+        f = tmp_path / "dep.json"
+        f.write_text(json.dumps({"executed": self.DEP_OK["executed"]}))
+        assert main(["metrics", "--depdata", str(f)]) == 0
 
     def test_simulate_config_has_no_msg_apis(self, tmp_path, capsys):
         sim = run_sim(tmp_path)

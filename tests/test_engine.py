@@ -123,7 +123,6 @@ class TestComputeDeps:
                 }
             ),
             icfg_succ={},
-            entry_points={},
             guards={s: None for s in nodes},
         )
         graphs = {(c, f): g for c in (True, False) for f in (True, False)}

@@ -8,7 +8,6 @@ from crossflow.simulator import (
     Scenario,
     ScenarioError,
     all_graph_variants,
-    emit_static_graph,
     generate_program,
     simulate,
 )
@@ -172,8 +171,9 @@ class TestStaticVariants:
     def test_flow_insensitive_adds_order_ignoring_edge(self):
         sc = Scenario("client_server", seed=0)
         model = generate_program(sc)
-        strict = emit_static_graph(model, True, True)
-        loose = emit_static_graph(model, True, False)
+        variants = all_graph_variants(model)
+        strict = variants[(True, True)]
+        loose = variants[(True, False)]
         extra = loose.edges - strict.edges
         assert any(e.kind == "intra_data" for e in extra)
 

@@ -1,4 +1,4 @@
-"""Relevance filtering, partial graphs, coverage pruning, graph files."""
+"""Relevance filtering, partial graphs, coverage inference, graph files."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from crossflow.staticgraph import (
     StaticDepGraph,
     coverage_from_branches,
     partial_graph,
-    prune_by_coverage,
     read_graph,
     read_graph_set,
     relevant_methods,
@@ -48,7 +47,6 @@ def linear_chain_graph():
         nodes=methods,
         edges=edges,
         icfg_succ=icfg,
-        entry_points={"P": ("s0",)},
         guards={s: None for s in methods},
     )
 
@@ -85,7 +83,6 @@ class TestRelevantMethods:
             nodes=nodes,
             edges=frozenset(),
             icfg_succ={"a0": ("a1",), "b0": ("b1",)},
-            entry_points={"A": ("a0",), "B": ("b0",)},
             send_sites=frozenset({"a1"}),
             recv_sites=frozenset({"b0"}),
             guards={s: None for s in nodes},
@@ -135,30 +132,6 @@ class TestPartialGraph:
         once = partial_graph(g, some)
         assert set(once.nodes) <= set(g.nodes) and once.edges <= g.edges
         assert partial_graph(once, some) == once
-
-
-class TestPruneByCoverage:
-    def test_full_coverage_identity(self):
-        g = linear_chain_graph()
-        assert prune_by_coverage(g, set(g.nodes)) == g
-
-    def test_zero_coverage_empty(self):
-        g = linear_chain_graph()
-        pruned = prune_by_coverage(g, set())
-        assert not pruned.nodes and not pruned.edges
-
-    def test_bridge_removal_disconnects(self):
-        g = linear_chain_graph()
-        pruned = prune_by_coverage(g, set(g.nodes) - {"s1"})
-        kinds = {(e.src, e.dst) for e in pruned.edges}
-        assert ("s0", "s1") not in kinds and ("s1", "s2") not in kinds
-        assert ("s2", "s3") in kinds
-
-    def test_idempotent(self):
-        g = linear_chain_graph()
-        cov = {"s0", "s2", "s3"}
-        once = prune_by_coverage(g, cov)
-        assert prune_by_coverage(once, cov) == once
 
 
 def test_coverage_from_branches_matches_direct_coverage():
@@ -261,5 +234,4 @@ def test_edge_endpoint_validation():
             nodes={"s0": mk("P", "C", "m")},
             edges=frozenset({DepEdge("intra_data", "s0", "missing")}),
             icfg_succ={},
-            entry_points={},
         )

@@ -31,7 +31,6 @@ def make_graph(nodes, edges, **kw):
         nodes=nodes,
         edges=frozenset(DepEdge(*e) for e in edges),
         icfg_succ=kw.get("icfg", {}),
-        entry_points=kw.get("entries", {}),
         send_sites=frozenset(kw.get("sends", ())),
         recv_sites=frozenset(kw.get("recvs", ())),
         guards={s: None for s in nodes},
@@ -128,7 +127,9 @@ class TestFindPaths:
         edges = {("s", "l"), ("s", "r"), ("l", "t"), ("r", "t")}
         nodes = frozenset({"s", "l", "r", "t"})
         ddg = DynDepGraph(nodes, frozenset(edges))
-        got = set(find_paths(ddg, {"s"}, {"t"}, set(nodes)))
+        paths = find_paths(ddg, {"s"}, {"t"}, set(nodes))
+        assert len(paths) == len(set(paths))
+        got = set(paths)
         want = all_simple_paths(edges, {"s"}, {"t"}, set(nodes))
         assert got == want == {("s", "l", "t"), ("s", "r", "t")}
 
