@@ -14,7 +14,6 @@ from .trace import (
     EventRecord,
     MethodId,
     ProcessTrace,
-    happens_before,
     merge_global,
     stamp_lamport,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "EventRecord",
     "MethodId",
     "ProcessTrace",
-    "happens_before",
     "merge_global",
     "stamp_lamport",
     "__version__",

@@ -75,10 +75,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _method_str(m: MethodId) -> str:
-    return m.qualified()
-
-
 def _parse_method(text: str) -> MethodId:
     parts = text.split(".", 2)
     if len(parts) != 3:
@@ -103,6 +99,12 @@ def _load_scenario(path: Path) -> Scenario:
         length=int(data.get("length", 80)),
         tiers=None if data.get("tiers") is None else int(data["tiers"]),
     )
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number; type() rather than isinstance(), since JSON
+    true is no number."""
+    return type(value) in (int, float)
 
 
 def _string_list(value, path: Path, what: str) -> list[str]:
@@ -150,7 +152,7 @@ def cmd_simulate(args) -> int:
     with open(out / "groundtruth.jsonl", "w", encoding="utf-8") as fh:
         for m1, m2 in sorted(truth.dyn_dep, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
             fh.write(json.dumps(
-                {"type": "dep", "from": _method_str(m1), "to": _method_str(m2)}
+                {"type": "dep", "from": m1.qualified(), "to": m2.qualified()}
             ) + "\n")
         for path in sorted(truth.dyn_paths):
             fh.write(json.dumps({"type": "path", "stmts": list(path)}) + "\n")
@@ -264,7 +266,7 @@ def cmd_tune(args) -> int:
         with open(out / deps_name, "w", encoding="utf-8") as fh:
             for method in sorted(final, key=MethodId.sort_key):
                 for member in sorted(final[method], key=MethodId.sort_key):
-                    fh.write(f"dep {_method_str(method)} {_method_str(member)}\n")
+                    fh.write(f"dep {method.qualified()} {member.qualified()}\n")
     (out / "run.json").write_text(
         json.dumps(
             {
@@ -286,10 +288,21 @@ def cmd_tune(args) -> int:
 
 
 def _load_run(run_dir: Path):
-    manifest = _load_object(run_dir / "run.json")
-    traces, _ = read_bundle(Path(manifest["bundle"]))
+    """The manifest, traces and dependence maps of a ``tune`` output
+    directory.  ``run.json`` must name the ``bundle`` and map each process
+    in ``deps_files`` to a file name, else a data error names it."""
+    path = run_dir / "run.json"
+    manifest = _load_object(path)
+    bundle, deps_files = manifest.get("bundle"), manifest.get("deps_files")
+    if not isinstance(bundle, str):
+        raise ValueError(f"{path}: 'bundle' must be a path")
+    if not isinstance(deps_files, dict) or not all(
+        isinstance(name, str) for name in deps_files.values()
+    ):
+        raise ValueError(f"{path}: 'deps_files' must map each process to a file name")
+    traces, _ = read_bundle(Path(bundle))
     per_process = {}
-    for proc, name in manifest["deps_files"].items():
+    for proc, name in deps_files.items():
         deps: dict[MethodId, set[MethodId]] = {}
         for line in (run_dir / name).read_text(encoding="utf-8").splitlines():
             parts = line.split()
@@ -319,7 +332,7 @@ def cmd_query(args) -> int:
         query = _parse_method(args.method)
     merged = merge_query(query, per_process, traces)
     for member in sorted(merged, key=MethodId.sort_key):
-        print(_method_str(member))
+        print(member.qualified())
     return 0
 
 
@@ -393,9 +406,16 @@ def cmd_quality(args) -> int:
     vuln_entries = []
     n_non_nvd = 0
     if args.vulns:
-        vdata = _load_object(Path(args.vulns))
-        n_non_nvd = int(vdata.get("n_non_nvd", 0))
-        vuln_entries = [tuple(e) for e in vdata.get("entries", ())]
+        path = Path(args.vulns)
+        vdata = _load_object(path)
+        n_non_nvd, vuln_entries = vdata.get("n_non_nvd", 0), vdata.get("entries", [])
+        if type(n_non_nvd) is not int:
+            raise ValueError(f"{path}: 'n_non_nvd' must be an integer")
+        if not isinstance(vuln_entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(_is_number(v) for v in e)
+            for e in vuln_entries
+        ):
+            raise ValueError(f"{path}: 'entries' must be a list of [cvss, years]")
     vector = {
         "exec_time": args.exec_time,
         "code_churn": args.code_churn,
@@ -428,7 +448,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    points = json.loads(Path(args.features).read_text(encoding="utf-8"))
+    path = Path(args.features)
+    points = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(points, list) or not all(
+        isinstance(p, list) and all(_is_number(v) for v in p) for p in points
+    ):
+        raise ValueError(f"{path}: features must be a list of lists of numbers")
     result = kmeans2(points, seed=args.seed)
     lines = [
         f"point {i} cluster {label}" for i, label in enumerate(result.labels)

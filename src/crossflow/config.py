@@ -94,6 +94,3 @@ def all_configurations() -> tuple[Configuration, ...]:
 def valid_configurations() -> tuple[Configuration, ...]:
     return tuple(c for c in all_configurations() if c.is_valid())
 
-
-def matches_mask(encoding: str, mask: str) -> bool:
-    return all(m == "x" or m == c for c, m in zip(encoding, mask))

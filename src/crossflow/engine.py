@@ -104,8 +104,9 @@ class CostModel:
     @classmethod
     def from_file(cls, path: Path) -> "CostModel":
         """The model in a JSON object of field values; a non-object, an
-        unknown field or a cost that is not a finite number raises
-        ``ValueError`` naming the file."""
+        unknown field, a ``mode`` other than ``synthetic`` or ``wallclock``
+        or a cost that is not a finite number raises ``ValueError`` naming
+        the file."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"{path}: cost model must be a JSON object")
@@ -113,10 +114,14 @@ class CostModel:
         for key, value in data.items():
             if key not in known:
                 raise ValueError(f"{path}: unknown cost-model field {key!r}")
+            if key == "mode":
+                if value not in ("synthetic", "wallclock"):
+                    raise ValueError(
+                        f"{path}: cost-model field 'mode' must be"
+                        " 'synthetic' or 'wallclock'"
+                    )
             # type() rather than isinstance(): JSON true is no cost
-            if key != "mode" and (
-                type(value) not in (int, float) or not -math.inf < value < math.inf
-            ):
+            elif type(value) not in (int, float) or not -math.inf < value < math.inf:
                 raise ValueError(
                     f"{path}: cost-model field {key!r} must be a finite number"
                 )
@@ -217,28 +222,27 @@ def compute_deps(
 
     ds: dict[int, set[int]] = {m: {m} for m in executed}
 
-    if config.method_event:
-        if config.static_graph:
-            if config.method_instance_level:
-                _propagate_influence(events, in_edges, ds)
-            else:
-                _propagate_intervals(events, in_edges, ds)
-        else:
-            first_entry, _, last_any = _queue_positions(events)
-            for m in executed:
-                if m not in first_entry:
-                    continue
-                anchor = first_entry[m]
-                for m2 in executed:
-                    if last_any[m2] > anchor:
-                        ds[m].add(m2)
-    elif config.static_graph:
+    if not config.static_graph:
+        first_entry, _, last_any = _queue_positions(events)
+        for m in executed:
+            if m not in first_entry:
+                continue
+            anchor = first_entry[m]
+            for m2 in executed:
+                if last_any[m2] > anchor:
+                    ds[m].add(m2)
+    elif config.method_event and config.method_instance_level:
+        _propagate_influence(events, in_edges, ds)
+    else:
         out_edges: dict[int, set[int]] = {}
         for m2, preds in in_edges.items():
             for m1, _ in preds:
                 out_edges.setdefault(m1, set()).add(m2)
-        for m in executed:
-            ds[m] |= reachable(out_edges, (m,)) & executed
+        if config.method_event:
+            _propagate_intervals(events, out_edges, ds)
+        else:
+            for m in executed:
+                ds[m] |= reachable(out_edges, (m,)) & executed
 
     return {
         table.method_of(m): frozenset(table.method_of(x) for x in members)
@@ -280,7 +284,7 @@ def _propagate_influence(
 
 def _propagate_intervals(
     events: list[int],
-    in_edges: Mapping[int, list[tuple[int, str]]],
+    out_edges: Mapping[int, set[int]],
     ds: dict[int, set[int]],
 ) -> None:
     """First/last-instance propagation over method activity intervals.
@@ -294,10 +298,6 @@ def _propagate_intervals(
     still satisfies the event-order fallback relation.
     """
     first_entry, first_any, last_any = _queue_positions(events)
-    out_edges: dict[int, set[int]] = {}
-    for m2, preds in in_edges.items():
-        for m1, _ in preds:
-            out_edges.setdefault(m1, set()).add(m2)
     for root in first_entry:
         arrival = {root: first_entry[root]}
         frontier = [root]

@@ -46,11 +46,6 @@ class PathSet:
     paths: tuple[tuple[int, ...], ...]
     truncated: bool
 
-    def flow_paths(self) -> frozenset[tuple[MethodId, ...]]:
-        """The paths as method tuples (for checks, not output)."""
-        ms = self.methods
-        return frozenset(tuple([ms[i] for i in k]) for k in self.paths)
-
 
 def method_ds(
     q: MethodId,
@@ -258,28 +253,6 @@ def _enumerate(
     walk(alive[root] ^ (1 << root), is_sink[q])
     out.extend(found)
     return truncated
-
-
-def check_path_ordering(
-    path: tuple[MethodId, ...], spans: Mapping[MethodId, tuple[int, int]]
-) -> bool:
-    """The emitted-path predicate, machine-checkable per path."""
-    for i in range(len(path)):
-        for j in range(i + 1, len(path)):
-            if spans[path[i]][0] > spans[path[j]][1]:
-                return False
-    return True
-
-
-def covers_chain(
-    paths: Iterable[tuple[MethodId, ...]], chain: tuple[MethodId, ...]
-) -> bool:
-    """True if some path contains the chain as an ordered subsequence."""
-    for path in paths:
-        it = iter(path)
-        if all(m in it for m in chain):
-            return True
-    return False
 
 
 def render_paths(ps: PathSet) -> str:

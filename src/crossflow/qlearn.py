@@ -51,9 +51,6 @@ class QTable:
             _zero_values().copy()
         )
 
-    def get(self, state: Configuration, action: Configuration) -> float:
-        return self.values[(state, action)]
-
     def max_value(self) -> float:
         return max(self.values.values())
 

@@ -97,13 +97,6 @@ class ProgramModel:
                 if stmt_id not in owners:
                     raise ScenarioError(f"designated stmt {stmt_id} not in any method")
 
-    def stmt_owner(self) -> dict[str, MethodId]:
-        return {
-            s.stmt_id: body.method
-            for body in self.bodies.values()
-            for s in body.stmts
-        }
-
     def default_cfg(self) -> SourceSinkConfig:
         return SourceSinkConfig(
             sources=frozenset(self.sources), sinks=frozenset(self.sinks)

@@ -303,20 +303,32 @@ class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):
 def read_graph_set(directory: Path) -> GraphSet:
     """The variants that ``directory``'s manifest lists.
 
-    Each manifest key is two characters, ``0`` or ``1`` (context, flow
-    sensitivity); any other key raises ``GraphFormatError``.  Every listed
-    file must exist (else ``FileNotFoundError`` before any analysis runs),
-    but a variant is parsed only when first looked up: a malformed variant
-    raises ``GraphFormatError`` then, naming its file, and one that is
-    never looked up is never reported.
+    The manifest is a JSON object whose ``variants`` maps each key to a
+    file name; a key is two characters, ``0`` or ``1`` (context, flow
+    sensitivity).  Any other shape or key raises ``GraphFormatError``
+    naming the manifest.  Every listed file must exist (else
+    ``FileNotFoundError`` before any analysis runs), but a variant is
+    parsed only when first looked up: a malformed variant raises
+    ``GraphFormatError`` then, naming its file, and one that is never
+    looked up is never reported.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise GraphFormatError(f"{manifest_path}: not a JSON object")
+    variants = manifest.get("variants")
+    if not isinstance(variants, dict) or not all(
+        isinstance(name, str) for name in variants.values()
+    ):
+        raise GraphFormatError(
+            f"{manifest_path}: 'variants' must map each variant key to a file name"
+        )
     files = {}
-    for key, name in manifest["variants"].items():
+    for key, name in variants.items():
         if len(key) != 2 or not set(key) <= {"0", "1"}:
             raise GraphFormatError(
-                f"{directory / 'manifest.json'}: bad variant key {key!r}"
+                f"{manifest_path}: bad variant key {key!r}"
                 " (want two characters, each 0 or 1)"
             )
         path = directory / name

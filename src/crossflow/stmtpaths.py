@@ -282,9 +282,6 @@ class Phase2Result:
     def interprocess_paths(self) -> list[tuple[str, ...]]:
         return [p for pair in self.pairs for p in pair.interprocess]
 
-    def all_stmt_sequences(self) -> set[tuple[str, ...]]:
-        return {p for pair in self.pairs for p in pair.intra + pair.interprocess}
-
 
 def phase2(
     sdg: StaticDepGraph,

@@ -13,7 +13,7 @@ answers it: Fidge/Mattern vector clocks kept at recv events.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -235,17 +235,6 @@ class EventGraph:
         # nondecreasing; component p of a recv's clock is its own seq
         self._columns = {p: list(zip(*clocks[p])) for p in procs}
 
-    def reaches(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
-        """True iff event ``src`` happens before event ``dst`` (both keys)."""
-        (p, s), (q, t) = src, dst
-        if p == q:
-            return s < t
-        columns = self._columns[q]
-        if not columns:
-            return False
-        k = bisect_right(columns[self._index[q]], t)  # recvs at or before dst
-        return k > 0 and columns[self._index[p]][k - 1] >= s
-
     def downstream_recvs(self, start: EventRecord) -> list[EventRecord]:
         """All recv events that ``start`` happens before, each process's in
         program order."""
@@ -266,20 +255,6 @@ class EventGraph:
             if recv.process != start.process:
                 out.setdefault(recv.process, recv.ts)
         return out
-
-
-def happens_before(
-    e1: EventRecord, e2: EventRecord, traces: Mapping[str, ProcessTrace]
-) -> bool:
-    """True iff e1 precedes e2 in the closure of program order and messages.
-
-    Each call builds a whole ``EventGraph`` (a sort of every event plus the
-    vector-clock pass) to answer one question.  A caller that asks about
-    many pairs should build one ``EventGraph`` and call ``reaches`` on it.
-    """
-    if e1.ts is None or e2.ts is None:
-        raise TraceError("happens_before requires stamped events")
-    return EventGraph(traces).reaches(e1.key(), e2.key())
 
 
 SPAN_EVENT_KINDS = frozenset({"entry", "returned_into", "send", "recv"})
@@ -484,9 +459,14 @@ def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise MalformedTraceError(f"{manifest_path}: not a JSON object")
+    processes = manifest.get("processes")
+    if not isinstance(processes, list) or not all(isinstance(p, str) for p in processes):
+        raise MalformedTraceError(
+            f"{manifest_path}: 'processes' must be a list of process names"
+        )
     files = manifest.get("files")
     traces = {}
-    for proc in manifest["processes"]:
+    for proc in processes:
         name = files.get(proc) if isinstance(files, dict) else None
         if not isinstance(name, str):
             raise MalformedTraceError(

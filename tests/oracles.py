@@ -13,7 +13,9 @@ method tuples), ``junction_oracle`` (the splice junction rule,
 re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
 every junction of every prefix with ``junction_oracle``) and
 ``permutation_p_oracle`` (the exact Spearman p over every permutation, once
-a vectorized loop, here a plain one).
+a vectorized loop, here a plain one).  The last section holds helpers that
+only the tests call, so the package need not carry them: views of phase-1
+and phase-2 results and the predicates that check them.
 """
 
 from __future__ import annotations
@@ -414,3 +416,47 @@ def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
         for key in sorted(tuple([rank[m] for m in p]) for p in paths)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# Views and predicates over package results that only the tests need
+# ---------------------------------------------------------------------------
+
+
+def flow_paths(ps) -> frozenset[tuple[MethodId, ...]]:
+    """The paths of a phase-1 ``PathSet`` as method tuples."""
+    ms = ps.methods
+    return frozenset(tuple([ms[i] for i in k]) for k in ps.paths)
+
+
+def all_stmt_sequences(result) -> set[tuple[str, ...]]:
+    """Every statement path of a ``Phase2Result``, intra and spliced."""
+    return {p for pair in result.pairs for p in pair.intra + pair.interprocess}
+
+
+def check_path_ordering(
+    path: tuple[MethodId, ...], spans: Mapping[MethodId, tuple[int, int]]
+) -> bool:
+    """The emitted-path predicate: no method's first entry postdates a
+    later method's last event."""
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            if spans[path[i]][0] > spans[path[j]][1]:
+                return False
+    return True
+
+
+def covers_chain(
+    paths: Iterable[tuple[MethodId, ...]], chain: tuple[MethodId, ...]
+) -> bool:
+    """True if some path contains the chain as an ordered subsequence."""
+    for path in paths:
+        it = iter(path)
+        if all(m in it for m in chain):
+            return True
+    return False
+
+
+def matches_mask(encoding: str, mask: str) -> bool:
+    """True if a configuration encoding matches a mask such as ``0xxx1x``."""
+    return all(m == "x" or m == c for c, m in zip(encoding, mask))

@@ -18,7 +18,6 @@ from crossflow.cli import main as cli_main
 from crossflow.config import (
     Configuration,
     all_configurations,
-    matches_mask,
     valid_configurations,
 )
 from crossflow.engine import (
@@ -34,7 +33,6 @@ from crossflow.engine import (
 )
 from crossflow.metrics import DepData, ipc_metrics
 from crossflow.methodpaths import (
-    covers_chain,
     method_ds,
     method_level_paths,
     pair_methods,
@@ -66,9 +64,13 @@ from crossflow.trace import (
 )
 
 from oracles import (
+    all_stmt_sequences,
     brute_force_ds,
     closure_matrix,
+    covers_chain,
+    flow_paths,
     influenced_map_oracle,
+    matches_mask,
     rank_with_ties,
     spans_oracle,
 )
@@ -95,8 +97,9 @@ def scenario_for(seed: int) -> Scenario:
     return Scenario("n_tier", seed=seed, length=length, tiers=4)
 
 
-def gt_method_chains(model, truth):
-    owner = model.stmt_owner()
+def gt_method_chains(owner, truth):
+    """Ground-truth stmt paths lifted to method chains by ``owner``, the
+    statement -> method map of the static graph."""
     chains = set()
     for path in truth.dyn_paths:
         methods = []
@@ -150,16 +153,16 @@ def test_criterion_2_method_level_oracle_equivalence():
             want = brute_force_ds(q, traces, want_spans, influenced)
             assert got == want, (sc, q)
 
-        owner = model.stmt_owner()
+        owner = all_graph_variants(model)[(True, True)].nodes
         ps = method_level_paths(
             traces,
             {owner[s] for s in model.sources},
             {owner[s] for s in model.sinks},
         )
         assert not ps.truncated, sc
-        for chain in gt_method_chains(model, truth):
+        for chain in gt_method_chains(owner, truth):
             chains_checked += 1
-            assert covers_chain(ps.flow_paths(), chain), (sc, chain)
+            assert covers_chain(flow_paths(ps), chain), (sc, chain)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(
@@ -211,7 +214,7 @@ def test_criterion_3_statement_level_soundness():
         }
         base = runs["default"]
         covered = direct_coverage(traces)
-        emitted = base.phase2.all_stmt_sequences()
+        emitted = all_stmt_sequences(base.phase2)
 
         # (a) every statement on every emitted path is covered
         for seqid in emitted:
@@ -220,7 +223,7 @@ def test_criterion_3_statement_level_soundness():
         # (b) spliced junctions satisfy the no-intervening-event predicate
         graph = graphs[(False, True)]
         order = merge_global(traces)
-        owner = model.stmt_owner()
+        owner = graph.nodes
         by_pair = pair_methods(
             filter_traces(traces, relevant_methods(graph, cfg)),
             {owner[s] for s in cfg.sources if s in owner},
@@ -238,8 +241,8 @@ def test_criterion_3_statement_level_soundness():
             assert gt in emitted, (sc, gt)
 
         # mode equivalence on deterministic traces
-        assert runs["sim"].phase2.all_stmt_sequences() == emitted, sc
-        assert runs["mul"].phase2.all_stmt_sequences() == emitted, sc
+        assert all_stmt_sequences(runs["sim"].phase2) == emitted, sc
+        assert all_stmt_sequences(runs["mul"].phase2) == emitted, sc
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(
@@ -321,7 +324,7 @@ def test_criterion_6_q_learning_arithmetic():
     assert reward(60000, 40000) == 0.05
     table = QTable()
     update(table, C("111111"), C("000100"), 0.05, LearnerParams(alpha=0.9, gamma=0.9))
-    assert math.isclose(table.get(C("111111"), C("000100")), 0.045, abs_tol=1e-15)
+    assert math.isclose(table.values[(C("111111"), C("000100"))], 0.045, abs_tol=1e-15)
 
     for epsilon in (0.0, 0.2, 1.0):
         t = QTable()

@@ -935,7 +935,10 @@ class TestMalformedInputs:
         ('{"load_base": "1"}', "cost-model field 'load_base' must be a finite number"),
         ('{"event_tick": NaN}', "cost-model field 'event_tick' must be a finite number"),
         ('{"flow_factor": true}', "cost-model field 'flow_factor' must be a finite number"),
-    ], ids=["unknown-key", "not-an-object", "not-a-number", "nan", "boolean"])
+        ('{"mode": "wallclok"}', "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
+        ('{"mode": 5}', "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
+    ], ids=["unknown-key", "not-an-object", "not-a-number", "nan", "boolean",
+            "mode-misspelt", "mode-number"])
     def test_bad_cost_model_exit_3_names_file(self, tmp_path, capsys, text, message):
         sim = run_sim(tmp_path)
         costs = tmp_path / "costs.json"
@@ -962,21 +965,83 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == "error: budget components must be finite\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("manifest", [
-        [],
-        {"processes": ["p0", "p1"], "files": {"p1": "p1.trace"}, "scenario": {}},
-        {"processes": ["p0", "p1"], "scenario": {}},
-    ], ids=["not-an-object", "no-file-for-process", "no-files"])
-    def test_bad_trace_manifest_exit_3_names_it(self, tmp_path, capsys, manifest):
+    @pytest.mark.parametrize("manifest,message", [
+        ([], "not a JSON object"),
+        ({"processes": ["p0", "p1"], "files": {"p1": "p1.trace"}, "scenario": {}},
+         "no trace file named for process 'p0'"),
+        ({"processes": ["p0", "p1"], "scenario": {}},
+         "no trace file named for process 'p0'"),
+        ({"processes": "p0", "files": {"p0": "p0.trace"}, "scenario": {}},
+         "'processes' must be a list of process names"),
+        ({"files": {"p0": "p0.trace"}, "scenario": {}},
+         "'processes' must be a list of process names"),
+    ], ids=["not-an-object", "no-file-for-process", "no-files", "processes-string",
+            "no-processes"])
+    def test_bad_trace_manifest_exit_3_names_it(self, tmp_path, capsys, manifest, message):
         sim = run_sim(tmp_path)
         path = sim / "traces" / "manifest.json"
         path.write_text(json.dumps(manifest))
         assert self.tune(sim, tmp_path / "out", "--budget", "1000") == 3
-        want = (
-            "not a JSON object" if manifest == []
-            else "no trace file named for process 'p0'"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("manifest,message", [
+        (["graph_01.txt"], "not a JSON object"),
+        ({"variants": ["graph_01.txt"]},
+         "'variants' must map each variant key to a file name"),
+        ({}, "'variants' must map each variant key to a file name"),
+        ({"variants": {"01": 5}}, "'variants' must map each variant key to a file name"),
+    ], ids=["list", "variants-list", "no-variants", "file-name-number"])
+    def test_bad_graph_manifest_exit_3_names_it(self, tmp_path, capsys, manifest, message):
+        sim = run_sim(tmp_path)
+        path = sim / "graphs" / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert self.tune(sim, tmp_path / "out", "--budget", "1000") == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"deps_files": ["deps_p0.txt"]}, "'deps_files' must map each process to a file name"),
+        ({"deps_files": {"p0": 5}}, "'deps_files' must map each process to a file name"),
+        ({"deps_files": None}, "'deps_files' must map each process to a file name"),
+        ({"bundle": None}, "'bundle' must be a path"),
+        ({"bundle": 5}, "'bundle' must be a path"),
+    ], ids=["deps-files-list", "deps-file-number", "no-deps-files", "no-bundle",
+            "bundle-number"])
+    def test_bad_run_manifest_exit_3_names_it(self, tmp_path, capsys, change, message):
+        sim = run_sim(tmp_path)
+        run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
+        path = run / "run.json"
+        data = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        capsys.readouterr()
+        for argv in (["query", "--method", "Main.run"], ["metrics"]):
+            assert main([*argv, "--run", str(run)]) == 3
+            assert capsys.readouterr().err == f"error: bad input data: {path}: {message}\n"
+
+    @pytest.mark.parametrize("vulns,message", [
+        ({"entries": 5}, "'entries' must be a list of [cvss, years]"),
+        ({"entries": [[1]]}, "'entries' must be a list of [cvss, years]"),
+        ({"entries": [["5.0", 10]]}, "'entries' must be a list of [cvss, years]"),
+        ({"n_non_nvd": [1]}, "'n_non_nvd' must be an integer"),
+    ], ids=["entries-number", "entry-of-one", "cvss-string", "count-list"])
+    def test_bad_vulns_exit_3_names_file(self, tmp_path, capsys, vulns, message):
+        bad = tmp_path / "vulns.json"
+        bad.write_text(json.dumps(vulns))
+        assert main(["quality", "--vulns", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: bad input data: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("features", [
+        {"a": [1.0, 2.0], "b": [3.0, 4.0]},
+        [1.0, 2.0],
+        [[1.0, "x"], [2.0, 3.0]],
+    ], ids=["object", "numbers", "string-coordinate"])
+    def test_bad_features_exit_3_names_file(self, tmp_path, capsys, features):
+        bad = tmp_path / "features.json"
+        bad.write_text(json.dumps(features))
+        assert main(["classify", "--features", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {bad}: features must be a list of lists of numbers\n"
         )
-        assert capsys.readouterr().err == f"error: {path}: {want}\n"
 
     @pytest.mark.parametrize("cfg,member", [
         ({"sources": "p0.Main.run.s2", "sinks": []}, "'sources'"),

@@ -8,9 +8,10 @@ from crossflow.config import (
     Configuration,
     InvalidConfigError,
     all_configurations,
-    matches_mask,
     valid_configurations,
 )
+
+from oracles import matches_mask
 
 INVALID_MASKS = ("001xxx", "010xxx", "011xxx", "0xxx1x", "xxx0x1", "000000")
 

@@ -12,18 +12,19 @@ from crossflow.methodpaths import (
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
     PathSet,
-    check_path_ordering,
-    covers_chain,
     method_ds,
     method_level_paths,
     pair_methods,
     render_paths,
 )
-from crossflow.simulator import Scenario, generate_program, simulate
+from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
 from oracles import (
     brute_force_ds,
+    check_path_ordering,
+    covers_chain,
+    flow_paths,
     influenced_map_oracle,
     reference_method_paths,
     reference_render_paths,
@@ -64,16 +65,16 @@ def strictly_increasing(keys):
 def assert_matches_reference(got, want, where):
     """Same paths, count, truncation flag and ``phase1.txt`` text as the
     reference enumerator and writer, with keys strictly increasing."""
-    assert {p for p in got.flow_paths()} == want.paths, where
+    assert {p for p in flow_paths(got)} == want.paths, where
     assert len(got.paths) == len(want.paths), where
     assert got.truncated == want.truncated, where
     assert strictly_increasing(got.paths), where
     assert render_paths(got) == reference_render_paths(want.paths), where
 
 
-def owner_chains(model, truth):
-    """Ground-truth stmt paths lifted to duplicate-free method chains."""
-    owner = model.stmt_owner()
+def owner_chains(owner, truth):
+    """Ground-truth stmt paths lifted to duplicate-free method chains by
+    ``owner``, the statement -> method map of the static graph."""
     chains = set()
     for path in truth.dyn_paths:
         methods = []
@@ -176,13 +177,13 @@ class TestMethodLevelPaths:
         sc = Scenario("n_tier", seed=2, length=100, tiers=3)
         model = generate_program(sc)
         traces, truth = simulate(model, sc)
-        owner = model.stmt_owner()
+        owner = all_graph_variants(model)[(True, True)].nodes
         src_methods = {owner[s] for s in model.sources}
         sink_methods = {owner[s] for s in model.sinks}
         ps = method_level_paths(traces, src_methods, sink_methods)
         assert not ps.truncated
         spanning = [
-            p for p in ps.flow_paths()
+            p for p in flow_paths(ps)
             if {m.process for m in p} == {"p0", "p1", "p2"}
         ]
         assert spanning
@@ -193,13 +194,13 @@ class TestMethodLevelPaths:
             model = generate_program(sc)
             traces, _ = simulate(model, sc)
             spans = method_spans(traces)
-            owner = model.stmt_owner()
+            owner = all_graph_variants(model)[(True, True)].nodes
             ps = method_level_paths(
                 traces,
                 {owner[s] for s in model.sources},
                 {owner[s] for s in model.sinks},
             )
-            for p in ps.flow_paths():
+            for p in flow_paths(ps):
                 assert check_path_ordering(p, spans)
                 assert len(set(p)) == len(p)
 
@@ -214,25 +215,25 @@ class TestMethodLevelPaths:
         for sc in scenarios:
             model = generate_program(sc)
             traces, truth = simulate(model, sc)
-            owner = model.stmt_owner()
+            owner = all_graph_variants(model)[(True, True)].nodes
             ps = method_level_paths(
                 traces,
                 {owner[s] for s in model.sources},
                 {owner[s] for s in model.sinks},
             )
             assert not ps.truncated, sc
-            for chain in owner_chains(model, truth):
-                assert covers_chain(ps.flow_paths(), chain), (sc, chain)
+            for chain in owner_chains(owner, truth):
+                assert covers_chain(flow_paths(ps), chain), (sc, chain)
 
     def test_duplicate_suppression_and_truncation_flag(self):
         sc = Scenario("peer_to_peer", seed=1, length=90)
         model = generate_program(sc)
         traces, _ = simulate(model, sc)
-        owner = model.stmt_owner()
+        owner = all_graph_variants(model)[(True, True)].nodes
         srcs = {owner[s] for s in model.sources}
         sinks = {owner[s] for s in model.sinks}
         full = method_level_paths(traces, srcs, sinks)
-        assert len(full.flow_paths()) == len(full.paths)
+        assert len(flow_paths(full)) == len(full.paths)
         assert strictly_increasing(full.paths)
         tiny = method_level_paths(traces, srcs, sinks, path_limit=2)
         assert tiny.truncated
@@ -251,7 +252,7 @@ class TestMethodLevelPaths:
         for sc in scenarios:
             model = generate_program(sc)
             traces, _ = simulate(model, sc)
-            owner = model.stmt_owner()
+            owner = all_graph_variants(model)[(True, True)].nodes
             srcs = {owner[s] for s in model.sources}
             sinks = {owner[s] for s in model.sinks}
             pairs = pair_methods(traces, srcs, sinks)
@@ -304,7 +305,7 @@ class TestMethodLevelPaths:
         for sinks in ([mid("A", "s")], [mid("A", "s"), mid("B", "s2")]):
             full = method_level_paths(traces, srcs, sinks)
             assert (mid("A", "q"), mid("B", "m2"), mid("A", "s")) in {
-                p for p in full.flow_paths()
+                p for p in flow_paths(full)
             }
             for limit in range(2, 7):
                 for max_paths in range(1, 8):
@@ -477,7 +478,7 @@ def test_pair_methods_when_a_source_is_also_a_sink():
     }
     assert pairs == path_unions(reference_method_paths(traces, [q], [q, s]).paths)
     assert pairs == path_unions(
-        p for p in method_level_paths(traces, [q], [q, s]).flow_paths()
+        p for p in flow_paths(method_level_paths(traces, [q], [q, s]))
     )
     assert pair_methods(traces, [mid("A", "ghost")], [q, s]) == {}
 
@@ -502,7 +503,7 @@ def test_render_paths_orders_by_method_sort_keys():
     ]
     ps = path_set(paths)
     assert ps.methods == (c, a, b)
-    assert ps.flow_paths() == {ms for ms in paths}
+    assert flow_paths(ps) == {ms for ms in paths}
     assert render_paths(ps) == "\n".join(want) + "\n"
     assert render_paths(ps) == reference_render_paths(paths)
     assert render_paths(PathSet((), (), False)) == ""
@@ -528,10 +529,10 @@ def test_enumerated_paths_rank_by_sort_key_not_name():
     ps = method_level_paths(traces, [a, c], [a, b, c])
     assert ps.methods == (c, a, b)
     assert {(a, c), (a, b), (a, b, c), (a, c, b), (c, a, b)} <= {
-        p for p in ps.flow_paths()
+        p for p in flow_paths(ps)
     }
     assert strictly_increasing(ps.paths)
-    assert render_paths(ps) == reference_render_paths(ps.flow_paths())
+    assert render_paths(ps) == reference_render_paths(flow_paths(ps))
     lines = render_paths(ps).splitlines()
     assert lines.index("path level=method P.Z.a -> P.Main.c") < lines.index(
         "path level=method P.Z.a -> P-x.A.b"

@@ -64,13 +64,13 @@ class TestUpdate:
         t = QTable()
         update(t, C("111111"), C("000100"), 0.7,
                LearnerParams(alpha=1.0, gamma=0.0))
-        assert t.get(C("111111"), C("000100")) == 0.7
+        assert t.values[(C("111111"), C("000100"))] == 0.7
 
     def test_zero_table_hand_computed(self):
         t = QTable()
         update(t, C("111111"), C("000100"), 0.05,
                LearnerParams(alpha=0.9, gamma=0.9))
-        assert math.isclose(t.get(C("111111"), C("000100")), 0.045)
+        assert math.isclose(t.values[(C("111111"), C("000100"))], 0.045)
 
     def test_max_over_whole_table_vs_row(self):
         t = QTable()
@@ -79,13 +79,13 @@ class TestUpdate:
         params = LearnerParams(alpha=1.0, gamma=1.0)
         update(t, C("111111"), C("100100"), 0.0, params)
         # whole-table max is 10
-        assert t.get(C("111111"), C("100100")) == 10.0
+        assert t.values[(C("111111"), C("100100"))] == 10.0
         t2 = QTable()
         t2.values[(C("000100"), C("000101"))] = 10.0
         t2.values[(C("100100"), C("000100"))] = 4.0
         update(t2, C("111111"), C("100100"), 0.0, params, next_state_max=True)
         # row max for next state 100100 is 4
-        assert t2.get(C("111111"), C("100100")) == 4.0
+        assert t2.values[(C("111111"), C("100100"))] == 4.0
 
     def test_invalid_state_rejected(self):
         with pytest.raises(Exception):

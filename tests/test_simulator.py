@@ -44,7 +44,7 @@ def test_client_server_two_processes_and_repeatable():
 def test_source_and_sink_in_distinct_processes():
     for sc in SCENARIOS:
         model = generate_program(sc)
-        owner = model.stmt_owner()
+        owner = all_graph_variants(model)[(True, True)].nodes
         src_procs = {owner[s].process for s in model.sources}
         sink_procs = {owner[s].process for s in model.sinks}
         assert src_procs and sink_procs
@@ -136,7 +136,7 @@ def test_ground_truth_method_chains_are_repeat_free_and_short():
     for sc in SCENARIOS:
         model = generate_program(sc)
         traces, truth = simulate(model, sc)
-        owner = model.stmt_owner()
+        owner = all_graph_variants(model)[(True, True)].nodes
         for path in truth.dyn_paths:
             assert len(path) <= 14
             methods = []

@@ -19,7 +19,7 @@ from crossflow.stmtpaths import (
 )
 from crossflow.trace import EventRecord, MethodId, merge_global, stamp_lamport
 
-from oracles import all_simple_paths, junction_oracle, splice_oracle
+from oracles import all_simple_paths, all_stmt_sequences, junction_oracle, splice_oracle
 
 
 def mid(proc, name):
@@ -208,7 +208,7 @@ class TestSplice:
         res = analyze_flows(traces, graphs, model.default_cfg(), mode="sim")
         spliced = res.phase2.interprocess_paths()
         assert spliced
-        owner = model.stmt_owner()
+        owner = graphs[(True, True)].nodes
         for truth_path in truth.dyn_paths:
             procs = {owner[s].process for s in truth_path}
             if len(procs) == 3:
@@ -291,7 +291,7 @@ class TestJunctionIndex:
         ]:
             model = generate_program(sc)
             traces, _ = simulate(model, sc)
-            stmt_methods = model.stmt_owner()
+            stmt_methods = all_graph_variants(model)[(True, True)].nodes
             order = merge_global(traces)
             index = InletOutletIndex.build(traces, set(stmt_methods.values()))
             inlets, outlets = sorted(index.inlets), sorted(index.outlets)
@@ -336,7 +336,7 @@ class TestJunctionIndex:
         ]:
             model = generate_program(sc)
             traces, _ = simulate(model, sc)
-            stmt_methods = model.stmt_owner()
+            stmt_methods = all_graph_variants(model)[(True, True)].nodes
             for strict in (False, True):
                 got, want = self.spliced_junctions(traces, stmt_methods, strict)
                 assert got == want, (sc, strict)
@@ -355,7 +355,7 @@ class TestPhase2EndToEnd:
         cfg = SourceSinkConfig(frozenset({"src"}), frozenset({"sink"}))
         pairs = {(ma, mb): {ma, mb}}
         res = phase2(graph, pairs, traces, {"src", "out", "in_", "sink"}, cfg)
-        assert res.all_stmt_sequences() == {("src", "out", "in_", "sink")}
+        assert all_stmt_sequences(res) == {("src", "out", "in_", "sink")}
         counts = summary_counts(res)
         assert counts["interprocess_paths"] == 1
         assert counts["intra_paths"] == 0
@@ -369,7 +369,7 @@ class TestPhase2EndToEnd:
             graphs = all_graph_variants(model)
             res = analyze_flows(traces, graphs, model.default_cfg(), mode="default")
             covered = direct_coverage(traces)
-            for seqid in res.phase2.all_stmt_sequences():
+            for seqid in all_stmt_sequences(res.phase2):
                 assert set(seqid) <= covered
 
     def test_ground_truth_paths_emitted(self):
@@ -384,7 +384,7 @@ class TestPhase2EndToEnd:
             traces, truth = simulate(model, sc)
             graphs = all_graph_variants(model)
             res = analyze_flows(traces, graphs, model.default_cfg(), mode="default")
-            emitted = res.phase2.all_stmt_sequences()
+            emitted = all_stmt_sequences(res.phase2)
             for gt in truth.dyn_paths:
                 assert gt in emitted, (sc, gt)
 
@@ -402,9 +402,9 @@ class TestPhase2EndToEnd:
                 mode: analyze_flows(traces, graphs, model.default_cfg(), mode=mode)
                 for mode in ("default", "sim", "mul")
             }
-            base = outs["default"].phase2.all_stmt_sequences()
-            assert outs["sim"].phase2.all_stmt_sequences() == base, sc
-            assert outs["mul"].phase2.all_stmt_sequences() == base, sc
+            base = all_stmt_sequences(outs["default"].phase2)
+            assert all_stmt_sequences(outs["sim"].phase2) == base, sc
+            assert all_stmt_sequences(outs["mul"].phase2) == base, sc
 
     def test_truncated_phase1_leaves_phase2_whole(self):
         # a 2-method cap truncates phase 1 on every run; phase 2 reads the
@@ -424,8 +424,8 @@ class TestPhase2EndToEnd:
                     traces, graphs, model.default_cfg(), mode=mode, path_limit=2
                 )
                 assert cut.phase1.truncated, (sc, mode)
-                emitted = cut.phase2.all_stmt_sequences()
-                assert emitted == full.phase2.all_stmt_sequences(), (sc, mode)
+                emitted = all_stmt_sequences(cut.phase2)
+                assert emitted == all_stmt_sequences(full.phase2), (sc, mode)
                 assert set(truth.dyn_paths) <= emitted, (sc, mode)
 
     def test_coverage_styles_equivalent(self):
@@ -435,7 +435,7 @@ class TestPhase2EndToEnd:
         graphs = all_graph_variants(model)
         a = analyze_flows(traces, graphs, model.default_cfg(), coverage_style="direct")
         b = analyze_flows(traces, graphs, model.default_cfg(), coverage_style="branches")
-        assert a.phase2.all_stmt_sequences() == b.phase2.all_stmt_sequences()
+        assert all_stmt_sequences(a.phase2) == all_stmt_sequences(b.phase2)
 
     def test_strict_splice_is_at_most_default(self):
         # the all-events junction rule can only reject more concatenations

@@ -14,7 +14,6 @@ from crossflow.trace import (
     MethodId,
     ProcessTrace,
     filter_traces,
-    happens_before,
     influenced_recv_ts,
     merge_global,
     method_spans,
@@ -133,36 +132,59 @@ class TestMergeGlobal:
         assert merge_global(traces) == merge_global(traces)
 
 
+def closure_recvs(traces, reach, e):
+    """The recv events that ``e`` happens before by the closure ``reach``,
+    in the order of ``EventGraph.downstream_recvs``."""
+    return sorted(
+        (r for t in traces.values() for r in t.events
+         if r.kind == "recv" and r.key() in reach[e.key()]),
+        key=EventRecord.key,
+    )
+
+
 class TestHappensBefore:
+    """The happens-before index, asked for each event's downstream recvs."""
+
     def test_same_process_by_seq(self):
+        # C's entry happens before C's recv; the recv does not reach itself
         traces = stamp_lamport(three_process_figure())
-        a, b = traces["A"].events
-        assert happens_before(a, b, traces)
-        assert not happens_before(b, a, traces)
+        e, f = traces["C"].events
+        graph = EventGraph(traces)
+        assert graph.downstream_recvs(e) == [f]
+        assert graph.downstream_recvs(f) == []
 
     def test_concurrent_unlinked_processes(self):
-        raw = {"A": [ev("A", 0, "entry")], "B": [ev("B", 0, "entry")]}
+        # A and B each hear from C, never from each other
+        raw = {
+            "A": [ev("A", 0, "entry"), ev("A", 1, "recv", msg="m1", peer="C")],
+            "B": [ev("B", 0, "entry"), ev("B", 1, "recv", msg="m2", peer="C")],
+            "C": [ev("C", 0, "send", msg="m1", peer="A"),
+                  ev("C", 1, "send", msg="m2", peer="B")],
+        }
         traces = stamp_lamport(raw)
-        a = traces["A"].events[0]
-        b = traces["B"].events[0]
-        assert not happens_before(a, b, traces)
-        assert not happens_before(b, a, traces)
+        graph = EventGraph(traces)
+        a, a_recv = traces["A"].events
+        b, b_recv = traces["B"].events
+        assert graph.downstream_recvs(a) == [a_recv]
+        assert graph.downstream_recvs(b) == [b_recv]
+        assert graph.downstream_recvs(a_recv) == graph.downstream_recvs(b_recv) == []
 
     def test_send_to_post_recv_event(self):
+        # A's send reaches B's recv, which precedes B's send in program order
         traces = stamp_lamport(three_process_figure())
         send = traces["A"].events[1]
-        post = traces["B"].events[1]
-        assert happens_before(send, post, traces)
+        recv, post = traces["B"].events
+        assert EventGraph(traces).downstream_recvs(send) == [recv, traces["C"].events[1]]
+        assert recv.seq < post.seq
         assert hb_oracle(traces, send, post)
 
     def test_matches_closure_oracle_on_figure(self):
         traces = stamp_lamport(three_process_figure())
-        events = [e for t in traces.values() for e in t.events]
-        for e1 in events:
-            for e2 in events:
-                if e1.key() == e2.key():
-                    continue
-                assert happens_before(e1, e2, traces) == hb_oracle(traces, e1, e2)
+        graph = EventGraph(traces)
+        reach = closure_matrix(traces)
+        for trace in traces.values():
+            for e in trace.events:
+                assert graph.downstream_recvs(e) == closure_recvs(traces, reach, e)
 
 
 # --- randomized property: LTS correctness over generated causal schedules ---
@@ -224,17 +246,9 @@ def test_happens_before_equals_oracle(raw):
     ):
         reach = closure_matrix(traces)
         graph = EventGraph(traces)
-        events = [e for t in traces.values() for e in t.events]
-        for e1 in events:
-            want = sorted(
-                (e for e in events if e.kind == "recv" and e.key() in reach[e1.key()]),
-                key=EventRecord.key,
-            )
-            assert graph.downstream_recvs(e1) == want
-            for e2 in events:
-                if e1.key() == e2.key():
-                    continue
-                assert happens_before(e1, e2, traces) == (e2.key() in reach[e1.key()])
+        for t in traces.values():
+            for e in t.events:
+                assert graph.downstream_recvs(e) == closure_recvs(traces, reach, e)
         assert influenced_recv_ts(traces) == influenced_map_oracle(traces, reach)
 
 
