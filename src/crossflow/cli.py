@@ -44,7 +44,7 @@ from .metrics import (
     render_ipc_report,
     vulnerableness,
 )
-from .methodpaths import render_paths
+from .methodpaths import DEFAULT_PATH_LIMIT, render_paths
 from .pipeline import MODES, analyze_flows, direct_coverage
 from .qlearn import LearnerParams
 from .simulator import (
@@ -62,8 +62,8 @@ from .staticgraph import (
     write_graph_set,
 )
 from .stats import DegenerateDataError, kmeans2, spearman
-from .stmtpaths import render_stmt_paths, summary_counts
-from .trace import MethodId, TraceError, read_bundle, write_bundle
+from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_counts
+from .trace import MethodId, TraceError, read_bundle, read_json, write_bundle
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -85,7 +85,7 @@ def _parse_method(text: str) -> MethodId:
 def _load_object(path: Path) -> dict:
     """The JSON object in the file at ``path``; anything else is a data
     error naming the file."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
     return data
@@ -437,9 +437,21 @@ def cmd_quality(args) -> int:
     return 0
 
 
+def _load_rows(path: Path) -> dict[str, list]:
+    """A ``correlate`` input: a JSON object mapping each metric name to a
+    list of numbers; anything else is a data error naming the file."""
+    rows = _load_object(path)
+    if not all(
+        isinstance(row, list) and all(_is_number(v) for v in row)
+        for row in rows.values()
+    ):
+        raise ValueError(f"{path}: must map each metric name to a list of numbers")
+    return rows
+
+
 def cmd_correlate(args) -> int:
-    ipc_rows = json.loads(Path(args.ipc).read_text(encoding="utf-8"))
-    quality_rows = json.loads(Path(args.quality).read_text(encoding="utf-8"))
+    ipc_rows = _load_rows(Path(args.ipc))
+    quality_rows = _load_rows(Path(args.quality))
     text = render_correlation_matrix(ipc_rows, quality_rows, spearman)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -449,7 +461,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_classify(args) -> int:
     path = Path(args.features)
-    points = json.loads(path.read_text(encoding="utf-8"))
+    points = read_json(path)
     if not isinstance(points, list) or not all(
         isinstance(p, list) and all(_is_number(v) for v in p) for p in points
     ):
@@ -502,8 +514,8 @@ def _flowpaths_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graphs", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, default="default")
-    p.add_argument("--path-limit", type=positive_int, default=16)
-    p.add_argument("--stmt-path-limit", type=positive_int, default=24)
+    p.add_argument("--path-limit", type=positive_int, default=DEFAULT_PATH_LIMIT)
+    p.add_argument("--stmt-path-limit", type=positive_int, default=DEFAULT_STMT_PATH_LIMIT)
     p.add_argument("--strict-splice", action="store_true")
     p.add_argument("--coverage", choices=("direct", "branches"), default="direct")
     _add_out(p)

@@ -17,7 +17,6 @@ ticks and analysis costs.  A wallclock mode exists for demos.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -28,7 +27,10 @@ from typing import Callable, Iterable, Mapping, Optional
 from .config import Configuration, MOST_PRECISE
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import StaticDepGraph, reachable
-from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans
+from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans, read_json
+
+# shares of a total budget: graph construction, loading, dependence computation
+BUDGET_FRACTIONS = (0.7, 0.2, 0.1)
 
 
 class EngineError(ValueError):
@@ -55,10 +57,8 @@ class Budget:
             raise EngineError("sub-budgets exceed the total budget")
 
     @classmethod
-    def from_total(
-        cls, total: float, fractions: tuple[float, float, float] = (0.7, 0.2, 0.1)
-    ) -> "Budget":
-        c, l, d = fractions
+    def from_total(cls, total: float) -> "Budget":
+        c, l, d = BUDGET_FRACTIONS
         return cls(total, total * c, total * l, total * d)
 
 
@@ -107,7 +107,7 @@ class CostModel:
         unknown field, a ``mode`` other than ``synthetic`` or ``wallclock``
         or a cost that is not a finite number raises ``ValueError`` naming
         the file."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: cost model must be a JSON object")
         known = {f.name for f in fields(cls)}

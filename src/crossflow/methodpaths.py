@@ -8,23 +8,20 @@ origin-influenced message inside q's span.  Paths are then every duplicate-free
 sequence of DS(q) members from q to a sink-enclosing method whose pairwise
 first-entry/last-event ordering is consistent.
 
-Phase 2 reads the closed form of :func:`pair_methods`, not these paths, so
-the enumeration's caps bound only the ``phase1.txt`` report.  The paths stay
-in one compact form from the DFS to that report: a tuple of ranks into the
-executed methods in ``MethodId.sort_key`` order (see :class:`PathSet`).
+One pass computes each source's DS once and yields both the capped paths
+and, in closed form, each (source, sink) pair's path methods.  Phase 2
+reads those pair sets, so the caps bound only the ``phase1.txt`` report.
+The paths stay in one compact form from the DFS to that report: a tuple of
+ranks into the executed methods in ``MethodId.sort_key`` order (see
+:class:`PathSet`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .trace import (
-    MethodId,
-    ProcessTrace,
-    influenced_recv_ts,
-    method_spans,
-)
+from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans
 
 DEFAULT_PATH_LIMIT = 16
 DEFAULT_MAX_PATHS = 20000
@@ -39,30 +36,32 @@ class PathSet:
     Each path key holds the ranks of its methods, so keys sort as the paths'
     sort-key tuples do; ``paths`` is sorted and strictly increasing (paths of
     different sources differ in their first method, and one source's DFS
-    never repeats a sequence).
+    never repeats a sequence).  ``pairs``, uncapped, maps each (source,
+    sink) pair to the methods on its paths; :func:`render_paths` ignores it.
     """
 
     methods: tuple[MethodId, ...]
     paths: tuple[tuple[int, ...], ...]
     truncated: bool
+    pairs: Mapping[tuple[MethodId, MethodId], frozenset[MethodId]]
 
 
 def method_ds(
     q: MethodId,
     traces: Mapping[str, ProcessTrace],
-    spans: Optional[Mapping[MethodId, tuple[int, int]]] = None,
-    influenced: Optional[Mapping[tuple[str, str], int]] = None,
+    spans: Mapping[MethodId, tuple[int, int]],
+    influenced: Mapping[tuple[str, str], int],
 ) -> frozenset[MethodId]:
     """Forward impact set of q: methods whose execution may depend on it.
 
-    An unexecuted q yields the empty set.  Remote membership uses only the
-    first influenced message timestamp per process pair; influence follows
-    message chains transitively.
+    ``spans`` and ``influenced`` are ``method_spans`` and
+    ``influenced_recv_ts`` of ``traces``.  An unexecuted q yields the
+    empty set.  Remote membership uses only the first influenced message
+    timestamp per process pair; influence follows message chains
+    transitively.
     """
-    spans = method_spans(traces) if spans is None else spans
     if q not in spans:
         return frozenset()
-    influenced = influenced_recv_ts(traces) if influenced is None else influenced
     entry_ts = spans[q][0]
     members = {
         m for m, (_, lr) in spans.items()
@@ -80,39 +79,6 @@ def method_ds(
     return frozenset(members)
 
 
-def _source_ds(
-    traces: Mapping[str, ProcessTrace],
-    spans: Mapping[MethodId, tuple[int, int]],
-    source_methods: Iterable[MethodId],
-) -> Iterator[tuple[MethodId, frozenset[MethodId]]]:
-    """(q, DS(q)) for each distinct source q, in sort-key order; the
-    influence map is built once for all sources."""
-    influenced = influenced_recv_ts(traces)
-    for q in sorted(set(source_methods), key=MethodId.sort_key):
-        yield q, method_ds(q, traces, spans, influenced)
-
-
-def pair_methods(
-    traces: Mapping[str, ProcessTrace],
-    source_methods: Iterable[MethodId],
-    sink_methods: Iterable[MethodId],
-) -> dict[tuple[MethodId, MethodId], frozenset[MethodId]]:
-    """(source method q, sink method t) -> every method on some q -> t path,
-    for each sink t in DS(q): {q} for t == q, else each m in DS(q) with
-    fe(m) <= lr(t) (every subsequence of a valid path is valid, and
-    fe(q) <= lr(x) for every x in DS(q)).  Without truncation this is the
-    union of the q -> t paths that :func:`method_level_paths` enumerates."""
-    sinks = set(sink_methods)
-    spans = method_spans(traces)
-    out: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
-    for q, ds in _source_ds(traces, spans, source_methods):
-        for t in ds & sinks:
-            out[(q, t)] = frozenset(
-                [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
-            )
-    return out
-
-
 def method_level_paths(
     traces: Mapping[str, ProcessTrace],
     source_methods: Iterable[MethodId],
@@ -124,8 +90,13 @@ def method_level_paths(
     """All method-level flow paths between executed sources and sinks.
 
     The executed methods are ranked once by sort key, and the DFS records
-    each path as a tuple of those ranks."""
+    each path as a tuple of those ranks.  For each sink t in DS(q),
+    ``pairs[(q, t)]`` is {q} for t == q, else each m in DS(q) with
+    fe(m) <= lr(t): every subsequence of a valid path is valid, and
+    fe(q) <= lr(x) for every x in DS(q), so without truncation it is the
+    union of the enumerated q -> t paths."""
     spans = method_spans(traces)
+    influenced = influenced_recv_ts(traces)
     methods = tuple(sorted(spans, key=MethodId.sort_key))
     rank = {m: i for i, m in enumerate(methods)}
     first = [spans[m][0] for m in methods]
@@ -133,16 +104,23 @@ def method_level_paths(
     sinks = set(sink_methods)
     is_sink = [m in sinks for m in methods]
     keys: list[tuple[int, ...]] = []
+    pairs: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
     truncated = False
-    for q, ds in _source_ds(traces, spans, source_methods):
-        if not ds & sinks:
+    for q in sorted(set(source_methods), key=MethodId.sort_key):
+        ds = method_ds(q, traces, spans, influenced)
+        ds_sinks = ds & sinks
+        if not ds_sinks:
             continue
+        for t in ds_sinks:
+            pairs[(q, t)] = frozenset(
+                [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
+            )
         truncated |= _enumerate(
             rank[q], [rank[m] for m in ds], first, last, is_sink,
             path_limit, max_paths, work_budget, keys,
         )
     keys.sort()
-    return PathSet(methods, tuple(keys), truncated)
+    return PathSet(methods, tuple(keys), truncated, pairs)
 
 
 def _enumerate(

@@ -9,8 +9,9 @@ Three pipeline modes trade pre-analysis work against tracing scope:
   mul      the first phase sees only first/last method event instances, then
            the second phase re-reads full instances for path methods only.
 
-Phase 2 and the ``mul`` restriction read :func:`methodpaths.pair_methods`;
-the capped phase-1 enumeration only feeds ``phase1.txt`` and ``summary.txt``.
+Phase 2 and the ``mul`` restriction read the pair method sets of the one
+phase-1 pass (``PathSet.pairs``); its capped path enumeration only feeds
+``phase1.txt`` and ``summary.txt``.
 
 On deterministic traces all three produce identical statement-level paths.
 The statement-level static stage always uses the context-insensitive,
@@ -22,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .methodpaths import (
-    DEFAULT_PATH_LIMIT,
-    PathSet,
-    method_level_paths,
-    pair_methods,
-)
+from .methodpaths import DEFAULT_PATH_LIMIT, PathSet, method_level_paths
 from .staticgraph import (
     SourceSinkConfig,
     StaticDepGraph,
@@ -111,10 +107,8 @@ def analyze_flows(
     p1 = method_level_paths(
         phase1_traces, src_methods, sink_methods, path_limit=path_limit
     )
-    pairs = pair_methods(phase1_traces, src_methods, sink_methods)
-
     if mode == "mul":
-        phase2_traces = filter_traces(traces, set().union(*pairs.values()))
+        phase2_traces = filter_traces(traces, set().union(*p1.pairs.values()))
 
     if coverage_style == "direct":
         coverage = direct_coverage(phase2_traces)
@@ -122,7 +116,7 @@ def analyze_flows(
         coverage = inferred_coverage(graph, phase2_traces)
 
     p2 = phase2(
-        graph, pairs, phase2_traces, coverage, cfg,
+        graph, p1.pairs, phase2_traces, coverage, cfg,
         path_limit=stmt_path_limit, strict_splice=strict_splice,
     )
     return FlowAnalysis(phase1=p1, phase2=p2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .trace import MethodId
+from .trace import MethodId, read_json
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -116,6 +116,17 @@ def reachable(adj: Mapping, starts: Iterable) -> set:
     return seen
 
 
+def between(pairs: Iterable[tuple], starts: Iterable, ends: Iterable) -> set:
+    """Nodes on some path from ``starts`` to ``ends`` over the directed
+    edges ``pairs``: those reachable from a start that reach an end."""
+    fwd: dict = {}
+    rev: dict = {}
+    for a, b in pairs:
+        fwd.setdefault(a, []).append(b)
+        rev.setdefault(b, []).append(a)
+    return reachable(fwd, starts) & reachable(rev, ends)
+
+
 def relevant_methods(
     graph: StaticDepGraph, cfg: SourceSinkConfig
 ) -> set[MethodId]:
@@ -128,14 +139,8 @@ def relevant_methods(
     cfg.require_nonempty()
     starts = (set(cfg.sources) | set(graph.recv_sites)) & set(graph.nodes)
     ends = (set(cfg.sinks) | set(graph.send_sites)) & set(graph.nodes)
-    rev: dict[str, list[str]] = {}
-    for src, succs in graph.icfg_succ.items():
-        for dst in succs:
-            rev.setdefault(dst, []).append(src)
-    forward = reachable(graph.icfg_succ, starts)
-    backward = reachable(rev, ends)
-    on_path = forward & backward
-    return {graph.nodes[s] for s in on_path}
+    edges = ((src, dst) for src, succs in graph.icfg_succ.items() for dst in succs)
+    return {graph.nodes[s] for s in between(edges, starts, ends)}
 
 
 def partial_graph(
@@ -314,7 +319,7 @@ def read_graph_set(directory: Path) -> GraphSet:
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise GraphFormatError(f"{manifest_path}: not a JSON object")
     variants = manifest.get("variants")

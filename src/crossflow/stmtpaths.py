@@ -20,10 +20,11 @@ events (the strict variant restricts over all events instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .staticgraph import StaticDepGraph, SourceSinkConfig, partial_graph, reachable
-from .trace import EventRecord, MethodId, ProcessTrace, merge_global
+from .staticgraph import StaticDepGraph, SourceSinkConfig, between, partial_graph
+from .trace import METHOD_EVENT_KINDS, EventRecord, MethodId, ProcessTrace, merge_global
 
 DEFAULT_STMT_PATH_LIMIT = 24
 
@@ -33,7 +34,9 @@ class DynDepGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
+    @cached_property
     def out_adj(self) -> dict[str, list[str]]:
+        """Successor lists in sorted edge order, built on first use."""
         adj: dict[str, list[str]] = {}
         for a, b in sorted(self.edges):
             adj.setdefault(a, []).append(b)
@@ -68,7 +71,7 @@ class InletOutletIndex:
 
 
 def _method_event_seq(trace: ProcessTrace) -> list[MethodId]:
-    return [ev.method for ev in trace.events if ev.kind in ("entry", "returned_into")]
+    return [ev.method for ev in trace.events if ev.kind in METHOD_EVENT_KINDS]
 
 
 def build_ddg(
@@ -119,14 +122,7 @@ def build_ddg(
 
     starts = {source_stmt} | (set(inlets) & set(sdg.nodes))
     ends = {sink_stmt} | (set(outlets) & set(sdg.nodes))
-    fwd: dict[str, list[str]] = {}
-    rev: dict[str, list[str]] = {}
-    for a, b in active:
-        fwd.setdefault(a, []).append(b)
-        rev.setdefault(b, []).append(a)
-    reach_fwd = reachable(fwd, starts)
-    reach_rev = reachable(rev, ends)
-    keep = reach_fwd & reach_rev
+    keep = between(active, starts, ends)
     return DynDepGraph(
         nodes=frozenset(keep),
         edges=frozenset((a, b) for a, b in active if a in keep and b in keep),
@@ -155,7 +151,7 @@ def find_paths(
     enclosing methods executed in one process."""
     starts = sorted(set(ins) & allowed)
     ends = set(outs) & allowed
-    adj = ddg.out_adj()
+    adj = ddg.out_adj
     out: list[tuple[str, ...]] = []
 
     def walk(node: str, path: list[str]) -> None:

@@ -451,12 +451,21 @@ def write_bundle(
         write_trace(directory / manifest["files"][proc], trace)
 
 
+def read_json(path: Path):
+    """The JSON value in the file at ``path``.  Text that is not JSON raises
+    ``json.JSONDecodeError`` whose message names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+
+
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise MalformedTraceError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise MalformedTraceError(f"{manifest_path}: not a JSON object")
     processes = manifest.get("processes")

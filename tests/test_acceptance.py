@@ -35,7 +35,6 @@ from crossflow.metrics import DepData, ipc_metrics
 from crossflow.methodpaths import (
     method_ds,
     method_level_paths,
-    pair_methods,
 )
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.qlearn import (
@@ -58,6 +57,7 @@ from crossflow.trace import (
     EventRecord,
     MethodId,
     filter_traces,
+    influenced_recv_ts,
     merge_global,
     method_spans,
     stamp_lamport,
@@ -148,8 +148,9 @@ def test_criterion_2_method_level_oracle_equivalence():
         assert spans == want_spans, sc
         reach = closure_matrix(traces)
         influenced = influenced_map_oracle(traces, reach)
+        got_influenced = influenced_recv_ts(traces)
         for q in spans:
-            got = method_ds(q, traces, spans)
+            got = method_ds(q, traces, spans, got_influenced)
             want = brute_force_ds(q, traces, want_spans, influenced)
             assert got == want, (sc, q)
 
@@ -224,11 +225,11 @@ def test_criterion_3_statement_level_soundness():
         graph = graphs[(False, True)]
         order = merge_global(traces)
         owner = graph.nodes
-        by_pair = pair_methods(
+        by_pair = method_level_paths(
             filter_traces(traces, relevant_methods(graph, cfg)),
             {owner[s] for s in cfg.sources if s in owner},
             {owner[t] for t in cfg.sinks if t in owner},
-        )
+        ).pairs
         for pair in base.phase2.pairs:
             methods = by_pair[(owner[pair.source_stmt], owner[pair.sink_stmt])]
             index = InletOutletIndex.build(traces, methods)

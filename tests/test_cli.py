@@ -336,6 +336,62 @@ def test_flowpaths_reports_match_recorded_digests(tmp_path, capsys, name):
         assert counts["phase1_truncated"] == ("1" if run == "sim-limit-3" else "0")
 
 
+# sha256 of phase1.txt, phase2.txt and summary.txt for default-mode runs
+# with each phase-2 flag on the RECORDED_DIGESTS scenarios, taken before
+# phase 1 fed phase 2 from one pass: pins the DDG pruning and segment
+# search that both flags go through
+FLAG_DIGESTS = {
+    "n_tier": {
+        "strict-splice": (
+            "5b49493f497a6d986f1dfdb8e2f4f68dab5f2a97086da2a8bc0069bf23e31b7e",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "27deec69d361edc63910c3e23284791b8aeff55cb9c6cc11f5c4b01fbb24f1a5",
+        ),
+        "coverage-branches": (
+            "5b49493f497a6d986f1dfdb8e2f4f68dab5f2a97086da2a8bc0069bf23e31b7e",
+            "3239d45d167dc36ec7efcb711055f8a53f3d33200c1785befd4fc87ee611d76c",
+            "9dba86d2e82894dbe49a30da1d48eeca2b21b67bd83b2827d3448ee310d5008d",
+        ),
+    },
+    "peer_to_peer": {
+        "strict-splice": (
+            "49c38140fca63bae1c1d02b55a414420ed41d0ed0425b95b63272e65bdfeb32a",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "f24b7825d810d48cf6fe0011a2fad2580e5c70c5d71e8b81c977a33a3d298a9b",
+        ),
+        "coverage-branches": (
+            "49c38140fca63bae1c1d02b55a414420ed41d0ed0425b95b63272e65bdfeb32a",
+            "16d2c5602b92999a7cf3d100b06ef870eb2fac3c93c83060855207645819b382",
+            "54c94cf19fe4c2caefa8039259c86d11d5a7c97f4f4455c6f5e85474e8a50ae5",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_DIGESTS))
+def test_flowpaths_flag_reports_match_recorded_digests(tmp_path, capsys, name):
+    sim = run_sim(tmp_path, name, **RECORDED_DIGESTS[name][0])
+    runs = {
+        "strict-splice": ["--strict-splice"],
+        "coverage-branches": ["--coverage", "branches"],
+    }
+    for run, flags in runs.items():
+        out = tmp_path / f"fp_{run}"
+        assert main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            *flags,
+            "--out", str(out),
+        ]) == 0
+        got = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("phase1.txt", "phase2.txt", "summary.txt")
+        )
+        assert got == FLAG_DIGESTS[name][run], (name, run)
+
+
 # sha256 of phase1.txt, phase2.txt and summary.txt of a run where the
 # 20,000-path cap bites in every mode, taken before the phase-1 walk kept
 # its candidates as bitmasks: pins which paths the capped walk keeps
@@ -1041,6 +1097,75 @@ class TestMalformedInputs:
         assert main(["classify", "--features", str(bad)]) == 3
         assert capsys.readouterr().err == (
             f"error: bad input data: {bad}: features must be a list of lists of numbers\n"
+        )
+
+    @pytest.mark.parametrize("side", ["ipc", "quality"])
+    @pytest.mark.parametrize("row", [5, [1, 2, "x", 4], [1, True, 3, 4], None],
+                             ids=["number", "string-member", "boolean-member", "list-file"])
+    def test_bad_correlate_rows_exit_3_names_file(self, tmp_path, capsys, side, row):
+        # row None: the file holds the list of rows instead of an object
+        ipc, quality = correlate_rows(4, 11)
+        files = {"ipc": ipc, "quality": quality}
+        name = IPC_METRICS[0] if side == "ipc" else "exec_time"
+        files[side] = (
+            list(files[side].values()) if row is None else {**files[side], name: row}
+        )
+        paths = {key: tmp_path / f"{key}.json" for key in files}
+        for key, data in files.items():
+            paths[key].write_text(json.dumps(data))
+        argv = ["correlate", "--ipc", str(paths["ipc"]), "--quality", str(paths["quality"])]
+        assert main(argv) == 3
+        message = (
+            "not a JSON object" if row is None
+            else "must map each metric name to a list of numbers"
+        )
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {paths[side]}: {message}\n"
+        )
+
+    @pytest.mark.parametrize("kind", [
+        "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
+        "quality", "cost-model", "trace-manifest", "graph-manifest",
+    ])
+    def test_invalid_json_exit_3_names_file(self, tmp_path, capsys, kind):
+        sim = run_sim(tmp_path)
+        (tmp_path / "run").mkdir()
+        ipc, quality = tmp_path / "ipc.json", tmp_path / "quality.json"
+        ipc.write_text(json.dumps(correlate_rows(4, 11)[0]))
+        quality.write_text(json.dumps(correlate_rows(4, 11)[1]))
+        bad = {
+            "run": tmp_path / "run" / "run.json",
+            "ipc": ipc,
+            "quality": quality,
+            "trace-manifest": sim / "traces" / "manifest.json",
+            "graph-manifest": sim / "graphs" / "manifest.json",
+        }.get(kind, tmp_path / "bad.json")
+        bad.write_text("{not json")
+        tune = [
+            "tune", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+            "--tc", "4", "--budget", "1000", "--out", str(tmp_path / "o"),
+        ]
+        argv = {
+            "scenario": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
+            "config": [
+                "flowpaths", "--bundle", str(sim / "traces"),
+                "--graphs", str(sim / "graphs"), "--config", str(bad),
+                "--out", str(tmp_path / "o"),
+            ],
+            "run": ["query", "--run", str(tmp_path / "run"), "--method", "Main.run"],
+            "depdata": ["metrics", "--depdata", str(bad)],
+            "vulns": ["quality", "--vulns", str(bad)],
+            "features": ["classify", "--features", str(bad)],
+            "ipc": ["correlate", "--ipc", str(ipc), "--quality", str(quality)],
+            "quality": ["correlate", "--ipc", str(ipc), "--quality", str(quality)],
+            "cost-model": [*tune, "--cost-model", str(bad)],
+            "trace-manifest": tune,
+            "graph-manifest": tune,
+        }[kind]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)\n"
         )
 
     @pytest.mark.parametrize("cfg,member", [

@@ -14,11 +14,16 @@ from crossflow.methodpaths import (
     PathSet,
     method_ds,
     method_level_paths,
-    pair_methods,
     render_paths,
 )
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
-from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
+from crossflow.trace import (
+    EventRecord,
+    MethodId,
+    influenced_recv_ts,
+    method_spans,
+    stamp_lamport,
+)
 
 from oracles import (
     brute_force_ds,
@@ -40,6 +45,11 @@ def ev(proc, seq, kind, name="run", **kw):
     return EventRecord(kind=kind, method=mid(proc, name), seq=seq, **kw)
 
 
+def ds_of(q, traces):
+    """DS(q), with the spans and the influence map built for this query."""
+    return method_ds(q, traces, method_spans(traces), influenced_recv_ts(traces))
+
+
 def path_unions(paths):
     """(source, sink) -> union of the methods of the enumerated method tuples."""
     by_pair = {}
@@ -55,7 +65,7 @@ def path_set(paths):
     methods = tuple(sorted({m for ms in paths for m in ms}, key=MethodId.sort_key))
     rank = {m: i for i, m in enumerate(methods)}
     keys = sorted(tuple(rank[m] for m in ms) for ms in paths)
-    return PathSet(methods, tuple(keys), False)
+    return PathSet(methods, tuple(keys), False, {})
 
 
 def strictly_increasing(keys):
@@ -90,13 +100,13 @@ class TestMethodDs:
     def test_last_event_single_process(self):
         raw = {"A": [ev("A", 0, "entry", "m1"), ev("A", 1, "entry", "q")]}
         traces = stamp_lamport(raw)
-        ds = method_ds(mid("A", "q"), traces)
+        ds = ds_of(mid("A", "q"), traces)
         assert ds == {mid("A", "q")}
 
     def test_unexecuted_method_empty(self):
         raw = {"A": [ev("A", 0, "entry", "m1")]}
         traces = stamp_lamport(raw)
-        assert method_ds(mid("A", "ghost"), traces) == frozenset()
+        assert ds_of(mid("A", "ghost"), traces) == frozenset()
 
     def test_silent_remote_process_contributes_nothing(self):
         raw = {
@@ -104,7 +114,7 @@ class TestMethodDs:
             "B": [ev("B", 0, "entry", "m")],
         }
         traces = stamp_lamport(raw)
-        ds = method_ds(mid("A", "q"), traces)
+        ds = ds_of(mid("A", "q"), traces)
         assert all(m.process == "A" for m in ds)
 
     def test_remote_member_via_message(self):
@@ -116,7 +126,7 @@ class TestMethodDs:
                   ev("B", 2, "returned_into", "m")],
         }
         traces = stamp_lamport(raw)
-        ds = method_ds(mid("A", "q"), traces)
+        ds = ds_of(mid("A", "q"), traces)
         assert mid("B", "m") in ds
         assert ds == brute_force_ds(mid("A", "q"), traces)
 
@@ -130,7 +140,7 @@ class TestMethodDs:
                   ev("B", 1, "returned_into", "m")],
         }
         traces = stamp_lamport(raw)
-        ds = method_ds(mid("A", "q"), traces)
+        ds = ds_of(mid("A", "q"), traces)
         assert mid("B", "m") not in ds
         assert ds == brute_force_ds(mid("A", "q"), traces)
 
@@ -149,8 +159,9 @@ class TestMethodDs:
             want_spans = spans_oracle(traces)
             assert spans == want_spans, sc
             influenced = influenced_map_oracle(traces)
+            got_influenced = influenced_recv_ts(traces)
             for q in spans:
-                got = method_ds(q, traces, spans)
+                got = method_ds(q, traces, spans, got_influenced)
                 want = brute_force_ds(q, traces, want_spans, influenced)
                 assert got == want, (sc, q)
 
@@ -255,7 +266,7 @@ class TestMethodLevelPaths:
             owner = all_graph_variants(model)[(True, True)].nodes
             srcs = {owner[s] for s in model.sources}
             sinks = {owner[s] for s in model.sinks}
-            pairs = pair_methods(traces, srcs, sinks)
+            pairs = method_level_paths(traces, srcs, sinks).pairs
             caps = [(DEFAULT_PATH_LIMIT, DEFAULT_MAX_PATHS, DEFAULT_WORK_BUDGET)]
             caps += [
                 (rng.randint(2, 6), rng.randint(1, 50), rng.randint(1, 500))
@@ -274,6 +285,8 @@ class TestMethodLevelPaths:
                     max_paths=max_paths, work_budget=budget,
                 )
                 assert_matches_reference(got, want, (sc, limit, max_paths, budget))
+                # no cap touches the pair sets
+                assert got.pairs == pairs, (sc, limit, max_paths, budget)
                 # the closed form is the enumerated union, or a superset of
                 # it when a cap cut the enumeration off
                 unions = path_unions(want.paths)
@@ -335,8 +348,8 @@ class TestMethodLevelPaths:
         traces = stamp_lamport(raw)
         q1, q2, s = mid("A", "q1"), mid("A", "q2"), mid("A", "s")
         srcs, sinks = [q2, q1], [s]
-        assert method_ds(q1, traces) == {q1, q2, mid("B", "m"), s}
-        assert method_ds(q2, traces) == {q2, mid("B", "m"), s}
+        assert ds_of(q1, traces) == {q1, q2, mid("B", "m"), s}
+        assert ds_of(q2, traces) == {q2, mid("B", "m"), s}
         full = method_level_paths(traces, srcs, sinks)
         starts = [full.methods[key[0]] for key in full.paths]
         assert starts == [q1] * 5 + [q2] * 2
@@ -428,7 +441,7 @@ WIDE = wide_fixture()
 )
 @settings(max_examples=60, deadline=None)
 def test_equals_reference_beyond_a_machine_word(late_sinks, early_sink, cap):
-    assert len(method_ds(mid("A", "w0"), WIDE)) == 70
+    assert len(ds_of(mid("A", "w0"), WIDE)) == 70
     sinks = [mid("B", f"v{i}") for i in late_sinks]
     sinks += [mid("A", "w25")] if early_sink else []
     limit, max_paths, budget = cap
@@ -471,7 +484,7 @@ def test_pair_methods_when_a_source_is_also_a_sink():
     }
     traces = stamp_lamport(raw)
     q, s = mid("A", "q"), mid("A", "s")
-    pairs = pair_methods(traces, [q], [q, s])
+    pairs = method_level_paths(traces, [q], [q, s]).pairs
     assert pairs == {
         (q, q): {q},
         (q, s): {q, mid("A", "x"), mid("B", "m"), s},
@@ -480,7 +493,7 @@ def test_pair_methods_when_a_source_is_also_a_sink():
     assert pairs == path_unions(
         p for p in flow_paths(method_level_paths(traces, [q], [q, s]))
     )
-    assert pair_methods(traces, [mid("A", "ghost")], [q, s]) == {}
+    assert method_level_paths(traces, [mid("A", "ghost")], [q, s]).pairs == {}
 
 
 def test_covers_chain_subsequence_semantics():
@@ -506,7 +519,7 @@ def test_render_paths_orders_by_method_sort_keys():
     assert flow_paths(ps) == {ms for ms in paths}
     assert render_paths(ps) == "\n".join(want) + "\n"
     assert render_paths(ps) == reference_render_paths(paths)
-    assert render_paths(PathSet((), (), False)) == ""
+    assert render_paths(PathSet((), (), False, {})) == ""
 
 
 def test_enumerated_paths_rank_by_sort_key_not_name():

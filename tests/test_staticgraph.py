@@ -10,6 +10,7 @@ from crossflow.staticgraph import (
     GraphFormatError,
     SourceSinkConfig,
     StaticDepGraph,
+    between,
     coverage_from_branches,
     partial_graph,
     read_graph,
@@ -132,6 +133,16 @@ class TestPartialGraph:
         once = partial_graph(g, some)
         assert set(once.nodes) <= set(g.nodes) and once.edges <= g.edges
         assert partial_graph(once, some) == once
+
+
+def test_between_keeps_nodes_on_some_start_to_end_path():
+    # a -> b -> c -> d with a side branch b -> x and a lead-in w -> a;
+    # a lone start that is also an end is on a path of length zero
+    edges = [("w", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("b", "x")]
+    assert between(edges, {"a"}, {"d"}) == {"a", "b", "c", "d"}
+    assert between(edges, {"a", "z"}, {"c", "z"}) == {"a", "b", "c", "z"}
+    assert between(edges, {"d"}, {"a"}) == set()
+    assert between((), {"a"}, {"a"}) == {"a"}
 
 
 def test_coverage_from_branches_matches_direct_coverage():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from crossflow import trace
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.staticgraph import DepEdge, SourceSinkConfig, StaticDepGraph
@@ -132,6 +133,16 @@ class TestFindPaths:
         got = set(paths)
         want = all_simple_paths(edges, {"s"}, {"t"}, set(nodes))
         assert got == want == {("s", "l", "t"), ("s", "r", "t")}
+
+    def test_adjacency_sorted_once_per_graph(self):
+        ddg = DynDepGraph(
+            frozenset({"s", "l", "r", "t"}),
+            frozenset({("s", "r"), ("r", "t"), ("s", "l"), ("l", "t")}),
+        )
+        adj = ddg.out_adj
+        assert adj == {"l": ["t"], "r": ["t"], "s": ["l", "r"]}
+        find_paths(ddg, {"s"}, {"t"}, set(ddg.nodes))
+        assert ddg.out_adj is adj
 
     def test_trace_restriction_excludes_other_process(self):
         nodes = frozenset({"a1", "b1"})
@@ -427,6 +438,27 @@ class TestPhase2EndToEnd:
                 emitted = all_stmt_sequences(cut.phase2)
                 assert emitted == all_stmt_sequences(full.phase2), (sc, mode)
                 assert set(truth.dyn_paths) <= emitted, (sc, mode)
+
+    def test_one_event_graph_per_run(self, monkeypatch):
+        # phase 1 builds the happens-before index once, for both its paths
+        # and the pair method sets that phase 2 reads
+        sc = Scenario("n_tier", seed=2, length=100, tiers=3)
+        model = generate_program(sc)
+        traces, _ = simulate(model, sc)
+        graphs = all_graph_variants(model)
+        built = []
+        init = trace.EventGraph.__init__
+
+        def spy(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(trace.EventGraph, "__init__", spy)
+        for mode in ("default", "sim", "mul"):
+            built.clear()
+            res = analyze_flows(traces, graphs, model.default_cfg(), mode=mode)
+            assert res.phase2.interprocess_paths(), mode
+            assert len(built) == 1, mode
 
     def test_coverage_styles_equivalent(self):
         sc = Scenario("client_server", seed=2, length=120)
