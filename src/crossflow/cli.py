@@ -12,6 +12,7 @@ error, 4 invalid analysis configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 
 OUT_DIR_ENV = "CROSSFLOW_OUT"
 
-from .config import Configuration, InvalidConfigError
+from .config import MOST_PRECISE, Configuration, InvalidConfigError
 from .engine import (
     ArbiterState,
     Budget,
@@ -35,6 +36,8 @@ from .engine import (
     render_round_log,
 )
 from .metrics import (
+    IPC_METRICS,
+    QUALITY_METRICS,
     DepData,
     MetricsError,
     attack_surface,
@@ -63,7 +66,7 @@ from .staticgraph import (
 )
 from .stats import DegenerateDataError, kmeans2, spearman
 from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_counts
-from .trace import MethodId, TraceError, read_bundle, read_json, write_bundle
+from .trace import MethodId, TraceError, read_bundle, read_json, read_text, write_bundle
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -82,6 +85,11 @@ def _parse_method(text: str) -> MethodId:
     return MethodId(*parts)
 
 
+def _json_text(data) -> str:
+    """``data`` as the indented, key-sorted JSON text of a written file."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _load_object(path: Path) -> dict:
     """The JSON object in the file at ``path``; anything else is a data
     error naming the file."""
@@ -93,12 +101,18 @@ def _load_object(path: Path) -> dict:
 
 def _load_scenario(path: Path) -> Scenario:
     data = _load_object(path)
-    return Scenario(
-        topology=data["topology"],
-        seed=int(data.get("seed", 0)),
-        length=int(data.get("length", 80)),
-        tiers=None if data.get("tiers") is None else int(data["tiers"]),
-    )
+    if "topology" not in data:
+        raise ValueError(f"{path}: no 'topology'")
+
+    def integer(key: str, default: int) -> int:
+        value = data.get(key, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}") from None
+
+    tiers = None if data.get("tiers") is None else integer("tiers", 0)
+    return Scenario(data["topology"], integer("seed", 0), integer("length", 80), tiers)
 
 
 def _is_number(value) -> bool:
@@ -131,23 +145,12 @@ def _load_cfg(path: Path) -> SourceSinkConfig:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(Path(args.scenario))
     if args.seed is not None:
-        scenario = Scenario(
-            scenario.topology, int(args.seed), scenario.length, scenario.tiers
-        )
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     model = generate_program(scenario)
     traces, truth = simulate(model, scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_bundle(
-        out / "traces",
-        traces,
-        {
-            "topology": scenario.topology,
-            "seed": scenario.seed,
-            "length": scenario.length,
-            "tiers": scenario.tiers,
-        },
-    )
+    write_bundle(out / "traces", traces, dataclasses.asdict(scenario))
     write_graph_set(out / "graphs", all_graph_variants(model))
     with open(out / "groundtruth.jsonl", "w", encoding="utf-8") as fh:
         for m1, m2 in sorted(truth.dyn_dep, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
@@ -158,15 +161,7 @@ def cmd_simulate(args) -> int:
             fh.write(json.dumps({"type": "path", "stmts": list(path)}) + "\n")
     cfg = model.default_cfg()
     (out / "config.json").write_text(
-        json.dumps(
-            {
-                "sources": sorted(cfg.sources),
-                "sinks": sorted(cfg.sinks),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        _json_text({"sources": sorted(cfg.sources), "sinks": sorted(cfg.sinks)}),
         encoding="utf-8",
     )
     print(f"wrote bundle, graphs, ground truth under {out}")
@@ -233,21 +228,15 @@ def cmd_tune(args) -> int:
     for idx, proc in enumerate(sorted(traces)):
         trace = traces[proc]
         coverage = direct_coverage({proc: trace})
-        if pinned is not None:
-            controller = PinnedController(pinned)
-            state = ArbiterState(
-                event_threshold=args.tc, time_threshold=args.tt, config=pinned
-            )
-        else:
-            controller = QLearnController(
-                budget.total,
-                LearnerParams(epsilon=args.epsilon),
-                seed=args.seed * 31 + idx,
-                next_state_max=args.next_state_max,
-            )
-            state = ArbiterState(
-                event_threshold=args.tc, time_threshold=args.tt
-            )
+        controller = PinnedController(pinned) if pinned else QLearnController(
+            budget.total,
+            LearnerParams(epsilon=args.epsilon),
+            seed=args.seed * 31 + idx,
+            next_state_max=args.next_state_max,
+        )
+        state = ArbiterState(
+            event_threshold=args.tc, time_threshold=args.tt, config=pinned or MOST_PRECISE
+        )
         rounds = arbitrate(
             method_event_stream(trace, table),
             state, budget, costs, controller, graphs, coverage, table,
@@ -267,22 +256,15 @@ def cmd_tune(args) -> int:
             for method in sorted(final, key=MethodId.sort_key):
                 for member in sorted(final[method], key=MethodId.sort_key):
                     fh.write(f"dep {method.qualified()} {member.qualified()}\n")
-    (out / "run.json").write_text(
-        json.dumps(
-            {
-                "bundle": str(args.bundle),
-                "graphs": str(args.graphs),
-                "budget": args.budget,
-                "seed": args.seed,
-                "processes": sorted(traces),
-                "deps_files": deps_files,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    run = {
+        "bundle": str(args.bundle),
+        "graphs": str(args.graphs),
+        "budget": args.budget,
+        "seed": args.seed,
+        "processes": sorted(traces),
+        "deps_files": deps_files,
+    }
+    (out / "run.json").write_text(_json_text(run), encoding="utf-8")
     print(f"wrote round logs and dependence maps under {out}")
     return 0
 
@@ -304,12 +286,14 @@ def _load_run(run_dir: Path):
     per_process = {}
     for proc, name in deps_files.items():
         deps: dict[MethodId, set[MethodId]] = {}
-        for line in (run_dir / name).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(read_text(run_dir / name).splitlines(), 1):
             parts = line.split()
             if len(parts) != 3 or parts[0] != "dep":
                 continue
-            method = _parse_method(parts[1])
-            member = _parse_method(parts[2])
+            try:
+                method, member = _parse_method(parts[1]), _parse_method(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{run_dir / name}:{lineno}: {exc}") from None
             deps.setdefault(method, set()).add(member)
         per_process[proc] = {
             method: frozenset(members) for method, members in deps.items()
@@ -382,6 +366,14 @@ def _dep_data_from_json(path: Path) -> DepData:
     )
 
 
+def _emit(text: str, out) -> int:
+    """Print ``text``, and write it to the file ``out`` when one is given."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    print(text, end="")
+    return 0
+
+
 def cmd_metrics(args) -> int:
     if args.depdata:
         dep = _dep_data_from_json(Path(args.depdata))
@@ -390,16 +382,13 @@ def cmd_metrics(args) -> int:
         dep = dep_data_from_run(traces, per_process)
     report = ipc_metrics(dep, table_rcc=args.table_rcc)
     text = render_ipc_report(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(text, args.out)
 
 
 def cmd_quality(args) -> int:
     lengths = []
     if args.paths_report:
-        for line in Path(args.paths_report).read_text(encoding="utf-8").splitlines():
+        for line in read_text(Path(args.paths_report)).splitlines():
             if line.startswith("path level=stmt"):
                 lengths.append(len(line.split("->")))
     count, mean_len = path_stats(lengths, args.ksloc)
@@ -430,11 +419,7 @@ def cmd_quality(args) -> int:
             n_non_nvd, vuln_entries, corrected=args.vuln_corrected
         ),
     }
-    text = json.dumps(vector, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(_json_text(vector), args.out)
 
 
 def _load_rows(path: Path) -> dict[str, list]:
@@ -452,11 +437,16 @@ def _load_rows(path: Path) -> dict[str, list]:
 def cmd_correlate(args) -> int:
     ipc_rows = _load_rows(Path(args.ipc))
     quality_rows = _load_rows(Path(args.quality))
+    for q_name in (q for q in QUALITY_METRICS if q in quality_rows):
+        for m_name in (m for m in IPC_METRICS if m in ipc_rows):
+            q, m = quality_rows[q_name], ipc_rows[m_name]
+            if len(q) != len(m):
+                raise ValueError(
+                    f"{args.quality}: {q_name!r} has {len(q)} values,"
+                    f" but {args.ipc}: {m_name!r} has {len(m)}"
+                )
     text = render_correlation_matrix(ipc_rows, quality_rows, spearman)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(text, args.out)
 
 
 def cmd_classify(args) -> int:
@@ -475,10 +465,7 @@ def cmd_classify(args) -> int:
         lines.append(f"center {i} {coords}")
     lines.append(f"inertia {result.inertia:.10g}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------

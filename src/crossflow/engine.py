@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .config import Configuration, MOST_PRECISE
 from .qlearn import LearnerParams, QTable, reward, select_action, update
-from .staticgraph import StaticDepGraph, reachable
+from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans, read_json
 
 # shares of a total budget: graph construction, loading, dependence computation
@@ -188,14 +188,39 @@ def first_last_instances(qu: list[int]) -> list[int]:
     return [e for pos, e in enumerate(qu) if pos in keep]
 
 
+def lift_method_edges(
+    graph: StaticDepGraph, coverage: Optional[set[str]], table: MethodTable
+) -> dict[int, list[tuple[int, str]]]:
+    """The interprocedural edges of ``graph`` lifted to methods, as in-edge
+    lists over ``table`` ids: target -> sorted distinct (source, kind), kind
+    ``adjacent`` for parameter or return-value passing, else ``posterior``.
+
+    With ``coverage`` given, only stmt edges whose endpoints are both
+    covered witness a method edge (statement-coverage pruning).
+    """
+    lifted = {
+        (graph.nodes[e.src], graph.nodes[e.dst], e.kind)
+        for e in graph.edges
+        if e.kind in INTER_KINDS and (coverage is None or e.src in coverage and e.dst in coverage)
+    }
+    in_edges: dict[int, list[tuple[int, str]]] = {}
+    for i1, i2, kind in sorted((table.id_of(m1), table.id_of(m2), k) for m1, m2, k in lifted):
+        in_edges.setdefault(i2, []).append((i1, kind.removeprefix("inter_")))
+    return in_edges
+
+
 def compute_deps(
     qu: list[int],
     config: Configuration,
-    graphs: Mapping[tuple[bool, bool], StaticDepGraph],
-    coverage: Optional[set[str]],
+    in_edges: Mapping[int, list[tuple[int, str]]],
     table: MethodTable,
 ) -> dict[MethodId, frozenset[MethodId]]:
     """One round of intraprocess dependence computation.
+
+    ``in_edges`` is the static graph of the configuration's variant and
+    coverage bit as ``lift_method_edges`` returns it; only its edges between
+    methods executed in ``qu`` count, and without the static-graph bit it
+    is not read.
 
     Semantics by configuration bits: without instance-level granularity the
     queue collapses to first/last instances; statement coverage prunes the
@@ -208,36 +233,21 @@ def compute_deps(
     config.require_valid()
     events = qu if config.method_instance_level else first_last_instances(qu)
     executed = {abs(e) for e in events}
-
-    in_edges: dict[int, list[tuple[int, str]]] = {}
-    if config.static_graph:
-        key = (config.context_sensitivity, config.flow_sensitivity)
-        if key not in graphs:
-            raise EngineError(f"no static graph variant for sensitivities {key}")
-        cov = coverage if config.statement_coverage else None
-        for m1, m2, kind in graphs[key].method_edges(cov):
-            i1, i2 = table.id_of(m1), table.id_of(m2)
-            if i1 in executed and i2 in executed and i1 != i2:
-                in_edges.setdefault(i2, []).append((i1, kind))
-
     ds: dict[int, set[int]] = {m: {m} for m in executed}
 
     if not config.static_graph:
         first_entry, _, last_any = _queue_positions(events)
-        for m in executed:
-            if m not in first_entry:
-                continue
-            anchor = first_entry[m]
-            for m2 in executed:
-                if last_any[m2] > anchor:
-                    ds[m].add(m2)
+        for m, anchor in first_entry.items():
+            ds[m].update(m2 for m2 in executed if last_any[m2] > anchor)
     elif config.method_event and config.method_instance_level:
+        # a source never executed never enters, so influence skips its edges
         _propagate_influence(events, in_edges, ds)
     else:
         out_edges: dict[int, set[int]] = {}
-        for m2, preds in in_edges.items():
-            for m1, _ in preds:
-                out_edges.setdefault(m1, set()).add(m2)
+        for m2 in executed:
+            for m1, _ in in_edges.get(m2, ()):
+                if m1 in executed:
+                    out_edges.setdefault(m1, set()).add(m2)
         if config.method_event:
             _propagate_intervals(events, out_edges, ds)
         else:
@@ -323,6 +333,8 @@ class ArbiterState:
     time: float = 0.0
     queue: list[int] = field(default_factory=list)
     built_static: set[tuple[bool, bool, bool]] = field(default_factory=set)
+    # static bits plus the coverage bit -> lift_method_edges of that graph
+    lifted: dict[tuple[bool, ...], dict[int, list[tuple[int, str]]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -438,9 +450,10 @@ def _run_round(
     deps: Optional[dict[MethodId, frozenset[MethodId]]] = None
     wall_start = time.perf_counter() if costs.mode == "wallclock" else None
 
+    variant = (config.context_sensitivity, config.flow_sensitivity)
+    graph = graphs.get(variant) if config.static_graph else None
     if config.static_graph:
-        variant = (config.context_sensitivity, config.flow_sensitivity)
-        n_edges = len(graphs[variant].edges) if variant in graphs else 0
+        n_edges = 0 if graph is None else len(graph.edges)
         if config.static_bits not in state.built_static:
             # graph missing: static parameters changed, or the previous
             # construction under these parameters was cancelled
@@ -450,7 +463,7 @@ def _run_round(
                 timed_out = True  # construction cancelled
             else:
                 state.built_static.add(config.static_bits)
-        if not timed_out and config.static_bits in state.built_static:
+        if not timed_out:
             l = costs.load_cost(config, n_edges)
             cost += l
             if l > budget.load:
@@ -462,7 +475,13 @@ def _run_round(
         if d > budget.compute:
             timed_out = True  # computation cancelled, no partial results
         else:
-            deps = compute_deps(state.queue, config, graphs, coverage, table)
+            key = (*config.static_bits, config.statement_coverage)
+            if config.static_graph and key not in state.lifted:
+                if graph is None:
+                    raise EngineError(f"no static graph variant for sensitivities {variant}")
+                cov = coverage if config.statement_coverage else None
+                state.lifted[key] = lift_method_edges(graph, cov, table)
+            deps = compute_deps(state.queue, config, state.lifted.get(key, {}), table)
 
     if costs.mode == "wallclock":
         cost = time.perf_counter() - wall_start

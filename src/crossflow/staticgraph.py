@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .trace import MethodId, read_json
+from .trace import MethodId, read_json, read_text
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -68,26 +68,6 @@ class StaticDepGraph:
                 raise GraphFormatError(f"intra edge crosses methods: {e}")
             if e.kind in INTER_KINDS and same:
                 raise GraphFormatError(f"inter edge inside one method: {e}")
-
-    def method_edges(
-        self, coverage: Optional[set[str]] = None
-    ) -> set[tuple[MethodId, MethodId, str]]:
-        """Interprocedural edges lifted to method granularity.
-
-        With ``coverage`` given, only stmt edges whose endpoints are both
-        covered witness a method edge (statement-coverage pruning).
-        """
-        out = set()
-        for e in self.edges:
-            if e.kind not in INTER_KINDS:
-                continue
-            if coverage is not None and (
-                e.src not in coverage or e.dst not in coverage
-            ):
-                continue
-            kind = "adjacent" if e.kind == "inter_adjacent" else "posterior"
-            out.add((self.nodes[e.src], self.nodes[e.dst], kind))
-        return out
 
 
 @dataclass(frozen=True)
@@ -225,7 +205,7 @@ def read_graph(path: Path) -> StaticDepGraph:
     icfg: dict[str, list[str]] = {}
     guards: dict[str, Optional[str]] = {}
     sends, recvs = set(), set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue

@@ -419,18 +419,17 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
     """
     events = []
     methods: dict[tuple[str, str, str], MethodId] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = _decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
-            events.append(event_from_record(rec, methods))
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec, end = _decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+        except json.JSONDecodeError as exc:
+            raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
+        events.append(event_from_record(rec, methods))
     return ProcessTrace(process, tuple(events))
 
 
@@ -451,11 +450,20 @@ def write_bundle(
         write_trace(directory / manifest["files"][proc], trace)
 
 
+def read_text(path: Path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise
+    ``ValueError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_json(path: Path):
     """The JSON value in the file at ``path``.  Text that is not JSON raises
     ``json.JSONDecodeError`` whose message names the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 

@@ -27,7 +27,6 @@ from crossflow.engine import (
     MethodTable,
     QLearnController,
     arbitrate,
-    compute_deps,
     merge_query,
     method_event_stream,
 )
@@ -74,6 +73,7 @@ from oracles import (
     rank_with_ties,
     spans_oracle,
 )
+from test_engine import deps_of
 
 C = Configuration.from_string
 
@@ -288,7 +288,7 @@ def test_criterion_5_subsumption_and_recall():
         per_cfg: dict[str, dict] = {}
         for cfg in valid_configurations():
             per_proc = {
-                proc: compute_deps(
+                proc: deps_of(
                     method_event_stream(traces[proc], table),
                     cfg, graphs, coverage_by_proc[proc], table,
                 )

@@ -937,6 +937,33 @@ def test_query_and_metrics_match_recorded_digests(tmp_path, capsys):
     assert got == DEPSET_DIGESTS
 
 
+# sha256 over the configuration, name and bytes of every file but run.json
+# that `tune --pin-config C` writes, for each of the 26 valid C in order,
+# recorded while every static round lifted the statement edges of its graph
+# variant to methods again
+PINNED_CONFIGS_DIGEST = "fe82db21b411feabf060f3ca1062bd6f211d77e27e061db00a8fdf1701ac4e24"
+
+
+def test_every_pinned_configuration_matches_recorded_digest(tmp_path, capsys):
+    from crossflow.config import valid_configurations
+
+    sim = run_sim(tmp_path, **DEPSET_SCENARIO)
+    h = hashlib.sha256()
+    for config in valid_configurations():
+        out = tmp_path / config.encode()
+        assert main([
+            "tune",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--budget", "100000", "--tc", "4",
+            "--pin-config", config.encode(), "--out", str(out),
+        ]) == 0
+        for name, data in sorted(tree_bytes(out).items()):
+            if name != "run.json":
+                h.update(f"{config.encode()}/{name}".encode() + b"\0" + data + b"\0")
+    assert h.hexdigest() == PINNED_CONFIGS_DIGEST
+
+
 class TestMalformedInputs:
     """Malformed input files and values end with a documented exit code and
     an error naming the file, never a traceback."""
@@ -1188,6 +1215,105 @@ class TestMalformedInputs:
             f"error: bad input data: {bad}: {member} must be a list of strings\n"
         )
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", [
+        "features", "ipc", "trace", "graph", "deps", "paths-report",
+    ])
+    def test_non_utf8_file_exit_3_names_it(self, tmp_path, capsys, kind):
+        sim = run_sim(tmp_path)
+        run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
+        ipc, quality = tmp_path / "ipc.json", tmp_path / "quality.json"
+        for path, rows in zip((ipc, quality), correlate_rows(4, 11)):
+            path.write_text(json.dumps(rows))
+        bad = {
+            "ipc": ipc,
+            "trace": sim / "traces" / "p0.trace",
+            "graph": sim / "graphs" / "graph_11.txt",
+            "deps": run / "deps_p0.txt",
+        }.get(kind, tmp_path / "bad.txt")
+        bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"[]"))
+        tune = ["--budget", "100000", "--pin-config", "111111"]
+        argv = {
+            "features": ["classify", "--features", str(bad)],
+            "ipc": ["correlate", "--ipc", str(ipc), "--quality", str(quality)],
+            "trace": ["tune", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+                      *tune, "--out", str(tmp_path / "o")],
+            "graph": ["tune", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+                      *tune, "--out", str(tmp_path / "o")],
+            "deps": ["query", "--run", str(run), "--method", "Main.run"],
+            "paths-report": ["quality", "--paths-report", str(bad)],
+        }[kind]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {bad}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("change,message", [
+        ({"topology": None}, "no 'topology'"),
+        ({"seed": "x"}, "'seed' must be an integer, got 'x'"),
+        ({"seed": None}, "'seed' must be an integer, got None"),
+        ({"length": [80]}, "'length' must be an integer, got [80]"),
+        ({"tiers": "three"}, "'tiers' must be an integer, got 'three'"),
+    ], ids=["no-topology", "seed-string", "seed-null", "length-list", "tiers-string"])
+    def test_bad_scenario_member_exit_3_names_file_and_key(
+        self, tmp_path, capsys, change, message
+    ):
+        data = {"topology": "n_tier", "tiers": 3, "seed": 0, "length": 90, **change}
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(
+            {k: v for k, v in data.items() if k != "topology" or v is not None}
+        ))
+        code = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: bad input data: {scen}: {message}\n"
+
+    def test_correlate_rows_of_unequal_length_exit_3_names_files(self, tmp_path, capsys):
+        ipc, quality = tmp_path / "ipc.json", tmp_path / "quality.json"
+        ipc.write_text(json.dumps(correlate_rows(4, 11)[0]))
+        quality.write_text(json.dumps({"exec_time": [1.0, 2.0, 3.0]}))
+        assert main(["correlate", "--ipc", str(ipc), "--quality", str(quality)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {quality}: 'exec_time' has 3 values,"
+            f" but {ipc}: 'RMC' has 4\n"
+        )
+
+    def test_bad_method_in_deps_file_exit_3_names_file_and_line(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
+        deps = run / "deps_p0.txt"
+        with open(deps, "a") as fh:
+            fh.write("dep a.b p0.Main.run\n")
+        lineno = len(deps.read_text().splitlines())
+        capsys.readouterr()
+        for argv in (["query", "--method", "Main.run"], ["metrics"]):
+            assert main([*argv, "--run", str(run)]) == 3
+            assert capsys.readouterr().err == (
+                f"error: bad input data: {deps}:{lineno}:"
+                " method must be process.Class.method, got 'a.b'\n"
+            )
+
+    def test_missing_variant_fails_only_when_a_round_computes(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        manifest = sim / "graphs" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        del data["variants"]["11"]
+        manifest.write_text(json.dumps(data))
+        # a budget of 5 cancels every construction, so no round computes
+        assert self.tune(sim, tmp_path / "small", "--budget", "5", "--pin-config", "111111") == 0
+        logs = sorted((tmp_path / "small").glob("rounds_*.log"))
+        assert logs
+        for log in logs:
+            lines = log.read_text().splitlines()
+            assert lines == [f"round {i} 111111 4 5 timeout" for i in range(len(lines))]
+            assert lines
+        capsys.readouterr()
+        code = self.tune(sim, tmp_path / "big", "--budget", "100000", "--pin-config", "111111")
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: no static graph variant for sensitivities (True, True)\n"
+        )
 
     DEP_OK = {
         "executed": ["p.K.a", "p.K.b", "q.K.a"],

@@ -17,10 +17,12 @@ from crossflow.engine import (
     compute_deps,
     dep_data_from_run,
     first_last_instances,
+    lift_method_edges,
     merge_query,
     method_event_stream,
 )
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
+from crossflow.staticgraph import StaticDepGraph
 from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
 
 from oracles import remote_deps_oracle
@@ -46,6 +48,17 @@ def seeded_run(sc):
     return model, traces, truth, graphs, coverage, table
 
 
+def deps_of(qu, config, graphs, coverage, table):
+    """``compute_deps`` over the graph of ``config``'s variant, lifted under
+    its coverage bit the way an arbiter round lifts it."""
+    in_edges = {}
+    if config.static_graph:
+        graph = graphs[(config.context_sensitivity, config.flow_sensitivity)]
+        cov = coverage if config.statement_coverage else None
+        in_edges = lift_method_edges(graph, cov, table)
+    return compute_deps(qu, config, in_edges, table)
+
+
 SCENARIOS = [
     Scenario("client_server", seed=s, length=90) for s in range(3)
 ] + [
@@ -58,27 +71,20 @@ class TestComputeDeps:
     def test_invalid_config_rejected(self):
         table = MethodTable()
         with pytest.raises(Exception):
-            compute_deps([], C("010000"), {}, set(), table)
-
-    def test_missing_graph_variant_rejected(self):
-        table = MethodTable()
-        m = mid("P", "m")
-        qu = [-table.id_of(m)]
-        with pytest.raises(EngineError):
-            compute_deps(qu, C("111111"), {}, set(), table)
+            compute_deps([], C("010000"), {}, table)
 
     def test_eas_entry_only_self(self):
         table = MethodTable()
         m = mid("P", "m")
         qu = [-table.id_of(m)]
-        deps = compute_deps(qu, C("000100"), {}, None, table)
+        deps = compute_deps(qu, C("000100"), {}, table)
         assert deps[m] == {m}
 
     def test_eas_later_method_joins(self):
         table = MethodTable()
         m1, m2 = mid("P", "m1"), mid("P", "m2")
         qu = [-table.id_of(m1), -table.id_of(m2), table.id_of(m1)]
-        deps = compute_deps(qu, C("000100"), {}, None, table)
+        deps = compute_deps(qu, C("000100"), {}, table)
         assert deps[m1] == {m1, m2}
         # m2's entry precedes m1's last event, so m1 depends on m2 as well
         assert m1 in deps[m2]
@@ -91,8 +97,8 @@ class TestComputeDeps:
             _, traces, _, graphs, coverage, table = seeded_run(sc)
             for proc in traces:
                 qu = method_event_stream(traces[proc], table)
-                eas = compute_deps(qu, C("000100"), graphs, coverage, table)
-                full = compute_deps(qu, C("111111"), graphs, coverage, table)
+                eas = deps_of(qu, C("000100"), graphs, coverage, table)
+                full = deps_of(qu, C("111111"), graphs, coverage, table)
                 for m, ds in full.items():
                     assert ds <= eas[m], (sc, proc, m)
 
@@ -101,9 +107,9 @@ class TestComputeDeps:
             _, traces, _, graphs, coverage, table = seeded_run(sc)
             for proc in traces:
                 qu = method_event_stream(traces[proc], table)
-                full = compute_deps(qu, C("111111"), graphs, coverage, table)
+                full = deps_of(qu, C("111111"), graphs, coverage, table)
                 for cfg in valid_configurations():
-                    got = compute_deps(qu, cfg, graphs, coverage, table)
+                    got = deps_of(qu, cfg, graphs, coverage, table)
                     for m, ds in full.items():
                         assert ds <= got[m], (sc, proc, cfg, m)
 
@@ -129,8 +135,8 @@ class TestComputeDeps:
         table = MethodTable()
         ia, im, ib = table.id_of(ma), table.id_of(mm), table.id_of(mb)
         qu = [-ia, -im, ia, -ib, ia]
-        full = compute_deps(qu, C("111111"), graphs, set(nodes), table)
-        reduced = compute_deps(qu, C("111110"), graphs, set(nodes), table)
+        full = deps_of(qu, C("111111"), graphs, set(nodes), table)
+        reduced = deps_of(qu, C("111110"), graphs, set(nodes), table)
         assert mb in full[mm]
         assert full[mm] <= reduced[mm]
 
@@ -140,7 +146,7 @@ class TestComputeDeps:
             for proc in traces:
                 qu = method_event_stream(traces[proc], table)
                 for cfg in valid_configurations():
-                    base = compute_deps(qu, cfg, graphs, coverage, table)
+                    base = deps_of(qu, cfg, graphs, coverage, table)
                     for i in range(6):
                         if not cfg.bits[i]:
                             continue
@@ -152,7 +158,7 @@ class TestComputeDeps:
                         )
                         if not flipped.is_valid():
                             continue
-                        coarser = compute_deps(
+                        coarser = deps_of(
                             qu, flipped, graphs, coverage, table
                         )
                         for m, ds in base.items():
@@ -165,7 +171,7 @@ class TestComputeDeps:
             _, traces, truth, graphs, coverage, table = seeded_run(sc)
             for cfg in valid_configurations():
                 per_proc = {
-                    proc: compute_deps(
+                    proc: deps_of(
                         method_event_stream(traces[proc], table),
                         cfg, graphs, coverage, table,
                     )
@@ -220,6 +226,64 @@ class TestArbitrate:
         assert rounds
         assert all(r.timed_out and r.deps is None for r in rounds)
 
+    def test_missing_graph_variant_rejected_when_a_round_computes(self):
+        table = MethodTable()
+        i = table.id_of(mid("P", "m"))
+        stream = [-i, i, -i, i]
+
+        def rounds(budget):
+            state = ArbiterState(event_threshold=1, time_threshold=0.0)
+            return arbitrate(
+                stream, state, budget, CostModel(), PinnedController(C("111111")),
+                {}, set(), table,
+            )
+
+        # construction never fits: no round computes, so nothing is missing
+        small = rounds(Budget.from_total(5.0))
+        assert small and all(r.timed_out and r.deps is None for r in small)
+        with pytest.raises(EngineError, match=r"sensitivities \(True, True\)"):
+            rounds(Budget.from_total(1e6))
+
+    def test_each_variant_and_coverage_bit_lifted_once(self):
+        # a controller that walks all 26 configurations in turn, over a
+        # stream long enough (the trace repeats, as in a process that keeps
+        # running) that each one computes several rounds
+        traces, graphs, coverage, table = self._setup(
+            Scenario("n_tier", seed=3, length=400, tiers=4)
+        )
+
+        class CountingEdges(frozenset):
+            iterations = 0
+
+            def __iter__(self):
+                CountingEdges.iterations += 1
+                return super().__iter__()
+
+        counted = {}
+        for key, g in graphs.items():
+            counted[key] = StaticDepGraph(
+                g.nodes, CountingEdges(g.edges), g.icfg_succ,
+                g.send_sites, g.recv_sites, g.guards,
+            )
+        configs = valid_configurations()
+        for proc in sorted(traces):
+            cycle = iter(configs * 100)
+            state = ArbiterState(
+                event_threshold=1, time_threshold=0.0, config=next(cycle)
+            )
+            CountingEdges.iterations = 0
+            rounds = arbitrate(
+                method_event_stream(traces[proc], table) * 40,
+                state, Budget.from_total(1e9), CostModel(),
+                lambda current, cost: next(cycle), counted, coverage, table,
+            )
+            static = [r for r in rounds if r.config.static_graph]
+            assert len(static) > 2 * len(configs), proc
+            assert all(r.deps is not None for r in rounds)
+            # four variants, each lifted with and without coverage
+            assert CountingEdges.iterations <= 8, proc
+            assert len(state.lifted) == 8, proc
+
     def test_counted_rounds(self):
         # alternating entry/returned-into; a round fires at each
         # returned-into with more than tc accumulated events
@@ -249,7 +313,7 @@ class TestArbitrate:
         for e in method_event_stream(traces["p1"], table):
             qu.append(e)
         # the final round saw the whole queue
-        direct = compute_deps(qu, cfgs, graphs, coverage, table)
+        direct = deps_of(qu, cfgs, graphs, coverage, table)
         assert rounds[-1].deps == direct
 
     def test_wallclock_mode_measures_time(self):
@@ -292,7 +356,7 @@ class TestMergeQuery:
         sc = Scenario("client_server", seed=0, length=90)
         model, traces, truth, graphs, coverage, table = seeded_run(sc)
         per_proc = {
-            proc: compute_deps(
+            proc: deps_of(
                 method_event_stream(traces[proc], table),
                 C("111111"), graphs, coverage, table,
             )
@@ -324,7 +388,7 @@ class TestMergeQuery:
         per_proc = {
             proc: compute_deps(
                 method_event_stream(traces[proc], table),
-                C("000100"), {}, None, table,
+                C("000100"), {}, table,
             )
             for proc in traces
         }
@@ -341,7 +405,7 @@ class TestMergeQuery:
         per2 = {
             proc: compute_deps(
                 method_event_stream(traces2[proc], table2),
-                C("000100"), {}, None, table2,
+                C("000100"), {}, table2,
             )
             for proc in traces2
         }
@@ -353,7 +417,7 @@ class TestMergeQuery:
             model, traces, truth, graphs, coverage, table = seeded_run(sc)
             for cfg in [C("111111"), C("000100"), C("100100")]:
                 per_proc = {
-                    proc: compute_deps(
+                    proc: deps_of(
                         method_event_stream(traces[proc], table),
                         cfg, graphs, coverage, table,
                     )

@@ -11,6 +11,7 @@ from crossflow.simulator import (
     generate_program,
     simulate,
 )
+from crossflow.staticgraph import INTER_KINDS
 from crossflow.trace import method_spans
 
 from oracles import closure_matrix
@@ -183,7 +184,8 @@ class TestStaticVariants:
             traces, truth = simulate(model, sc)
             for graph in all_graph_variants(model).values():
                 medges = {
-                    (a, b) for a, b, _ in graph.method_edges()
+                    (graph.nodes[e.src], graph.nodes[e.dst])
+                    for e in graph.edges if e.kind in INTER_KINDS
                 }
                 # reachability over method-level static edges
                 adj = {}
