@@ -445,6 +445,11 @@ def cmd_correlate(args) -> int:
                     f"{args.quality}: {q_name!r} has {len(q)} values,"
                     f" but {args.ipc}: {m_name!r} has {len(m)}"
                 )
+    missing = [m for m in IPC_METRICS if m not in ipc_rows]
+    if missing:
+        raise MetricsError(
+            f"{args.ipc}: IPC data lacks metric(s): {', '.join(missing)}"
+        )
     text = render_correlation_matrix(ipc_rows, quality_rows, spearman)
     return _emit(text, args.out)
 

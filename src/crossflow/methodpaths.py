@@ -11,14 +11,16 @@ first-entry/last-event ordering is consistent.
 One pass computes each source's DS once and yields both the capped paths
 and, in closed form, each (source, sink) pair's path methods.  Phase 2
 reads those pair sets, so the caps bound only the ``phase1.txt`` report.
-The paths stay in one compact form from the DFS to that report: a tuple of
-ranks into the executed methods in ``MethodId.sort_key`` order (see
-:class:`PathSet`).
+The DFS builds each path's report line as it goes, next to a sort key that
+spells the path in ranks of the executed methods in ``MethodId.sort_key``
+order; the keys only sort the lines and do not outlive
+:func:`method_level_paths` (see :class:`PathSet`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans
@@ -30,18 +32,20 @@ DEFAULT_WORK_BUDGET = 400000
 
 @dataclass(frozen=True)
 class PathSet:
-    """Phase-1 paths as method-rank tuples.
+    """Phase-1 paths as their ``phase1.txt`` lines.
 
-    ``methods`` is the rank table: every executed method, in sort-key order.
-    Each path key holds the ranks of its methods, so keys sort as the paths'
-    sort-key tuples do; ``paths`` is sorted and strictly increasing (paths of
-    different sources differ in their first method, and one source's DFS
-    never repeats a sequence).  ``pairs``, uncapped, maps each (source,
-    sink) pair to the methods on its paths; :func:`render_paths` ignores it.
+    ``methods`` holds every executed method, in sort-key order.  ``paths``
+    holds one line per path, ``path level=method `` and the qualified
+    names of its methods joined by `` -> ``, ordered as the paths' tuples
+    of method sort keys (a path after its own prefix).  No two lines are
+    equal: paths of different sources differ in their first method, and
+    one source's DFS never repeats a sequence.  ``pairs``, uncapped, maps
+    each (source, sink) pair to the methods on its paths;
+    :func:`render_paths` ignores it.
     """
 
     methods: tuple[MethodId, ...]
-    paths: tuple[tuple[int, ...], ...]
+    paths: tuple[str, ...]
     truncated: bool
     pairs: Mapping[tuple[MethodId, MethodId], frozenset[MethodId]]
 
@@ -90,7 +94,12 @@ def method_level_paths(
     """All method-level flow paths between executed sources and sinks.
 
     The executed methods are ranked once by sort key, and the DFS records
-    each path as a tuple of those ranks.  For each sink t in DS(q),
+    each path as its line and its key, the string of ``chr(rank)`` of its
+    methods.  Strings compare by code point, so keys sort as the tuples of
+    ranks, and so of method sort keys, do, a path after its own prefix;
+    they order the lines and are then dropped.  (``chr`` takes ranks below
+    0x110000; on a trace with more executed methods it raises
+    ``ValueError``.)  For each sink t in DS(q),
     ``pairs[(q, t)]`` is {q} for t == q, else each m in DS(q) with
     fe(m) <= lr(t): every subsequence of a valid path is valid, and
     fe(q) <= lr(x) for every x in DS(q), so without truncation it is the
@@ -99,11 +108,12 @@ def method_level_paths(
     influenced = influenced_recv_ts(traces)
     methods = tuple(sorted(spans, key=MethodId.sort_key))
     rank = {m: i for i, m in enumerate(methods)}
+    names = [m.qualified() for m in methods]
     first = [spans[m][0] for m in methods]
     last = [spans[m][1] for m in methods]
     sinks = set(sink_methods)
     is_sink = [m in sinks for m in methods]
-    keys: list[tuple[int, ...]] = []
+    found: list[tuple[str, str]] = []
     pairs: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
     truncated = False
     for q in sorted(set(source_methods), key=MethodId.sort_key):
@@ -116,11 +126,11 @@ def method_level_paths(
                 [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
             )
         truncated |= _enumerate(
-            rank[q], [rank[m] for m in ds], first, last, is_sink,
-            path_limit, max_paths, work_budget, keys,
+            rank[q], [rank[m] for m in ds], first, last, is_sink, names,
+            path_limit, max_paths, work_budget, found,
         )
-    keys.sort()
-    return PathSet(methods, tuple(keys), truncated, pairs)
+    found.sort(key=itemgetter(0))  # no two keys are equal
+    return PathSet(methods, tuple([line for _, line in found]), truncated, pairs)
 
 
 def _enumerate(
@@ -129,16 +139,19 @@ def _enumerate(
     first: list[int],
     last: list[int],
     is_sink: list[bool],
+    names: list[str],
     path_limit: int,
     max_paths: int,
     work_budget: int,
-    out: list[tuple[int, ...]],
+    out: list[tuple[str, str]],
 ) -> bool:
     """DFS over sequences where no member's first entry postdates a later
     member's last event.
 
-    Methods are ranks; ``first``, ``last`` and ``is_sink`` are indexed by
-    rank.  Candidates are visited in (fe, lr, sort key) order so causally
+    Methods are ranks; ``first``, ``last``, ``is_sink`` and ``names`` (the
+    qualified names) are indexed by rank.  A node's ``key`` holds
+    ``chr(rank)`` of each method on its path, and its ``text`` the path's
+    line.  Candidates are visited in (fe, lr, sort key) order so causally
     early methods come first.  Branches from which no sink can be appended
     any more are cut (appending only raises the running max fe, so the cut
     is exact).  The enumeration reports truncation when the length cap, the
@@ -157,10 +170,25 @@ def _enumerate(
     each live candidate is tried and cut, so their steps are charged
     together.
 
+    A node's subtree depends only on its ``live`` mask, whether it ends at
+    a sink, and its depth, so a state walked once need not be walked
+    again.  Its paths are the entries ``found[start:end]``, which all
+    share the node's key and line as prefixes; a later visit to the same
+    state copies them under its own prefixes.  A subtree is stored, with
+    its step count, only when no cap but the length cap touched it: it
+    ended with ``len(found) < room`` and the budget not spent, and so
+    without ``stop``.  It is reused only where it fits again: the copies
+    leave ``len(found) < room`` and the budget unspent.  There a walk for
+    real would add the same paths and take the same steps, so reuse
+    charges the stored steps, and the work budget counts what the plain
+    walk counts.  Reuse need not raise ``truncated``: if the stored
+    subtree hit the length cap, its walk raised the flag, which never
+    falls back.  A subtree that does not fit is walked for real.
+
     q, a member of its own DS, starts the sequence.  Each path found is
-    appended to ``out`` as its rank tuple; no set is needed, because the
-    walk never repeats a sequence and the paths of other sources start with
-    another method.
+    appended to ``out`` as its key and its ``phase1.txt`` line; no set is
+    needed, because the walk never repeats a sequence and the paths of
+    other sources start with another method.
     """
     candidates = sorted(members, key=lambda m: (first[m], last[m], m))
     sinks = 0
@@ -178,9 +206,10 @@ def _enumerate(
             mask |= 1 << by_last[j]
             j += 1
         alive[i] = mask
-    seq = [q]
     room = max_paths - len(out)  # paths of other sources never repeat q's
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[str, str]] = []
+    # (live, at_sink, depth) -> (start, end, steps, line prefix length)
+    memo: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
     truncated = False
     # stop == truncated and len(found) >= room, which ends the walk.  Both
     # halves only ever turn true, so stop is updated where found reaches a
@@ -189,15 +218,15 @@ def _enumerate(
     stop = False
     steps = 0
 
-    def walk(live: int, at_sink: int) -> None:
+    def walk(live: int, at_sink: int, key: str, text: str) -> None:
         nonlocal truncated, stop, steps
         if at_sink:
             if len(found) >= room:
                 truncated = stop = True
                 return
-            found.append(tuple(seq))
+            found.append((key, text))
             stop = truncated and len(found) >= room
-        if len(seq) >= path_limit:
+        if len(key) >= path_limit:
             truncated = True
             stop = len(found) >= room
             return
@@ -209,6 +238,7 @@ def _enumerate(
             if steps > work_budget:
                 truncated = True
             return
+        depth = len(key) + 1  # of the children
         rest = live
         while rest:
             low = rest & -rest
@@ -220,25 +250,42 @@ def _enumerate(
             i = low.bit_length() - 1
             after = (live & alive[i]) ^ low
             sink_bit = low & sinks
-            seq.append(candidates[i])
-            if sink_bit or after & sinks:
-                walk(after, sink_bit)
-            seq.pop()
+            if not (sink_bit or after & sinks):
+                continue
+            m = candidates[i]
+            sub = key + chr(m)
+            head = text + " -> " + names[m]
+            state = (after, sink_bit, depth)
+            seen = memo.get(state)
+            if (
+                seen is not None
+                and len(found) + seen[1] - seen[0] < room
+                and steps + seen[2] <= work_budget
+            ):
+                start, end, cost, size = seen
+                steps += cost
+                found.extend([
+                    (sub + k[depth:], head + line[size:])
+                    for k, line in found[start:end]
+                ])
+            else:
+                start, before = len(found), steps
+                walk(after, sink_bit, sub, head)
+                if len(found) < room and steps <= work_budget:
+                    memo[state] = (start, len(found), steps - before, len(head))
             if stop:
                 return
 
     root = candidates.index(q)
-    walk(alive[root] ^ (1 << root), is_sink[q])
+    walk(
+        alive[root] ^ (1 << root), is_sink[q], chr(q), "path level=method " + names[q]
+    )
+    del walk  # the closure refers to itself; free found without the gc
     out.extend(found)
     return truncated
 
 
 def render_paths(ps: PathSet) -> str:
-    """``phase1.txt``: one line per path, in the order of the path keys,
-    which is the order of the paths' method sort keys."""
-    names = [m.qualified() for m in ps.methods]
-    lines = [
-        "path level=method " + " -> ".join([names[i] for i in key])
-        for key in ps.paths
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """``phase1.txt``: one line per path, in the order of the paths' method
+    sort keys, each ended by a newline."""
+    return "\n".join([*ps.paths, ""])

@@ -360,7 +360,8 @@ def render_stmt_paths(result: Phase2Result) -> str:
         for p in pair.interprocess:
             lines.append(f"path level=stmt kind=spliced {' -> '.join(p)}")
     lines.sort()
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines.append("")  # ends the last line without copying the report again
+    return "\n".join(lines)
 
 
 def summary_counts(result: Phase2Result) -> dict[str, int]:

@@ -383,18 +383,21 @@ def event_from_record(
         method = methods.get(key)
         if method is None:
             method = methods[key] = MethodId(*key)
-        return EventRecord(
-            kind=rec["kind"],
-            method=method,
-            seq=int(rec["seq"]),
-            ts=int(rec["ts"]) if rec.get("ts") is not None else None,
-            msg_id=rec.get("msg_id"),
-            peer=rec.get("peer"),
-            branch_id=rec.get("branch_id"),
-            stmt_id=rec.get("stmt_id"),
-        )
-    except (KeyError, TypeError) as exc:
+        kind = rec["kind"]
+        seq = int(rec["seq"])
+        ts = int(rec["ts"]) if rec.get("ts") is not None else None
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTraceError(f"bad trace record {rec!r}") from exc
+    return EventRecord(
+        kind=kind,
+        method=method,
+        seq=seq,
+        ts=ts,
+        msg_id=rec.get("msg_id"),
+        peer=rec.get("peer"),
+        branch_id=rec.get("branch_id"),
+        stmt_id=rec.get("stmt_id"),
+    )
 
 
 def write_trace(path: Path, trace: ProcessTrace) -> None:
@@ -408,8 +411,8 @@ _decode = json.JSONDecoder().raw_decode
 
 def read_trace(path: Path, process: str) -> ProcessTrace:
     """The trace of ``process`` in the file at ``path``: one JSON record per
-    non-blank line, else :class:`MalformedTraceError` quoting the first bad
-    line.
+    non-blank line, else :class:`MalformedTraceError` naming ``path`` and
+    the number of the first bad line, and quoting it.
 
     A line is decoded by ``raw_decode``, which skips the per-call checks of
     ``json.loads``; since the line is stripped, it is valid JSON exactly
@@ -419,7 +422,7 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
     """
     events = []
     methods: dict[tuple[str, str, str], MethodId] = {}
-    for line in read_text(path).split("\n"):
+    for n, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line:
             continue
@@ -428,8 +431,13 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
-            raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
-        events.append(event_from_record(rec, methods))
+            raise MalformedTraceError(
+                f"{path}:{n}: not a JSON record: {line!r}"
+            ) from exc
+        try:
+            events.append(event_from_record(rec, methods))
+        except MalformedTraceError as exc:
+            raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
     return ProcessTrace(process, tuple(events))
 
 

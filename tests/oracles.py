@@ -318,7 +318,7 @@ def reference_method_paths(
     integer indices: the same visit order and cap checks over ``MethodId``
     objects, kept as the exact-equivalence oracle for the enumerator.  Its
     set of method tuples would absorb a repeated sequence that the package's
-    list of rank tuples keeps, so equal path counts show that none occurs.
+    tuple of lines keeps, so equal path counts show that none occurs.
     Spans, influence and DS come from the brute-force oracles above, not
     from the package."""
     spans = spans_oracle(traces)
@@ -423,10 +423,23 @@ def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def path_keys(ps) -> list[tuple[int, ...]]:
+    """The lines of a phase-1 ``PathSet``, in order, parsed back into
+    tuples of ranks into ``ps.methods`` through its qualified names."""
+    rank = {m.qualified(): i for i, m in enumerate(ps.methods)}
+    assert len(rank) == len(ps.methods), "qualified names must be unique"
+    head = "path level=method "
+    keys = []
+    for line in ps.paths:
+        assert line.startswith(head), line
+        keys.append(tuple([rank[name] for name in line[len(head):].split(" -> ")]))
+    return keys
+
+
 def flow_paths(ps) -> frozenset[tuple[MethodId, ...]]:
     """The paths of a phase-1 ``PathSet`` as method tuples."""
     ms = ps.methods
-    return frozenset(tuple([ms[i] for i in k]) for k in ps.paths)
+    return frozenset(tuple([ms[i] for i in k]) for k in path_keys(ps))
 
 
 def all_stmt_sequences(result) -> set[tuple[str, ...]]:

@@ -415,9 +415,32 @@ CAPPED_DIGESTS = {
 }
 
 
-def test_capped_flowpaths_reports_match_recorded_digests(tmp_path, capsys):
-    sim = run_sim(tmp_path, **CAPPED_SCENARIO)
-    for mode, want in CAPPED_DIGESTS.items():
+# the same for the 12-peer ring, taken before the phase-1 walk reused the
+# subtrees of states it had walked: there the 16-method length cap cuts
+# paths off inside subtrees that the walk copies
+RING12_SCENARIO = {"topology": "peer_to_peer", "tiers": 12, "seed": 1, "length": 1000}
+RING12_DIGESTS = {
+    "default": (
+        "7c9ff8c1dc035f939fac862223fc05c23ec6fa457a8c40504d38ba96b10d21ad",
+        "c66635d066ae4f0656deb86bc05e2d825a0fb9bea7e7f8357a11e101c0e6b063",
+        "a7dcf936428b0c16bf3137ca44765e6102e0fc889767d6251440837cdab43ddd",
+    ),
+    "sim": (
+        "24f9c2f922e0750d76b20d086f8519dbbfe268f749c816d9e9030319ddbe9259",
+        "c66635d066ae4f0656deb86bc05e2d825a0fb9bea7e7f8357a11e101c0e6b063",
+        "a7dcf936428b0c16bf3137ca44765e6102e0fc889767d6251440837cdab43ddd",
+    ),
+    "mul": (
+        "24f9c2f922e0750d76b20d086f8519dbbfe268f749c816d9e9030319ddbe9259",
+        "c66635d066ae4f0656deb86bc05e2d825a0fb9bea7e7f8357a11e101c0e6b063",
+        "a7dcf936428b0c16bf3137ca44765e6102e0fc889767d6251440837cdab43ddd",
+    ),
+}
+
+
+def assert_capped_reports(tmp_path, scenario, digests):
+    sim = run_sim(tmp_path, **scenario)
+    for mode, want in digests.items():
         out = tmp_path / f"fp_{mode}"
         assert main([
             "flowpaths",
@@ -434,6 +457,14 @@ def test_capped_flowpaths_reports_match_recorded_digests(tmp_path, capsys):
         assert got == want, mode
         summary = (out / "summary.txt").read_text()
         assert "phase1_paths 20000\nphase1_truncated 1\n" in summary, mode
+
+
+def test_capped_flowpaths_reports_match_recorded_digests(tmp_path, capsys):
+    assert_capped_reports(tmp_path, CAPPED_SCENARIO, CAPPED_DIGESTS)
+
+
+def test_capped_ring12_reports_match_recorded_digests(tmp_path, capsys):
+    assert_capped_reports(tmp_path, RING12_SCENARIO, RING12_DIGESTS)
 
 
 class TestTuneAndQuery:
@@ -621,7 +652,7 @@ class TestMetricsCommands:
         fq.write_text(json.dumps({"exec_time": [1.0, 2.0, 3.0]}))
         assert main(["correlate", "--ipc", str(fi), "--quality", str(fq)]) == 3
         assert capsys.readouterr().err == (
-            "error: IPC data lacks metric(s): RCC, IPR, CCL, PLC\n"
+            f"error: {fi}: IPC data lacks metric(s): RCC, IPR, CCL, PLC\n"
         )
 
 
@@ -772,31 +803,35 @@ def test_out_env_read_on_every_call(tmp_path, capsys, monkeypatch):
 
 class TestInputReaders:
     """A bad trace line exits 3 with the message recorded when each line
-    went through ``json.loads``; graph variants are parsed only when a
-    command uses them."""
+    went through ``json.loads``, after the file and the number of the line;
+    graph variants are parsed only when a command uses them."""
 
     GOOD = '{"class": "C", "kind": "entry", "method": "m", "proc": "A", "seq": 0}'
     GOOD1 = '{"class": "C", "kind": "entry", "method": "m", "proc": "A", "seq": 1}'
 
-    @pytest.mark.parametrize("lines,message", [
-        ([GOOD, '{"proc": "A", "seq": 1,'],
+    # the file starts with a blank line, so lines[0] is line 2
+    @pytest.mark.parametrize("lines,lineno,message", [
+        ([GOOD, '{"proc": "A", "seq": 1,'], 3,
          "not a JSON record: '{\"proc\": \"A\", \"seq\": 1,'"),
-        ([GOOD + ", " + GOOD1],
+        ([GOOD + ", " + GOOD1], 2,
          "not a JSON record: '" + GOOD + ", " + GOOD1 + "'"),
-        ([GOOD + " " + GOOD1, GOOD],
+        ([GOOD + " " + GOOD1, GOOD], 2,
          "not a JSON record: '" + GOOD + " " + GOOD1 + "'"),
-        (["[1", "2]"], "not a JSON record: '[1'"),
+        (["[1", "2]"], 2, "not a JSON record: '[1'"),
         # joined into one array, these three lines decode to three records
-        ([GOOD + ", " + GOOD1, GOOD.replace("0}", "2"), '"seq": 3}'],
+        ([GOOD + ", " + GOOD1, GOOD.replace("0}", "2"), '"seq": 3}'], 2,
          "not a JSON record: '" + GOOD + ", " + GOOD1 + "'"),
-        ([GOOD, "7"], "bad trace record 7"),
-        ([GOOD, '{"class": "C", "method": "m", "proc": "A", "seq": 1}'],
+        ([GOOD, "7"], 3, "bad trace record 7"),
+        ([GOOD, '{"class": "C", "method": "m", "proc": "A", "seq": 1}'], 3,
          "bad trace record {'class': 'C', 'method': 'm', 'proc': 'A', 'seq': 1}"),
-        (["7", '{"proc"'], "bad trace record 7"),
+        (["7", '{"proc"'], 2, "bad trace record 7"),
+        ([GOOD, GOOD1.replace("1}", '"x"}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 'x'}"),
     ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
             "record-over-two-lines", "bare-number", "missing-kind",
-            "bad-record-before-bad-json"])
-    def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, message):
+            "bad-record-before-bad-json", "seq-not-an-integer"])
+    def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, lineno, message):
         bundle = tmp_path / "traces"
         bundle.mkdir()
         (bundle / "manifest.json").write_text(json.dumps(
@@ -807,7 +842,9 @@ class TestInputReaders:
             "flowpaths", "--bundle", str(bundle), "--graphs", str(tmp_path / "g"),
             "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
         ]) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'A.trace'}:{lineno}: {message}\n"
+        )
 
     def flowpaths(self, sim, out):
         return main([

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from oracles import (
     covers_chain,
     flow_paths,
     influenced_map_oracle,
+    path_keys,
     reference_method_paths,
     reference_render_paths,
     spans_oracle,
@@ -60,12 +62,17 @@ def path_unions(paths):
 
 def path_set(paths):
     """A ``PathSet`` laid out as ``method_level_paths`` lays it out: the
-    methods ranked by sort key, the rank tuples sorted."""
+    methods in sort-key order, one line per path in the order of the
+    paths' rank tuples."""
     paths = list(paths)
     methods = tuple(sorted({m for ms in paths for m in ms}, key=MethodId.sort_key))
     rank = {m: i for i, m in enumerate(methods)}
     keys = sorted(tuple(rank[m] for m in ms) for ms in paths)
-    return PathSet(methods, tuple(keys), False, {})
+    lines = [
+        "path level=method " + " -> ".join(methods[i].qualified() for i in key)
+        for key in keys
+    ]
+    return PathSet(methods, tuple(lines), False, {})
 
 
 def strictly_increasing(keys):
@@ -78,7 +85,7 @@ def assert_matches_reference(got, want, where):
     assert {p for p in flow_paths(got)} == want.paths, where
     assert len(got.paths) == len(want.paths), where
     assert got.truncated == want.truncated, where
-    assert strictly_increasing(got.paths), where
+    assert strictly_increasing(path_keys(got)), where
     assert render_paths(got) == reference_render_paths(want.paths), where
 
 
@@ -245,10 +252,10 @@ class TestMethodLevelPaths:
         sinks = {owner[s] for s in model.sinks}
         full = method_level_paths(traces, srcs, sinks)
         assert len(flow_paths(full)) == len(full.paths)
-        assert strictly_increasing(full.paths)
+        assert strictly_increasing(path_keys(full))
         tiny = method_level_paths(traces, srcs, sinks, path_limit=2)
         assert tiny.truncated
-        assert all(len(key) <= 2 for key in tiny.paths)
+        assert all(len(key) <= 2 for key in path_keys(tiny))
 
     def test_equals_reference_enumerator_at_every_cap(self):
         # small caps put the point where each cap cuts in inside the walk,
@@ -351,7 +358,7 @@ class TestMethodLevelPaths:
         assert ds_of(q1, traces) == {q1, q2, mid("B", "m"), s}
         assert ds_of(q2, traces) == {q2, mid("B", "m"), s}
         full = method_level_paths(traces, srcs, sinks)
-        starts = [full.methods[key[0]] for key in full.paths]
+        starts = [full.methods[key[0]] for key in path_keys(full)]
         assert starts == [q1] * 5 + [q2] * 2
         assert not full.truncated
         for max_paths, count, truncated in [(5, 5, True), (6, 6, True), (7, 7, False)]:
@@ -360,7 +367,7 @@ class TestMethodLevelPaths:
             assert (len(got.paths), got.truncated) == (count, truncated), max_paths
             assert_matches_reference(got, want, max_paths)
         cut = method_level_paths(traces, srcs, sinks, max_paths=5)
-        assert {full.methods[key[0]] for key in cut.paths} == {q1}
+        assert {full.methods[key[0]] for key in path_keys(cut)} == {q1}
 
 
 @st.composite
@@ -470,6 +477,57 @@ def test_every_work_budget_beyond_a_machine_word():
             assert_matches_reference(got, want, (sinks, kw))
 
 
+def overlapping_traces(k):
+    """Process A enters m0..m{k-1} and the sink s, then returns into each,
+    so every method's span overlaps every other's.  From a source m_i,
+    every ordering of every subset of the other k - 1 methods leads to s,
+    and the orderings of one subset end in one walk state."""
+    names = [f"m{i}" for i in range(k)] + ["s"]
+    evs = [("entry", n) for n in names] + [("returned_into", n) for n in names]
+    return stamp_lamport(
+        {"A": [ev("A", seq, kind, name) for seq, (kind, name) in enumerate(evs)]}
+    )
+
+
+def test_reused_subtrees_equal_reference_at_every_cap():
+    # 5 overlapping methods: each of the two sources has 65 paths, most of
+    # them copies of a subtree first walked under another ordering.  Every
+    # path cap and every work budget up to the uncapped walk's falls at or
+    # inside some copied subtree, and the length caps of path limits 2-6
+    # fire inside the subtrees that are copied
+    traces = overlapping_traces(5)
+    srcs, sinks = [mid("A", "m0"), mid("A", "m1")], [mid("A", "s")]
+    full = method_level_paths(traces, srcs, sinks)
+    assert len(full.paths) == 2 * (1 + 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2)
+    assert not full.truncated
+    budget = 1
+    while method_level_paths(traces, srcs, sinks, work_budget=budget).truncated:
+        budget += 1
+    for limit in (2, 3, 4, 5, 6, DEFAULT_PATH_LIMIT):
+        caps = [(m, DEFAULT_WORK_BUDGET) for m in range(1, len(full.paths) + 2)]
+        caps += [(DEFAULT_MAX_PATHS, b) for b in range(1, budget + 2)]
+        caps += [(m, b) for m in range(3, len(full.paths), 17) for b in range(7, budget, 41)]
+        for max_paths, work_budget in caps:
+            kw = dict(path_limit=limit, max_paths=max_paths, work_budget=work_budget)
+            got = method_level_paths(traces, srcs, sinks, **kw)
+            want = reference_method_paths(traces, srcs, sinks, **kw)
+            assert_matches_reference(got, want, kw)
+
+
+def test_phase1_leaves_no_cyclic_garbage():
+    # with the collector off, anything phase 1 leaves in a reference cycle
+    # stays until the next collection, and collect() counts it
+    traces = overlapping_traces(4)
+    gc.collect()
+    gc.disable()
+    try:
+        ps = method_level_paths(traces, [mid("A", "m0")], [mid("A", "s")])
+        assert ps.paths
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_pair_methods_when_a_source_is_also_a_sink():
     # q is a source and a sink: its only path to itself is (q,), while
     # q -> x -> s and q -> B.m -> s reach the other sink
@@ -544,7 +602,7 @@ def test_enumerated_paths_rank_by_sort_key_not_name():
     assert {(a, c), (a, b), (a, b, c), (a, c, b), (c, a, b)} <= {
         p for p in flow_paths(ps)
     }
-    assert strictly_increasing(ps.paths)
+    assert strictly_increasing(path_keys(ps))
     assert render_paths(ps) == reference_render_paths(flow_paths(ps))
     lines = render_paths(ps).splitlines()
     assert lines.index("path level=method P.Z.a -> P.Main.c") < lines.index(

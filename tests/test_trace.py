@@ -361,14 +361,19 @@ def read_trace_per_line(path, process):
     from crossflow.trace import MalformedTraceError, ProcessTrace, event_from_record
 
     events = []
-    for line in path.read_text(encoding="utf-8").split("\n"):
+    for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         line = line.strip()
         if line:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedTraceError(f"not a JSON record: {line!r}") from exc
-            events.append(event_from_record(rec, {}))
+                raise MalformedTraceError(
+                    f"{path}:{n}: not a JSON record: {line!r}"
+                ) from exc
+            try:
+                events.append(event_from_record(rec, {}))
+            except MalformedTraceError as exc:
+                raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
     return ProcessTrace(process, tuple(events))
 
 
