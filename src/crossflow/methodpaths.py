@@ -11,16 +11,14 @@ first-entry/last-event ordering is consistent.
 One pass computes each source's DS once and yields both the capped paths
 and, in closed form, each (source, sink) pair's path methods.  Phase 2
 reads those pair sets, so the caps bound only the ``phase1.txt`` report.
-The DFS builds each path's report line as it goes, next to a sort key that
-spells the path in ranks of the executed methods in ``MethodId.sort_key``
-order; the keys only sort the lines and do not outlive
-:func:`method_level_paths` (see :class:`PathSet`).
+The DFS builds each path's report line as it goes and leaves the lines in
+report order, the order of the paths' tuples of ``MethodId.sort_key``
+(see :class:`PathSet`), so nothing sorts them afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans
@@ -93,13 +91,11 @@ def method_level_paths(
 ) -> PathSet:
     """All method-level flow paths between executed sources and sinks.
 
-    The executed methods are ranked once by sort key, and the DFS records
-    each path as its line and its key, the string of ``chr(rank)`` of its
-    methods.  Strings compare by code point, so keys sort as the tuples of
-    ranks, and so of method sort keys, do, a path after its own prefix;
-    they order the lines and are then dropped.  (``chr`` takes ranks below
-    0x110000; on a trace with more executed methods it raises
-    ``ValueError``.)  For each sink t in DS(q),
+    The executed methods are ranked once by sort key, and the sources
+    are walked in rank order.  Each source's DFS leaves its lines ordered
+    as the paths' tuples of ranks (see :func:`_enumerate`), and all of
+    them start with the source's rank, so the sources' lines, one source
+    after another, are in report order.  For each sink t in DS(q),
     ``pairs[(q, t)]`` is {q} for t == q, else each m in DS(q) with
     fe(m) <= lr(t): every subsequence of a valid path is valid, and
     fe(q) <= lr(x) for every x in DS(q), so without truncation it is the
@@ -113,7 +109,7 @@ def method_level_paths(
     last = [spans[m][1] for m in methods]
     sinks = set(sink_methods)
     is_sink = [m in sinks for m in methods]
-    found: list[tuple[str, str]] = []
+    found: list[str] = []
     pairs: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
     truncated = False
     for q in sorted(set(source_methods), key=MethodId.sort_key):
@@ -129,8 +125,7 @@ def method_level_paths(
             rank[q], [rank[m] for m in ds], first, last, is_sink, names,
             path_limit, max_paths, work_budget, found,
         )
-    found.sort(key=itemgetter(0))  # no two keys are equal
-    return PathSet(methods, tuple([line for _, line in found]), truncated, pairs)
+    return PathSet(methods, tuple(found), truncated, pairs)
 
 
 def _enumerate(
@@ -143,16 +138,16 @@ def _enumerate(
     path_limit: int,
     max_paths: int,
     work_budget: int,
-    out: list[tuple[str, str]],
+    out: list[str],
 ) -> bool:
     """DFS over sequences where no member's first entry postdates a later
     member's last event.
 
     Methods are ranks; ``first``, ``last``, ``is_sink`` and ``names`` (the
-    qualified names) are indexed by rank.  A node's ``key`` holds
-    ``chr(rank)`` of each method on its path, and its ``text`` the path's
-    line.  Candidates are visited in (fe, lr, sort key) order so causally
-    early methods come first.  Branches from which no sink can be appended
+    qualified names) are indexed by rank.  A node's ``size`` is the
+    number of methods on its path, and its ``text`` the path's line.
+    Candidates are visited in (fe, lr, sort key) order so causally early
+    methods come first.  Branches from which no sink can be appended
     any more are cut (appending only raises the running max fe, so the cut
     is exact).  The enumeration reports truncation when the length cap, the
     path cap, or the work budget bites.
@@ -170,11 +165,23 @@ def _enumerate(
     each live candidate is tried and cut, so their steps are charged
     together.
 
+    The visit order decides which paths the caps keep, but not where
+    their lines go: ``found`` is kept in report order, the order of the
+    paths' tuples of ranks, which is the preorder that puts a node's own
+    line first and then its children's lines, children by ascending rank.
+    Each child's lines form one chunk at the end of ``found``, already in
+    that order when the child returns; when a node leaves its loop, for
+    whatever reason, it moves the chunks of its children into rank order
+    if they are not.  That moves references and builds no strings.
+
     A node's subtree depends only on its ``live`` mask, whether it ends at
     a sink, and its depth, so a state walked once need not be walked
-    again.  Its paths are the entries ``found[start:end]``, which all
-    share the node's key and line as prefixes; a later visit to the same
-    state copies them under its own prefixes.  A subtree is stored, with
+    again.  Its paths' lines all share the node's line as a prefix, and a
+    later visit to the same state copies them under its own prefix.  The
+    memo keeps a copy of the lines rather than their place in ``found``,
+    because an ancestor that reorders its children moves them; the first
+    reuse cuts the copy to the tails after the prefix, and each reuse then
+    builds a line with one concatenation.  A subtree is stored, with
     its step count, only when no cap but the length cap touched it: it
     ended with ``len(found) < room`` and the budget not spent, and so
     without ``stop``.  It is reused only where it fits again: the copies
@@ -185,10 +192,10 @@ def _enumerate(
     subtree hit the length cap, its walk raised the flag, which never
     falls back.  A subtree that does not fit is walked for real.
 
-    q, a member of its own DS, starts the sequence.  Each path found is
-    appended to ``out`` as its key and its ``phase1.txt`` line; no set is
-    needed, because the walk never repeats a sequence and the paths of
-    other sources start with another method.
+    q, a member of its own DS, starts the sequence.  The ``phase1.txt``
+    line of each path found is appended to ``out``; no set is needed,
+    because the walk never repeats a sequence and the paths of other
+    sources start with another method.
     """
     candidates = sorted(members, key=lambda m: (first[m], last[m], m))
     sinks = 0
@@ -207,9 +214,10 @@ def _enumerate(
             j += 1
         alive[i] = mask
     room = max_paths - len(out)  # paths of other sources never repeat q's
-    found: list[tuple[str, str]] = []
-    # (live, at_sink, depth) -> (start, end, steps, line prefix length)
-    memo: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+    found: list[str] = []
+    # (live, at_sink, depth) -> [lines, steps, line prefix length]; the
+    # first reuse cuts the lines to their tails and sets the length to 0
+    memo: dict[tuple[int, int, int], list] = {}
     truncated = False
     # stop == truncated and len(found) >= room, which ends the walk.  Both
     # halves only ever turn true, so stop is updated where found reaches a
@@ -218,15 +226,15 @@ def _enumerate(
     stop = False
     steps = 0
 
-    def walk(live: int, at_sink: int, key: str, text: str) -> None:
+    def walk(live: int, at_sink: int, size: int, text: str) -> None:
         nonlocal truncated, stop, steps
         if at_sink:
             if len(found) >= room:
                 truncated = stop = True
                 return
-            found.append((key, text))
+            found.append(text)
             stop = truncated and len(found) >= room
-        if len(key) >= path_limit:
+        if size >= path_limit:
             truncated = True
             stop = len(found) >= room
             return
@@ -238,7 +246,10 @@ def _enumerate(
             if steps > work_budget:
                 truncated = True
             return
-        depth = len(key) + 1  # of the children
+        depth = size + 1  # of the children
+        base = len(found)
+        chunks = []  # (rank, start, end) in found of each child with lines
+        in_order = True
         rest = live
         while rest:
             low = rest & -rest
@@ -246,40 +257,47 @@ def _enumerate(
             steps += 1
             if steps > work_budget:
                 truncated = True
-                return
+                break
             i = low.bit_length() - 1
             after = (live & alive[i]) ^ low
             sink_bit = low & sinks
             if not (sink_bit or after & sinks):
                 continue
             m = candidates[i]
-            sub = key + chr(m)
             head = text + " -> " + names[m]
             state = (after, sink_bit, depth)
             seen = memo.get(state)
+            start = len(found)
             if (
                 seen is not None
-                and len(found) + seen[1] - seen[0] < room
-                and steps + seen[2] <= work_budget
+                and start + len(seen[0]) < room
+                and steps + seen[1] <= work_budget
             ):
-                start, end, cost, size = seen
+                tails, cost, cut = seen
+                if cut:
+                    tails = seen[0] = [line[cut:] for line in tails]
+                    seen[2] = 0
                 steps += cost
-                found.extend([
-                    (sub + k[depth:], head + line[size:])
-                    for k, line in found[start:end]
-                ])
+                found.extend([head + tail for tail in tails])
             else:
-                start, before = len(found), steps
-                walk(after, sink_bit, sub, head)
+                before = steps
+                walk(after, sink_bit, depth, head)
                 if len(found) < room and steps <= work_budget:
-                    memo[state] = (start, len(found), steps - before, len(head))
+                    memo[state] = [found[start:], steps - before, len(head)]
+            if len(found) > start:
+                if chunks and m < chunks[-1][0]:
+                    in_order = False
+                chunks.append((m, start, len(found)))
             if stop:
-                return
+                break
+        if not in_order:
+            lines: list[str] = []
+            for _, begin, end in sorted(chunks):
+                lines += found[begin:end]
+            found[base:] = lines
 
     root = candidates.index(q)
-    walk(
-        alive[root] ^ (1 << root), is_sink[q], chr(q), "path level=method " + names[q]
-    )
+    walk(alive[root] ^ (1 << root), is_sink[q], 1, "path level=method " + names[q])
     del walk  # the closure refers to itself; free found without the gc
     out.extend(found)
     return truncated

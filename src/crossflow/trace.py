@@ -32,6 +32,15 @@ class MalformedTraceError(TraceError):
     """A record violates the trace format (e.g. recv with unknown msg_id)."""
 
 
+class EventOrderError(MalformedTraceError):
+    """An event does not belong at its place in its process's trace;
+    ``index`` is its position in the trace's events."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 class CausalityError(TraceError):
     """Message matching implies a causal cycle; no Lamport stamping exists."""
 
@@ -99,16 +108,16 @@ class ProcessTrace:
 
     def __post_init__(self) -> None:
         prev = None
-        for ev in self.events:
+        for i, ev in enumerate(self.events):
             if ev.process != self.process:
-                raise MalformedTraceError(
-                    f"event of {ev.process} in trace of {self.process}"
+                raise EventOrderError(
+                    f"event of {ev.process} in trace of {self.process}", i
                 )
             if prev is not None:
                 if ev.seq <= prev.seq:
-                    raise MalformedTraceError("seq must strictly increase")
+                    raise EventOrderError("seq must strictly increase", i)
                 if ev.ts is not None and prev.ts is not None and ev.ts < prev.ts:
-                    raise MalformedTraceError("timestamps decrease along trace")
+                    raise EventOrderError("timestamps decrease along trace", i)
             prev = ev
 
     @property
@@ -412,7 +421,9 @@ _decode = json.JSONDecoder().raw_decode
 def read_trace(path: Path, process: str) -> ProcessTrace:
     """The trace of ``process`` in the file at ``path``: one JSON record per
     non-blank line, else :class:`MalformedTraceError` naming ``path`` and
-    the number of the first bad line, and quoting it.
+    the number of the first bad line, and quoting it.  An event that is out
+    of place in the trace (see :class:`ProcessTrace`) is named by its line
+    too, which is counted only then.
 
     A line is decoded by ``raw_decode``, which skips the per-call checks of
     ``json.loads``; since the line is stripped, it is valid JSON exactly
@@ -422,7 +433,8 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
     """
     events = []
     methods: dict[tuple[str, str, str], MethodId] = {}
-    for n, line in enumerate(read_text(path).split("\n"), 1):
+    lines = read_text(path).split("\n")
+    for n, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -438,7 +450,12 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
             events.append(event_from_record(rec, methods))
         except MalformedTraceError as exc:
             raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
-    return ProcessTrace(process, tuple(events))
+    try:
+        return ProcessTrace(process, tuple(events))
+    except EventOrderError as exc:
+        # each non-blank line made one event
+        n = [n for n, line in enumerate(lines, 1) if line.strip()][exc.index]
+        raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
 
 
 def write_bundle(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,16 @@ def run_sim(tmp_path: Path, name="sim", **kw) -> Path:
     out = tmp_path / name
     assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
     return out
+
+
+def child_env(**env: str) -> dict[str, str]:
+    """``env`` for a child Python, plus this process's
+    PYTHONDONTWRITEBYTECODE if set: a child writes bytecode next to the
+    sources only where its parent would."""
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    if flag is not None:
+        env["PYTHONDONTWRITEBYTECODE"] = flag
+    return env
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -438,6 +449,29 @@ RING12_DIGESTS = {
 }
 
 
+# the same for the 7-tier chain, taken before the phase-1 walk wrote its
+# lines in report order: chains visit their children out of rank order at
+# other nodes than rings do
+CHAIN7_SCENARIO = {"topology": "n_tier", "tiers": 7, "seed": 1, "length": 1000}
+CHAIN7_DIGESTS = {
+    "default": (
+        "a6a9c375b4b7b01f92c495f39e0b121adb09f409c928c13559c269c226308eb1",
+        "6347ea4d33a4991d7ce427e4123cec2cc6d322f948f265d8bf157b2f4bcf6cf8",
+        "617336f73ad0c3e8f9d2784302677caab009d431fba20d8620d8f206e4f6cab3",
+    ),
+    "sim": (
+        "22644e257faca463f298ac2b9758cf79207ca25a95d8350e5eb9f388ba8e4966",
+        "6347ea4d33a4991d7ce427e4123cec2cc6d322f948f265d8bf157b2f4bcf6cf8",
+        "617336f73ad0c3e8f9d2784302677caab009d431fba20d8620d8f206e4f6cab3",
+    ),
+    "mul": (
+        "22644e257faca463f298ac2b9758cf79207ca25a95d8350e5eb9f388ba8e4966",
+        "6347ea4d33a4991d7ce427e4123cec2cc6d322f948f265d8bf157b2f4bcf6cf8",
+        "617336f73ad0c3e8f9d2784302677caab009d431fba20d8620d8f206e4f6cab3",
+    ),
+}
+
+
 def assert_capped_reports(tmp_path, scenario, digests):
     sim = run_sim(tmp_path, **scenario)
     for mode, want in digests.items():
@@ -465,6 +499,10 @@ def test_capped_flowpaths_reports_match_recorded_digests(tmp_path, capsys):
 
 def test_capped_ring12_reports_match_recorded_digests(tmp_path, capsys):
     assert_capped_reports(tmp_path, RING12_SCENARIO, RING12_DIGESTS)
+
+
+def test_capped_chain7_reports_match_recorded_digests(tmp_path, capsys):
+    assert_capped_reports(tmp_path, CHAIN7_SCENARIO, CHAIN7_DIGESTS)
 
 
 class TestTuneAndQuery:
@@ -540,17 +578,14 @@ class TestTuneAndQuery:
 
 class TestDeterminismAcrossProcesses:
     def test_hash_seed_does_not_leak_into_outputs(self, tmp_path):
-        import subprocess
-
         scen = write_scenario(tmp_path / "s.json", topology="n_tier", tiers=3,
                               seed=4, length=110)
         outs = []
         for name, hashseed in (("h1", "1"), ("h2", "424242")):
             out = tmp_path / name
-            env = {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"}
-            import os
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in __import__("sys").path if p
+            env = child_env(
+                PYTHONHASHSEED=hashseed, PATH="/usr/bin:/bin",
+                PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
             )
             for argv in (
                 ["simulate", "--scenario", str(scen), "--out", str(out / "sim")],
@@ -708,7 +743,7 @@ assert not heavy, heavy[:5]
     src = str(Path(__file__).resolve().parents[1] / "src")
     r = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
+        env=child_env(PYTHONPATH=src),
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
@@ -828,9 +863,15 @@ class TestInputReaders:
         ([GOOD, GOOD1.replace("1}", '"x"}')], 3,
          "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
          " 'proc': 'A', 'seq': 'x'}"),
+        # checked once the file is read: the line is counted back
+        ([GOOD1, GOOD], 3, "seq must strictly increase"),
+        ([GOOD, "", " ", GOOD1.replace('"A"', '"B"')], 5, "event of B in trace of A"),
+        ([GOOD.replace("}", ', "ts": 2}'), "", GOOD1.replace("}", ', "ts": 1}')], 4,
+         "timestamps decrease along trace"),
     ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
             "record-over-two-lines", "bare-number", "missing-kind",
-            "bad-record-before-bad-json", "seq-not-an-integer"])
+            "bad-record-before-bad-json", "seq-not-an-integer", "seq-decreases",
+            "event-of-other-process", "ts-decreases"])
     def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, lineno, message):
         bundle = tmp_path / "traces"
         bundle.mkdir()

@@ -477,16 +477,39 @@ def test_every_work_budget_beyond_a_machine_word():
             assert_matches_reference(got, want, (sinks, kw))
 
 
-def overlapping_traces(k):
-    """Process A enters m0..m{k-1} and the sink s, then returns into each,
-    so every method's span overlaps every other's.  From a source m_i,
-    every ordering of every subset of the other k - 1 methods leads to s,
-    and the orderings of one subset end in one walk state."""
-    names = [f"m{i}" for i in range(k)] + ["s"]
+def overlapping_traces(k, reverse=False):
+    """Process A enters m0..m{k-1} (m{k-1}..m0 with ``reverse``) and the
+    sink s, then returns into each, so every method's span overlaps every
+    other's.  From a source m_i, every ordering of every subset of the other
+    k - 1 methods leads to s, and the orderings of one subset end in one
+    walk state."""
+    names = [f"m{i}" for i in range(k)]
+    names = [*names[::-1], "s"] if reverse else [*names, "s"]
     evs = [("entry", n) for n in names] + [("returned_into", n) for n in names]
     return stamp_lamport(
         {"A": [ev("A", seq, kind, name) for seq, (kind, name) in enumerate(evs)]}
     )
+
+
+def assert_every_cap_matches_reference(traces, srcs, sinks, count):
+    """Every path cap and every work budget up to the uncapped walk's, and
+    a grid of both, at path limits 2-6 and the default, against the
+    reference; ``count`` is the number of uncapped paths."""
+    full = method_level_paths(traces, srcs, sinks)
+    assert len(full.paths) == count
+    assert not full.truncated
+    budget = 1
+    while method_level_paths(traces, srcs, sinks, work_budget=budget).truncated:
+        budget += 1
+    for limit in (2, 3, 4, 5, 6, DEFAULT_PATH_LIMIT):
+        caps = [(m, DEFAULT_WORK_BUDGET) for m in range(1, count + 2)]
+        caps += [(DEFAULT_MAX_PATHS, b) for b in range(1, budget + 2)]
+        caps += [(m, b) for m in range(3, count, 17) for b in range(7, budget, 41)]
+        for max_paths, work_budget in caps:
+            kw = dict(path_limit=limit, max_paths=max_paths, work_budget=work_budget)
+            got = method_level_paths(traces, srcs, sinks, **kw)
+            want = reference_method_paths(traces, srcs, sinks, **kw)
+            assert_matches_reference(got, want, kw)
 
 
 def test_reused_subtrees_equal_reference_at_every_cap():
@@ -495,23 +518,23 @@ def test_reused_subtrees_equal_reference_at_every_cap():
     # path cap and every work budget up to the uncapped walk's falls at or
     # inside some copied subtree, and the length caps of path limits 2-6
     # fire inside the subtrees that are copied
-    traces = overlapping_traces(5)
-    srcs, sinks = [mid("A", "m0"), mid("A", "m1")], [mid("A", "s")]
-    full = method_level_paths(traces, srcs, sinks)
-    assert len(full.paths) == 2 * (1 + 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2)
-    assert not full.truncated
-    budget = 1
-    while method_level_paths(traces, srcs, sinks, work_budget=budget).truncated:
-        budget += 1
-    for limit in (2, 3, 4, 5, 6, DEFAULT_PATH_LIMIT):
-        caps = [(m, DEFAULT_WORK_BUDGET) for m in range(1, len(full.paths) + 2)]
-        caps += [(DEFAULT_MAX_PATHS, b) for b in range(1, budget + 2)]
-        caps += [(m, b) for m in range(3, len(full.paths), 17) for b in range(7, budget, 41)]
-        for max_paths, work_budget in caps:
-            kw = dict(path_limit=limit, max_paths=max_paths, work_budget=work_budget)
-            got = method_level_paths(traces, srcs, sinks, **kw)
-            want = reference_method_paths(traces, srcs, sinks, **kw)
-            assert_matches_reference(got, want, kw)
+    assert_every_cap_matches_reference(
+        overlapping_traces(5), [mid("A", "m0"), mid("A", "m1")], [mid("A", "s")],
+        2 * (1 + 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2),
+    )
+
+
+def test_children_out_of_rank_order_equal_reference_at_every_cap():
+    # entered from m4 down to m0, the methods are visited in the reverse of
+    # their rank order, so each node with two children or more moves their
+    # lines into rank order.  That moves the lines of a subtree walked under
+    # m_i -> m_j, which m_j -> m_i copies later, and every cap falls at or
+    # inside some moved or copied subtree
+    assert_every_cap_matches_reference(
+        overlapping_traces(5, reverse=True),
+        [mid("A", "m0"), mid("A", "m1")], [mid("A", "s")],
+        2 * (1 + 4 + 4 * 3 + 4 * 3 * 2 + 4 * 3 * 2),
+    )
 
 
 def test_phase1_leaves_no_cyclic_garbage():

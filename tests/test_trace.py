@@ -355,12 +355,15 @@ def test_read_trace_shares_one_method_id_per_method(tmp_path):
 
 
 def read_trace_per_line(path, process):
-    """Reference: decode the file one stripped, non-blank line at a time."""
+    """Reference: decode the file one stripped, non-blank line at a time,
+    noting the line of each event for an event out of place."""
     import json
 
-    from crossflow.trace import MalformedTraceError, ProcessTrace, event_from_record
+    from crossflow.trace import (
+        EventOrderError, MalformedTraceError, ProcessTrace, event_from_record,
+    )
 
-    events = []
+    events, numbers = [], []
     for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         line = line.strip()
         if line:
@@ -374,7 +377,11 @@ def read_trace_per_line(path, process):
                 events.append(event_from_record(rec, {}))
             except MalformedTraceError as exc:
                 raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
-    return ProcessTrace(process, tuple(events))
+            numbers.append(n)
+    try:
+        return ProcessTrace(process, tuple(events))
+    except EventOrderError as exc:
+        raise MalformedTraceError(f"{path}:{numbers[exc.index]}: {exc}") from exc
 
 
 TRACE_LINE_PARTS = (
