@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,8 +87,9 @@ def _parse_method(text: str) -> MethodId:
 
 
 def _json_text(data) -> str:
-    """``data`` as the indented, key-sorted JSON text of a written file."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``data`` as the indented, key-sorted JSON text of a written file.
+    A NaN or infinite number is a ``ValueError``: JSON has no such value."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_object(path: Path) -> dict:
@@ -485,6 +487,30 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of a count threshold: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """argparse type of a number written to a report: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type of a time threshold: a finite float of at least 0."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
     """--out falls back to the CROSSFLOW_OUT environment variable."""
     env_default = os.environ.get(OUT_DIR_ENV)
@@ -517,8 +543,8 @@ def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--graphs", required=True)
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--tc", type=int, default=10)
-    p.add_argument("--tt", type=float, default=0.0)
+    p.add_argument("--tc", type=nonnegative_int, default=10)
+    p.add_argument("--tt", type=nonnegative_float, default=0.0)
     p.add_argument("--pin-config", default=None)
     p.add_argument("--cost-model", default=None)
     p.add_argument("--wallclock", action="store_true")
@@ -543,17 +569,17 @@ def _metrics_args(p: argparse.ArgumentParser) -> None:
 
 def _quality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths-report", default=None)
-    p.add_argument("--ksloc", type=float, default=1.0)
-    p.add_argument("--sloc", type=float, default=1000.0)
+    p.add_argument("--ksloc", type=finite_float, default=1.0)
+    p.add_argument("--sloc", type=finite_float, default=1000.0)
     p.add_argument("--endpoints", type=int, default=0)
     p.add_argument("--ports", type=int, default=0)
     p.add_argument("--files", type=int, default=0)
     p.add_argument("--vulns", default=None)
     p.add_argument("--vuln-corrected", action="store_true")
-    p.add_argument("--exec-time", type=float, default=0.0)
-    p.add_argument("--code-churn", type=float, default=0.0)
-    p.add_argument("--cyclomatic", type=float, default=0.0)
-    p.add_argument("--defect-density", type=float, default=0.0)
+    p.add_argument("--exec-time", type=finite_float, default=0.0)
+    p.add_argument("--code-churn", type=finite_float, default=0.0)
+    p.add_argument("--cyclomatic", type=finite_float, default=0.0)
+    p.add_argument("--defect-density", type=finite_float, default=0.0)
     p.add_argument("--out")
 
 

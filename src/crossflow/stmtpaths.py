@@ -15,12 +15,19 @@ Interprocess paths are rebuilt from a source segment, any number of remote
 segments, and a sink segment whose outlet/inlet junction events are adjacent
 in the merged order restricted to the junction processes' message-callsite
 events (the strict variant restricts over all events instead).
+
+Phase 2 keeps its paths as their ``phase2.txt`` lines, built once where a
+path is found: splicing joins line text, not statement tuples, and each
+pair's lines come out sorted and distinct, so the report is one merge of
+sorted runs.  Splicing has no output cap yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .staticgraph import StaticDepGraph, SourceSinkConfig, between, partial_graph
@@ -170,6 +177,10 @@ def find_paths(
     return out
 
 
+SPLICED_HEAD = "path level=stmt kind=spliced "
+INTRA_HEAD = "path level=stmt kind=intra "
+
+
 def splice_segments(
     source_segs: Sequence[tuple[str, ...]],
     remote_segs: Sequence[tuple[str, ...]],
@@ -178,10 +189,11 @@ def splice_segments(
     index: InletOutletIndex,
     stmt_methods: Mapping[str, MethodId],
     strict: bool = False,
-) -> list[tuple[str, ...]]:
-    """Concatenate source, remote, and sink segments whose junctions have no
+) -> list[str]:
+    """The ``phase2.txt`` lines of every concatenation of a source segment,
+    distinct remote segments and a sink segment whose junctions have no
     intervening inlet/outlet events (or no intervening events at all when
-    ``strict``).
+    ``strict``), sorted, each listed once.
 
     A junction (outlet stmt, inlet stmt) holds when a send at the outlet is
     immediately followed by a recv at the inlet in the junction sequence
@@ -191,11 +203,19 @@ def splice_segments(
     is a set lookup.  ``strict`` uses one index over the whole merged
     sequence instead.
 
-    A prefix can only continue at its end statement, so the junction tests
-    are made once per end statement: its successor lists hold the sink
-    segments and the indexes of the remote segments whose first statement
-    it joins, each in input order, and every prefix ending there walks
-    only those.
+    Each segment's text is joined once.  A prefix carries its line text up
+    to and including the `` -> `` after its end statement, so a full line is
+    one concatenation with a sink segment's text.  A prefix can only
+    continue at its end statement, so the junction tests are made once per
+    end statement: its successor list holds the sink and remote segments
+    whose first statement it joins, sorted by the text they append, and
+    every prefix ending there walks only that list, with its used remote
+    segments as a bitmask.  Sources are walked in the same order, so lines
+    come out in report order except after a source or remote segment that
+    is a proper prefix of another segment (its continuations can sort after
+    the longer one's lines), and the final sort is near-linear.  Equal lines
+    (different segment sequences of one statement sequence) are then
+    neighbours and are dropped there.
     """
     junction_seq = [
         ev
@@ -226,56 +246,59 @@ def splice_segments(
             }
         return (out_stmt, in_stmt) in pairs
 
-    # end stmt -> (sink segments, remote segment indexes) it joins
-    successors: dict[str, tuple[list[tuple[str, ...]], list[int]]] = {}
-    spliced: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
+    # (appended text, first stmt, remote bit or 0 for a sink, end stmt)
+    segments = [(" -> ".join(seg), seg[0], 0, "") for seg in sink_segs]
+    segments += [
+        (" -> ".join(seg) + " -> ", seg[0], 1 << i, seg[-1])
+        for i, seg in enumerate(remote_segs)
+    ]
+    segments.sort(key=itemgetter(0))
+    # end stmt -> [(appended text, remote bit, end stmt)] of the segments it joins
+    successors: dict[str, list[tuple[str, int, str]]] = {}
+    lines: list[str] = []
 
-    def extend(prefix: tuple[str, ...], used: frozenset[int]) -> None:
-        end = prefix[-1]
+    def extend(prefix: str, end: str, used: int) -> None:
         joined = successors.get(end)
         if joined is None:
-            joined = successors[end] = (
-                [seg for seg in sink_segs if junction_ok(end, seg[0])],
-                [
-                    i for i, seg in enumerate(remote_segs)
-                    if junction_ok(end, seg[0])
-                ],
-            )
-        sink_next, remote_next = joined
-        # close with a sink segment
-        for sink_seg in sink_next:
-            full = prefix + sink_seg
-            if full not in seen:
-                seen.add(full)
-                spliced.append(full)
-        # or continue through an unused remote segment
-        for i in remote_next:
-            if i not in used:
-                extend(prefix + remote_segs[i], used | {i})
+            joined = successors[end] = [
+                (text, bit, last)
+                for text, first, bit, last in segments
+                if junction_ok(end, first)
+            ]
+        for text, bit, last in joined:
+            if not bit:  # close with a sink segment
+                lines.append(prefix + text)
+            elif not used & bit:  # or continue through an unused remote one
+                extend(prefix + text, last, used | bit)
 
-    for source_seg in source_segs:
-        extend(tuple(source_seg), frozenset())
-    spliced.sort()
-    return spliced
+    for text, end in sorted(
+        (SPLICED_HEAD + " -> ".join(seg) + " -> ", seg[-1]) for seg in source_segs
+    ):
+        extend(text, end, 0)
+    lines.sort()
+    return lines[:1] + [b for a, b in zip(lines, islice(lines, 1, None)) if a != b]
 
 
 @dataclass(frozen=True)
 class PairResult:
+    """The ``phase2.txt`` lines of one (source stmt, sink stmt) pair, each
+    kind sorted: ``intra`` its intraprocess paths, ``interprocess`` its
+    spliced ones."""
+
     source_stmt: str
     sink_stmt: str
-    intra: tuple[tuple[str, ...], ...]
-    interprocess: tuple[tuple[str, ...], ...]
+    intra: tuple[str, ...]
+    interprocess: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Phase2Result:
     pairs: tuple[PairResult, ...]
 
-    def intra_paths(self) -> list[tuple[str, ...]]:
+    def intra_paths(self) -> list[str]:
         return [p for pair in self.pairs for p in pair.intra]
 
-    def interprocess_paths(self) -> list[tuple[str, ...]]:
+    def interprocess_paths(self) -> list[str]:
         return [p for pair in self.pairs for p in pair.interprocess]
 
 
@@ -326,9 +349,12 @@ def phase2(
             source_segs = find_paths(
                 ddg, {s}, index.outlets, allowed[src_proc], path_limit
             )
-            intra: list[tuple[str, ...]] = []
+            intra: list[str] = []
             if src_proc == sink_proc:
-                intra = find_paths(ddg, {s}, {t}, allowed[src_proc], path_limit)
+                intra = sorted(
+                    INTRA_HEAD + " -> ".join(p)
+                    for p in find_paths(ddg, {s}, {t}, allowed[src_proc], path_limit)
+                )
             remote_segs: list[tuple[str, ...]] = []
             for proc in sorted(traces):
                 if proc in (src_proc, sink_proc):
@@ -353,12 +379,9 @@ def phase2(
 
 
 def render_stmt_paths(result: Phase2Result) -> str:
-    lines = []
-    for pair in result.pairs:
-        for p in pair.intra:
-            lines.append(f"path level=stmt kind=intra {' -> '.join(p)}")
-        for p in pair.interprocess:
-            lines.append(f"path level=stmt kind=spliced {' -> '.join(p)}")
+    """The ``phase2.txt`` text: every pair's lines in one sort, which merges
+    their sorted runs."""
+    lines = result.intra_paths() + result.interprocess_paths()
     lines.sort()
     lines.append("")  # ends the last line without copying the report again
     return "\n".join(lines)

@@ -442,9 +442,21 @@ def flow_paths(ps) -> frozenset[tuple[MethodId, ...]]:
     return frozenset(tuple([ms[i] for i in k]) for k in path_keys(ps))
 
 
+def stmt_sequences(lines: Iterable[str]) -> list[tuple[str, ...]]:
+    """The statement tuples of ``phase2.txt`` lines
+    (``path level=stmt kind=<intra|spliced> s1 -> s2 ...``), in line order."""
+    out = []
+    for line in lines:
+        path, level, kind, body = line.split(" ", 3)
+        assert (path, level) == ("path", "level=stmt"), line
+        assert kind in ("kind=intra", "kind=spliced"), line
+        out.append(tuple(body.split(" -> ")))
+    return out
+
+
 def all_stmt_sequences(result) -> set[tuple[str, ...]]:
     """Every statement path of a ``Phase2Result``, intra and spliced."""
-    return {p for pair in result.pairs for p in pair.intra + pair.interprocess}
+    return set(stmt_sequences(result.intra_paths() + result.interprocess_paths()))
 
 
 def check_path_ordering(

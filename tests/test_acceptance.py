@@ -72,6 +72,7 @@ from oracles import (
     matches_mask,
     rank_with_ties,
     spans_oracle,
+    stmt_sequences,
 )
 from test_engine import deps_of
 
@@ -233,7 +234,7 @@ def test_criterion_3_statement_level_soundness():
         for pair in base.phase2.pairs:
             methods = by_pair[(owner[pair.source_stmt], owner[pair.sink_stmt])]
             index = InletOutletIndex.build(traces, methods)
-            for p in pair.interprocess:
+            for p in stmt_sequences(pair.interprocess):
                 junctions += 1
                 assert _junction_oracle(p, graph, traces, index, order), (sc, p)
 

@@ -505,6 +505,29 @@ def test_capped_chain7_reports_match_recorded_digests(tmp_path, capsys):
     assert_capped_reports(tmp_path, CHAIN7_SCENARIO, CHAIN7_DIGESTS)
 
 
+@pytest.mark.parametrize(
+    "scenario", [CHAIN7_SCENARIO, RING12_SCENARIO], ids=["chain7", "ring12"]
+)
+def test_phase2_lines_strictly_increase_and_match_summary(tmp_path, capsys, scenario):
+    sim = run_sim(tmp_path, **scenario)
+    for mode in ("default", "sim", "mul"):
+        out = tmp_path / f"fp_{mode}"
+        assert main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--mode", mode,
+            "--out", str(out),
+        ]) == 0
+        lines = (out / "phase2.txt").read_text().splitlines()
+        assert lines, mode
+        assert all(a < b for a, b in zip(lines, lines[1:])), mode
+        spliced = sum(line.startswith("path level=stmt kind=spliced ") for line in lines)
+        summary = (out / "summary.txt").read_text()
+        assert f"interprocess_paths {spliced}\n" in summary, mode
+
+
 class TestTuneAndQuery:
     def run_tune(self, tmp_path, sim, name="run", **flags):
         out = tmp_path / name
@@ -1125,6 +1148,57 @@ class TestMalformedInputs:
         assert self.tune(sim, tmp_path / "out", f"--budget={budget}") == 4
         assert capsys.readouterr().err == "error: budget components must be finite\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tc", "-3", "must be at least 0, got -3"),
+        ("--tc", "2.5", "invalid nonnegative_int value: '2.5'"),
+        ("--tt", "-1", "must be at least 0, got -1"),
+        ("--tt", "nan", "must be a finite number, got nan"),
+        ("--tt", "inf", "must be a finite number, got inf"),
+    ])
+    def test_bad_threshold_usage_error(self, tmp_path, capsys, flag, value, message):
+        sim = run_sim(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            self.tune(sim, tmp_path / "out", "--budget", "1000", f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_thresholds_accepted(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        out = tmp_path / "out"
+        assert self.tune(sim, out, "--budget", "100000", "--tc", "0", "--tt", "0") == 0
+        # a round on every returned-into event: more rounds than at --tc 4
+        more = self.tune(sim, tmp_path / "tc4", "--budget", "100000")
+        assert more == 0
+        for log in out.glob("rounds_*.log"):
+            rounds = log.read_text().splitlines()
+            assert len(rounds) > len((tmp_path / "tc4" / log.name).read_text().splitlines())
+
+    @pytest.mark.parametrize("flag", [
+        "--ksloc", "--sloc", "--exec-time", "--code-churn", "--cyclomatic",
+        "--defect-density",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_quality_non_finite_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "quality.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["quality", f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number, got {value}\n" in err
+        assert not out.exists()
+
+    def test_non_finite_result_not_written_as_json(self, tmp_path, capsys):
+        # JSON input may spell NaN; the vector it yields is no JSON
+        vulns = tmp_path / "vulns.json"
+        vulns.write_text('{"n_non_nvd": 0, "entries": [[NaN, 1.0]]}')
+        out = tmp_path / "quality.json"
+        assert main(["quality", "--vulns", str(vulns), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: bad input data: Out of range float values are not JSON compliant"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("manifest,message", [
         ([], "not a JSON object"),

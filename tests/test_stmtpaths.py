@@ -20,7 +20,13 @@ from crossflow.stmtpaths import (
 )
 from crossflow.trace import EventRecord, MethodId, merge_global, stamp_lamport
 
-from oracles import all_simple_paths, all_stmt_sequences, junction_oracle, splice_oracle
+from oracles import (
+    all_simple_paths,
+    all_stmt_sequences,
+    junction_oracle,
+    splice_oracle,
+    stmt_sequences,
+)
 
 
 def mid(proc, name):
@@ -186,7 +192,7 @@ class TestSplice:
             [("src", "out")], [], [("in_", "sink")], order, index,
             stmt_methods=dict(graph.nodes),
         )
-        assert [p for p in spliced] == [("src", "out", "in_", "sink")]
+        assert stmt_sequences(spliced) == [("src", "out", "in_", "sink")]
 
     def test_junction_with_intervening_event_rejected(self):
         ma, mb = mid("A", "go"), mid("B", "serve")
@@ -223,7 +229,91 @@ class TestSplice:
         for truth_path in truth.dyn_paths:
             procs = {owner[s].process for s in truth_path}
             if len(procs) == 3:
-                assert truth_path in {p for p in spliced}
+                assert truth_path in set(stmt_sequences(spliced))
+
+
+SPLICED = "path level=stmt kind=spliced "
+
+
+class TestSpliceLines:
+    """``splice_segments`` returns report lines, sorted and distinct, also
+    where its walk emits them out of order or more than once."""
+
+    def test_remote_segment_prefix_of_another_sorted(self):
+        # B's remote segment (b_in, b_out1) is a proper prefix of
+        # (b_in, b_out1, b_x, b_out2): the walk closes the shorter one at
+        # c_in1 first, though the longer one's line, at b_x, sorts first
+        ma, mb, mc = mid("A", "go"), mid("B", "relay"), mid("C", "serve")
+        raw = {
+            "A": [EventRecord("send", ma, 0, msg_id="m0", peer="B", stmt_id="a_out")],
+            "B": [
+                EventRecord("recv", mb, 0, msg_id="m0", peer="A", stmt_id="b_in"),
+                EventRecord("send", mb, 1, msg_id="m1", peer="C", stmt_id="b_out1"),
+                EventRecord("stmt_cover", mb, 2, stmt_id="b_x"),
+                EventRecord("stmt_cover", mb, 3, stmt_id="b_x"),
+                EventRecord("send", mb, 4, msg_id="m2", peer="C", stmt_id="b_out2"),
+            ],
+            "C": [
+                EventRecord("recv", mc, 0, msg_id="m1", peer="B", stmt_id="c_in1"),
+                EventRecord("recv", mc, 1, msg_id="m2", peer="B", stmt_id="c_in2"),
+            ],
+        }
+        traces = stamp_lamport(raw)
+        stmt_methods = {
+            "src": ma, "a_out": ma, "b_in": mb, "b_out1": mb, "b_x": mb,
+            "b_out2": mb, "c_in1": mc, "c_in2": mc, "sink": mc,
+        }
+        args = (
+            [("src", "a_out")],
+            [("b_in", "b_out1"), ("b_in", "b_out1", "b_x", "b_out2")],
+            [("c_in1", "sink"), ("c_in2", "sink")],
+            merge_global(traces),
+            InletOutletIndex.build(traces, {ma, mb, mc}),
+            stmt_methods,
+        )
+        got = splice_segments(*args)
+        assert got == [
+            SPLICED + "src -> a_out -> b_in -> b_out1 -> b_x -> b_out2 -> c_in2 -> sink",
+            SPLICED + "src -> a_out -> b_in -> b_out1 -> c_in1 -> sink",
+            # A's send and C's first recv are adjacent over {A, C}
+            SPLICED + "src -> a_out -> c_in1 -> sink",
+        ]
+        assert stmt_sequences(got) == splice_oracle(*args)
+
+    def test_two_segment_sequences_of_one_path_one_line(self):
+        # (src, a_out) + (a_in, a_out2, a_in2, sink) and
+        # (src, a_out, a_in, a_out2) + (a_in2, sink) are one statement path
+        ma, mb = mid("A", "go"), mid("B", "echo")
+        raw = {
+            "A": [
+                EventRecord("send", ma, 0, msg_id="m0", peer="B", stmt_id="a_out"),
+                EventRecord("recv", ma, 1, msg_id="m1", peer="B", stmt_id="a_in"),
+                EventRecord("send", ma, 2, msg_id="m2", peer="B", stmt_id="a_out2"),
+                EventRecord("recv", ma, 3, msg_id="m3", peer="B", stmt_id="a_in2"),
+            ],
+            "B": [
+                EventRecord("recv", mb, 0, msg_id="m0", peer="A", stmt_id="b_in"),
+                EventRecord("send", mb, 1, msg_id="m1", peer="A", stmt_id="b_out"),
+                EventRecord("recv", mb, 2, msg_id="m2", peer="A", stmt_id="b_in"),
+                EventRecord("send", mb, 3, msg_id="m3", peer="A", stmt_id="b_out"),
+            ],
+        }
+        traces = stamp_lamport(raw)
+        stmt_methods = {
+            "src": ma, "a_out": ma, "a_in": ma, "a_out2": ma, "a_in2": ma,
+            "sink": ma, "b_in": mb, "b_out": mb,
+        }
+        args = (
+            [("src", "a_out"), ("src", "a_out", "a_in", "a_out2")],
+            [],
+            [("a_in", "a_out2", "a_in2", "sink"), ("a_in2", "sink")],
+            merge_global(traces),
+            InletOutletIndex.build(traces, {ma, mb}),
+            stmt_methods,
+        )
+        path = "src -> a_out -> a_in -> a_out2 -> a_in2 -> sink"
+        assert splice_segments(*args) == [SPLICED + path]
+        assert splice_oracle(*args) == [tuple(path.split(" -> "))]
 
 
 def round_trip_fixture():
@@ -265,7 +355,7 @@ class TestJunctionIndex:
             for i in index.inlets
             if junction_oracle(order, index, o, i, strict, stmt_methods)
         }
-        return {p for p in spliced}, want
+        return set(stmt_sequences(spliced)), want
 
     def test_within_one_process(self):
         traces, stmt_methods = round_trip_fixture()
@@ -331,7 +421,11 @@ class TestJunctionIndex:
                         source_segs, remote_segs, sink_segs, order, index,
                         stmt_methods, strict=strict,
                     )
-                    assert [p for p in got] == want, (sc, strict)
+                    want_lines = [
+                        "path level=stmt kind=spliced " + " -> ".join(p)
+                        for p in want
+                    ]
+                    assert got == sorted(want_lines), (sc, strict)
                     seen_spliced += bool(want)
                     seen_relayed += any(
                         len(p) > max(map(len, source_segs)) + max(map(len, sink_segs))
@@ -495,4 +589,4 @@ class TestPhase2EndToEnd:
             strict=True, stmt_methods=dict(graph.nodes),
         )
         # the recv is the very next event after the send in the merged order
-        assert [p for p in spliced] == [("src", "out", "in_", "sink")]
+        assert stmt_sequences(spliced) == [("src", "out", "in_", "sink")]
