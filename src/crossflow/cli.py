@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 OUT_DIR_ENV = "CROSSFLOW_OUT"
 
@@ -118,9 +119,15 @@ def _load_scenario(path: Path) -> Scenario:
 
 
 def _is_number(value) -> bool:
-    """True for a JSON number; type() rather than isinstance(), since JSON
-    true is no number."""
-    return type(value) in (int, float)
+    """True for a JSON number that is a finite float: not the NaN and
+    Infinity that ``json.loads`` accepts, nor an integer too big for a
+    float.  type() rather than isinstance(), since JSON true is no number."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _string_list(value, path: Path, what: str) -> list[str]:
@@ -175,6 +182,20 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# lines per write of a flow report: a capped phase1.txt runs to megabytes,
+# and a batch bounds the text held at once to a few hundred kilobytes
+REPORT_BATCH_LINES = 2000
+
+
+def _write_lines(path: Path, lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by a newline, in batches of
+    ``REPORT_BATCH_LINES``; no lines, an empty file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(lines), REPORT_BATCH_LINES):
+            fh.write("\n".join(lines[start:start + REPORT_BATCH_LINES]))
+            fh.write("\n")
+
+
 def cmd_flowpaths(args) -> int:
     traces, _ = read_bundle(Path(args.bundle))
     graphs = read_graph_set(Path(args.graphs))
@@ -191,8 +212,8 @@ def cmd_flowpaths(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "phase1.txt").write_text(render_paths(result.phase1), encoding="utf-8")
-    (out / "phase2.txt").write_text(render_stmt_paths(result.phase2), encoding="utf-8")
+    _write_lines(out / "phase1.txt", render_paths(result.phase1))
+    _write_lines(out / "phase2.txt", render_stmt_paths(result.phase2))
     counts = summary_counts(result.phase2)
     counts["phase1_paths"] = len(result.phase1.paths)
     counts["phase1_truncated"] = int(result.phase1.truncated)
@@ -511,6 +532,14 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+def unit_float(text: str) -> float:
+    """argparse type of a probability: a finite float in [0, 1]."""
+    value = finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
     """--out falls back to the CROSSFLOW_OUT environment variable."""
     env_default = os.environ.get(OUT_DIR_ENV)
@@ -548,7 +577,7 @@ def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pin-config", default=None)
     p.add_argument("--cost-model", default=None)
     p.add_argument("--wallclock", action="store_true")
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=unit_float, default=0.2)
     p.add_argument("--next-state-max", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-qtable", action="store_true")

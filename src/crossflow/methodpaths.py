@@ -303,7 +303,7 @@ def _enumerate(
     return truncated
 
 
-def render_paths(ps: PathSet) -> str:
-    """``phase1.txt``: one line per path, in the order of the paths' method
-    sort keys, each ended by a newline."""
-    return "\n".join([*ps.paths, ""])
+def render_paths(ps: PathSet) -> tuple[str, ...]:
+    """The lines of ``phase1.txt``, without their newlines: one per path, in
+    the order of the paths' method sort keys."""
+    return ps.paths

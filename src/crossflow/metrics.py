@@ -13,6 +13,7 @@ computed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -81,6 +82,11 @@ def ipc_metrics(dep: DepData, table_rcc: bool = False) -> IpcReport:
 
     ``table_rcc`` switches the class-coupling ratio to its tabular variant
     (dependents of the second class as the denominator basis).
+
+    Each class's union of remote dependents (and, for the tabular
+    variant, its member count per process) is built once and shared by
+    every class pair, so the cost is O(Σ|remote dependents| + classes²),
+    not a union per class pair.
     """
     if not dep.executed:
         empty: dict = {}
@@ -120,29 +126,39 @@ def ipc_metrics(dep: DepData, table_rcc: bool = False) -> IpcReport:
     }
     plc = _mean(process_plc.values())
 
-    # RCC at class-pair level, aggregated to CCC per class and RCC per process
-    def class_pair_rcc(c1: tuple[str, str], c2: tuple[str, str]) -> float:
-        c1_methods = by_class[c1]
-        c2_methods = by_class[c2]
-        if table_rcc:
-            dependents_of_c1 = set().union(*(dep.remote(m) for m in c1_methods))
-            num = len(dependents_of_c1 & c2_methods)
-            dependents_of_c2 = set().union(*(dep.remote(m) for m in c2_methods))
-            den = len({d for d in dependents_of_c2 if d.process != c1[0]})
-        else:
-            num = sum(
-                1 for m in c1_methods if dep.remote(m) & c2_methods
-            )
-            den = len(set().union(*(dep.remote(m) for m in c1_methods)))
-        return num / den if den else 0.0
+    # RCC at class-pair level, summed to CCC per class.  Pair (c1, c2), c2
+    # in another process, is num / den.  Default: num counts c1's methods
+    # with a remote dependent in c2, den is |union(c1)|.  Tabular: num is
+    # |union(c1) & c2|, den counts union(c2) outside c1's process.
+    class_of = {m: j for j, methods in enumerate(by_class.values()) for m in methods}
+    unions = [
+        set().union(*(dep.remote(m) for m in methods)) for methods in by_class.values()
+    ]
+    union_by_process = (
+        [Counter(d.process for d in union) for union in unions] if table_rcc else []
+    )
 
     class_ccc = {}
-    for c1 in by_class:
+    for i, (c1, methods) in enumerate(by_class.items()):
+        num = [0] * len(by_class)
+        if table_rcc:
+            for d in unions[i]:
+                num[class_of[d]] += 1
+        else:
+            for m in methods:
+                for j in {class_of[d] for d in dep.remote(m)}:
+                    num[j] += 1
+        # terms added in by_class order, zeros included, as the pairwise
+        # definition adds them: the float sum depends on the order
         total = 0.0
-        for c2 in by_class:
+        for j, c2 in enumerate(by_class):
             if c2[0] == c1[0]:
                 continue
-            total += class_pair_rcc(c1, c2)
+            if table_rcc:
+                den = len(unions[j]) - union_by_process[j][c1[0]]
+            else:
+                den = len(unions[i])
+            total += num[j] / den if den else 0.0
         class_ccc[c1] = total
     ccc = _mean(class_ccc.values())
 

@@ -378,13 +378,12 @@ def phase2(
     return Phase2Result(tuple(results))
 
 
-def render_stmt_paths(result: Phase2Result) -> str:
-    """The ``phase2.txt`` text: every pair's lines in one sort, which merges
-    their sorted runs."""
+def render_stmt_paths(result: Phase2Result) -> list[str]:
+    """The lines of ``phase2.txt``, without their newlines: every pair's
+    lines in one sort, which merges their sorted runs."""
     lines = result.intra_paths() + result.interprocess_paths()
     lines.sort()
-    lines.append("")  # ends the last line without copying the report again
-    return "\n".join(lines)
+    return lines
 
 
 def summary_counts(result: Phase2Result) -> dict[str, int]:

@@ -3,7 +3,7 @@
 Everything here recomputes results straight from definitions, by exhaustive
 closure or enumeration, deliberately avoiding the incremental algorithms in
 the package under test; method spans, influence and dependence sets come
-from a plain scan of the traces and from ``closure_matrix``.  Four oracles
+from a plain scan of the traces and from ``closure_matrix``.  Six oracles
 are earlier versions of package code, kept as they were so that optimized
 versions can be held to exactly the same output: ``reference_method_paths``
 (the phase-1 enumerator, whose caps decide which paths are emitted; it
@@ -13,7 +13,9 @@ method tuples), ``junction_oracle`` (the splice junction rule,
 re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
 every junction of every prefix with ``junction_oracle``) and
 ``permutation_p_oracle`` (the exact Spearman p over every permutation, once
-a vectorized loop, here a plain one).  The last section holds helpers that
+a vectorized loop, here a plain one) and ``reference_ipc_metrics`` (the IPC
+metrics with a class-coupling ratio recomputed per class pair).  The last
+section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
 and phase-2 results and the predicates that check them.
 """
@@ -29,6 +31,7 @@ from crossflow.methodpaths import (
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
 )
+from crossflow.metrics import IpcReport
 from crossflow.trace import EventRecord, MethodId, ProcessTrace
 
 
@@ -418,9 +421,101 @@ def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def reference_ipc_metrics(dep, table_rcc: bool = False):
+    """``metrics.ipc_metrics`` as it was when it rebuilt the remote union of
+    a class for every class pair it took part in (``class_pair_rcc``)."""
+    def _mean(values) -> float:
+        vals = list(values)
+        return sum(vals) / len(vals) if vals else 0.0
+
+    if not dep.executed:
+        empty: dict = {}
+        return IpcReport(0, 0, 0, 0, 0, 0, empty, empty, empty, empty, empty, empty,
+                         empty_execution=True)
+
+    executed = dep.executed
+    by_class: dict[tuple[str, str], set[MethodId]] = {}
+    by_process: dict[str, set[MethodId]] = {}
+    for m in sorted(executed, key=MethodId.sort_key):
+        by_class.setdefault((m.process, m.class_name), set()).add(m)
+        by_process.setdefault(m.process, set()).add(m)
+
+    process_rmc = {pair: float(n) for pair, n in dep.messages.items() if n > 0}
+    rmc = _mean(process_rmc.values())
+
+    method_ipr = {}
+    for m in sorted(executed, key=MethodId.sort_key):
+        local_keys = {d.code_key for d in dep.local(m)}
+        remote_keys = {d.code_key for d in dep.remote(m)}
+        method_ipr[m] = len(local_keys & remote_keys) / len(executed)
+    ipr = sum(method_ipr.values()) / len(executed)
+
+    class_ccl = {
+        cls: sum(len(dep.remote(m)) for m in methods) / len(methods)
+        for cls, methods in by_class.items()
+    }
+    ccl = _mean(class_ccl.values())
+
+    process_plc = {
+        proc: sum(len(dep.local(m)) for m in methods) / len(methods)
+        for proc, methods in by_process.items()
+    }
+    plc = _mean(process_plc.values())
+
+    def class_pair_rcc(c1: tuple[str, str], c2: tuple[str, str]) -> float:
+        c1_methods = by_class[c1]
+        c2_methods = by_class[c2]
+        if table_rcc:
+            dependents_of_c1 = set().union(*(dep.remote(m) for m in c1_methods))
+            num = len(dependents_of_c1 & c2_methods)
+            dependents_of_c2 = set().union(*(dep.remote(m) for m in c2_methods))
+            den = len({d for d in dependents_of_c2 if d.process != c1[0]})
+        else:
+            num = sum(
+                1 for m in c1_methods if dep.remote(m) & c2_methods
+            )
+            den = len(set().union(*(dep.remote(m) for m in c1_methods)))
+        return num / den if den else 0.0
+
+    class_ccc = {}
+    for c1 in by_class:
+        total = 0.0
+        for c2 in by_class:
+            if c2[0] == c1[0]:
+                continue
+            total += class_pair_rcc(c1, c2)
+        class_ccc[c1] = total
+    ccc = _mean(class_ccc.values())
+
+    process_rcc = {}
+    for proc, methods in by_process.items():
+        remote_union = set().union(*(dep.remote(m) for m in methods))
+        all_union = remote_union | set().union(*(dep.local(m) for m in methods))
+        process_rcc[proc] = (
+            len(remote_union) / len(all_union) if all_union else 0.0
+        )
+    rcc = _mean(process_rcc.values())
+
+    return IpcReport(
+        rmc=rmc, rcc=rcc, ccc=ccc, ipr=ipr, ccl=ccl, plc=plc,
+        process_rmc=process_rmc,
+        process_rcc=process_rcc,
+        class_ccc=class_ccc,
+        method_ipr=method_ipr,
+        class_ccl=class_ccl,
+        process_plc=process_plc,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Views and predicates over package results that only the tests need
 # ---------------------------------------------------------------------------
+
+
+def report_text(lines: Iterable[str]) -> str:
+    """The text of a report file written from ``lines`` (``render_paths``,
+    ``render_stmt_paths``): each line ended by a newline."""
+    return "".join(f"{line}\n" for line in lines)
 
 
 def path_keys(ps) -> list[tuple[int, ...]]:

@@ -15,6 +15,8 @@ from crossflow import cli
 from crossflow.cli import OUT_DIR_ENV, main
 from crossflow.metrics import IPC_METRICS
 
+from oracles import report_text
+
 
 def write_scenario(path: Path, **kw) -> Path:
     data = {"topology": "client_server", "seed": 0, "length": 90}
@@ -175,6 +177,16 @@ class TestFlowpaths:
             ])
             outs.append(tree_bytes(out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n", [
+        0, 1, cli.REPORT_BATCH_LINES - 1, cli.REPORT_BATCH_LINES,
+        cli.REPORT_BATCH_LINES + 1, 2 * cli.REPORT_BATCH_LINES,
+    ])
+    def test_report_written_in_batches_equals_joined_lines(self, tmp_path, n):
+        lines = [f"path level=stmt kind=intra s{i} -> \u00e9{i}" for i in range(n)]
+        path = tmp_path / "report.txt"
+        cli._write_lines(path, lines)
+        assert path.read_bytes() == report_text(lines).encode("utf-8")
 
     def test_uncovered_sources_empty_report_exit_zero(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
@@ -1155,6 +1167,9 @@ class TestMalformedInputs:
         ("--tt", "-1", "must be at least 0, got -1"),
         ("--tt", "nan", "must be a finite number, got nan"),
         ("--tt", "inf", "must be a finite number, got inf"),
+        ("--epsilon", "7", "must be in [0, 1], got 7"),
+        ("--epsilon", "-0.5", "must be in [0, 1], got -0.5"),
+        ("--epsilon", "nan", "must be a finite number, got nan"),
     ])
     def test_bad_threshold_usage_error(self, tmp_path, capsys, flag, value, message):
         sim = run_sim(tmp_path)
@@ -1193,6 +1208,17 @@ class TestMalformedInputs:
         # JSON input may spell NaN; the vector it yields is no JSON
         vulns = tmp_path / "vulns.json"
         vulns.write_text('{"n_non_nvd": 0, "entries": [[NaN, 1.0]]}')
+        out = tmp_path / "quality.json"
+        assert main(["quality", "--vulns", str(vulns), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {vulns}: 'entries' must be a list of [cvss, years]\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_result_not_written_as_json(self, tmp_path, capsys):
+        # finite input whose vulnerableness overflows to infinity
+        vulns = tmp_path / "vulns.json"
+        vulns.write_text('{"n_non_nvd": 0, "entries": [[1e308, 1.0]]}')
         out = tmp_path / "quality.json"
         assert main(["quality", "--vulns", str(vulns), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
@@ -1258,7 +1284,10 @@ class TestMalformedInputs:
         ({"entries": [[1]]}, "'entries' must be a list of [cvss, years]"),
         ({"entries": [["5.0", 10]]}, "'entries' must be a list of [cvss, years]"),
         ({"n_non_nvd": [1]}, "'n_non_nvd' must be an integer"),
-    ], ids=["entries-number", "entry-of-one", "cvss-string", "count-list"])
+        ({"entries": [[5.0, float("inf")]]}, "'entries' must be a list of [cvss, years]"),
+        ({"entries": [[10**400, 1]]}, "'entries' must be a list of [cvss, years]"),
+    ], ids=["entries-number", "entry-of-one", "cvss-string", "count-list",
+            "years-infinity", "cvss-beyond-float"])
     def test_bad_vulns_exit_3_names_file(self, tmp_path, capsys, vulns, message):
         bad = tmp_path / "vulns.json"
         bad.write_text(json.dumps(vulns))
@@ -1269,7 +1298,11 @@ class TestMalformedInputs:
         {"a": [1.0, 2.0], "b": [3.0, 4.0]},
         [1.0, 2.0],
         [[1.0, "x"], [2.0, 3.0]],
-    ], ids=["object", "numbers", "string-coordinate"])
+        [[float("nan"), 1], [2, 3], [4, 5]],
+        [[1, float("-inf")], [2, 3], [4, 5]],
+        [[10**400, 1], [2, 3], [4, 5]],
+    ], ids=["object", "numbers", "string-coordinate", "nan-coordinate",
+            "infinite-coordinate", "coordinate-beyond-float"])
     def test_bad_features_exit_3_names_file(self, tmp_path, capsys, features):
         bad = tmp_path / "features.json"
         bad.write_text(json.dumps(features))
@@ -1279,8 +1312,11 @@ class TestMalformedInputs:
         )
 
     @pytest.mark.parametrize("side", ["ipc", "quality"])
-    @pytest.mark.parametrize("row", [5, [1, 2, "x", 4], [1, True, 3, 4], None],
-                             ids=["number", "string-member", "boolean-member", "list-file"])
+    @pytest.mark.parametrize("row", [
+        5, [1, 2, "x", 4], [1, True, 3, 4], None,
+        [1, float("nan"), 3, 4], [1, 2, float("inf"), 4], [10**400, 2, 3, 4],
+    ], ids=["number", "string-member", "boolean-member", "list-file", "nan-member",
+            "infinite-member", "member-beyond-float"])
     def test_bad_correlate_rows_exit_3_names_file(self, tmp_path, capsys, side, row):
         # row None: the file holds the list of rows instead of an object
         ipc, quality = correlate_rows(4, 11)

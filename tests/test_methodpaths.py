@@ -35,6 +35,7 @@ from oracles import (
     path_keys,
     reference_method_paths,
     reference_render_paths,
+    report_text,
     spans_oracle,
 )
 
@@ -86,7 +87,7 @@ def assert_matches_reference(got, want, where):
     assert len(got.paths) == len(want.paths), where
     assert got.truncated == want.truncated, where
     assert strictly_increasing(path_keys(got)), where
-    assert render_paths(got) == reference_render_paths(want.paths), where
+    assert report_text(render_paths(got)) == reference_render_paths(want.paths), where
 
 
 def owner_chains(owner, truth):
@@ -598,9 +599,9 @@ def test_render_paths_orders_by_method_sort_keys():
     ps = path_set(paths)
     assert ps.methods == (c, a, b)
     assert flow_paths(ps) == {ms for ms in paths}
-    assert render_paths(ps) == "\n".join(want) + "\n"
-    assert render_paths(ps) == reference_render_paths(paths)
-    assert render_paths(PathSet((), (), False, {})) == ""
+    assert report_text(render_paths(ps)) == "\n".join(want) + "\n"
+    assert report_text(render_paths(ps)) == reference_render_paths(paths)
+    assert report_text(render_paths(PathSet((), (), False, {}))) == ""
 
 
 def test_enumerated_paths_rank_by_sort_key_not_name():
@@ -626,8 +627,8 @@ def test_enumerated_paths_rank_by_sort_key_not_name():
         p for p in flow_paths(ps)
     }
     assert strictly_increasing(path_keys(ps))
-    assert render_paths(ps) == reference_render_paths(flow_paths(ps))
-    lines = render_paths(ps).splitlines()
+    assert report_text(render_paths(ps)) == reference_render_paths(flow_paths(ps))
+    lines = report_text(render_paths(ps)).splitlines()
     assert lines.index("path level=method P.Z.a -> P.Main.c") < lines.index(
         "path level=method P.Z.a -> P-x.A.b"
     )

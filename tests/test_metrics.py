@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossflow.engine import dep_data_from_run
+from crossflow.methodpaths import method_ds
 from crossflow.metrics import (
     DepData,
     MetricsError,
@@ -15,7 +20,11 @@ from crossflow.metrics import (
     render_ipc_report,
     vulnerableness,
 )
-from crossflow.trace import MethodId
+from crossflow.simulator import Scenario, generate_program, simulate
+from crossflow.trace import MethodId, influenced_recv_ts, method_spans
+
+from oracles import reference_ipc_metrics
+from test_acceptance import scenario_for
 
 
 def m(proc, cls, name):
@@ -166,6 +175,81 @@ def random_dep_data(rng: random.Random) -> DepData:
             if a != b and rng.random() < 0.6:
                 messages[(a, b)] = rng.randint(1, 5)
     return DepData(local, remote, executed, messages)
+
+
+@st.composite
+def dep_data(draw) -> DepData:
+    """Up to four processes of up to three classes of up to three methods;
+    class names repeat across processes, so code keys are shared.  Any
+    dependent set may be empty or absent, and with ``quiet`` class p0.C0
+    has no remote dependents at all."""
+    methods = [
+        m(f"p{p}", f"C{c}", f"m{k}")
+        for p in range(draw(st.integers(1, 4)))
+        for c in range(draw(st.integers(1, 3)))
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    quiet = draw(st.booleans())
+
+    def subset(pool):
+        return frozenset(draw(st.sets(st.sampled_from(pool)))) if pool else frozenset()
+
+    local, remote = {}, {}
+    for x in methods:
+        same = [y for y in methods if y.process == x.process and y != x]
+        other = [y for y in methods if y.process != x.process]
+        local[x] = subset(same)
+        if not (quiet and (x.process, x.class_name) == ("p0", "C0")):
+            remote[x] = subset(other)
+    procs = sorted({x.process for x in methods})
+    messages = draw(st.dictionaries(
+        st.tuples(st.sampled_from(procs), st.sampled_from(procs)), st.integers(0, 5)
+    ))
+    return DepData(local, remote, frozenset(methods), messages)
+
+
+def simulated_dep_data(sc: Scenario) -> DepData:
+    """``dep_data_from_run`` over a simulated run, each method's local
+    dependents being its forward impact set within its own process."""
+    traces = simulate(generate_program(sc), sc)[0]
+    spans, influenced = method_spans(traces), influenced_recv_ts(traces)
+    per_process: dict = {}
+    for q in spans:
+        per_process.setdefault(q.process, {})[q] = frozenset(
+            x for x in method_ds(q, traces, spans, influenced) if x.process == q.process
+        )
+    return dep_data_from_run(traces, per_process)
+
+
+def assert_reports_equal(dep: DepData) -> None:
+    """Every field of ``ipc_metrics`` equals the pairwise reference exactly,
+    in both class-coupling variants."""
+    for table_rcc in (False, True):
+        got = ipc_metrics(dep, table_rcc=table_rcc)
+        want = reference_ipc_metrics(dep, table_rcc=table_rcc)
+        for field in dataclasses.fields(got):
+            name = field.name
+            assert getattr(got, name) == getattr(want, name), (table_rcc, name)
+
+
+class TestAgainstPairwiseReference:
+    @given(dep_data())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_dep_data(self, dep):
+        assert_reports_equal(dep)
+
+    def test_hand_fixture(self):
+        assert_reports_equal(hand_fixture())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_acceptance_mix(self, seed):
+        assert_reports_equal(simulated_dep_data(scenario_for(seed)))
+
+    def test_ring_of_twelve_peers(self):
+        sc = Scenario("peer_to_peer", seed=1, length=1000, tiers=12)
+        dep = simulated_dep_data(sc)
+        assert len({(x.process, x.class_name) for x in dep.executed}) > 12
+        assert_reports_equal(dep)
 
 
 class TestAttackSurface:
