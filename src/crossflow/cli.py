@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
     write_bundle(out / "traces", traces, dataclasses.asdict(scenario))
     write_graph_set(out / "graphs", all_graph_variants(model))
     with open(out / "groundtruth.jsonl", "w", encoding="utf-8") as fh:
-        for m1, m2 in sorted(truth.dyn_dep, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+        for m1, m2 in sorted(truth.dyn_dep):
             fh.write(json.dumps(
                 {"type": "dep", "from": m1.qualified(), "to": m2.qualified()}
             ) + "\n")
@@ -276,8 +276,8 @@ def cmd_tune(args) -> int:
         deps_name = f"deps_{proc}.txt"
         deps_files[proc] = deps_name
         with open(out / deps_name, "w", encoding="utf-8") as fh:
-            for method in sorted(final, key=MethodId.sort_key):
-                for member in sorted(final[method], key=MethodId.sort_key):
+            for method in sorted(final):
+                for member in sorted(final[method]):
                     fh.write(f"dep {method.qualified()} {member.qualified()}\n")
     run = {
         "bundle": str(args.bundle),
@@ -330,15 +330,9 @@ def _load_run(run_dir: Path):
 
 
 def cmd_query(args) -> int:
-    run_dir = Path(args.run)
-    _, traces, per_process = _load_run(run_dir)
-    parts = args.method.split(".")
-    if len(parts) == 2:
-        query: MethodId | tuple[str, str] = (parts[0], parts[1])
-    else:
-        query = _parse_method(args.method)
-    merged = merge_query(query, per_process, traces)
-    for member in sorted(merged, key=MethodId.sort_key):
+    _, traces, per_process = _load_run(Path(args.run))
+    merged = merge_query(args.method, per_process, traces)
+    for member in sorted(merged):
         print(member.qualified())
     return 0
 
@@ -461,8 +455,14 @@ def cmd_correlate(args) -> int:
     ipc_rows = _load_rows(Path(args.ipc))
     quality_rows = _load_rows(Path(args.quality))
     for q_name in (q for q in QUALITY_METRICS if q in quality_rows):
+        q = quality_rows[q_name]
+        if len(q) < 3:
+            raise ValueError(
+                f"{args.quality}: {q_name!r} has {len(q)} values,"
+                " but a correlation needs at least 3 observations"
+            )
         for m_name in (m for m in IPC_METRICS if m in ipc_rows):
-            q, m = quality_rows[q_name], ipc_rows[m_name]
+            m = ipc_rows[m_name]
             if len(q) != len(m):
                 raise ValueError(
                     f"{args.quality}: {q_name!r} has {len(q)} values,"
@@ -484,6 +484,8 @@ def cmd_classify(args) -> int:
         isinstance(p, list) and all(_is_number(v) for v in p) for p in points
     ):
         raise ValueError(f"{path}: features must be a list of lists of numbers")
+    if len({len(p) for p in points}) > 1:
+        raise ValueError(f"{path}: points must share dimensionality")
     result = kmeans2(points, seed=args.seed)
     lines = [
         f"point {i} cluster {label}" for i, label in enumerate(result.labels)
@@ -509,7 +511,7 @@ def positive_int(text: str) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of a count threshold: an integer of at least 0."""
+    """argparse type of a count: an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -521,6 +523,14 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type of a size to divide by: a finite float above 0."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -538,6 +548,19 @@ def unit_float(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
+
+
+def query_method(text: str) -> MethodId | tuple[str, str]:
+    """Type of ``query --method``: ``Class.method``, the code in any
+    process, or ``process.Class.method``; no part may be empty.  ``main``
+    applies it after parsing, so that an error argparse finds while
+    parsing, such as an unrecognized argument, is the one reported."""
+    parts = text.split(".", 2)
+    if len(parts) < 2 or not all(parts):
+        raise argparse.ArgumentTypeError(
+            f"must be Class.method or process.Class.method, got {text!r}"
+        )
+    return MethodId(*parts) if len(parts) == 3 else (parts[0], parts[1])
 
 
 def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -598,11 +621,11 @@ def _metrics_args(p: argparse.ArgumentParser) -> None:
 
 def _quality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths-report", default=None)
-    p.add_argument("--ksloc", type=finite_float, default=1.0)
-    p.add_argument("--sloc", type=finite_float, default=1000.0)
-    p.add_argument("--endpoints", type=int, default=0)
-    p.add_argument("--ports", type=int, default=0)
-    p.add_argument("--files", type=int, default=0)
+    p.add_argument("--ksloc", type=positive_float, default=1.0)
+    p.add_argument("--sloc", type=positive_float, default=1000.0)
+    p.add_argument("--endpoints", type=nonnegative_int, default=0)
+    p.add_argument("--ports", type=nonnegative_int, default=0)
+    p.add_argument("--files", type=nonnegative_int, default=0)
     p.add_argument("--vulns", default=None)
     p.add_argument("--vuln-corrected", action="store_true")
     p.add_argument("--exec-time", type=finite_float, default=0.0)
@@ -672,6 +695,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "metrics" and not (args.run or args.depdata):
         parser.error("metrics needs --run or --depdata")
+    if args.command == "query":
+        try:
+            args.method = query_method(args.method)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument --method: {exc}")
     try:
         return args.func(args)
     except (ScenarioError, ConfigurationError) as exc:

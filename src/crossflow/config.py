@@ -9,8 +9,8 @@ must be enabled; 26 of the 64 encodings are valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 class InvalidConfigError(ValueError):
     def __init__(self, encoding: str, reason: str):
@@ -19,50 +19,32 @@ class InvalidConfigError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
-class Configuration:
-    bits: tuple[bool, bool, bool, bool, bool, bool]
+class Configuration(NamedTuple):
+    """One six-bit encoding; configurations sort in encoding order."""
+
+    static_graph: bool
+    context_sensitivity: bool
+    flow_sensitivity: bool
+    method_event: bool
+    statement_coverage: bool
+    method_instance_level: bool
 
     @classmethod
     def from_string(cls, encoding: str) -> "Configuration":
         if len(encoding) != 6 or set(encoding) - {"0", "1"}:
             raise ValueError(f"configuration must be 6 binary digits, got {encoding!r}")
-        return cls(tuple(c == "1" for c in encoding))
+        return cls(*(c == "1" for c in encoding))
 
     def encode(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
-    @property
-    def static_graph(self) -> bool:
-        return self.bits[0]
-
-    @property
-    def context_sensitivity(self) -> bool:
-        return self.bits[1]
-
-    @property
-    def flow_sensitivity(self) -> bool:
-        return self.bits[2]
-
-    @property
-    def method_event(self) -> bool:
-        return self.bits[3]
-
-    @property
-    def statement_coverage(self) -> bool:
-        return self.bits[4]
-
-    @property
-    def method_instance_level(self) -> bool:
-        return self.bits[5]
+        return "".join("1" if b else "0" for b in self)
 
     @property
     def static_bits(self) -> tuple[bool, bool, bool]:
-        return self.bits[:3]
+        return self[:3]
 
     def invalid_reason(self) -> str | None:
-        g, ctx, flow, ev, cov, inst = self.bits
-        if not any(self.bits):
+        g, ctx, flow, ev, cov, inst = self
+        if not any(self):
             return "no data selected (000000)"
         if not g and (ctx or flow or cov):
             return "sensitivities and statement coverage require the static graph"

@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Mapping, Optional
 from .config import Configuration, MOST_PRECISE
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
-from .trace import EventGraph, MethodId, ProcessTrace, first_entries, method_spans, read_json
+from .trace import (
+    EventGraph, MethodId, ProcessTrace, first_entries, method_spans, reached_methods, read_json,
+)
 
 # shares of a total budget: graph construction, loading, dependence computation
 BUDGET_FRACTIONS = (0.7, 0.2, 0.1)
@@ -529,21 +531,10 @@ def merge_query(
     anchor = min(instances, key=lambda m: (instances[m][0], m.process))
     reach = EventGraph(traces).first_reached_ts(entries[anchor])
     members: set[MethodId] = set()
-    for m in instances.keys() | _reached_methods(spans, reach):
+    for m in instances.keys() | reached_methods(spans, reach):
         local = per_process.get(m.process, {})
         members |= local.get(m, frozenset()) | {m}
     return frozenset(members)
-
-
-def _reached_methods(
-    spans: Mapping[MethodId, tuple[int, int]], reach: Mapping[str, int]
-) -> set[MethodId]:
-    """Methods of each process in ``reach`` whose last event is at or after
-    ``reach[process]``, the ts of the first recv a message chain reached."""
-    return {
-        m for m, (_, lr) in spans.items()
-        if m.process in reach and reach[m.process] <= lr
-    }
 
 
 def dep_data_from_run(
@@ -566,11 +557,11 @@ def dep_data_from_run(
 
     local_ds = {}
     remote_ds = {}
-    for m in sorted(spans, key=MethodId.sort_key):
+    for m in sorted(spans):
         intra = per_process.get(m.process, {}).get(m, frozenset())
         local_ds[m] = frozenset(x for x in intra if x != m)
         remote_ds[m] = frozenset(
-            _reached_methods(spans, graph.first_reached_ts(entries[m]))
+            reached_methods(spans, graph.first_reached_ts(entries[m]))
         )
 
     messages: dict[tuple[str, str], int] = {}

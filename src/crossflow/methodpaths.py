@@ -12,8 +12,9 @@ One pass computes each source's DS once and yields both the capped paths
 and, in closed form, each (source, sink) pair's path methods.  Phase 2
 reads those pair sets, so the caps bound only the ``phase1.txt`` report.
 The DFS builds each path's report line as it goes and leaves the lines in
-report order, the order of the paths' tuples of ``MethodId.sort_key``
-(see :class:`PathSet`), so nothing sorts them afterwards.
+report order, the order of the paths' tuples of methods (``MethodId``
+sorts as process, class, method; see :class:`PathSet`), so nothing sorts
+them afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans
+from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans, reached_methods
 
 DEFAULT_PATH_LIMIT = 16
 DEFAULT_MAX_PATHS = 20000
@@ -32,10 +33,10 @@ DEFAULT_WORK_BUDGET = 400000
 class PathSet:
     """Phase-1 paths as their ``phase1.txt`` lines.
 
-    ``methods`` holds every executed method, in sort-key order.  ``paths``
+    ``methods`` holds every executed method, in sorted order.  ``paths``
     holds one line per path, ``path level=method `` and the qualified
     names of its methods joined by `` -> ``, ordered as the paths' tuples
-    of method sort keys (a path after its own prefix).  No two lines are
+    of methods (a path after its own prefix).  No two lines are
     equal: paths of different sources differ in their first method, and
     one source's DFS never repeats a sequence.  ``pairs``, uncapped, maps
     each (source, sink) pair to the methods on its paths;
@@ -50,35 +51,28 @@ class PathSet:
 
 def method_ds(
     q: MethodId,
-    traces: Mapping[str, ProcessTrace],
     spans: Mapping[MethodId, tuple[int, int]],
     influenced: Mapping[tuple[str, str], int],
 ) -> frozenset[MethodId]:
     """Forward impact set of q: methods whose execution may depend on it.
 
     ``spans`` and ``influenced`` are ``method_spans`` and
-    ``influenced_recv_ts`` of ``traces``.  An unexecuted q yields the
-    empty set.  Remote membership uses only the first influenced message
-    timestamp per process pair; influence follows message chains
-    transitively.
+    ``influenced_recv_ts`` of one set of traces.  An unexecuted q yields
+    the empty set.  Influence reaches q's process at q's first entry, and
+    another process at its first recv influenced by q's process, unless
+    that comes before the entry; the members are the
+    :func:`reached_methods` of those times.  Influence follows message
+    chains transitively.
     """
     if q not in spans:
         return frozenset()
     entry_ts = spans[q][0]
-    members = {
-        m for m, (_, lr) in spans.items()
-        if m.process == q.process and entry_ts <= lr
+    reach = {
+        proc: t for (proc, origin), t in influenced.items()
+        if origin == q.process and entry_ts <= t
     }
-    for proc in traces:
-        if proc == q.process:
-            continue
-        t = influenced.get((proc, q.process))
-        if t is None or t < entry_ts:
-            continue
-        for m, (_, lr) in spans.items():
-            if m.process == proc and t <= lr:
-                members.add(m)
-    return frozenset(members)
+    reach[q.process] = entry_ts
+    return frozenset(reached_methods(spans, reach))
 
 
 def method_level_paths(
@@ -91,7 +85,7 @@ def method_level_paths(
 ) -> PathSet:
     """All method-level flow paths between executed sources and sinks.
 
-    The executed methods are ranked once by sort key, and the sources
+    The executed methods are ranked once in sorted order, and the sources
     are walked in rank order.  Each source's DFS leaves its lines ordered
     as the paths' tuples of ranks (see :func:`_enumerate`), and all of
     them start with the source's rank, so the sources' lines, one source
@@ -102,7 +96,7 @@ def method_level_paths(
     union of the enumerated q -> t paths."""
     spans = method_spans(traces)
     influenced = influenced_recv_ts(traces)
-    methods = tuple(sorted(spans, key=MethodId.sort_key))
+    methods = tuple(sorted(spans))
     rank = {m: i for i, m in enumerate(methods)}
     names = [m.qualified() for m in methods]
     first = [spans[m][0] for m in methods]
@@ -112,8 +106,8 @@ def method_level_paths(
     found: list[str] = []
     pairs: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
     truncated = False
-    for q in sorted(set(source_methods), key=MethodId.sort_key):
-        ds = method_ds(q, traces, spans, influenced)
+    for q in sorted(set(source_methods)):
+        ds = method_ds(q, spans, influenced)
         ds_sinks = ds & sinks
         if not ds_sinks:
             continue
@@ -146,7 +140,7 @@ def _enumerate(
     Methods are ranks; ``first``, ``last``, ``is_sink`` and ``names`` (the
     qualified names) are indexed by rank.  A node's ``size`` is the
     number of methods on its path, and its ``text`` the path's line.
-    Candidates are visited in (fe, lr, sort key) order so causally early
+    Candidates are visited in (fe, lr, rank) order so causally early
     methods come first.  Branches from which no sink can be appended
     any more are cut (appending only raises the running max fe, so the cut
     is exact).  The enumeration reports truncation when the length cap, the
@@ -305,5 +299,5 @@ def _enumerate(
 
 def render_paths(ps: PathSet) -> tuple[str, ...]:
     """The lines of ``phase1.txt``, without their newlines: one per path, in
-    the order of the paths' method sort keys."""
+    the order of the paths' tuples of methods."""
     return ps.paths

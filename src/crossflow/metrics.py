@@ -96,7 +96,7 @@ def ipc_metrics(dep: DepData, table_rcc: bool = False) -> IpcReport:
     executed = dep.executed
     by_class: dict[tuple[str, str], set[MethodId]] = {}
     by_process: dict[str, set[MethodId]] = {}
-    for m in sorted(executed, key=MethodId.sort_key):
+    for m in sorted(executed):
         by_class.setdefault((m.process, m.class_name), set()).add(m)
         by_process.setdefault(m.process, set()).add(m)
 
@@ -106,7 +106,7 @@ def ipc_metrics(dep: DepData, table_rcc: bool = False) -> IpcReport:
 
     # IPR: overlap of local and remote dependents by code identity
     method_ipr = {}
-    for m in sorted(executed, key=MethodId.sort_key):
+    for m in sorted(executed):
         local_keys = {d.code_key for d in dep.local(m)}
         remote_keys = {d.code_key for d in dep.remote(m)}
         method_ipr[m] = len(local_keys & remote_keys) / len(executed)

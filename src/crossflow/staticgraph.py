@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .trace import MethodId, read_json, read_text
 
@@ -37,15 +37,22 @@ class ConfigurationError(ValueError):
     """Bad source/sink configuration for a flow-path query."""
 
 
-@dataclass(frozen=True)
-class DepEdge:
+class _EdgeFields(NamedTuple):
     kind: str
     src: str
     dst: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in EDGE_KINDS:
-            raise GraphFormatError(f"unknown edge kind {self.kind!r}")
+
+class DepEdge(_EdgeFields):
+    """A typed dependence edge between two statements; edges sort by
+    (kind, src, dst), the order of the graph file."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, src: str, dst: str) -> "DepEdge":
+        if kind not in EDGE_KINDS:
+            raise GraphFormatError(f"unknown edge kind {kind!r}")
+        return tuple.__new__(cls, (kind, src, dst))
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ def write_graph(path: Path, graph: StaticDepGraph) -> None:
     for stmt in sorted(graph.nodes):
         m = graph.nodes[stmt]
         lines.append(f"node {stmt} {m.method_name} {m.class_name} {m.process}")
-    for e in sorted(graph.edges, key=lambda e: (e.kind, e.src, e.dst)):
+    for e in sorted(graph.edges):
         lines.append(f"edge {e.kind} {e.src} {e.dst}")
     for src in sorted(graph.icfg_succ):
         for dst in graph.icfg_succ[src]:

@@ -16,7 +16,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 EVENT_KINDS = frozenset(
     {"entry", "returned_into", "send", "recv", "branch", "stmt_cover"}
@@ -45,17 +45,24 @@ class CausalityError(TraceError):
     """Message matching implies a causal cycle; no Lamport stamping exists."""
 
 
-@dataclass(frozen=True)
-class MethodId:
-    """Identifies one method: (process, program unit, signature) is unique."""
-
+class _MethodFields(NamedTuple):
     process: str
     class_name: str
     method_name: str
 
-    def __post_init__(self) -> None:
-        if not (self.process and self.class_name and self.method_name):
+
+class MethodId(_MethodFields):
+    """Identifies one method: (process, program unit, signature) is unique.
+
+    A tuple, so methods sort in report order (process, class, method) and
+    hash and compare in C; ``__new__`` rejects an empty field."""
+
+    __slots__ = ()
+
+    def __new__(cls, process: str, class_name: str, method_name: str) -> "MethodId":
+        if not (process and class_name and method_name):
             raise ValueError("MethodId fields must be non-empty")
+        return tuple.__new__(cls, (process, class_name, method_name))
 
     @property
     def code_key(self) -> tuple[str, str]:
@@ -64,9 +71,6 @@ class MethodId:
 
     def qualified(self) -> str:
         return f"{self.process}.{self.class_name}.{self.method_name}"
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.process, self.class_name, self.method_name)
 
 
 @dataclass(frozen=True)
@@ -316,6 +320,18 @@ def influenced_recv_ts(
             for receiver, ts in graph.first_reached_ts(first).items():
                 out[(receiver, origin)] = ts
     return out
+
+
+def reached_methods(
+    spans: Mapping[MethodId, tuple[int, int]], reach: Mapping[str, int]
+) -> set[MethodId]:
+    """Methods of each process in ``reach`` whose last event is at or after
+    ``reach[process]``, the time influence reached that process: the one
+    rule by which a method joins a dependence set."""
+    return {
+        m for m, (_, lr) in spans.items()
+        if m.process in reach and reach[m.process] <= lr
+    }
 
 
 def filter_traces(

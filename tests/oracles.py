@@ -35,6 +35,12 @@ from crossflow.metrics import IpcReport
 from crossflow.trace import EventRecord, MethodId, ProcessTrace
 
 
+def method_key(m: MethodId) -> tuple[str, str, str]:
+    """The report order of methods, spelled out so that the oracles do not
+    rely on the order of the type they check."""
+    return (m.process, m.class_name, m.method_name)
+
+
 def closure_matrix(traces: dict[str, ProcessTrace]) -> dict[tuple, set[tuple]]:
     """Transitive closure of program order + message edges via reverse
     topological DP over the merged (ts, proc, seq) order."""
@@ -328,7 +334,7 @@ def reference_method_paths(
     influenced = influenced_map_oracle(traces)
     sinks = {m for m in sink_methods if m in spans}
     sources = sorted(
-        (m for m in source_methods if m in spans), key=MethodId.sort_key
+        (m for m in source_methods if m in spans), key=method_key
     )
     paths: set[tuple[MethodId, ...]] = set()
     truncated = False
@@ -362,7 +368,7 @@ def _reference_enumerate(
     work budget bites.
     """
     ordered = sorted(
-        members, key=lambda m: (spans[m][0], spans[m][1], m.sort_key())
+        members, key=lambda m: (spans[m][0], spans[m][1], method_key(m))
     )
     reachable_sinks = members & sinks
     truncated = False
@@ -411,7 +417,7 @@ def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
     """``methodpaths.render_paths`` as it was before phase 1 kept its paths
     as rank tuples: ``phase1.txt`` from method tuples."""
     paths = list(paths)
-    ranked = sorted(set().union(*paths), key=MethodId.sort_key)
+    ranked = sorted(set().union(*paths), key=method_key)
     rank = {m: i for i, m in enumerate(ranked)}
     names = [m.qualified() for m in ranked]
     lines = [
@@ -436,7 +442,7 @@ def reference_ipc_metrics(dep, table_rcc: bool = False):
     executed = dep.executed
     by_class: dict[tuple[str, str], set[MethodId]] = {}
     by_process: dict[str, set[MethodId]] = {}
-    for m in sorted(executed, key=MethodId.sort_key):
+    for m in sorted(executed, key=method_key):
         by_class.setdefault((m.process, m.class_name), set()).add(m)
         by_process.setdefault(m.process, set()).add(m)
 
@@ -444,7 +450,7 @@ def reference_ipc_metrics(dep, table_rcc: bool = False):
     rmc = _mean(process_rmc.values())
 
     method_ipr = {}
-    for m in sorted(executed, key=MethodId.sort_key):
+    for m in sorted(executed, key=method_key):
         local_keys = {d.code_key for d in dep.local(m)}
         remote_keys = {d.code_key for d in dep.remote(m)}
         method_ipr[m] = len(local_keys & remote_keys) / len(executed)

@@ -151,7 +151,7 @@ def test_criterion_2_method_level_oracle_equivalence():
         influenced = influenced_map_oracle(traces, reach)
         got_influenced = influenced_recv_ts(traces)
         for q in spans:
-            got = method_ds(q, traces, spans, got_influenced)
+            got = method_ds(q, spans, got_influenced)
             want = brute_force_ds(q, traces, want_spans, influenced)
             assert got == want, (sc, q)
 

@@ -14,6 +14,8 @@ import pytest
 from crossflow import cli
 from crossflow.cli import OUT_DIR_ENV, main
 from crossflow.metrics import IPC_METRICS
+from crossflow.pipeline import MODES
+from crossflow.trace import MethodId
 
 from oracles import report_text
 
@@ -630,15 +632,22 @@ class TestDeterminismAcrossProcesses:
                  "--out", str(out / "sd")],
                 ["metrics", "--run", str(out / "sd"),
                  "--out", str(out / "metrics.txt")],
+                *(["flowpaths", "--bundle", str(out / "sim" / "traces"),
+                   "--graphs", str(out / "sim" / "graphs"),
+                   "--config", str(out / "sim" / "config.json"),
+                   "--mode", mode, "--out", str(out / f"flows_{mode}")]
+                  for mode in MODES),
+                ["query", "--run", str(out / "sd"), "--method", "Main.run"],
             ):
                 r = subprocess.run(
                     [sys.executable, "-m", "crossflow.cli", *argv],
                     env=env, capture_output=True, text=True,
                 )
                 assert r.returncode == 0, r.stderr
+            assert r.stdout  # the query, run last, prints its merged set
             outs.append({
-                k: v for k, v in tree_bytes(out).items()
-                if not k.endswith("run.json")
+                "query": r.stdout,
+                **{k: v for k, v in tree_bytes(out).items() if not k.endswith("run.json")},
             })
         assert outs[0] == outs[1]
 
@@ -898,6 +907,9 @@ class TestInputReaders:
         ([GOOD, GOOD1.replace("1}", '"x"}')], 3,
          "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
          " 'proc': 'A', 'seq': 'x'}"),
+        ([GOOD, GOOD1.replace('"m"', '""')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': '',"
+         " 'proc': 'A', 'seq': 1}"),
         # checked once the file is read: the line is counted back
         ([GOOD1, GOOD], 3, "seq must strictly increase"),
         ([GOOD, "", " ", GOOD1.replace('"A"', '"B"')], 5, "event of B in trace of A"),
@@ -905,7 +917,7 @@ class TestInputReaders:
          "timestamps decrease along trace"),
     ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
             "record-over-two-lines", "bare-number", "missing-kind",
-            "bad-record-before-bad-json", "seq-not-an-integer", "seq-decreases",
+            "bad-record-before-bad-json", "seq-not-an-integer", "empty-method", "seq-decreases",
             "event-of-other-process", "ts-decreases"])
     def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, lineno, message):
         bundle = tmp_path / "traces"
@@ -1204,6 +1216,40 @@ class TestMalformedInputs:
         assert f"argument {flag}: must be a finite number, got {value}\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--ksloc", "0", "must be positive, got 0"),
+        ("--sloc", "0", "must be positive, got 0"),
+        ("--sloc", "-2.5", "must be positive, got -2.5"),
+        ("--endpoints", "-3", "must be at least 0, got -3"),
+        ("--ports", "-1", "must be at least 0, got -1"),
+        ("--files", "-1", "must be at least 0, got -1"),
+        ("--files", "1.5", "invalid nonnegative_int value: '1.5'"),
+    ])
+    def test_quality_out_of_range_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "quality.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["quality", f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["Main", "", "p0..run", ".run", "Main.", "p0.Main."])
+    def test_query_malformed_method_usage_error(self, tmp_path, capsys, method):
+        # rejected before the run directory, here a missing one, is read
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--run", str(tmp_path / "run"), f"--method={method}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "argument --method: must be Class.method or process.Class.method,"
+            f" got {method!r}\n"
+        ) in captured.err
+
+    def test_query_method_keeps_dots_after_the_class(self):
+        assert cli.query_method("Main.run") == ("Main", "run")
+        assert cli.query_method("p0.Main.run.x") == MethodId("p0", "Main", "run.x")
+
     def test_non_finite_result_not_written_as_json(self, tmp_path, capsys):
         # JSON input may spell NaN; the vector it yields is no JSON
         vulns = tmp_path / "vulns.json"
@@ -1294,22 +1340,23 @@ class TestMalformedInputs:
         assert main(["quality", "--vulns", str(bad)]) == 3
         assert capsys.readouterr().err == f"error: bad input data: {bad}: {message}\n"
 
-    @pytest.mark.parametrize("features", [
-        {"a": [1.0, 2.0], "b": [3.0, 4.0]},
-        [1.0, 2.0],
-        [[1.0, "x"], [2.0, 3.0]],
-        [[float("nan"), 1], [2, 3], [4, 5]],
-        [[1, float("-inf")], [2, 3], [4, 5]],
-        [[10**400, 1], [2, 3], [4, 5]],
+    NOT_POINTS = "features must be a list of lists of numbers"
+
+    @pytest.mark.parametrize("features,message", [
+        ({"a": [1.0, 2.0], "b": [3.0, 4.0]}, NOT_POINTS),
+        ([1.0, 2.0], NOT_POINTS),
+        ([[1.0, "x"], [2.0, 3.0]], NOT_POINTS),
+        ([[float("nan"), 1], [2, 3], [4, 5]], NOT_POINTS),
+        ([[1, float("-inf")], [2, 3], [4, 5]], NOT_POINTS),
+        ([[10**400, 1], [2, 3], [4, 5]], NOT_POINTS),
+        ([[1, 2], [3, 4], [5]], "points must share dimensionality"),
     ], ids=["object", "numbers", "string-coordinate", "nan-coordinate",
-            "infinite-coordinate", "coordinate-beyond-float"])
-    def test_bad_features_exit_3_names_file(self, tmp_path, capsys, features):
+            "infinite-coordinate", "coordinate-beyond-float", "ragged"])
+    def test_bad_features_exit_3_names_file(self, tmp_path, capsys, features, message):
         bad = tmp_path / "features.json"
         bad.write_text(json.dumps(features))
         assert main(["classify", "--features", str(bad)]) == 3
-        assert capsys.readouterr().err == (
-            f"error: bad input data: {bad}: features must be a list of lists of numbers\n"
-        )
+        assert capsys.readouterr().err == f"error: bad input data: {bad}: {message}\n"
 
     @pytest.mark.parametrize("side", ["ipc", "quality"])
     @pytest.mark.parametrize("row", [
@@ -1467,20 +1514,36 @@ class TestMalformedInputs:
             f" but {ipc}: 'RMC' has 4\n"
         )
 
+    def test_correlate_rows_too_short_exit_3_names_file(self, tmp_path, capsys):
+        ipc, quality = tmp_path / "ipc.json", tmp_path / "quality.json"
+        ipc.write_text(json.dumps(correlate_rows(2, 11)[0]))
+        quality.write_text(json.dumps({"exec_time": [1.0, 2.0]}))
+        out = tmp_path / "matrix.txt"
+        argv = ["correlate", "--ipc", str(ipc), "--quality", str(quality), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {quality}: 'exec_time' has 2 values,"
+            " but a correlation needs at least 3 observations\n"
+        )
+        assert not out.exists()
+
     def test_bad_method_in_deps_file_exit_3_names_file_and_line(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
         run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
         deps = run / "deps_p0.txt"
-        with open(deps, "a") as fh:
-            fh.write("dep a.b p0.Main.run\n")
-        lineno = len(deps.read_text().splitlines())
-        capsys.readouterr()
-        for argv in (["query", "--method", "Main.run"], ["metrics"]):
-            assert main([*argv, "--run", str(run)]) == 3
-            assert capsys.readouterr().err == (
-                f"error: bad input data: {deps}:{lineno}:"
-                " method must be process.Class.method, got 'a.b'\n"
-            )
+        intact = deps.read_text()
+        lineno = len(intact.splitlines()) + 1
+        for line, message in (
+            ("dep a.b p0.Main.run", "method must be process.Class.method, got 'a.b'"),
+            ("dep p0..run p0.Main.run", "MethodId fields must be non-empty"),
+        ):
+            deps.write_text(f"{intact}{line}\n")
+            capsys.readouterr()
+            for argv in (["query", "--method", "Main.run"], ["metrics"]):
+                assert main([*argv, "--run", str(run)]) == 3
+                assert capsys.readouterr().err == (
+                    f"error: bad input data: {deps}:{lineno}: {message}\n"
+                )
 
     def test_missing_variant_fails_only_when_a_round_computes(self, tmp_path, capsys):
         sim = run_sim(tmp_path)

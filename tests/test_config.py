@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossflow.config import (
     Configuration,
@@ -65,3 +67,9 @@ def test_bad_encoding_rejected():
         Configuration.from_string("11111")
     with pytest.raises(ValueError):
         Configuration.from_string("11111z")
+
+
+@given(st.lists(st.tuples(*[st.booleans()] * 6)))
+def test_configurations_sort_by_encoding(bits):
+    configs = [Configuration(*b) for b in bits]
+    assert sorted(configs) == sorted(configs, key=Configuration.encode)

@@ -148,13 +148,10 @@ class TestComputeDeps:
                 for cfg in valid_configurations():
                     base = deps_of(qu, cfg, graphs, coverage, table)
                     for i in range(6):
-                        if not cfg.bits[i]:
+                        if not cfg[i]:
                             continue
                         flipped = Configuration(
-                            tuple(
-                                b if j != i else False
-                                for j, b in enumerate(cfg.bits)
-                            )
+                            *(b if j != i else False for j, b in enumerate(cfg))
                         )
                         if not flipped.is_valid():
                             continue

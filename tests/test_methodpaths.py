@@ -32,6 +32,7 @@ from oracles import (
     covers_chain,
     flow_paths,
     influenced_map_oracle,
+    method_key,
     path_keys,
     reference_method_paths,
     reference_render_paths,
@@ -50,7 +51,7 @@ def ev(proc, seq, kind, name="run", **kw):
 
 def ds_of(q, traces):
     """DS(q), with the spans and the influence map built for this query."""
-    return method_ds(q, traces, method_spans(traces), influenced_recv_ts(traces))
+    return method_ds(q, method_spans(traces), influenced_recv_ts(traces))
 
 
 def path_unions(paths):
@@ -63,10 +64,10 @@ def path_unions(paths):
 
 def path_set(paths):
     """A ``PathSet`` laid out as ``method_level_paths`` lays it out: the
-    methods in sort-key order, one line per path in the order of the
+    methods in report order, one line per path in the order of the
     paths' rank tuples."""
     paths = list(paths)
-    methods = tuple(sorted({m for ms in paths for m in ms}, key=MethodId.sort_key))
+    methods = tuple(sorted({m for ms in paths for m in ms}, key=method_key))
     rank = {m: i for i, m in enumerate(methods)}
     keys = sorted(tuple(rank[m] for m in ms) for ms in paths)
     lines = [
@@ -169,7 +170,7 @@ class TestMethodDs:
             influenced = influenced_map_oracle(traces)
             got_influenced = influenced_recv_ts(traces)
             for q in spans:
-                got = method_ds(q, traces, spans, got_influenced)
+                got = method_ds(q, spans, got_influenced)
                 want = brute_force_ds(q, traces, want_spans, influenced)
                 assert got == want, (sc, q)
 
@@ -594,7 +595,7 @@ def test_render_paths_orders_by_method_sort_keys():
     paths = [(a, b), (c, a), (a,), (b, c, a), (a, c), (c,), (a, b, c)]
     want = [
         "path level=method " + " -> ".join(m.qualified() for m in ms)
-        for ms in sorted(paths, key=lambda ms: [m.sort_key() for m in ms])
+        for ms in sorted(paths, key=lambda ms: [method_key(m) for m in ms])
     ]
     ps = path_set(paths)
     assert ps.methods == (c, a, b)

@@ -216,7 +216,7 @@ def simulated_dep_data(sc: Scenario) -> DepData:
     per_process: dict = {}
     for q in spans:
         per_process.setdefault(q.process, {})[q] = frozenset(
-            x for x in method_ds(q, traces, spans, influenced) if x.process == q.process
+            x for x in method_ds(q, spans, influenced) if x.process == q.process
         )
     return dep_data_from_run(traces, per_process)
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossflow.staticgraph import (
+    EDGE_KINDS,
     ConfigurationError,
     DepEdge,
     GraphFormatError,
@@ -129,7 +132,7 @@ class TestPartialGraph:
         sc = Scenario("n_tier", seed=2, tiers=3)
         model = generate_program(sc)
         g = all_graph_variants(model)[(False, False)]
-        some = set(sorted(set(g.nodes.values()), key=MethodId.sort_key)[::2])
+        some = set(sorted(set(g.nodes.values()))[::2])
         once = partial_graph(g, some)
         assert set(once.nodes) <= set(g.nodes) and once.edges <= g.edges
         assert partial_graph(once, some) == once
@@ -246,3 +249,13 @@ def test_edge_endpoint_validation():
             edges=frozenset({DepEdge("intra_data", "s0", "missing")}),
             icfg_succ={},
         )
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(EDGE_KINDS), st.text("s0.-", min_size=1, max_size=3),
+    st.text("s0.-", min_size=1, max_size=3),
+)))
+def test_edges_sort_by_their_fields(fields):
+    """Edges sort as the graph file lists them: kind, then src, then dst."""
+    edges = [DepEdge(*f) for f in fields]
+    assert sorted(edges) == sorted(edges, key=lambda e: (e.kind, e.src, e.dst))

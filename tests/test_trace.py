@@ -302,7 +302,7 @@ def test_method_spans_equal_plain_scan(scenario):
     filter."""
     full, _ = simulate(generate_program(scenario), scenario)
     reduced = {p: reduce_first_last(t) for p, t in full.items()}
-    some = sorted(spans_oracle(full), key=MethodId.sort_key)[::2]
+    some = sorted(spans_oracle(full))[::2]
     for traces in (full, reduced, filter_traces(full, some)):
         assert method_spans(traces) == spans_oracle(traces)
     assert spans_oracle(reduced) == spans_oracle(full)
@@ -415,3 +415,12 @@ def test_read_trace_equals_per_line_decoding(tmp_path_factory, fragments, seqs):
         except TraceError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+@given(st.lists(st.tuples(*[st.text("Pp.-x", min_size=1, max_size=3)] * 3)))
+def test_method_ids_sort_by_their_fields(fields):
+    """Methods sort in report order: process, then class, then method."""
+    methods = [MethodId(*f) for f in fields]
+    assert sorted(methods) == sorted(
+        methods, key=lambda m: (m.process, m.class_name, m.method_name)
+    )
