@@ -295,7 +295,9 @@ def cmd_tune(args) -> int:
 def _load_run(run_dir: Path):
     """The manifest, traces and dependence maps of a ``tune`` output
     directory.  ``run.json`` must name the ``bundle`` and map each process
-    in ``deps_files`` to a file name, else a data error names it."""
+    in ``deps_files`` to a file name, else a data error names it.  Each
+    non-blank line of a deps file must be ``dep <method> <method>``, else
+    a data error names the file and the line."""
     path = run_dir / "run.json"
     manifest = _load_object(path)
     bundle, deps_files = manifest.get("bundle"), manifest.get("deps_files")
@@ -309,15 +311,20 @@ def _load_run(run_dir: Path):
     per_process = {}
     for proc, name in deps_files.items():
         deps: dict[MethodId, set[MethodId]] = {}
+        methods: dict[str, MethodId] = {}
         for lineno, line in enumerate(read_text(run_dir / name).splitlines(), 1):
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "dep":
+            if not parts:
                 continue
             try:
-                method, member = _parse_method(parts[1]), _parse_method(parts[2])
+                if len(parts) != 3 or parts[0] != "dep":
+                    raise ValueError(f"expected 'dep <method> <method>', got {line!r}")
+                for text in parts[1:]:
+                    if text not in methods:
+                        methods[text] = _parse_method(text)
             except ValueError as exc:
                 raise ValueError(f"{run_dir / name}:{lineno}: {exc}") from None
-            deps.setdefault(method, set()).add(member)
+            deps.setdefault(methods[parts[1]], set()).add(methods[parts[2]])
         per_process[proc] = {
             method: frozenset(members) for method, members in deps.items()
         }

@@ -208,6 +208,7 @@ def write_graph(path: Path, graph: StaticDepGraph) -> None:
 
 def read_graph(path: Path) -> StaticDepGraph:
     nodes: dict[str, MethodId] = {}
+    methods: dict[tuple[str, str, str], MethodId] = {}
     edges = set()
     icfg: dict[str, list[str]] = {}
     guards: dict[str, Optional[str]] = {}
@@ -220,8 +221,12 @@ def read_graph(path: Path) -> StaticDepGraph:
         try:
             tag = parts[0]
             if tag == "node":
-                stmt, method, cls, proc = parts[1:5]
-                nodes[stmt] = MethodId(proc, cls, method)
+                stmt, name, cls, proc = parts[1:5]
+                key = (proc, cls, name)
+                method = methods.get(key)
+                if method is None:
+                    method = methods[key] = MethodId(*key)
+                nodes[stmt] = method
             elif tag == "edge":
                 kind, src, dst = parts[1:4]
                 edges.add(DepEdge(kind, src, dst))

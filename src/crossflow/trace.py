@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -73,10 +74,7 @@ class MethodId(_MethodFields):
         return f"{self.process}.{self.class_name}.{self.method_name}"
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One traced event.  ``ts`` is None until Lamport stamping."""
-
+class _EventFields(NamedTuple):
     kind: str
     method: MethodId
     seq: int
@@ -86,13 +84,35 @@ class EventRecord:
     branch_id: Optional[str] = None
     stmt_id: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise MalformedTraceError(f"unknown event kind {self.kind!r}")
-        if self.kind in ("send", "recv") and self.msg_id is None:
-            raise MalformedTraceError(f"{self.kind} event requires msg_id")
-        if self.ts is not None and self.ts < 1:
+
+class EventRecord(_EventFields):
+    """One traced event.  ``ts`` is None until Lamport stamping.
+
+    A tuple, built and compared in C; ``__new__`` rejects an unknown kind,
+    a message event without ``msg_id`` and a timestamp below 1."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        method: MethodId,
+        seq: int,
+        ts: Optional[int] = None,
+        msg_id: Optional[str] = None,
+        peer: Optional[str] = None,
+        branch_id: Optional[str] = None,
+        stmt_id: Optional[str] = None,
+    ) -> "EventRecord":
+        if kind not in EVENT_KINDS:
+            raise MalformedTraceError(f"unknown event kind {kind!r}")
+        if kind in ("send", "recv") and msg_id is None:
+            raise MalformedTraceError(f"{kind} event requires msg_id")
+        if ts is not None and ts < 1:
             raise MalformedTraceError("stamped timestamps start at 1")
+        return tuple.__new__(
+            cls, (kind, method, seq, ts, msg_id, peer, branch_id, stmt_id)
+        )
 
     @property
     def process(self) -> str:
@@ -180,8 +200,7 @@ def stamp_lamport(raw_traces: Mapping[str, Sequence[EventRecord]]) -> TraceMap:
                 else:
                     counters[proc] += 1
                 ts = counters[proc]
-                new = replace(ev, ts=ts)
-                stamped[proc].append(new)
+                stamped[proc].append(ev._replace(ts=ts))
                 if ev.kind == "send":
                     send_ts[ev.msg_id] = ts
                 cursors[proc] += 1
@@ -195,14 +214,16 @@ def stamp_lamport(raw_traces: Mapping[str, Sequence[EventRecord]]) -> TraceMap:
 
 def merge_global(traces: Mapping[str, ProcessTrace]) -> tuple[EventRecord, ...]:
     """All stamped events in one deterministic total order extending the
-    Lamport partial order: sorted by (ts, process, seq)."""
+    Lamport partial order: sorted by (ts, process, seq).  The traces are
+    joined in process order, each in seq order, so a stable sort by ts
+    alone keeps ties in (process, seq) order."""
     flat: list[EventRecord] = []
     for proc in sorted(traces):
         trace = traces[proc]
         if not trace.stamped:
             raise TraceError(f"trace of {proc} is not stamped")
         flat.extend(trace.events)
-    flat.sort(key=lambda e: (e.ts, e.process, e.seq))
+    flat.sort(key=attrgetter("ts"))
     return tuple(flat)
 
 
@@ -397,34 +418,6 @@ def event_to_record(ev: EventRecord) -> dict:
     return rec
 
 
-def event_from_record(
-    rec: Mapping, methods: dict[tuple[str, str, str], MethodId]
-) -> EventRecord:
-    """The event of one decoded record.  ``methods`` holds the MethodIds
-    made so far, keyed by (proc, class, method), so that records of one
-    method share one MethodId; a new one is added to it."""
-    try:
-        key = (rec["proc"], rec["class"], rec["method"])
-        method = methods.get(key)
-        if method is None:
-            method = methods[key] = MethodId(*key)
-        kind = rec["kind"]
-        seq = int(rec["seq"])
-        ts = int(rec["ts"]) if rec.get("ts") is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedTraceError(f"bad trace record {rec!r}") from exc
-    return EventRecord(
-        kind=kind,
-        method=method,
-        seq=seq,
-        ts=ts,
-        msg_id=rec.get("msg_id"),
-        peer=rec.get("peer"),
-        branch_id=rec.get("branch_id"),
-        stmt_id=rec.get("stmt_id"),
-    )
-
-
 def write_trace(path: Path, trace: ProcessTrace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ev in trace.events:
@@ -437,9 +430,12 @@ _decode = json.JSONDecoder().raw_decode
 def read_trace(path: Path, process: str) -> ProcessTrace:
     """The trace of ``process`` in the file at ``path``: one JSON record per
     non-blank line, else :class:`MalformedTraceError` naming ``path`` and
-    the number of the first bad line, and quoting it.  An event that is out
-    of place in the trace (see :class:`ProcessTrace`) is named by its line
-    too, which is counted only then.
+    the number of the first bad line, and quoting it.  A record needs
+    ``proc``, ``class``, ``method`` and ``kind``, and a ``seq`` that is a
+    JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
+    ``2.5`` is none).  Records of one method share one :class:`MethodId`.
+    An event that is out of place in the trace (see :class:`ProcessTrace`)
+    is named by its line too, which is counted only then.
 
     A line is decoded by ``raw_decode``, which skips the per-call checks of
     ``json.loads``; since the line is stripped, it is valid JSON exactly
@@ -463,9 +459,23 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
                 f"{path}:{n}: not a JSON record: {line!r}"
             ) from exc
         try:
-            events.append(event_from_record(rec, methods))
-        except MalformedTraceError as exc:
+            key = (rec["proc"], rec["class"], rec["method"])
+            method = methods.get(key)
+            if method is None:
+                method = methods[key] = MethodId(*key)
+            kind, seq, ts = rec["kind"], rec["seq"], rec.get("ts")
+            if type(seq) is not int or not (ts is None or type(ts) is int):
+                raise TypeError("seq and ts must be JSON integers")
+            events.append(EventRecord(
+                kind, method, seq, ts, rec.get("msg_id"), rec.get("peer"),
+                rec.get("branch_id"), rec.get("stmt_id"),
+            ))
+        except MalformedTraceError as exc:  # a ValueError: caught first
             raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedTraceError(
+                f"{path}:{n}: bad trace record {rec!r}"
+            ) from exc
     try:
         return ProcessTrace(process, tuple(events))
     except EventOrderError as exc:
@@ -492,12 +502,20 @@ def write_bundle(
 
 
 def read_text(path: Path) -> str:
-    """The text of the file at ``path``; bytes that are not UTF-8 raise
-    ``ValueError`` naming the file."""
+    """The text of the file at ``path``, as text mode reads it: decoded as
+    UTF-8, with universal newlines (``\\r\\n`` and a lone ``\\r`` become
+    ``\\n``).  Bytes that are not UTF-8 raise ``ValueError`` naming the
+    file.  The bytes come in one unbuffered read, which for small files
+    costs a fraction of a text-mode open."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_json(path: Path):

@@ -14,8 +14,10 @@ re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
 every junction of every prefix with ``junction_oracle``) and
 ``permutation_p_oracle`` (the exact Spearman p over every permutation, once
 a vectorized loop, here a plain one) and ``reference_ipc_metrics`` (the IPC
-metrics with a class-coupling ratio recomputed per class pair).  The last
-section holds helpers that
+metrics with a class-coupling ratio recomputed per class pair).
+``reference_event`` is the conversion of one trace record that
+``read_trace`` does inline, kept as a function under the same rules.  The
+last section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
 and phase-2 results and the predicates that check them.
 """
@@ -32,7 +34,7 @@ from crossflow.methodpaths import (
     DEFAULT_WORK_BUDGET,
 )
 from crossflow.metrics import IpcReport
-from crossflow.trace import EventRecord, MethodId, ProcessTrace
+from crossflow.trace import EventRecord, MalformedTraceError, MethodId, ProcessTrace
 
 
 def method_key(m: MethodId) -> tuple[str, str, str]:
@@ -511,6 +513,34 @@ def reference_ipc_metrics(dep, table_rcc: bool = False):
         class_ccl=class_ccl,
         process_plc=process_plc,
     )
+
+
+def reference_event(rec) -> EventRecord:
+    """The event of one decoded trace record, converted field by field
+    with a new ``MethodId`` per record, by the rules that ``read_trace``
+    applies in its loop: ``seq``, and ``ts`` unless absent or null, must
+    be JSON integers (``True`` and ``2.0`` are not).  A record that lacks
+    a field or holds a bad one is a ``MalformedTraceError`` quoting it; one
+    that ``EventRecord`` rejects raises that error."""
+    try:
+        seq, ts = rec["seq"], rec.get("ts")
+        for value in (seq,) if ts is None else (seq, ts):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"not a JSON integer: {value!r}")
+        return EventRecord(
+            kind=rec["kind"],
+            method=MethodId(rec["proc"], rec["class"], rec["method"]),
+            seq=seq,
+            ts=ts,
+            msg_id=rec.get("msg_id"),
+            peer=rec.get("peer"),
+            branch_id=rec.get("branch_id"),
+            stmt_id=rec.get("stmt_id"),
+        )
+    except MalformedTraceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedTraceError(f"bad trace record {rec!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -915,10 +915,35 @@ class TestInputReaders:
         ([GOOD, "", " ", GOOD1.replace('"A"', '"B"')], 5, "event of B in trace of A"),
         ([GOOD.replace("}", ', "ts": 2}'), "", GOOD1.replace("}", ', "ts": 1}')], 4,
          "timestamps decrease along trace"),
+        # seq and ts are JSON integers: no boolean, no float, no string
+        ([GOOD, GOOD1.replace("1}", "true}")], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': True}"),
+        ([GOOD, GOOD1.replace("1}", '2.9, "ts": 2.5}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 2.9, 'ts': 2.5}"),
+        ([GOOD, GOOD1.replace("1}", '"3"}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': '3'}"),
+        ([GOOD, GOOD1.replace("}", ', "ts": true}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'ts': True}"),
+        ([GOOD, GOOD1.replace("}", ', "ts": 2.0}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'ts': 2.0}"),
+        ([GOOD, GOOD1.replace("}", ', "ts": "3"}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'ts': '3'}"),
+        ([GOOD, GOOD1.replace('"entry"', '["entry"]')], 3,
+         "bad trace record {'class': 'C', 'kind': ['entry'], 'method': 'm',"
+         " 'proc': 'A', 'seq': 1}"),
+        ([GOOD, GOOD1.replace('"entry"', '"exit"')], 3, "unknown event kind 'exit'"),
     ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
             "record-over-two-lines", "bare-number", "missing-kind",
             "bad-record-before-bad-json", "seq-not-an-integer", "empty-method", "seq-decreases",
-            "event-of-other-process", "ts-decreases"])
+            "event-of-other-process", "ts-decreases", "seq-true", "seq-and-ts-floats",
+            "seq-string", "ts-true", "ts-float", "ts-string", "kind-not-a-string",
+            "unknown-kind"])
     def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, lineno, message):
         bundle = tmp_path / "traces"
         bundle.mkdir()
@@ -1536,6 +1561,10 @@ class TestMalformedInputs:
         for line, message in (
             ("dep a.b p0.Main.run", "method must be process.Class.method, got 'a.b'"),
             ("dep p0..run p0.Main.run", "MethodId fields must be non-empty"),
+            ("dep p0.Main.run",
+             "expected 'dep <method> <method>', got 'dep p0.Main.run'"),
+            ("p0.Main.run p0.Main.run",
+             "expected 'dep <method> <method>', got 'p0.Main.run p0.Main.run'"),
         ):
             deps.write_text(f"{intact}{line}\n")
             capsys.readouterr()

@@ -25,7 +25,13 @@ from crossflow.trace import (
 
 from crossflow.simulator import Scenario, generate_program, simulate
 
-from oracles import closure_matrix, hb_oracle, influenced_map_oracle, spans_oracle
+from oracles import (
+    closure_matrix,
+    hb_oracle,
+    influenced_map_oracle,
+    reference_event,
+    spans_oracle,
+)
 
 
 def mid(proc: str, cls: str = "Main", name: str = "run") -> MethodId:
@@ -359,9 +365,7 @@ def read_trace_per_line(path, process):
     noting the line of each event for an event out of place."""
     import json
 
-    from crossflow.trace import (
-        EventOrderError, MalformedTraceError, ProcessTrace, event_from_record,
-    )
+    from crossflow.trace import EventOrderError, MalformedTraceError, ProcessTrace
 
     events, numbers = [], []
     for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
@@ -374,7 +378,7 @@ def read_trace_per_line(path, process):
                     f"{path}:{n}: not a JSON record: {line!r}"
                 ) from exc
             try:
-                events.append(event_from_record(rec, {}))
+                events.append(reference_event(rec))
             except MalformedTraceError as exc:
                 raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
             numbers.append(n)
@@ -388,6 +392,8 @@ TRACE_LINE_PARTS = (
     '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": ',
     '{"proc": "A", "kind": "entry", "class": "C", "method": "n", "seq": ',
     "}", "{", "[", "]", ",", "1", "7", '"s"', "null", " ", ":", '"seq": 3',
+    '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": true}',
+    '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": 9, "ts": 2.5}',
 )
 
 
@@ -423,4 +429,77 @@ def test_method_ids_sort_by_their_fields(fields):
     methods = [MethodId(*f) for f in fields]
     assert sorted(methods) == sorted(
         methods, key=lambda m: (m.process, m.class_name, m.method_name)
+    )
+
+
+@pytest.mark.parametrize("args,message", [
+    (("exit", MethodId("A", "C", "m"), 0), "unknown event kind 'exit'"),
+    (("send", MethodId("A", "C", "m"), 0), "send event requires msg_id"),
+    (("recv", MethodId("A", "C", "m"), 0, 3), "recv event requires msg_id"),
+    (("entry", MethodId("A", "C", "m"), 0, 0), "stamped timestamps start at 1"),
+])
+def test_event_record_rejects_bad_fields(args, message):
+    with pytest.raises(MalformedTraceError) as info:
+        EventRecord(*args)
+    assert str(info.value) == message
+
+
+def test_stamping_keeps_event_type_and_fields():
+    m = MethodId("A", "C", "m")
+    raw = {"A": [EventRecord("send", m, 0, msg_id="x", peer="B", stmt_id="s")],
+           "B": [EventRecord("recv", MethodId("B", "C", "m"), 0, msg_id="x")]}
+    (sent,) = stamp_lamport(raw)["A"].events
+    assert type(sent) is EventRecord
+    assert sent == EventRecord("send", m, 0, ts=1, msg_id="x", peer="B", stmt_id="s")
+    assert sent.process == "A" and sent.key() == ("A", 0)
+
+
+READ_TEXT_PARTS = (
+    b"a", b"\n", b"\r", b"\r\n", b"\r\r\n", b"\xef\xbb\xbf", "\u00e9\u20ac".encode(),
+    b"\xff", b"\xe2\x82", b"\xc3", b"\x80",
+)
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(READ_TEXT_PARTS), max_size=12).map(b"".join),
+    st.binary(max_size=40),
+))
+@settings(max_examples=300, deadline=None)
+def test_read_text_equals_text_mode_read(tmp_path_factory, data):
+    """One binary read gives the text, or the error, of a text-mode read
+    with universal newlines; a decode error is a ``ValueError`` naming the
+    file, after the decoder's message."""
+    from crossflow.trace import read_text
+
+    path = tmp_path_factory.mktemp("r") / "f.txt"
+    path.write_bytes(data)
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        expected = (ValueError, f"{path}: {exc}")
+    try:
+        got = read_text(path)
+    except ValueError as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
+
+
+@given(st.dictionaries(
+    st.sampled_from(["A", "B", "p10", "p2"]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), max_size=8),
+))
+@settings(max_examples=200, deadline=None)
+def test_merge_global_sorts_by_ts_then_process_then_seq(steps):
+    """A stable sort by ts alone gives the (ts, process, seq) order, ties
+    across processes and along one process included."""
+    traces = {}
+    for proc, pairs in steps.items():
+        events, ts, seq = [], 1, 0
+        for dts, dseq in pairs:
+            ts, seq = ts + dts, seq + dseq
+            events.append(EventRecord("entry", MethodId(proc, "C", "m"), seq, ts))
+        traces[proc] = ProcessTrace(proc, tuple(events))
+    flat = [ev for trace in traces.values() for ev in trace.events]
+    assert merge_global(traces) == tuple(
+        sorted(flat, key=lambda e: (e.ts, e.process, e.seq))
     )
