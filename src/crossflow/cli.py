@@ -5,8 +5,10 @@ dependence engine, and the metrics into reproducible batch workflows.  All
 randomness flows from explicit seeds; outputs are byte-identical across
 reruns of the same invocation.
 
-Exit codes: 0 success (possibly empty results), 2 usage, 3 data or format
-error, 4 invalid analysis configuration.
+Exit codes: 0 success (possibly empty results), 2 usage (a missing input
+file or an output path that cannot be written included), 3 data or format
+error, 4 invalid analysis configuration.  Every output file is written
+through ``trace.open_output``, which rewrites it in place.
 """
 
 from __future__ import annotations
@@ -68,7 +70,16 @@ from .staticgraph import (
 )
 from .stats import DegenerateDataError, kmeans2, spearman
 from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_counts
-from .trace import MethodId, TraceError, read_bundle, read_json, read_text, write_bundle
+from .trace import (
+    MethodId,
+    TraceError,
+    open_output,
+    read_bundle,
+    read_json,
+    read_text,
+    write_bundle,
+    write_output,
+)
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -161,7 +172,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_bundle(out / "traces", traces, dataclasses.asdict(scenario))
     write_graph_set(out / "graphs", all_graph_variants(model))
-    with open(out / "groundtruth.jsonl", "w", encoding="utf-8") as fh:
+    with open_output(out / "groundtruth.jsonl") as fh:
         for m1, m2 in sorted(truth.dyn_dep):
             fh.write(json.dumps(
                 {"type": "dep", "from": m1.qualified(), "to": m2.qualified()}
@@ -169,9 +180,9 @@ def cmd_simulate(args) -> int:
         for path in sorted(truth.dyn_paths):
             fh.write(json.dumps({"type": "path", "stmts": list(path)}) + "\n")
     cfg = model.default_cfg()
-    (out / "config.json").write_text(
+    write_output(
+        out / "config.json",
         _json_text({"sources": sorted(cfg.sources), "sinks": sorted(cfg.sinks)}),
-        encoding="utf-8",
     )
     print(f"wrote bundle, graphs, ground truth under {out}")
     return 0
@@ -190,7 +201,7 @@ REPORT_BATCH_LINES = 2000
 def _write_lines(path: Path, lines: Sequence[str]) -> None:
     """Write ``lines`` to ``path``, each ended by a newline, in batches of
     ``REPORT_BATCH_LINES``; no lines, an empty file."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for start in range(0, len(lines), REPORT_BATCH_LINES):
             fh.write("\n".join(lines[start:start + REPORT_BATCH_LINES]))
             fh.write("\n")
@@ -217,8 +228,8 @@ def cmd_flowpaths(args) -> int:
     counts = summary_counts(result.phase2)
     counts["phase1_paths"] = len(result.phase1.paths)
     counts["phase1_truncated"] = int(result.phase1.truncated)
-    (out / "summary.txt").write_text(
-        "".join(f"{k} {v}\n" for k, v in sorted(counts.items())), encoding="utf-8"
+    write_output(
+        out / "summary.txt", "".join(f"{k} {v}\n" for k, v in sorted(counts.items()))
     )
     print(f"wrote flow-path reports under {out}")
     return 0
@@ -265,17 +276,13 @@ def cmd_tune(args) -> int:
             state, budget, costs, controller, graphs, coverage, table,
             flush=True,
         )
-        (out / f"rounds_{proc}.log").write_text(
-            render_round_log(rounds), encoding="utf-8"
-        )
+        write_output(out / f"rounds_{proc}.log", render_round_log(rounds))
         if args.dump_qtable and isinstance(controller, QLearnController):
-            (out / f"qtable_{proc}.txt").write_text(
-                controller.table.dump(), encoding="utf-8"
-            )
+            write_output(out / f"qtable_{proc}.txt", controller.table.dump())
         final = next((r.deps for r in reversed(rounds) if r.deps is not None), {})
         deps_name = f"deps_{proc}.txt"
         deps_files[proc] = deps_name
-        with open(out / deps_name, "w", encoding="utf-8") as fh:
+        with open_output(out / deps_name) as fh:
             for method in sorted(final):
                 for member in sorted(final[method]):
                     fh.write(f"dep {method.qualified()} {member.qualified()}\n")
@@ -287,7 +294,7 @@ def cmd_tune(args) -> int:
         "processes": sorted(traces),
         "deps_files": deps_files,
     }
-    (out / "run.json").write_text(_json_text(run), encoding="utf-8")
+    write_output(out / "run.json", _json_text(run))
     print(f"wrote round logs and dependence maps under {out}")
     return 0
 
@@ -393,7 +400,7 @@ def _dep_data_from_json(path: Path) -> DepData:
 def _emit(text: str, out) -> int:
     """Print ``text``, and write it to the file ``out`` when one is given."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_output(Path(out), text)
     print(text, end="")
     return 0
 
@@ -722,6 +729,8 @@ def main(argv=None) -> int:
         return _fail(DATA_ERROR, str(exc))
     except FileNotFoundError as exc:
         return _fail(USAGE_ERROR, f"missing file: {exc.filename}")
+    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        return _fail(USAGE_ERROR, f"{exc.filename}: {exc.strerror}")
     except (KeyError, ValueError) as exc:
         return _fail(DATA_ERROR, f"bad input data: {exc}")
 

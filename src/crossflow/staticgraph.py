@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .trace import MethodId, read_json, read_text
+from .trace import MethodId, read_json, read_text, write_output
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -203,7 +203,7 @@ def write_graph(path: Path, graph: StaticDepGraph) -> None:
         lines.append(f"msgsite send {stmt}")
     for stmt in sorted(graph.recv_sites):
         lines.append(f"msgsite recv {stmt}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def read_graph(path: Path) -> StaticDepGraph:
@@ -267,8 +267,8 @@ def write_graph_set(
         name = f"graph_{key}.txt"
         manifest["variants"][key] = name
         write_graph(directory / name, graph)
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    write_output(
+        directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
 

@@ -13,11 +13,14 @@ answers it: Fidge/Mattern vector clocks kept at recv events.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 EVENT_KINDS = frozenset(
     {"entry", "returned_into", "send", "recv", "branch", "stmt_cover"}
@@ -419,7 +422,7 @@ def event_to_record(ev: EventRecord) -> dict:
 
 
 def write_trace(path: Path, trace: ProcessTrace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for ev in trace.events:
             fh.write(json.dumps(event_to_record(ev), sort_keys=True) + "\n")
 
@@ -494,8 +497,8 @@ def write_bundle(
         "processes": sorted(traces),
         "files": {proc: f"{proc}.trace" for proc in sorted(traces)},
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    write_output(
+        directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
     for proc, trace in traces.items():
         write_trace(directory / manifest["files"][proc], trace)
@@ -516,6 +519,34 @@ def read_text(path: Path) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+@contextmanager
+def open_output(path: Path) -> Iterator[IO[str]]:
+    """A UTF-8 text stream that writes the file at ``path`` over its old
+    bytes: the file is created if missing, but not truncated on opening.
+
+    On leaving, the stream is flushed and a regular file longer than what
+    was written is cut at the end of the new bytes, so a rewrite leaves no
+    stale tail; a new file, or a rewrite no shorter than the old one, is
+    not truncated at all.  Reusing the file keeps its inode, so hard
+    links, the target of a symlink and the mode bits stay as they were; a
+    device or a pipe, which has no size to cut, is written as is.  A run
+    killed mid-write leaves new bytes over old ones."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+                fh.truncate(fh.tell())
+
+
+def write_output(path: Path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` through :func:`open_output`."""
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 def read_json(path: Path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -1653,3 +1654,94 @@ class TestMalformedInputs:
             outs[name] = tree_bytes(tmp_path / name)
         assert outs["old"] == outs["new"]
         assert "interprocess_paths 0\n" not in outs["new"]["summary.txt"].decode()
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place; an unwritable output path is a
+    usage error naming the path."""
+
+    DEP = {"executed": ["p.K.a", "q.K.a"], "remote": {"p.K.a": ["q.K.a"]},
+           "messages": [["p", "q", 4]]}
+
+    def depdata(self, tmp_path) -> Path:
+        f = tmp_path / "dep.json"
+        f.write_text(json.dumps(self.DEP))
+        return f
+
+    def flowpaths(self, sim, out, *flags):
+        return main([
+            "flowpaths",
+            "--bundle", str(sim / "traces"),
+            "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"),
+            "--out", str(out), *flags,
+        ])
+
+    def test_shorter_rerun_leaves_no_stale_tail_and_keeps_inodes(self, tmp_path, capsys):
+        sim = run_sim(tmp_path, topology="n_tier", tiers=3, seed=2, length=100)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert self.flowpaths(sim, out) == 0
+        inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+        limits = ("--path-limit", "1", "--stmt-path-limit", "1")
+        assert self.flowpaths(sim, out, *limits) == 0
+        assert self.flowpaths(sim, fresh, *limits) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+        assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+
+    def test_simulate_rerun_shorter_equals_fresh_run(self, tmp_path, capsys):
+        run_sim(tmp_path, "sim", length=90)
+        shorter = write_scenario(tmp_path / "short.json", length=30)
+        for out in (tmp_path / "sim", tmp_path / "fresh"):
+            assert main(["simulate", "--scenario", str(shorter), "--out", str(out)]) == 0
+        assert tree_bytes(tmp_path / "sim") == tree_bytes(tmp_path / "fresh")
+
+    def test_metrics_out_dev_null_exit_0(self, tmp_path, capsys):
+        assert main(["metrics", "--depdata", str(self.depdata(tmp_path)),
+                     "--out", os.devnull]) == 0
+        assert "4.0000" in capsys.readouterr().out
+
+    def test_metrics_out_dev_stdout_into_a_pipe(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        r = subprocess.run(
+            [sys.executable, "-m", "crossflow.cli", "metrics",
+             "--depdata", str(self.depdata(tmp_path)), "--out", "/dev/stdout"],
+            env=child_env(PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        # the report goes to the file first, then to stdout
+        half = len(r.stdout) // 2
+        assert "4.0000" in r.stdout and r.stdout == r.stdout[:half] * 2
+
+    def test_flowpaths_out_is_a_file_exit_2(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        capsys.readouterr()
+        assert self.flowpaths(sim, out) == 2
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+        assert out.read_text() == "not a directory\n"
+
+    def test_flowpaths_out_under_a_file_exit_2(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "flows"
+        capsys.readouterr()
+        assert self.flowpaths(sim, out) == 2
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+    def test_metrics_out_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["metrics", "--depdata", str(self.depdata(tmp_path)),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A denied write (which a root user never meets on a mode-0500
+        directory) is a usage error naming the path."""
+        def denied(path, text):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(cli, "write_output", denied)
+        out = tmp_path / "report.txt"
+        assert main(["metrics", "--depdata", str(self.depdata(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: Permission denied\n"

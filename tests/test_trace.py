@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +20,12 @@ from crossflow.trace import (
     influenced_recv_ts,
     merge_global,
     method_spans,
+    open_output,
     read_bundle,
     reduce_first_last,
     stamp_lamport,
     write_bundle,
+    write_output,
 )
 
 from crossflow.simulator import Scenario, generate_program, simulate
@@ -503,3 +508,64 @@ def test_merge_global_sorts_by_ts_then_process_then_seq(steps):
     assert merge_global(traces) == tuple(
         sorted(flat, key=lambda e: (e.ts, e.process, e.seq))
     )
+
+
+@pytest.mark.parametrize("old, new", [
+    ("a long old report\n" * 50, "short\n"),
+    ("short\n", "a long new report\n" * 50),
+    ("same size\n", "SAME SIZE\n"),
+    ("something\n", ""),
+    ("", ""),
+    ("abcdef\n", "é€\n"),  # 4 characters, 6 bytes: cut at bytes
+    ("é€\U0001d11e" * 9, "é\n"),
+])
+def test_rewrite_holds_exactly_the_new_bytes(tmp_path, old, new):
+    path = tmp_path / "out.txt"
+    write_output(path, old)
+    assert path.read_bytes() == old.encode("utf-8")
+    write_output(path, new)
+    assert path.read_bytes() == new.encode("utf-8")
+
+
+@given(st.lists(st.text(max_size=30), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_rewrites_in_batches_hold_the_last_text(tmp_path_factory, texts):
+    """Each rewrite, written in pieces through the stream, leaves exactly
+    its own bytes, whatever the lengths of the texts before it."""
+    path = tmp_path_factory.mktemp("w") / "out.txt"
+    for text in texts:
+        with open_output(path) as fh:
+            for start in range(0, len(text), 7):
+                fh.write(text[start:start + 7])
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_rewrite_keeps_inode_and_mode_and_follows_symlinks(tmp_path):
+    target = tmp_path / "report.txt"
+    write_output(target, "first version, the longer one\n")
+    target.chmod(0o640)
+    before = target.stat()
+    write_output(target, "second\n")
+    after = target.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert target.read_text(encoding="utf-8") == "second\n"
+
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_output(link, "third\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.stat().st_ino == before.st_ino
+    assert target.read_text(encoding="utf-8") == "third\n"
+
+
+def test_write_stream_error_still_closes_and_cuts(tmp_path):
+    """A failure while writing closes the file, which then holds what was
+    written before the failure and nothing of the old bytes after it."""
+    path = tmp_path / "out.txt"
+    path.write_text("old old old old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with open_output(path) as fh:
+            fh.write("new")
+            raise RuntimeError("stop")
+    assert fh.closed
+    assert path.read_bytes() == b"new"
