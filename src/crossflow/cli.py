@@ -6,8 +6,9 @@ randomness flows from explicit seeds; outputs are byte-identical across
 reruns of the same invocation.
 
 Exit codes: 0 success (possibly empty results), 2 usage (a missing input
-file or an output path that cannot be written included), 3 data or format
-error, 4 invalid analysis configuration.  Every output file is written
+file, and an input or output path that cannot be opened as the command
+needs, included), 3 data or format error, 4 invalid analysis
+configuration.  Every output file is written
 through ``trace.open_output``, which rewrites it in place.
 """
 
@@ -730,6 +731,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         return _fail(USAGE_ERROR, f"missing file: {exc.filename}")
     except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        if exc.filename is None:
+            return _fail(USAGE_ERROR, str(exc))
         return _fail(USAGE_ERROR, f"{exc.filename}: {exc.strerror}")
     except (KeyError, ValueError) as exc:
         return _fail(DATA_ERROR, f"bad input data: {exc}")

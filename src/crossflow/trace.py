@@ -523,24 +523,43 @@ def read_text(path: Path) -> str:
 
 @contextmanager
 def open_output(path: Path) -> Iterator[IO[str]]:
-    """A UTF-8 text stream that writes the file at ``path`` over its old
-    bytes: the file is created if missing, but not truncated on opening.
+    """A UTF-8 text stream that writes the file at ``path``.
 
-    On leaving, the stream is flushed and a regular file longer than what
-    was written is cut at the end of the new bytes, so a rewrite leaves no
-    stale tail; a new file, or a rewrite no shorter than the old one, is
-    not truncated at all.  Reusing the file keeps its inode, so hard
-    links, the target of a symlink and the mode bits stay as they were; a
-    device or a pipe, which has no size to cut, is written as is.  A run
-    killed mid-write leaves new bytes over old ones."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+    A missing file is created with no system call more than a text-mode
+    ``open(path, "w")`` makes.  An existing file is written over its old bytes,
+    not truncated on opening, and on leaving, a regular file longer than
+    what was written is cut where the written bytes end: after a normal
+    exit that is the end of the new text, and after an exception
+    (including a failed write, such as a full disk) the end of what
+    reached the file, so no stale tail is left either way.  A device or a
+    pipe, which has no size to cut, is written as is.
+
+    Skipping the truncation on opening matters on ext4, whose default
+    ``auto_da_alloc`` makes the close of a file truncated to zero start
+    its write-back to disk; on tmpfs a small rewrite costs a few
+    microseconds more than truncating would.  The price is paid when a
+    process is killed outright (SIGKILL, or SIGTERM, whose default action
+    runs no ``finally``) or the power fails mid-write: the file can then
+    hold new bytes followed by the old file's tail, where truncating on
+    opening would have left it cut short, so the outputs of a run that
+    did not finish are not results."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        created = False
+    with open(fd, "w", encoding="utf-8") as fh:
         try:
             yield fh
-        finally:
             fh.flush()
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
-                fh.truncate(fh.tell())
+        finally:
+            if not created:
+                st = os.fstat(fd)
+                if stat.S_ISREG(st.st_mode):
+                    end = os.lseek(fd, 0, os.SEEK_CUR)
+                    if st.st_size > end:
+                        os.ftruncate(fd, end)
 
 
 def write_output(path: Path, text: str) -> None:

@@ -1734,6 +1734,25 @@ class TestOutputFiles:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
+    def test_config_is_a_directory_exit_2(self, tmp_path, capsys):
+        """Input paths fall under the same rule as output paths."""
+        sim = run_sim(tmp_path)
+        capsys.readouterr()
+        assert main([
+            "flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+            "--config", str(sim), "--out", str(tmp_path / "flows"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {sim}: Is a directory\n"
+
+    def test_error_without_a_path_exit_2(self, tmp_path, capsys, monkeypatch):
+        def denied(path, text):
+            raise PermissionError("no writes here")
+
+        monkeypatch.setattr(cli, "write_output", denied)
+        assert main(["metrics", "--depdata", str(self.depdata(tmp_path)),
+                     "--out", str(tmp_path / "report.txt")]) == 2
+        assert capsys.readouterr().err == "error: no writes here\n"
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
         """A denied write (which a root user never meets on a mode-0500
         directory) is a usage error naming the path."""

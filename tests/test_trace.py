@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -569,3 +573,43 @@ def test_write_stream_error_still_closes_and_cuts(tmp_path):
             raise RuntimeError("stop")
     assert fh.closed
     assert path.read_bytes() == b"new"
+
+
+FAILED_WRITE = textwrap.dedent("""
+    import resource, signal, sys
+    from crossflow.trace import write_output
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    try:
+        write_output(sys.argv[1], "n" * int(sys.argv[2]))
+    except OSError as exc:
+        sys.exit(f"write failed: {exc.strerror}")
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE and SIGXFSZ as on Linux")
+@pytest.mark.parametrize("size", [6000, 10000])  # fails in the final flush; in a write
+def test_failed_write_cuts_where_the_written_bytes_end(tmp_path, size):
+    """A write the system refuses part-way (a file-size limit here, as a
+    full disk would) leaves the bytes that reached the file and none of
+    the old, longer file's tail."""
+    import crossflow.trace
+
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"o" * 20000)
+    src = str(Path(crossflow.trace.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    r = subprocess.run([sys.executable, "-c", FAILED_WRITE, str(path), str(size)],
+                       env=env, capture_output=True, text=True)
+    assert r.returncode == 1 and "write failed" in r.stderr, r.stderr
+    assert path.read_bytes() == b"n" * 4096
+
+
+def test_new_file_is_created_with_the_text(tmp_path):
+    path = tmp_path / "new.txt"
+    with open_output(path) as fh:
+        fh.write("é first\n")
+        fh.write("second\n")
+    assert path.read_bytes() == "é first\nsecond\n".encode("utf-8")
