@@ -194,8 +194,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# lines per write of a flow report: a capped phase1.txt runs to megabytes,
-# and a batch bounds the text held at once to a few hundred kilobytes
+# lines per write of phase2.txt, which can run to megabytes: a batch bounds
+# the text held at once to a few hundred kilobytes (phase1.txt is written
+# one segment at a time, see render_paths)
 REPORT_BATCH_LINES = 2000
 
 
@@ -224,7 +225,8 @@ def cmd_flowpaths(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_lines(out / "phase1.txt", render_paths(result.phase1))
+    with open_output(out / "phase1.txt") as fh:
+        fh.writelines(render_paths(result.phase1))
     _write_lines(out / "phase2.txt", render_stmt_paths(result.phase2))
     counts = summary_counts(result.phase2)
     counts["phase1_paths"] = len(result.phase1.paths)

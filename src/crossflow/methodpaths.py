@@ -11,16 +11,16 @@ first-entry/last-event ordering is consistent.
 One pass computes each source's DS once and yields both the capped paths
 and, in closed form, each (source, sink) pair's path methods.  Phase 2
 reads those pair sets, so the caps bound only the ``phase1.txt`` report.
-The DFS builds each path's report line as it goes and leaves the lines in
-report order, the order of the paths' tuples of methods (``MethodId``
-sorts as process, class, method; see :class:`PathSet`), so nothing sorts
-them afterwards.
+The DFS builds the report as it goes, as segments of lines that share a
+prefix, and leaves them in report order, the order of the paths' tuples of
+methods (``MethodId`` sorts as process, class, method; see
+:class:`PathSet`), so nothing sorts them afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .trace import MethodId, ProcessTrace, influenced_recv_ts, method_spans, reached_methods
 
@@ -29,22 +29,51 @@ DEFAULT_MAX_PATHS = 20000
 DEFAULT_WORK_BUDGET = 400000
 
 
+# the tails of a segment that holds one line: its prefix is the whole line
+NL = ["\n"]
+
+
+@dataclass(frozen=True)
+class PathLines:
+    """The ``phase1.txt`` lines as ``(prefix, tails)`` segments.
+
+    A segment stands for the lines ``prefix + tail``, one per tail, and
+    every tail ends with a newline, so ``prefix + prefix.join(tails)`` is
+    the segment's text.  No segment has no tails.  Segments share their
+    tails lists: the paths below one search state, found once, appear
+    under every prefix that reaches the state.  ``count`` is the number of
+    lines; ``len`` gives it and iteration yields the lines, without their
+    newlines, in report order.
+    """
+
+    segments: list[tuple[str, list[str]]]
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[str]:
+        for prefix, tails in self.segments:
+            for tail in tails:
+                yield prefix + tail[:-1]
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Phase-1 paths as their ``phase1.txt`` lines.
 
     ``methods`` holds every executed method, in sorted order.  ``paths``
     holds one line per path, ``path level=method `` and the qualified
-    names of its methods joined by `` -> ``, ordered as the paths' tuples
-    of methods (a path after its own prefix).  No two lines are
-    equal: paths of different sources differ in their first method, and
-    one source's DFS never repeats a sequence.  ``pairs``, uncapped, maps
-    each (source, sink) pair to the methods on its paths;
-    :func:`render_paths` ignores it.
+    names of its methods joined by `` -> ``, as :class:`PathLines`
+    segments ordered as the paths' tuples of methods (a path after its
+    own prefix).  No two lines are equal: paths of different sources
+    differ in their first method, and one source's DFS never repeats a
+    sequence.  ``pairs``, uncapped, maps each (source, sink) pair to the
+    methods on its paths; :func:`render_paths` ignores it.
     """
 
     methods: tuple[MethodId, ...]
-    paths: tuple[str, ...]
+    paths: PathLines
     truncated: bool
     pairs: Mapping[tuple[MethodId, MethodId], frozenset[MethodId]]
 
@@ -103,7 +132,8 @@ def method_level_paths(
     last = [spans[m][1] for m in methods]
     sinks = set(sink_methods)
     is_sink = [m in sinks for m in methods]
-    found: list[str] = []
+    found: list[tuple[str, list[str]]] = []
+    count = 0
     pairs: dict[tuple[MethodId, MethodId], frozenset[MethodId]] = {}
     truncated = False
     for q in sorted(set(source_methods)):
@@ -115,11 +145,14 @@ def method_level_paths(
             pairs[(q, t)] = frozenset(
                 [q] if t == q else (m for m in ds if spans[m][0] <= spans[t][1])
             )
-        truncated |= _enumerate(
+        # paths of other sources never repeat q's, so q gets what is left
+        added, capped = _enumerate(
             rank[q], [rank[m] for m in ds], first, last, is_sink, names,
-            path_limit, max_paths, work_budget, found,
+            path_limit, max_paths - count, work_budget, found,
         )
-    return PathSet(methods, tuple(found), truncated, pairs)
+        count += added
+        truncated |= capped
+    return PathSet(methods, PathLines(found, count), truncated, pairs)
 
 
 def _enumerate(
@@ -130,10 +163,10 @@ def _enumerate(
     is_sink: list[bool],
     names: list[str],
     path_limit: int,
-    max_paths: int,
+    room: int,
     work_budget: int,
-    out: list[str],
-) -> bool:
+    out: list[tuple[str, list[str]]],
+) -> tuple[int, bool]:
     """DFS over sequences where no member's first entry postdates a later
     member's last event.
 
@@ -160,36 +193,43 @@ def _enumerate(
     together.
 
     The visit order decides which paths the caps keep, but not where
-    their lines go: ``found`` is kept in report order, the order of the
-    paths' tuples of ranks, which is the preorder that puts a node's own
-    line first and then its children's lines, children by ascending rank.
-    Each child's lines form one chunk at the end of ``found``, already in
-    that order when the child returns; when a node leaves its loop, for
-    whatever reason, it moves the chunks of its children into rank order
-    if they are not.  That moves references and builds no strings.
+    their lines go: ``found`` holds segments (see :class:`PathLines`) in
+    report order, the order of the paths' tuples of ranks, which is the
+    preorder that puts a node's own line first and then its children's
+    lines, children by ascending rank.  A node's own line is the segment
+    ``(text, NL)``.  Each child's segments form one chunk at the end of
+    ``found``, already in that order when the child returns; when a node
+    leaves its loop, for whatever reason, it moves the chunks of its
+    children into rank order if they are not.  That moves references to
+    segments and builds no strings.  ``count`` counts the lines, and the
+    path cap reads it.
 
     A node's subtree depends only on its ``live`` mask, whether it ends at
     a sink, and its depth, so a state walked once need not be walked
     again.  Its paths' lines all share the node's line as a prefix, and a
-    later visit to the same state copies them under its own prefix.  The
-    memo keeps a copy of the lines rather than their place in ``found``,
-    because an ancestor that reorders its children moves them; the first
-    reuse cuts the copy to the tails after the prefix, and each reuse then
-    builds a line with one concatenation.  A subtree is stored, with
+    later visit to the same state adds them under its own prefix as one
+    segment.  The memo keeps the state's segments, copied out of ``found``
+    because an ancestor that reorders its children moves them, with their
+    line count and the length of the prefix.  The first reuse builds the
+    state's tails, its lines with the prefix cut off, once; each reuse then
+    appends one ``(prefix, tails)`` segment, so reusing a subtree costs
+    O(1) whatever it holds.  A state whose walk found no line adds no
+    segment, since its prefix alone is no line.  A subtree is stored, with
     its step count, only when no cap but the length cap touched it: it
-    ended with ``len(found) < room`` and the budget not spent, and so
-    without ``stop``.  It is reused only where it fits again: the copies
-    leave ``len(found) < room`` and the budget unspent.  There a walk for
-    real would add the same paths and take the same steps, so reuse
-    charges the stored steps, and the work budget counts what the plain
-    walk counts.  Reuse need not raise ``truncated``: if the stored
-    subtree hit the length cap, its walk raised the flag, which never
-    falls back.  A subtree that does not fit is walked for real.
+    ended with ``count < room`` and the budget not spent, and so without
+    ``stop``.  It is reused only where it fits again: its lines leave
+    ``count < room`` and the budget unspent.  There a walk for real would
+    add the same paths and take the same steps, so reuse charges the
+    stored steps, and the work budget counts what the plain walk counts.
+    Reuse need not raise ``truncated``: if the stored subtree hit the
+    length cap, its walk raised the flag, which never falls back.  A
+    subtree that does not fit is walked for real.
 
-    q, a member of its own DS, starts the sequence.  The ``phase1.txt``
-    line of each path found is appended to ``out``; no set is needed,
-    because the walk never repeats a sequence and the paths of other
-    sources start with another method.
+    q, a member of its own DS, starts the sequence.  At most ``room``
+    lines are added, as segments appended to ``out``; the number added and
+    whether a cap bit are returned.  No set is needed, because the walk
+    never repeats a sequence and the paths of other sources start with
+    another method.
     """
     candidates = sorted(members, key=lambda m: (first[m], last[m], m))
     sinks = 0
@@ -207,13 +247,13 @@ def _enumerate(
             mask |= 1 << by_last[j]
             j += 1
         alive[i] = mask
-    room = max_paths - len(out)  # paths of other sources never repeat q's
-    found: list[str] = []
-    # (live, at_sink, depth) -> [lines, steps, line prefix length]; the
-    # first reuse cuts the lines to their tails and sets the length to 0
+    found: list[tuple[str, list[str]]] = []
+    count = 0
+    # (live, at_sink, depth) -> [segments, steps, prefix length, lines]; the
+    # first reuse turns the segments into the tails and sets the length to 0
     memo: dict[tuple[int, int, int], list] = {}
     truncated = False
-    # stop == truncated and len(found) >= room, which ends the walk.  Both
+    # stop == truncated and count >= room, which ends the walk.  Both
     # halves only ever turn true, so stop is updated where found reaches a
     # sink and where the length cap truncates; once the work budget is spent,
     # every later candidate returns at once without it.
@@ -221,16 +261,17 @@ def _enumerate(
     steps = 0
 
     def walk(live: int, at_sink: int, size: int, text: str) -> None:
-        nonlocal truncated, stop, steps
+        nonlocal truncated, stop, steps, count
         if at_sink:
-            if len(found) >= room:
+            if count >= room:
                 truncated = stop = True
                 return
-            found.append(text)
-            stop = truncated and len(found) >= room
+            found.append((text, NL))
+            count += 1
+            stop = truncated and count >= room
         if size >= path_limit:
             truncated = True
-            stop = len(found) >= room
+            stop = count >= room
             return
         if stop:
             return
@@ -264,20 +305,25 @@ def _enumerate(
             start = len(found)
             if (
                 seen is not None
-                and start + len(seen[0]) < room
+                and count + seen[3] < room
                 and steps + seen[1] <= work_budget
             ):
-                tails, cost, cut = seen
+                tails, cost, cut, lines = seen
                 if cut:
-                    tails = seen[0] = [line[cut:] for line in tails]
+                    # cut each segment's prefix once, not once per tail
+                    tails = seen[0] = [
+                        p + t for p, ts in [(p[cut:], ts) for p, ts in tails] for t in ts
+                    ]
                     seen[2] = 0
                 steps += cost
-                found.extend([head + tail for tail in tails])
+                if lines:
+                    found.append((head, tails))
+                    count += lines
             else:
-                before = steps
+                before, had = steps, count
                 walk(after, sink_bit, depth, head)
-                if len(found) < room and steps <= work_budget:
-                    memo[state] = [found[start:], steps - before, len(head)]
+                if count < room and steps <= work_budget:
+                    memo[state] = [found[start:], steps - before, len(head), count - had]
             if len(found) > start:
                 if chunks and m < chunks[-1][0]:
                     in_order = False
@@ -285,19 +331,23 @@ def _enumerate(
             if stop:
                 break
         if not in_order:
-            lines: list[str] = []
+            segments: list[tuple[str, list[str]]] = []
             for _, begin, end in sorted(chunks):
-                lines += found[begin:end]
-            found[base:] = lines
+                segments += found[begin:end]
+            found[base:] = segments
 
     root = candidates.index(q)
     walk(alive[root] ^ (1 << root), is_sink[q], 1, "path level=method " + names[q])
     del walk  # the closure refers to itself; free found without the gc
     out.extend(found)
-    return truncated
+    return count, truncated
 
 
-def render_paths(ps: PathSet) -> tuple[str, ...]:
-    """The lines of ``phase1.txt``, without their newlines: one per path, in
-    the order of the paths' tuples of methods."""
-    return ps.paths
+def render_paths(ps: PathSet) -> Iterator[str]:
+    """The text of ``phase1.txt`` in pieces: each segment's prefix, then
+    the prefix joined between its tails.  Concatenated, the pieces are one
+    line per path, each ended by a newline, in the order of the paths'
+    tuples of methods; no piece is longer than one segment's text."""
+    for prefix, tails in ps.paths.segments:
+        yield prefix
+        yield prefix.join(tails)

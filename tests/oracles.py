@@ -549,8 +549,8 @@ def reference_event(rec) -> EventRecord:
 
 
 def report_text(lines: Iterable[str]) -> str:
-    """The text of a report file written from ``lines`` (``render_paths``,
-    ``render_stmt_paths``): each line ended by a newline."""
+    """The text of a report file written from ``lines`` (as
+    ``render_stmt_paths`` gives them): each line ended by a newline."""
     return "".join(f"{line}\n" for line in lines)
 
 

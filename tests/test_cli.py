@@ -1764,3 +1764,33 @@ class TestOutputFiles:
         assert main(["metrics", "--depdata", str(self.depdata(tmp_path)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {out}: Permission denied\n"
+
+
+@pytest.mark.parametrize("scenario, truncated", [
+    (CHAIN7_SCENARIO, True),
+    ({"topology": "n_tier", "tiers": 5, "seed": 1, "length": 1000}, False),
+], ids=["chain7-capped", "chain5-uncapped"])
+def test_phase1_counts_agree(tmp_path, capsys, monkeypatch, scenario, truncated):
+    # summary.txt's phase1_paths, the PathSet's length and the lines of
+    # phase1.txt are three counts of one report, capped or not
+    sim = run_sim(tmp_path, **scenario)
+    results = []
+    analyze = cli.analyze_flows
+    monkeypatch.setattr(
+        cli, "analyze_flows", lambda *a, **kw: results.append(analyze(*a, **kw)) or results[-1]
+    )
+    out = tmp_path / "fp"
+    assert main([
+        "flowpaths",
+        "--bundle", str(sim / "traces"),
+        "--graphs", str(sim / "graphs"),
+        "--config", str(sim / "config.json"),
+        "--out", str(out),
+    ]) == 0
+    [result] = results
+    assert result.phase1.truncated == truncated
+    counts = dict(line.split() for line in (out / "summary.txt").read_text().splitlines())
+    text = (out / "phase1.txt").read_bytes()
+    n = int(counts["phase1_paths"])
+    assert n == len(result.phase1.paths) == text.count(b"\n") == len(text.splitlines()) > 0
+    assert counts["phase1_truncated"] == str(int(truncated))

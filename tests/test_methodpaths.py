@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
     DEFAULT_PATH_LIMIT,
     DEFAULT_WORK_BUDGET,
+    PathLines,
     PathSet,
     method_ds,
     method_level_paths,
@@ -36,7 +38,6 @@ from oracles import (
     path_keys,
     reference_method_paths,
     reference_render_paths,
-    report_text,
     spans_oracle,
 )
 
@@ -65,16 +66,20 @@ def path_unions(paths):
 def path_set(paths):
     """A ``PathSet`` laid out as ``method_level_paths`` lays it out: the
     methods in report order, one line per path in the order of the
-    paths' rank tuples."""
+    paths' rank tuples, as segments.  The paths of one source form one
+    segment whose prefix is the line's head and the source's name."""
     paths = list(paths)
     methods = tuple(sorted({m for ms in paths for m in ms}, key=method_key))
     rank = {m: i for i, m in enumerate(methods)}
     keys = sorted(tuple(rank[m] for m in ms) for ms in paths)
-    lines = [
-        "path level=method " + " -> ".join(methods[i].qualified() for i in key)
-        for key in keys
+    segments = [
+        (
+            "path level=method " + methods[source].qualified(),
+            ["".join(" -> " + methods[i].qualified() for i in key[1:]) + "\n" for key in group],
+        )
+        for source, group in itertools.groupby(keys, key=lambda key: key[0])
     ]
-    return PathSet(methods, tuple(lines), False, {})
+    return PathSet(methods, PathLines(segments, len(keys)), False, {})
 
 
 def strictly_increasing(keys):
@@ -88,7 +93,7 @@ def assert_matches_reference(got, want, where):
     assert len(got.paths) == len(want.paths), where
     assert got.truncated == want.truncated, where
     assert strictly_increasing(path_keys(got)), where
-    assert report_text(render_paths(got)) == reference_render_paths(want.paths), where
+    assert "".join(render_paths(got)) == reference_render_paths(want.paths), where
 
 
 def owner_chains(owner, truth):
@@ -539,6 +544,22 @@ def test_children_out_of_rank_order_equal_reference_at_every_cap():
     )
 
 
+def test_reused_state_without_lines_adds_nothing():
+    # at path limit 3, m0 -> m1 -> m2 ends at the length cap without a
+    # line, and m0 -> m2 -> m1 reaches the same state, which the walk
+    # reuses: that must add neither a line nor the bare prefix
+    traces = overlapping_traces(4)
+    srcs, sinks = [mid("A", "m0")], [mid("A", "s")]
+    got = method_level_paths(traces, srcs, sinks, path_limit=3)
+    want = reference_method_paths(traces, srcs, sinks, path_limit=3)
+    assert got.truncated and want.truncated
+    assert all(tails for _, tails in got.paths.segments)
+    text = "".join(render_paths(got))
+    assert text == reference_render_paths(want.paths)
+    # m0 -> s and m0 -> m_i -> s for i = 1..3
+    assert text.count("\n") == len(got.paths) == len(want.paths) == 4
+
+
 def test_phase1_leaves_no_cyclic_garbage():
     # with the collector off, anything phase 1 leaves in a reference cycle
     # stays until the next collection, and collect() counts it
@@ -600,9 +621,10 @@ def test_render_paths_orders_by_method_sort_keys():
     ps = path_set(paths)
     assert ps.methods == (c, a, b)
     assert flow_paths(ps) == {ms for ms in paths}
-    assert report_text(render_paths(ps)) == "\n".join(want) + "\n"
-    assert report_text(render_paths(ps)) == reference_render_paths(paths)
-    assert report_text(render_paths(PathSet((), (), False, {}))) == ""
+    assert list(ps.paths) == want
+    assert "".join(render_paths(ps)) == "\n".join(want) + "\n"
+    assert "".join(render_paths(ps)) == reference_render_paths(paths)
+    assert "".join(render_paths(PathSet((), PathLines([], 0), False, {}))) == ""
 
 
 def test_enumerated_paths_rank_by_sort_key_not_name():
@@ -628,8 +650,8 @@ def test_enumerated_paths_rank_by_sort_key_not_name():
         p for p in flow_paths(ps)
     }
     assert strictly_increasing(path_keys(ps))
-    assert report_text(render_paths(ps)) == reference_render_paths(flow_paths(ps))
-    lines = report_text(render_paths(ps)).splitlines()
+    assert "".join(render_paths(ps)) == reference_render_paths(flow_paths(ps))
+    lines = "".join(render_paths(ps)).splitlines()
     assert lines.index("path level=method P.Z.a -> P.Main.c") < lines.index(
         "path level=method P.Z.a -> P-x.A.b"
     )
