@@ -523,7 +523,7 @@ def merge_query(
     """
     key = query.code_key if isinstance(query, MethodId) else tuple(query)
     entries = first_entries(traces)
-    spans = method_spans(traces)
+    spans = method_spans(traces, entries)
     instances = {m: span for m, span in spans.items() if m.code_key == key}
     if not instances:
         return frozenset()
@@ -552,7 +552,7 @@ def dep_data_from_run(
     from .metrics import DepData  # local import to avoid a cycle
 
     entries = first_entries(traces)
-    spans = method_spans(traces)
+    spans = method_spans(traces, entries)
     graph = EventGraph(traces)
 
     local_ds = {}

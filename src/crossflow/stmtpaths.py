@@ -19,7 +19,9 @@ events (the strict variant restricts over all events instead).
 Phase 2 keeps its paths as their ``phase2.txt`` lines, built once where a
 path is found: splicing joins line text, not statement tuples, and each
 pair's lines come out sorted and distinct, so the report is one merge of
-sorted runs.  Splicing has no output cap yet.
+sorted runs.  Splicing stops after ``SPLICE_LIMIT`` lines per pair, and
+says so: the spliced paths of a chain grow with the product of its segment
+counts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .staticgraph import StaticDepGraph, SourceSinkConfig, between, partial_grap
 from .trace import METHOD_EVENT_KINDS, EventRecord, MethodId, ProcessTrace, merge_global
 
 DEFAULT_STMT_PATH_LIMIT = 24
+# Spliced lines per (source, sink) pair: above the 12,500 of a 7-tier chain
+# and the 62,500 of an 8-tier one, yet small enough that 11- and 12-tier
+# chains (7.8 and 39 million lines uncut) run in about 100 MB.
+SPLICE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,13 @@ SPLICED_HEAD = "path level=stmt kind=spliced "
 INTRA_HEAD = "path level=stmt kind=intra "
 
 
+class SplicedLines(list):
+    """The lines :func:`splice_segments` returns; ``truncated`` is true when
+    its limit cut the walk short."""
+
+    truncated = False
+
+
 def splice_segments(
     source_segs: Sequence[tuple[str, ...]],
     remote_segs: Sequence[tuple[str, ...]],
@@ -189,11 +202,15 @@ def splice_segments(
     index: InletOutletIndex,
     stmt_methods: Mapping[str, MethodId],
     strict: bool = False,
-) -> list[str]:
+    limit: int = SPLICE_LIMIT,
+) -> SplicedLines:
     """The ``phase2.txt`` lines of every concatenation of a source segment,
     distinct remote segments and a sink segment whose junctions have no
     intervening inlet/outlet events (or no intervening events at all when
-    ``strict``), sorted, each listed once.
+    ``strict``), sorted, each listed once.  Once the walk has more than
+    ``limit`` lines it stops, keeps its first ``limit`` and marks them
+    ``truncated``; the walk's order is fixed by the segments' text, so
+    which lines are kept is too.
 
     A junction (outlet stmt, inlet stmt) holds when a send at the outlet is
     immediately followed by a recv at the inlet in the junction sequence
@@ -268,27 +285,40 @@ def splice_segments(
         for text, bit, last in joined:
             if not bit:  # close with a sink segment
                 lines.append(prefix + text)
-            elif not used & bit:  # or continue through an unused remote one
+            elif not used & bit and len(lines) <= limit:
+                # or continue through an unused remote one, below the limit
                 extend(prefix + text, last, used | bit)
 
     for text, end in sorted(
         (SPLICED_HEAD + " -> ".join(seg) + " -> ", seg[-1]) for seg in source_segs
     ):
+        if len(lines) > limit:
+            break
         extend(text, end, 0)
+    # extend refers to itself, a cycle that would keep every line alive
+    # until the next full garbage collection
+    del extend
+    truncated = len(lines) > limit
+    del lines[limit:]  # the first lines of the walk, whose order is fixed
     lines.sort()
-    return lines[:1] + [b for a, b in zip(lines, islice(lines, 1, None)) if a != b]
+    out = SplicedLines(lines[:1])
+    out += [b for a, b in zip(lines, islice(lines, 1, None)) if a != b]
+    out.truncated = truncated
+    return out
 
 
 @dataclass(frozen=True)
 class PairResult:
     """The ``phase2.txt`` lines of one (source stmt, sink stmt) pair, each
     kind sorted: ``intra`` its intraprocess paths, ``interprocess`` its
-    spliced ones."""
+    spliced ones, of which ``splice_truncated`` says the splice limit cut
+    some off."""
 
     source_stmt: str
     sink_stmt: str
     intra: tuple[str, ...]
     interprocess: tuple[str, ...]
+    splice_truncated: bool
 
 
 @dataclass(frozen=True)
@@ -373,7 +403,7 @@ def phase2(
                 partial.nodes, strict=strict_splice,
             )
             results.append(
-                PairResult(s, t, tuple(intra), tuple(spliced))
+                PairResult(s, t, tuple(intra), tuple(spliced), spliced.truncated)
             )
     return Phase2Result(tuple(results))
 
@@ -387,12 +417,17 @@ def render_stmt_paths(result: Phase2Result) -> list[str]:
 
 
 def summary_counts(result: Phase2Result) -> dict[str, int]:
-    """Pair and path counts, intraprocess versus interprocess."""
+    """Pair and path counts, intraprocess versus interprocess, and
+    ``splice_truncated`` 1 only when the splice limit cut some pair's
+    lines."""
     ir_pairs = sum(1 for pair in result.pairs if pair.intra)
     int_pairs = sum(1 for pair in result.pairs if pair.interprocess)
-    return {
+    counts = {
         "intra_pairs": ir_pairs,
         "intra_paths": len(result.intra_paths()),
         "interprocess_pairs": int_pairs,
         "interprocess_paths": len(result.interprocess_paths()),
     }
+    if any(pair.splice_truncated for pair in result.pairs):
+        counts["splice_truncated"] = 1
+    return counts

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cache
+from itertools import compress, islice
+from operator import attrgetter, le, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -26,6 +29,7 @@ EVENT_KINDS = frozenset(
     {"entry", "returned_into", "send", "recv", "branch", "stmt_cover"}
 )
 METHOD_EVENT_KINDS = frozenset({"entry", "returned_into"})
+MESSAGE_KINDS = frozenset({"send", "recv"})
 
 
 class TraceError(ValueError):
@@ -134,6 +138,27 @@ class ProcessTrace:
     events: tuple[EventRecord, ...]
 
     def __post_init__(self) -> None:
+        # the checks of _check_order in C-level passes: each distinct
+        # method's process, seq strictly rising, ts non-decreasing when
+        # every event is stamped (a trace with gaps takes the loop)
+        events = self.events
+        seqs = list(map(attrgetter("seq"), events))
+        stamps = list(map(attrgetter("ts"), events))
+        if not (
+            all(m.process == self.process for m in set(map(attrgetter("method"), events)))
+            and all(map(lt, seqs, islice(seqs, 1, None)))
+            and (
+                all(map(le, stamps, islice(stamps, 1, None)))
+                if None not in stamps
+                else stamps.count(None) == len(stamps)
+            )
+        ):
+            self._check_order()
+
+    def _check_order(self) -> None:
+        """Raise :class:`EventOrderError` at the first event of another
+        process, with a seq not above the one before, or stamped below the
+        one before when both are stamped."""
         prev = None
         for i, ev in enumerate(self.events):
             if ev.process != self.process:
@@ -149,7 +174,7 @@ class ProcessTrace:
 
     @property
     def stamped(self) -> bool:
-        return all(ev.ts is not None for ev in self.events)
+        return None not in map(attrgetter("ts"), self.events)
 
 
 TraceMap = dict[str, ProcessTrace]
@@ -215,9 +240,12 @@ def stamp_lamport(raw_traces: Mapping[str, Sequence[EventRecord]]) -> TraceMap:
     return {proc: ProcessTrace(proc, tuple(stamped[proc])) for proc in raw_traces}
 
 
-def merge_global(traces: Mapping[str, ProcessTrace]) -> tuple[EventRecord, ...]:
-    """All stamped events in one deterministic total order extending the
-    Lamport partial order: sorted by (ts, process, seq).  The traces are
+def merge_global(
+    traces: Mapping[str, ProcessTrace], kinds: Optional[frozenset[str]] = None
+) -> tuple[EventRecord, ...]:
+    """All stamped events, or those of the given ``kinds``, in one
+    deterministic total order extending the Lamport partial order: sorted
+    by (ts, process, seq).  Every trace must be stamped.  The traces are
     joined in process order, each in seq order, so a stable sort by ts
     alone keeps ties in (process, seq) order."""
     flat: list[EventRecord] = []
@@ -225,7 +253,11 @@ def merge_global(traces: Mapping[str, ProcessTrace]) -> tuple[EventRecord, ...]:
         trace = traces[proc]
         if not trace.stamped:
             raise TraceError(f"trace of {proc} is not stamped")
-        flat.extend(trace.events)
+        if kinds is None:
+            flat.extend(trace.events)
+        else:
+            wanted = map(kinds.__contains__, map(attrgetter("kind"), trace.events))
+            flat.extend(compress(trace.events, wanted))
     flat.sort(key=attrgetter("ts"))
     return tuple(flat)
 
@@ -233,12 +265,14 @@ def merge_global(traces: Mapping[str, ProcessTrace]) -> tuple[EventRecord, ...]:
 class EventGraph:
     """Happens-before index over a set of stamped traces.
 
-    Built in one pass over the merged order, it keeps a Fidge/Mattern vector
-    clock at every recv event: per process, the largest ``seq`` of that
-    process that happens before or at the recv (-1 for none).  Other events
-    need no clock of their own, since only a recv can learn about another
-    process.  Along one process every component only grows, so the recvs of
-    a process that an event happens before form a suffix, found by one
+    Built in one pass over the send and recv events in merged order, it
+    keeps a Fidge/Mattern vector clock at every recv event: per process, the
+    largest ``seq`` of that process that happens before or at the recv (-1
+    for none).  Other events need no clock of their own, since only a recv
+    can learn about another process, and the pass skips them: one would only
+    set its process's own component, which that process's next send or recv
+    sets again.  Along one process every component only grows, so the recvs
+    of a process that an event happens before form a suffix, found by one
     binary search.  A message whose send or recv is missing from the traces
     (e.g. after :func:`filter_traces`) adds no edge.
     """
@@ -251,7 +285,7 @@ class EventGraph:
         current = {p: [-1] * len(procs) for p in procs}
         sent: dict[str, list[int]] = {}
         received: set[str] = set()
-        for ev in merge_global(traces):
+        for ev in merge_global(traces, MESSAGE_KINDS):
             clock = current[ev.process]
             clock[self._index[ev.process]] = ev.seq
             if ev.kind == "send":
@@ -260,7 +294,7 @@ class EventGraph:
                 if ev.msg_id in received:
                     raise CausalityError(f"recv of {ev.msg_id!r} is stamped before its send")
                 sent[ev.msg_id] = clock.copy()
-            elif ev.kind == "recv":
+            else:
                 if ev.msg_id in received:
                     raise MalformedTraceError(f"duplicate recv msg_id {ev.msg_id!r}")
                 received.add(ev.msg_id)
@@ -308,7 +342,8 @@ def first_entries(traces: Mapping[str, ProcessTrace]) -> dict[MethodId, EventRec
 
 
 def method_spans(
-    traces: Mapping[str, ProcessTrace]
+    traces: Mapping[str, ProcessTrace],
+    entries: Optional[Mapping[MethodId, EventRecord]] = None,
 ) -> dict[MethodId, tuple[int, int]]:
     """fe/lr per executed method.
 
@@ -317,10 +352,12 @@ def method_spans(
     the last returned-into event, and it degrades gracefully for leaf methods
     (which never have one).  Coverage events carry no ordering information of
     their own and are excluded, so spans are identical whether a trace holds
-    all instances or only the first/last ones.  fe comes from
-    :func:`first_entries`.
+    all instances or only the first/last ones.  fe comes from ``entries``,
+    the :func:`first_entries` of the traces, which a caller that needs
+    them too passes in; without it they are computed here.
     """
-    entries = first_entries(traces)
+    if entries is None:
+        entries = first_entries(traces)
     last_event: dict[MethodId, int] = {}
     for trace in traces.values():
         for ev in trace.events:
@@ -430,26 +467,60 @@ def write_trace(path: Path, trace: ProcessTrace) -> None:
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_trace(path: Path, process: str) -> ProcessTrace:
-    """The trace of ``process`` in the file at ``path``: one JSON record per
-    non-blank line, else :class:`MalformedTraceError` naming ``path`` and
-    the number of the first bad line, and quoting it.  A record needs
-    ``proc``, ``class``, ``method`` and ``kind``, and a ``seq`` that is a
-    JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
-    ``2.5`` is none).  Records of one method share one :class:`MethodId`.
-    An event that is out of place in the trace (see :class:`ProcessTrace`)
-    is named by its line too, which is counted only then.
+@cache
+def _trace_line():
+    """The pattern of one line as :func:`write_trace` writes a stamped
+    event: sorted keys, ``", "`` and ``": "`` separators, string values
+    with nothing to unescape, integers of at most 18 digits (so ``int``
+    never meets the digit limit), a known kind and ``ts`` at least 1.  Its
+    groups are the fields in key order, ``''`` for an absent one.
+    Compiled on first use, as ``simulate`` reads no trace."""
+    s = r'"([^"\\\x00-\x1f]+)"'
+    return re.compile(
+        rf'^\{{(?:"branch_id": {s}, )?"class": {s}, '
+        rf'"kind": "(entry|returned_into|send|recv|branch|stmt_cover)", '
+        rf'"method": {s}, (?:"msg_id": {s}, )?(?:"peer": {s}, )?"proc": {s}, '
+        rf'"seq": (0|[1-9][0-9]{{0,17}}), (?:"stmt_id": {s}, )?'
+        rf'"ts": ([1-9][0-9]{{0,17}})\}}\n',
+        re.MULTILINE,
+    )
 
-    A line is decoded by ``raw_decode``, which skips the per-call checks of
-    ``json.loads``; since the line is stripped, it is valid JSON exactly
-    when that decode consumes all of it.  (One decode of all lines joined
-    into an array is faster but unsound: a record split over two lines
-    next to a line holding two records decodes to the right count.)
-    """
+
+def _match_events(text: str) -> Optional[tuple[EventRecord, ...]]:
+    """The events of ``text`` when every line of it matches
+    :func:`_trace_line` and every send and recv has a ``msg_id``, else
+    None.  Such lines hold exactly the values their JSON decodes to and
+    pass every check of a record, so each event is built straight from the
+    matched groups, as a tuple, without :class:`EventRecord`'s checks."""
+    rows = _trace_line().findall(text)
+    if len(rows) != text.count("\n") or not text.endswith("\n"):
+        return None
+    methods: dict[tuple[str, str, str], MethodId] = {}
+    events = []
+    new = tuple.__new__
+    for branch, cls, kind, name, msg, peer, proc, seq, stmt, ts in rows:
+        if not msg and kind in MESSAGE_KINDS:
+            return None
+        key = (proc, cls, name)
+        method = methods.get(key)
+        if method is None:
+            method = methods[key] = MethodId(*key)
+        events.append(new(EventRecord, (
+            kind, method, int(seq), int(ts),
+            msg or None, peer or None, branch or None, stmt or None,
+        )))
+    return tuple(events)
+
+
+def _decode_events(text: str, path: Path) -> tuple[EventRecord, ...]:
+    """The events of ``text``, one JSON record per non-blank line, each
+    decoded and checked on its own.  A line is decoded by ``raw_decode``,
+    which skips the per-call checks of ``json.loads``; since the line is
+    stripped, it is valid JSON exactly when that decode consumes all of
+    it."""
     events = []
     methods: dict[tuple[str, str, str], MethodId] = {}
-    lines = read_text(path).split("\n")
-    for n, line in enumerate(lines, 1):
+    for n, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
@@ -461,6 +532,8 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
             raise MalformedTraceError(
                 f"{path}:{n}: not a JSON record: {line!r}"
             ) from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
         try:
             key = (rec["proc"], rec["class"], rec["method"])
             method = methods.get(key)
@@ -479,11 +552,34 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
             raise MalformedTraceError(
                 f"{path}:{n}: bad trace record {rec!r}"
             ) from exc
+    return tuple(events)
+
+
+def read_trace(path: Path, process: str) -> ProcessTrace:
+    """The trace of ``process`` in the file at ``path``: one JSON record per
+    non-blank line, else :class:`MalformedTraceError` naming ``path`` and
+    the number of the first bad line, and quoting it.  A record needs
+    ``proc``, ``class``, ``method`` and ``kind``, and a ``seq`` that is a
+    JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
+    ``2.5`` is none).  Records of one method share one :class:`MethodId`.
+    An event that is out of place in the trace (see :class:`ProcessTrace`)
+    is named by its line too, which is counted only then.
+
+    A file all of whose lines are in the layout that :func:`write_trace`
+    writes for stamped events (every line matches one pattern, and the
+    text ends in a newline) is read by that one pattern.  Any other file
+    is decoded line by line, so every other valid layout reads the same,
+    and every error names the same line, only more slowly.
+    """
+    text = read_text(path)
+    events = _match_events(text)
+    if events is None:
+        events = _decode_events(text, path)
     try:
-        return ProcessTrace(process, tuple(events))
+        return ProcessTrace(process, events)
     except EventOrderError as exc:
         # each non-blank line made one event
-        n = [n for n, line in enumerate(lines, 1) if line.strip()][exc.index]
+        n = [n for n, line in enumerate(text.split("\n"), 1) if line.strip()][exc.index]
         raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
 
 
@@ -570,11 +666,15 @@ def write_output(path: Path, text: str) -> None:
 
 def read_json(path: Path):
     """The JSON value in the file at ``path``.  Text that is not JSON raises
-    ``json.JSONDecodeError`` whose message names the file."""
+    ``json.JSONDecodeError``, and an integer longer than the interpreter's
+    digit limit ``ValueError``, whose message names the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:

@@ -16,7 +16,10 @@ every junction of every prefix with ``junction_oracle``) and
 a vectorized loop, here a plain one) and ``reference_ipc_metrics`` (the IPC
 metrics with a class-coupling ratio recomputed per class pair).
 ``reference_event`` is the conversion of one trace record that
-``read_trace`` does inline, kept as a function under the same rules.  The
+``read_trace`` does inline, kept as a function under the same rules;
+``order_error_oracle`` is the event-by-event loop of ``ProcessTrace``'s
+checks, and ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
+clocks by visiting every event, not only sends and recvs.  The
 last section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
 and phase-2 results and the predicates that check them.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from crossflow.methodpaths import (
     DEFAULT_MAX_PATHS,
@@ -34,7 +37,13 @@ from crossflow.methodpaths import (
     DEFAULT_WORK_BUDGET,
 )
 from crossflow.metrics import IpcReport
-from crossflow.trace import EventRecord, MalformedTraceError, MethodId, ProcessTrace
+from crossflow.trace import (
+    EventRecord,
+    MalformedTraceError,
+    MethodId,
+    ProcessTrace,
+    merge_global,
+)
 
 
 def method_key(m: MethodId) -> tuple[str, str, str]:
@@ -541,6 +550,50 @@ def reference_event(rec) -> EventRecord:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTraceError(f"bad trace record {rec!r}") from exc
+
+
+def order_error_oracle(
+    process: str, events: Sequence[EventRecord]
+) -> Optional[tuple[int, str]]:
+    """The index and message of the first event out of place in a trace of
+    ``process``, by the loop that ``ProcessTrace`` ran over every event:
+    an event of another process, a seq not above the one before, or a ts
+    below the one before when both are set.  None when all are in place."""
+    prev = None
+    for i, ev in enumerate(events):
+        if ev.process != process:
+            return i, f"event of {ev.process} in trace of {process}"
+        if prev is not None:
+            if ev.seq <= prev.seq:
+                return i, "seq must strictly increase"
+            if ev.ts is not None and prev.ts is not None and ev.ts < prev.ts:
+                return i, "timestamps decrease along trace"
+        prev = ev
+    return None
+
+
+def event_graph_oracle(traces: Mapping[str, ProcessTrace]):
+    """``EventGraph``'s recv lists and clock columns (per process, per
+    component, that component of its recvs' vector clocks), built in one
+    pass over every event of ``merge_global``'s order, each setting its
+    own process's component."""
+    procs = sorted(traces)
+    index = {p: i for i, p in enumerate(procs)}
+    recvs: dict[str, list[EventRecord]] = {p: [] for p in procs}
+    clocks: dict[str, list[tuple[int, ...]]] = {p: [] for p in procs}
+    current = {p: [-1] * len(procs) for p in procs}
+    sent: dict[str, list[int]] = {}
+    for ev in merge_global(traces):
+        clock = current[ev.process]
+        clock[index[ev.process]] = ev.seq
+        if ev.kind == "send":
+            sent[ev.msg_id] = clock.copy()
+        elif ev.kind == "recv":
+            if ev.msg_id in sent:
+                clock[:] = map(max, clock, sent[ev.msg_id])
+            recvs[ev.process].append(ev)
+            clocks[ev.process].append(tuple(clock))
+    return recvs, {p: list(zip(*clocks[p])) for p in procs}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,22 @@ from crossflow.trace import MethodId
 from oracles import report_text
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python converts integers of any length"
+)
+OVERLONG = "1" * (DIGIT_LIMIT + 1)  # digits of a JSON integer past the limit
+
+
+def overlong_message() -> str:
+    """The error Python gives for ``OVERLONG``."""
+    try:
+        int(OVERLONG)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no integer digit limit")
+
+
 def write_scenario(path: Path, **kw) -> Path:
     data = {"topology": "client_server", "seed": 0, "length": 90}
     data.update(kw)
@@ -520,6 +536,44 @@ def test_capped_chain7_reports_match_recorded_digests(tmp_path, capsys):
     assert_capped_reports(tmp_path, CHAIN7_SCENARIO, CHAIN7_DIGESTS)
 
 
+def test_splice_limit_cuts_the_same_lines_under_any_hash_seed(tmp_path, capsys):
+    """With the splice limit lowered below a 4-tier chain's 100 spliced
+    paths, ``flowpaths`` keeps that many lines, the same ones under two
+    hash seeds, and ``summary.txt`` says that splicing was cut; at the
+    default limit it says nothing of splicing."""
+    sim = run_sim(tmp_path, topology="n_tier", tiers=4, length=300)
+    flowpaths = [
+        "flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+        "--config", str(sim / "config.json"),
+    ]
+    assert main([*flowpaths, "--out", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "phase2.txt").read_text().splitlines()
+    assert len(full) == 100
+    assert "splice" not in (tmp_path / "full" / "summary.txt").read_text()
+    lowered = (
+        "import functools, sys; from crossflow import cli, stmtpaths; "
+        "stmtpaths.splice_segments = functools.partial(stmtpaths.splice_segments, limit=37); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    reports = []
+    for hashseed in ("1", "424242"):
+        out = tmp_path / f"h{hashseed}"
+        r = subprocess.run(
+            [sys.executable, "-c", lowered, *flowpaths, "--out", str(out)],
+            env=child_env(
+                PYTHONHASHSEED=hashseed, PATH="/usr/bin:/bin",
+                PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+            ),
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        reports.append(((out / "phase2.txt").read_text(), (out / "summary.txt").read_text()))
+    assert reports[0] == reports[1]
+    kept, summary = reports[0]
+    assert len(kept.splitlines()) == 37 and set(kept.splitlines()) < set(full)
+    assert "interprocess_paths 37\n" in summary and "splice_truncated 1\n" in summary
+
+
 @pytest.mark.parametrize(
     "scenario", [CHAIN7_SCENARIO, RING12_SCENARIO], ids=["chain7", "ring12"]
 )
@@ -958,6 +1012,15 @@ class TestInputReaders:
         ]) == 3
         assert capsys.readouterr().err == (
             f"error: {bundle / 'A.trace'}:{lineno}: {message}\n"
+        )
+
+    @needs_digit_limit
+    def test_overlong_integer_in_trace_exit_3(self, tmp_path, capsys):
+        """An integer past the interpreter's digit limit names the file and
+        the line, as a decode error does."""
+        line = self.GOOD1.replace("1}", OVERLONG + "}")
+        self.test_bad_trace_line_exit_3(
+            tmp_path, capsys, [self.GOOD, line], 3, overlong_message()
         )
 
     def flowpaths(self, sim, out):
@@ -1411,11 +1474,10 @@ class TestMalformedInputs:
             f"error: bad input data: {paths[side]}: {message}\n"
         )
 
-    @pytest.mark.parametrize("kind", [
-        "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
-        "quality", "cost-model", "trace-manifest", "graph-manifest",
-    ])
-    def test_invalid_json_exit_3_names_file(self, tmp_path, capsys, kind):
+    @staticmethod
+    def json_file_and_argv(tmp_path: Path, kind: str) -> tuple[Path, list[str]]:
+        """The JSON input file of ``kind`` in a fresh simulated setting, and
+        the command line that reads it."""
         sim = run_sim(tmp_path)
         (tmp_path / "run").mkdir()
         ipc, quality = tmp_path / "ipc.json", tmp_path / "quality.json"
@@ -1428,7 +1490,6 @@ class TestMalformedInputs:
             "trace-manifest": sim / "traces" / "manifest.json",
             "graph-manifest": sim / "graphs" / "manifest.json",
         }.get(kind, tmp_path / "bad.json")
-        bad.write_text("{not json")
         tune = [
             "tune", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
             "--tc", "4", "--budget", "1000", "--out", str(tmp_path / "o"),
@@ -1450,10 +1511,34 @@ class TestMalformedInputs:
             "trace-manifest": tune,
             "graph-manifest": tune,
         }[kind]
+        return bad, argv
+
+    @pytest.mark.parametrize("kind", [
+        "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
+        "quality", "cost-model", "trace-manifest", "graph-manifest",
+    ])
+    def test_invalid_json_exit_3_names_file(self, tmp_path, capsys, kind):
+        bad, argv = self.json_file_and_argv(tmp_path, kind)
+        bad.write_text("{not json")
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             f"error: {bad}: Expecting property name enclosed in double quotes:"
             " line 1 column 2 (char 1)\n"
+        )
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("kind", [
+        "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
+        "quality", "cost-model", "trace-manifest", "graph-manifest",
+    ])
+    def test_overlong_integer_exit_3_names_file(self, tmp_path, capsys, kind):
+        """An integer past the interpreter's digit limit is a data error
+        that names the file, as a decode error does."""
+        bad, argv = self.json_file_and_argv(tmp_path, kind)
+        bad.write_text('{"n": %s}' % OVERLONG)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {bad}: {overlong_message()}\n"
         )
 
     @pytest.mark.parametrize("cfg,member", [

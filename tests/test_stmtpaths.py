@@ -239,10 +239,10 @@ class TestSpliceLines:
     """``splice_segments`` returns report lines, sorted and distinct, also
     where its walk emits them out of order or more than once."""
 
-    def test_remote_segment_prefix_of_another_sorted(self):
-        # B's remote segment (b_in, b_out1) is a proper prefix of
-        # (b_in, b_out1, b_x, b_out2): the walk closes the shorter one at
-        # c_in1 first, though the longer one's line, at b_x, sorts first
+    @staticmethod
+    def prefix_fixture():
+        """Splice arguments where B's remote segment (b_in, b_out1) is a
+        proper prefix of (b_in, b_out1, b_x, b_out2)."""
         ma, mb, mc = mid("A", "go"), mid("B", "relay"), mid("C", "serve")
         raw = {
             "A": [EventRecord("send", ma, 0, msg_id="m0", peer="B", stmt_id="a_out")],
@@ -263,7 +263,7 @@ class TestSpliceLines:
             "src": ma, "a_out": ma, "b_in": mb, "b_out1": mb, "b_x": mb,
             "b_out2": mb, "c_in1": mc, "c_in2": mc, "sink": mc,
         }
-        args = (
+        return (
             [("src", "a_out")],
             [("b_in", "b_out1"), ("b_in", "b_out1", "b_x", "b_out2")],
             [("c_in1", "sink"), ("c_in2", "sink")],
@@ -271,6 +271,11 @@ class TestSpliceLines:
             InletOutletIndex.build(traces, {ma, mb, mc}),
             stmt_methods,
         )
+
+    def test_remote_segment_prefix_of_another_sorted(self):
+        # the walk closes the shorter remote segment at c_in1 first, though
+        # the longer one's line, at b_x, sorts first
+        args = self.prefix_fixture()
         got = splice_segments(*args)
         assert got == [
             SPLICED + "src -> a_out -> b_in -> b_out1 -> b_x -> b_out2 -> c_in2 -> sink",
@@ -279,6 +284,23 @@ class TestSpliceLines:
             SPLICED + "src -> a_out -> c_in1 -> sink",
         ]
         assert stmt_sequences(got) == splice_oracle(*args)
+
+    def test_limit_keeps_the_first_lines_of_the_walk(self):
+        # the walk closes b_out1 -> c_in1 first, then b_out2 -> c_in2, then
+        # a_out -> c_in1; each limit keeps that many, and says it cut
+        args = self.prefix_fixture()
+        full = splice_segments(*args)
+        assert not full.truncated
+        kept = []
+        for limit in range(1, len(full) + 2):
+            got = splice_segments(*args, limit=limit)
+            assert got.truncated == (limit < len(full))
+            assert len(got) == min(limit, len(full)) and got == sorted(got)
+            assert set(kept) <= set(got) <= set(full)
+            kept = got
+        assert splice_segments(*args, limit=1) == [
+            SPLICED + "src -> a_out -> b_in -> b_out1 -> c_in1 -> sink"
+        ]
 
     def test_two_segment_sequences_of_one_path_one_line(self):
         # (src, a_out) + (a_in, a_out2, a_in2, sink) and

@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossflow.trace import (
@@ -36,8 +36,10 @@ from crossflow.simulator import Scenario, generate_program, simulate
 
 from oracles import (
     closure_matrix,
+    event_graph_oracle,
     hb_oracle,
     influenced_map_oracle,
+    order_error_oracle,
     reference_event,
     spans_oracle,
 )
@@ -386,6 +388,8 @@ def read_trace_per_line(path, process):
                 raise MalformedTraceError(
                     f"{path}:{n}: not a JSON record: {line!r}"
                 ) from exc
+            except ValueError as exc:  # an integer past the digit limit
+                raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
             try:
                 events.append(reference_event(rec))
             except MalformedTraceError as exc:
@@ -397,32 +401,46 @@ def read_trace_per_line(path, process):
         raise MalformedTraceError(f"{path}:{numbers[exc.index]}: {exc}") from exc
 
 
+def canonical_line(seq: int, ts: int = 99, proc: str = "A") -> str:
+    """An entry event in the layout that ``write_trace`` writes."""
+    return (
+        f'{{"class": "C", "kind": "entry", "method": "m", "proc": "{proc}", '
+        f'"seq": {seq}, "ts": {ts}}}'
+    )
+
+
+FULL_LINE = canonical_line(41)
 TRACE_LINE_PARTS = (
     '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": ',
     '{"proc": "A", "kind": "entry", "class": "C", "method": "n", "seq": ',
     "}", "{", "[", "]", ",", "1", "7", '"s"', "null", " ", ":", '"seq": 3',
     '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": true}',
     '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": 9, "ts": 2.5}',
+    # the layout of write_trace, and lines that almost have it
+    FULL_LINE,
+    canonical_line(41, proc="B"),
+    '{"branch_id": "b", "class": "C", "kind": "send", "method": "n", "msg_id": "x", '
+    '"peer": "B", "proc": "A", "seq": 42, "stmt_id": "s", "ts": 99}',
+    FULL_LINE.replace('"ts": 99', '"ts": 0'),
+    FULL_LINE.replace(', "ts": 99', ""),
+    FULL_LINE.replace('"proc"', '"msg_id": "", "proc"'),
+    FULL_LINE.replace('"proc"', '"msg_id": "", "proc"').replace('"entry"', '"send"'),
+    FULL_LINE.replace('"C"', '"C\\""'),
+    FULL_LINE.replace('"C"', '"\\u00e9"'),
+    FULL_LINE.replace('"seq": 41', '"seq": 1234567890123456789'),
+    FULL_LINE.replace('"seq": 41', '"seq": -1'),
+    FULL_LINE.replace('"entry"', '"send"'),
+    '{"kind": "entry", "class": "C", "method": "m", "proc": "A", "seq": 41, "ts": 99}',
+    FULL_LINE.replace(", ", ",  ", 1),
+    FULL_LINE.replace("}", ', "zz": 1}'),
 )
 
 
-@given(st.lists(
-    st.lists(st.sampled_from(TRACE_LINE_PARTS), max_size=4).map("".join),
-    max_size=6,
-), st.lists(st.integers(0, 40), min_size=6, max_size=6))
-@settings(max_examples=300, deadline=None)
-def test_read_trace_equals_per_line_decoding(tmp_path_factory, fragments, seqs):
-    """Whatever the lines hold, one decode of the joined lines gives the
-    events or the error that decoding line by line gives."""
+def assert_reads_as_per_line(path):
+    """The reader gives the events or the error that decoding the file at
+    ``path`` line by line gives, and one ``MethodId`` per method."""
     from crossflow.trace import TraceError, read_trace
 
-    good = [
-        '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": %d}' % s
-        for s in sorted(set(seqs))
-    ]
-    lines = [x for pair in zip(good, fragments) for x in pair] + good[len(fragments):]
-    path = tmp_path_factory.mktemp("t") / "A.trace"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outcomes = []
     for reader in (read_trace, read_trace_per_line):
         try:
@@ -430,6 +448,168 @@ def test_read_trace_equals_per_line_decoding(tmp_path_factory, fragments, seqs):
         except TraceError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], ProcessTrace):
+        shared = {}
+        assert all(
+            shared.setdefault(ev.method, ev.method) is ev.method
+            for ev in outcomes[0].events
+        )
+
+
+@given(st.lists(
+    st.one_of(
+        st.sampled_from(TRACE_LINE_PARTS),
+        st.lists(st.sampled_from(TRACE_LINE_PARTS), max_size=4).map("".join),
+    ),
+    max_size=6,
+), st.lists(st.integers(0, 40), min_size=6, max_size=6), st.booleans())
+@example([FULL_LINE], [0] * 6, True)  # read by the pattern
+@example([FULL_LINE], [0, 1, 0, 1, 0, 1], True)  # by the pattern, an order error
+@settings(max_examples=300, deadline=None)
+def test_read_trace_equals_per_line_decoding(tmp_path_factory, fragments, seqs, canonical):
+    """Whatever the lines hold, the reader gives the events or the error
+    that decoding line by line gives; the lines between the fragments are
+    in the layout of ``write_trace`` or in another."""
+    good = [
+        canonical_line(s, s + 1) if canonical
+        else '{"proc": "A", "kind": "entry", "class": "C", "method": "m", "seq": %d}' % s
+        for s in sorted(set(seqs))
+    ]
+    lines = [x for pair in zip(good, fragments) for x in pair] + good[len(fragments):]
+    path = tmp_path_factory.mktemp("t") / "A.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_reads_as_per_line(path)
+
+
+@pytest.mark.parametrize("part", TRACE_LINE_PARTS + (
+    "7" + FULL_LINE,
+    FULL_LINE.replace('"seq": 41', '"seq": ' + "1" * 5000),  # past the digit limit
+))
+def test_part_among_canonical_lines_reads_as_per_line(tmp_path, part):
+    """Each fragment alone on a line, after or before lines in the layout of
+    ``write_trace``, with or without a final newline: the cases where
+    every other line is read by the pattern."""
+    good = [canonical_line(s, s + 1) for s in range(3)]
+    path = tmp_path / "A.trace"
+    for lines in ([*good, part], [part, *good]):
+        for end in ("\n", ""):
+            path.write_text("\n".join(lines) + end, encoding="utf-8")
+            assert_reads_as_per_line(path)
+
+
+def order_outcome(process, events):
+    """(index, message) of the trace's ``EventOrderError``, or None."""
+    from crossflow.trace import EventOrderError
+
+    try:
+        ProcessTrace(process, tuple(events))
+    except EventOrderError as exc:
+        return exc.index, str(exc)
+    return None
+
+
+def entries(*stamps, proc="A", seqs=None):
+    """Entry events of ``proc`` with the given ts, seq 0, 1, ... unless given."""
+    seqs = range(len(stamps)) if seqs is None else seqs
+    m = mid(proc)
+    return [EventRecord("entry", m, s, ts) for s, ts in zip(seqs, stamps)]
+
+
+@pytest.mark.parametrize("events,expected", [
+    (entries(1, 2, 3), None),
+    (entries(None, None, None), None),
+    (entries(), None),
+    (entries(1, 2) + entries(3, proc="B", seqs=[2]), (2, "event of B in trace of A")),
+    (entries(3, proc="B") + entries(1, 2), (0, "event of B in trace of A")),
+    (entries(1, 2, 3, seqs=[0, 5, 5]), (2, "seq must strictly increase")),
+    (entries(1, 2, 3, seqs=[4, 2, 7]), (1, "seq must strictly increase")),
+    (entries(1, 5, 4), (2, "timestamps decrease along trace")),
+    (entries(2, 2, 2), None),
+    # a gap breaks the comparison: only neighbours that are both stamped
+    (entries(5, None, 3), None),
+    (entries(None, 5, 3), (2, "timestamps decrease along trace")),
+    (entries(5, None, 6, 4), (3, "timestamps decrease along trace")),
+    (entries(5, None, 6, 4, seqs=[0, 1, 1, 2]), (2, "seq must strictly increase")),
+    (entries(7, None) + entries(1, proc="B", seqs=[2]), (2, "event of B in trace of A")),
+], ids=["stamped", "unstamped", "empty", "other-process", "other-process-first",
+        "equal-seq", "falling-seq", "falling-ts", "equal-ts", "ts-gap",
+        "ts-gap-then-fall", "ts-fall-after-gap", "seq-before-ts", "process-after-gap"])
+def test_order_checks_name_the_first_bad_event(events, expected):
+    """The checks in C-level passes give the index and message of the loop
+    over every event."""
+    assert order_error_oracle("A", events) == expected
+    assert order_outcome("A", events) == expected
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from("AAAB"), st.integers(0, 6), st.one_of(st.none(), st.integers(1, 6)),
+), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_order_checks_equal_event_by_event_loop(rows):
+    events = [EventRecord("entry", mid(p), seq, ts) for p, seq, ts in rows]
+    assert order_outcome("A", events) == order_error_oracle("A", events)
+
+
+ACCEPTANCE_MIX = (
+    Scenario("client_server", seed=0, length=200),
+    Scenario("peer_to_peer", seed=1, length=200, tiers=3),
+    Scenario("peer_to_peer", seed=2, length=200, tiers=4),
+    Scenario("n_tier", seed=3, length=200, tiers=3),
+    Scenario("n_tier", seed=4, length=200, tiers=4),
+)
+
+
+@pytest.mark.parametrize("scenario", ACCEPTANCE_MIX, ids=lambda sc: f"{sc.topology}-{sc.tiers}")
+def test_simulated_traces_read_by_the_pattern(tmp_path, monkeypatch, scenario):
+    """Every trace file that ``simulate`` writes is read by the one pattern
+    of ``write_trace``'s layout, never line by line: a change to that
+    layout fails here instead of silently slowing every command."""
+    import dataclasses
+    import json
+
+    from crossflow import trace as trace_module
+    from crossflow.cli import main
+
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(dataclasses.asdict(scenario)))
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 0
+    bundle = tmp_path / "o" / "traces"
+    expected = {
+        proc: read_trace_per_line(bundle / f"{proc}.trace", proc)
+        for proc in read_bundle(bundle)[0]
+    }
+
+    def per_line(text, path):
+        raise AssertionError(f"{path} was decoded line by line")
+
+    monkeypatch.setattr(trace_module, "_decode_events", per_line)
+    traces, _ = read_bundle(bundle)
+    assert traces == expected and all(t.stamped for t in traces.values())
+
+
+@pytest.mark.parametrize("scenario", ACCEPTANCE_MIX, ids=lambda sc: f"{sc.topology}-{sc.tiers}")
+def test_event_graph_equals_pass_over_every_event(scenario):
+    """Built from sends and recvs alone, the index holds the recv lists and
+    clocks of a pass over every merged event, and answers alike."""
+    traces, _ = simulate(generate_program(scenario), scenario)
+    for some in (traces, filter_traces(traces, sorted(spans_oracle(traces))[::2])):
+        graph = EventGraph(some)
+        recvs, columns = event_graph_oracle(some)
+        assert graph._recvs == recvs
+        assert graph._columns == columns
+        procs = sorted(some)
+        for trace in some.values():
+            for ev in trace.events:
+                i = procs.index(ev.process)
+                expected = {}
+                for proc in procs:
+                    if proc == ev.process or not recvs[proc]:
+                        continue
+                    for recv, seen in zip(recvs[proc], columns[proc][i]):
+                        if seen >= ev.seq:
+                            expected[proc] = recv.ts
+                            break
+                assert graph.first_reached_ts(ev) == expected
 
 
 @given(st.lists(st.tuples(*[st.text("Pp.-x", min_size=1, max_size=3)] * 3)))
