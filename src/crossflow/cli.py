@@ -6,10 +6,13 @@ randomness flows from explicit seeds; outputs are byte-identical across
 reruns of the same invocation.
 
 Exit codes: 0 success (possibly empty results), 2 usage (a missing input
-file, and an input or output path that cannot be opened as the command
-needs, included), 3 data or format error, 4 invalid analysis
-configuration.  Every output file is written
-through ``trace.open_output``, which rewrites it in place.
+file, an input or output path that cannot be opened as the command needs,
+and a write the system refuses, such as on a full disk, included; the
+message names the file), 3 data or format error, 4 invalid analysis
+configuration.  Every output file is written through ``trace.write_output``
+(a whole text) or ``trace.open_output`` (a report written a piece at a
+time), which rewrite it in place; every input is read through
+``trace.read_text``.
 """
 
 from __future__ import annotations
@@ -285,10 +288,10 @@ def cmd_tune(args) -> int:
         final = next((r.deps for r in reversed(rounds) if r.deps is not None), {})
         deps_name = f"deps_{proc}.txt"
         deps_files[proc] = deps_name
-        with open_output(out / deps_name) as fh:
-            for method in sorted(final):
-                for member in sorted(final[method]):
-                    fh.write(f"dep {method.qualified()} {member.qualified()}\n")
+        write_output(out / deps_name, "".join(
+            f"dep {method.qualified()} {member.qualified()}\n"
+            for method in sorted(final) for member in sorted(final[method])
+        ))
     run = {
         "bundle": str(args.bundle),
         "graphs": str(args.graphs),
@@ -732,7 +735,7 @@ def main(argv=None) -> int:
         return _fail(DATA_ERROR, str(exc))
     except FileNotFoundError as exc:
         return _fail(USAGE_ERROR, f"missing file: {exc.filename}")
-    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except OSError as exc:  # a path that cannot be opened, or a refused write
         if exc.filename is None:
             return _fail(USAGE_ERROR, str(exc))
         return _fail(USAGE_ERROR, f"{exc.filename}: {exc.strerror}")

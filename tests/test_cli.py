@@ -6,6 +6,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1828,6 +1829,40 @@ class TestOutputFiles:
             "--config", str(sim), "--out", str(tmp_path / "flows"),
         ]) == 2
         assert capsys.readouterr().err == f"error: {sim}: Is a directory\n"
+
+    REFUSED_WRITE = (
+        "import resource, signal, sys\n"
+        "from crossflow.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE and SIGXFSZ as on Linux")
+    @pytest.mark.parametrize("command", ["simulate", "flowpaths"])
+    def test_refused_write_exit_2_names_the_file(self, tmp_path, capsys, command):
+        """A write the system refuses part-way (a file-size limit here, as
+        a full disk would) ends the command with exit 2 and a message
+        naming the file, which holds the bytes that reached it and none of
+        its old, longer tail."""
+        sim = run_sim(tmp_path, topology="n_tier", tiers=4, seed=1, length=300)
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(tmp_path / "sim.json"), "--out", str(out)]
+        if command == "flowpaths":
+            argv = ["flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+                    "--config", str(sim / "config.json"), "--out", str(out)]
+        assert main(argv) == 0
+        full = tree_bytes(out)
+        for name, data in full.items():
+            (out / name).write_bytes(data + b"an old tail\n" * 200)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        r = subprocess.run([sys.executable, "-c", self.REFUSED_WRITE, *argv],
+                           env=child_env(PYTHONPATH=src), capture_output=True, text=True)
+        assert r.returncode == 2, r.stderr
+        refused = re.fullmatch(r"error: (.+): File too large\n", r.stderr)
+        assert refused, r.stderr
+        path = Path(refused[1])
+        assert path.read_bytes() == full[str(path.relative_to(out))][:2048]
 
     def test_error_without_a_path_exit_2(self, tmp_path, capsys, monkeypatch):
         def denied(path, text):

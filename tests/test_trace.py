@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import re
 import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from crossflow.trace import (
     method_spans,
     open_output,
     read_bundle,
+    read_text,
     reduce_first_last,
     stamp_lamport,
     write_bundle,
@@ -793,3 +796,119 @@ def test_new_file_is_created_with_the_text(tmp_path):
         fh.write("é first\n")
         fh.write("second\n")
     assert path.read_bytes() == "é first\nsecond\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("old", [None, "a much longer old report\n" * 40])
+def test_writes_taking_7_bytes_leave_exactly_the_new_bytes(tmp_path, monkeypatch, old):
+    """Short writes are written on from where they stopped; a rewrite of
+    a longer file is cut after the last of them."""
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    text = "é€ a new report\n" * 5
+    write_output(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    n = len(text.encode("utf-8"))
+    assert sizes == list(range(n, 0, -7))
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_error_after_the_first_write_leaves_its_bytes_and_closes(tmp_path, monkeypatch, error):
+    """An error raised after the first write (a full disk, or Ctrl-C)
+    leaves the bytes written before it and none of the old tail, closes
+    the descriptor, and an error of the system names the file."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"o" * 100)
+    real_write, real_close = os.write, os.close
+    written, closed = [], []
+
+    def write_then_fail(fd, data):
+        if written:
+            raise error
+        written.append(fd)
+        return real_write(fd, data[:7])
+
+    def close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    monkeypatch.setattr(os, "close", close)
+    with pytest.raises(type(error)) as info:
+        write_output(path, "new text, longer than seven bytes\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"new tex"
+    assert closed == written
+    if isinstance(error, OSError):
+        assert info.value.filename == str(path) and info.value.strerror == error.strerror
+
+
+def test_devices_and_pipes_are_written_and_not_cut(tmp_path):
+    write_output(os.devnull, "discarded\n" * 100)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    text = "a line through the pipe\n" * 10000  # more than the pipe holds
+    write_output(fifo, text)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [text.encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_read_text_errors_name_the_file(tmp_path):
+    with pytest.raises(IsADirectoryError) as info:
+        read_text(tmp_path)
+    assert info.value.filename == str(tmp_path)
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        read_text(missing)
+    assert info.value.filename == str(missing)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: 'utf-8' codec can't decode"):
+        read_text(bad)
+
+
+def test_read_text_turns_every_line_end_into_newline(tmp_path):
+    path = tmp_path / "ends.txt"
+    path.write_bytes(b"crlf\r\nlone cr\rnewline\n\r\r\n")
+    assert read_text(path) == "crlf\nlone cr\nnewline\n\n\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 1 << 16])
+def test_read_text_in_chunks_equals_text_mode_read(tmp_path, monkeypatch, chunk):
+    """However the reads split the file (inside a multi-byte character or
+    a ``\\r\\n`` included), the text is that of a text-mode read; a file
+    longer than the first read is read whole."""
+    import crossflow.trace
+
+    monkeypatch.setattr(crossflow.trace, "READ_CHUNK", chunk)
+    path = tmp_path / "f.txt"
+    for data in (b"", b"a", "é€\r\nb\r".encode("utf-8"),
+                 ("x€\r\n" * 40000).encode("utf-8")):
+        path.write_bytes(data)
+        assert read_text(path) == path.read_text(encoding="utf-8")
+
+
+def test_read_text_reads_a_pipe_to_its_end(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    data = ("é€ line\r\n" * 20000).encode("utf-8")  # more than the pipe holds
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    text = read_text(fifo)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert text == data.decode("utf-8").replace("\r\n", "\n")
