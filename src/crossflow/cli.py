@@ -13,6 +13,13 @@ configuration.  Every output file is written through ``trace.write_output``
 (a whole text) or ``trace.open_output`` (a report written a piece at a
 time), which rewrite it in place; every input is read through
 ``trace.read_text``.
+
+``main`` parses a command's words with that command's parser alone
+(``command_parser``); the parser of every command (``build_parser``) is
+built only for the top-level help and the errors printed under its usage
+line.  ``simulate``, ``flowpaths`` and ``tune`` need an ``--out``
+directory, which a non-empty ``CROSSFLOW_OUT`` environment variable can
+supply.
 """
 
 from __future__ import annotations
@@ -257,9 +264,7 @@ def cmd_tune(args) -> int:
     )
     if args.wallclock:
         costs.mode = "wallclock"
-    pinned = None
-    if args.pin_config:
-        pinned = Configuration.from_string(args.pin_config).require_valid()
+    pinned = None if args.pin_config is None else args.pin_config.require_valid()
 
     table = MethodTable.from_traces(traces)
     out = Path(args.out)
@@ -583,14 +588,21 @@ def query_method(text: str) -> MethodId | tuple[str, str]:
     return MethodId(*parts) if len(parts) == 3 else (parts[0], parts[1])
 
 
-def _add_out(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    """--out falls back to the CROSSFLOW_OUT environment variable."""
-    env_default = os.environ.get(OUT_DIR_ENV)
-    parser.add_argument(
-        "--out",
-        default=env_default,
-        required=required and env_default is None,
-    )
+def pin_config(text: str) -> Configuration:
+    """argparse type of ``tune --pin-config``: six binary digits.  Whether
+    the configuration is valid is checked when ``tune`` runs (exit 4)."""
+    try:
+        return Configuration.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    """A required --out directory that falls back to the CROSSFLOW_OUT
+    environment variable, read when the parser is built; an empty variable
+    counts as unset."""
+    env_default = os.environ.get(OUT_DIR_ENV) or None
+    parser.add_argument("--out", default=env_default, required=env_default is None)
 
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
@@ -617,7 +629,7 @@ def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--tc", type=nonnegative_int, default=10)
     p.add_argument("--tt", type=nonnegative_float, default=0.0)
-    p.add_argument("--pin-config", default=None)
+    p.add_argument("--pin-config", type=pin_config, default=None)
     p.add_argument("--cost-model", default=None)
     p.add_argument("--wallclock", action="store_true")
     p.add_argument("--epsilon", type=unit_float, default=0.2)
@@ -680,29 +692,34 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` one that holds only
-    that command's subparser.
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the command ``name`` alone, which parses the words
+    after the command name.  Its help, usage line and errors read as those
+    of the subparser that ``build_parser`` makes for the command, and a
+    parse gives the namespace that ``build_parser`` gives for the same
+    words, ``command`` and ``func`` included."""
+    _, add_arguments, handler = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"crossflow {name}")
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, one subparser each.
 
     Building a subparser costs far more than parsing (each argument makes
-    a help formatter), so ``main`` builds just the one it runs.  The
-    one-command parser prints the same top-level usage line, which errors
-    such as unrecognized arguments show.  Only the full parser can reject
-    an unknown or missing command, and only there does the metavar stay
-    unset: argparse names the argument in those errors by its metavar.
+    a help formatter), so ``main`` builds this only for what it alone
+    prints: the top-level help, the error for an unknown or missing
+    command, and the errors reported under the top-level usage line.
     """
     parser = argparse.ArgumentParser(
         prog="crossflow",
         description="Trace-driven cross-process information-flow and "
         "dependence analysis toolkit",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
-    )
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -710,16 +727,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (default: ``sys.argv[1:]``) names.
+
+    When the first word names a command, only ``command_parser`` of it is
+    built; every other parse, and every error argparse reports under the
+    top-level usage line (unrecognized arguments, a ``metrics`` call
+    without input, a malformed ``query --method``), goes through
+    ``build_parser``, so help and usage errors print what the full parser
+    prints.  No parser outlives the call, so ``CROSSFLOW_OUT`` is read on
+    every call."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args, extras = None, []
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:  # no command word, or words the command does not take
+        args = build_parser().parse_args(argv)
     if args.command == "metrics" and not (args.run or args.depdata):
-        parser.error("metrics needs --run or --depdata")
+        build_parser().error("metrics needs --run or --depdata")
     if args.command == "query":
         try:
             args.method = query_method(args.method)
         except argparse.ArgumentTypeError as exc:
-            parser.error(f"argument --method: {exc}")
+            build_parser().error(f"argument --method: {exc}")
     try:
         return args.func(args)
     except (ScenarioError, ConfigurationError) as exc:

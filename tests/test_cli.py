@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import hashlib
 import json
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflow import cli
 from crossflow.cli import OUT_DIR_ENV, main
@@ -853,7 +856,9 @@ assert not heavy, heavy[:5]
 # COLUMNS=80 and CROSSFLOW_OUT unset, recorded while main built every
 # subparser on each call.  Python 3.10 to 3.12 print the same text; 3.13
 # wraps the top-level usage and words some errors differently, and 3.13.0
-# still quotes the choices of an invalid-choice error.
+# still quotes the choices of an invalid-choice error.  The pins after
+# "recorded with one subparser" were recorded while main built a full parser
+# holding only the invoked command's subparser.
 CLI_SURFACE = {
     "--help": "6df2b8811be6dbde3e24c7d676b1d8f80b8deabd7cc3749828d7a5ea2c0c0a51",
     "simulate --help": "0e54485a7dc3a660c351f2c267abcbe0cd82acfc64f419f168beeeac41bfcefb",
@@ -876,6 +881,14 @@ CLI_SURFACE = {
     "metrics": "93760e7b7fbd6c3717e40ff2846cf8dfd9f07e9fc25e989319b2b8002068bb02",
     "metrics --bogus": "84eb3d132c29745caadf158d93f12369636e3e81682d319986f4d8b24e197e14",
     "query --run r --method m extra": "7e09c9ba1f7edb8ff9dcbbb1a4626f1756a18b2732943c74cf54006cac104714",
+    # recorded with one subparser: help after an option, '=' forms and extra
+    # words, an unknown option after a good one, an ambiguous abbreviation
+    # and a missing value
+    "query --run r -h": "278782ff292321928b3eaa639a2a91a5ca7626416857761247b444c378b1c9a3",
+    "query --run=r --method=X.y a b": "f3e0b02f31f47faef0e051def8e07f974c01a42da3dade0a3a21ff9ca0a75c1d",
+    "metrics --run r --bogus": "84eb3d132c29745caadf158d93f12369636e3e81682d319986f4d8b24e197e14",
+    "flowpaths --st x": "ec11dbdc2989b9ba05f9697fed2ac8750fbc07e0b5fbb4b207f1b58fcb94c81f",
+    "query --run r --method": "268222cd9fa01fcc67304d6c5d5c5106d06d833ddd1088a5e102792220111a91",
 }
 CLI_SURFACE_313 = {
     "--help": "7c42d8b74f672d142d7d50f4af80d649f6ad6335561f1544318fbfcb2b181d3a",
@@ -886,6 +899,9 @@ CLI_SURFACE_313 = {
     "metrics": "6868fea920415e7299f2a5c7694f7b7c09a4ea75db6d64e41fd5ebec875c312f",
     "metrics --bogus": "a9bd07f54ca49a91b72b50e4d82dcfda1a34923d98fd5c24db08a31ca6561780",
     "query --run r --method m extra": "401a83ebba2ad0534202407c84367b60c532f9aaf1b93bf9a65748a8671d7d4a",
+    "query --run=r --method=X.y a b": "ca711db7264426d15c9c5363ddac42118e048a1b68206b90e9e9a70559a9476a",
+    "metrics --run r --bogus": "a9bd07f54ca49a91b72b50e4d82dcfda1a34923d98fd5c24db08a31ca6561780",
+    "flowpaths --st x": "803e29b48f7b59051f4b514a4105e16ec05fcc26dd86f8f48a60e65db58d460b",
 }
 CLI_SURFACE_3130 = {
     "bogus": "7fc20286195bb9b4afb124747df0c60460055c5a40f8fbc4ce946db9cc754211",
@@ -895,7 +911,7 @@ CLI_SURFACE_3130 = {
 @pytest.mark.parametrize("argv", sorted(CLI_SURFACE), ids=lambda a: a or "<none>")
 def test_cli_surface_matches_recorded_digest(capsys, monkeypatch, argv):
     """Help and usage errors are byte-identical whether main builds every
-    subparser or only the invoked one."""
+    subparser or parses with the invoked command's parser alone."""
     if sys.version_info >= (3, 14):
         pytest.skip("argparse output of this Python was not recorded")
     want = CLI_SURFACE[argv]
@@ -913,19 +929,105 @@ def test_cli_surface_matches_recorded_digest(capsys, monkeypatch, argv):
     assert hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest() == want
 
 
-def test_main_builds_a_parser_per_call_for_the_invoked_command(capsys, monkeypatch):
+def test_main_builds_a_parser_per_call_for_the_invoked_command(
+    tmp_path, capsys, monkeypatch
+):
+    """A valid command builds one parser, its own, afresh on every call;
+    help, an unknown or missing command and the errors under the top-level
+    usage line build the full parser as well (one per subparser too)."""
     built = []
-    real = cli.build_parser
+    real_init = argparse.ArgumentParser.__init__
 
-    def spy(command=None):
-        built.append(command)
-        return real(command)
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
-    for argv in (["query", "--help"], ["query", "--help"], ["--help"], ["bogus"], []):
-        with pytest.raises(SystemExit):
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    full = ["crossflow"] + [f"crossflow {name}" for name in cli.COMMANDS]
+
+    def progs(argv):
+        built.clear()
+        try:
             main(argv)
-    assert built == ["query", "query", None, None, None]
+        except SystemExit:
+            pass
+        return [parser.prog for parser in built]
+
+    for argv in (["quality"], ["query", "--help"], ["tune", "--tc", "x"]):
+        first = progs(argv)
+        parser = built[0]
+        assert first == progs(argv) == [f"crossflow {argv[0]}"]
+        assert built[0] is not parser
+    for argv in (["--help"], ["bogus"], []):
+        assert progs(argv) == full
+    for argv in (
+        ["metrics"],
+        ["query", "--run", str(tmp_path), "--method", "m", "extra"],
+        ["query", "--run", str(tmp_path), "--method", "m"],
+    ):
+        assert progs(argv) == [f"crossflow {argv[0]}"] + full
+
+
+def _thousandths(lo: int, hi: int):
+    """Decimal words n / 1000 for n in [lo, hi]: never in exponent form, so
+    argparse reads a negative one as a number, not an option."""
+    return st.integers(lo, hi).map(lambda n: str(n / 1000))
+
+
+# valid value words for each argparse type that cli uses
+VALUE_STRATEGIES = {
+    None: st.text(alphabet="ab./_ 01", max_size=6),
+    int: st.integers(-50, 50).map(str),
+    float: _thousandths(0, 10**6),
+    cli.positive_int: st.integers(1, 10**6).map(str),
+    cli.nonnegative_int: st.integers(0, 10**6).map(str),
+    cli.finite_float: _thousandths(-10**6, 10**6),
+    cli.positive_float: _thousandths(1, 10**6),
+    cli.nonnegative_float: _thousandths(0, 10**6),
+    cli.unit_float: _thousandths(0, 1000),
+    cli.pin_config: st.text(alphabet="01", min_size=6, max_size=6),
+}
+
+
+@st.composite
+def command_argv(draw, name):
+    """Valid words for the command ``name``: each option drawn 0-2 times (a
+    required one at least once), in any order, each spelled in full or by
+    an unambiguous prefix, with its value as the next word or after '='."""
+    parser = cli.command_parser(name)
+    long_options = [s for s in parser._option_string_actions if s.startswith("--")]
+    groups = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        option = action.option_strings[0]
+        spellings = [
+            option[:k] for k in range(3, len(option) + 1)
+            if [s for s in long_options if s.startswith(option[:k])] == [option]
+        ]
+        for _ in range(draw(st.integers(int(action.required), 2))):
+            spelling = draw(st.sampled_from(spellings))
+            if action.nargs == 0:
+                groups.append([spelling])
+                continue
+            if action.choices:
+                value = draw(st.sampled_from(list(action.choices)))
+            else:
+                value = draw(VALUE_STRATEGIES[action.type])
+            groups.append(
+                [f"{spelling}={value}"] if draw(st.booleans()) else [spelling, value]
+            )
+    return [name] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_command_parser_agrees_with_full_parser(name, data):
+    argv = data.draw(command_argv(name))
+    alone = cli.command_parser(name).parse_args(argv[1:])
+    assert vars(alone) == vars(cli.build_parser().parse_args(argv))
+    assert alone.command == name and alone.func is cli.COMMANDS[name][2]
 
 
 def test_out_env_read_on_every_call(tmp_path, capsys, monkeypatch):
@@ -934,6 +1036,22 @@ def test_out_env_read_on_every_call(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / name))
         assert main(["simulate", "--scenario", str(scen)]) == 0
         assert (tmp_path / name / "config.json").is_file()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", "s.json"],
+    ["flowpaths", "--bundle", "b", "--graphs", "g", "--config", "c"],
+    ["tune", "--bundle", "b", "--graphs", "g", "--budget", "1000"],
+])
+def test_empty_out_env_counts_as_unset(tmp_path, capsys, monkeypatch, command):
+    write_scenario(tmp_path / "s.json", length=30)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OUT_DIR_ENV, "")
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
 class TestInputReaders:
@@ -1279,6 +1397,22 @@ class TestMalformedInputs:
             self.tune(sim, tmp_path / "out", "--budget", "1000", f"{flag}={value}")
         assert exc.value.code == 2
         assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["11111", "1111x1", "", "1111111", " 11111"])
+    def test_malformed_pin_config_usage_error(self, tmp_path, capsys, value):
+        # a well-formed but invalid mask is exit 4 (test_invalid_pin_config_exit_4)
+        sim = run_sim(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            self.tune(sim, tmp_path / "out", "--budget", "1000", "--pin-config", value)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "argument --pin-config: configuration must be 6 binary digits,"
+            f" got {value!r}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_zero_thresholds_accepted(self, tmp_path, capsys):
