@@ -44,11 +44,13 @@ from .engine import (
     MethodTable,
     PinnedController,
     QLearnController,
+    RunFacts,
     arbitrate,
     dep_data_from_run,
     merge_query,
     method_event_stream,
     render_round_log,
+    run_facts,
 )
 from .metrics import (
     IPC_METRICS,
@@ -109,10 +111,12 @@ def _parse_method(text: str) -> MethodId:
     return MethodId(*parts)
 
 
-def _json_text(data) -> str:
-    """``data`` as the indented, key-sorted JSON text of a written file.
-    A NaN or infinite number is a ``ValueError``: JSON has no such value."""
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json_text(data, indent: int | None = 2) -> str:
+    """``data`` as the key-sorted JSON text of a written file, indented by
+    ``indent`` or, with ``None``, on one line (which ``json`` writes with its
+    C encoder; indenting runs its encoder in Python).  A NaN or infinite
+    number is a ``ValueError``: JSON has no such value."""
+    return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_object(path: Path) -> dict:
@@ -267,6 +271,7 @@ def cmd_tune(args) -> int:
     pinned = None if args.pin_config is None else args.pin_config.require_valid()
 
     table = MethodTable.from_traces(traces)
+    facts = run_facts(traces)  # before any output: unstamped traces have none
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     deps_files = {}
@@ -304,18 +309,105 @@ def cmd_tune(args) -> int:
         "seed": args.seed,
         "processes": sorted(traces),
         "deps_files": deps_files,
+        "facts": _facts_record(facts),
     }
-    write_output(out / "run.json", _json_text(run))
+    write_output(out / "run.json", _json_text(run, indent=None))
     print(f"wrote round logs and dependence maps under {out}")
     return 0
 
 
-def _load_run(run_dir: Path):
-    """The manifest, traces and dependence maps of a ``tune`` output
-    directory.  ``run.json`` must name the ``bundle`` and map each process
-    in ``deps_files`` to a file name, else a data error names it.  Each
-    non-blank line of a deps file must be ``dep <method> <method>``, else
-    a data error names the file and the line."""
+def _message_counts(value, path: Path, what: str) -> dict[tuple[str, str], int]:
+    """``value`` as message counts if it is a list of ``[from, to, count]``
+    with two process names and an integer; anything else is a data error
+    naming the file and the member ``what``."""
+    if not isinstance(value, list) or not all(
+        isinstance(item, list)
+        and len(item) == 3
+        and isinstance(item[0], str)
+        and isinstance(item[1], str)
+        and type(item[2]) is int
+        for item in value
+    ):
+        raise ValueError(f"{path}: {what} must be a list of [from, to, count]")
+    return {(a, b): n for a, b, n in value}
+
+
+def _is_ts(value) -> bool:
+    """True for a Lamport timestamp: a JSON integer of at least 1."""
+    return type(value) is int and value >= 1
+
+
+def _facts_record(facts: RunFacts) -> dict:
+    """The ``facts`` member of ``run.json``, which :func:`_load_facts`
+    reads back: lists rather than an object per method, so that encoding
+    stays cheap."""
+    return {
+        "methods": [
+            [*m, *facts.spans[m], facts.reach[m]] for m in sorted(facts.spans)
+        ],
+        "messages": [[*pair, n] for pair, n in sorted(facts.messages.items())],
+    }
+
+
+def _load_facts(manifest: dict, path: Path) -> RunFacts:
+    """The :class:`RunFacts` that ``tune`` recorded in ``run.json`` at
+    ``path``: ``facts`` holds ``methods``, a list of ``[process, class,
+    method, fe, lr, reach]`` with ``reach`` mapping processes to
+    timestamps, and ``messages``, a list of ``[from, to, count]``.  Every
+    process that a method or its ``reach`` names must be one of
+    ``processes``.  A manifest without facts, as ``tune`` wrote before it
+    recorded them, or a member of another shape is a data error naming the
+    file."""
+    facts = manifest.get("facts")
+    if facts is None:
+        raise ValueError(f"{path}: no run facts (written by an older tune); re-run tune")
+    processes = manifest.get("processes")
+    if not isinstance(processes, list) or not all(isinstance(p, str) for p in processes):
+        raise ValueError(f"{path}: 'processes' must be a list of process names")
+    methods = facts.get("methods") if isinstance(facts, dict) else None
+    if not isinstance(methods, list):
+        raise ValueError(f"{path}: 'facts' must hold a 'methods' list")
+    known = frozenset(processes)
+    spans: dict[MethodId, tuple[int, int]] = {}
+    reach: dict[MethodId, dict[str, int]] = {}
+    for entry in methods:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 6
+            and all(isinstance(part, str) and part for part in entry[:3])
+            and isinstance(entry[5], dict)
+        ):
+            raise ValueError(
+                f"{path}: each method of 'facts' must be"
+                f" [process, class, method, fe, lr, reach], got {entry!r}"
+            )
+        *name, fe, lr, hits = entry
+        method = MethodId(*name)
+        if not (_is_ts(fe) and _is_ts(lr) and all(map(_is_ts, hits.values()))):
+            raise ValueError(
+                f"{path}: the timestamps of {method.qualified()} in 'facts'"
+                " must be integers of at least 1"
+            )
+        unknown = ({method.process} | hits.keys()) - known
+        if unknown:
+            raise ValueError(
+                f"{path}: {method.qualified()} in 'facts' names process"
+                f" {min(unknown)!r}, which 'processes' does not list"
+            )
+        spans[method] = (fe, lr)
+        reach[method] = hits
+    messages = _message_counts(facts.get("messages"), path, "'messages' of 'facts'")
+    return RunFacts(spans, reach, messages)
+
+
+def _load_run(run_dir: Path) -> tuple[RunFacts, dict]:
+    """The run facts and the dependence maps of a ``tune`` output
+    directory, read from it alone: the trace bundle is not opened.
+    ``run.json`` must name the ``bundle`` it was tuned on, map each process
+    in ``deps_files`` to a file name and hold the facts that
+    :func:`_load_facts` reads, else a data error names it.  Each non-blank
+    line of a deps file must be ``dep <method> <method>``, else a data
+    error names the file and the line."""
     path = run_dir / "run.json"
     manifest = _load_object(path)
     bundle, deps_files = manifest.get("bundle"), manifest.get("deps_files")
@@ -325,7 +417,7 @@ def _load_run(run_dir: Path):
         isinstance(name, str) for name in deps_files.values()
     ):
         raise ValueError(f"{path}: 'deps_files' must map each process to a file name")
-    traces, _ = read_bundle(Path(bundle))
+    facts = _load_facts(manifest, path)
     per_process = {}
     for proc, name in deps_files.items():
         deps: dict[MethodId, set[MethodId]] = {}
@@ -346,7 +438,7 @@ def _load_run(run_dir: Path):
         per_process[proc] = {
             method: frozenset(members) for method, members in deps.items()
         }
-    return manifest, traces, per_process
+    return facts, per_process
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +447,8 @@ def _load_run(run_dir: Path):
 
 
 def cmd_query(args) -> int:
-    _, traces, per_process = _load_run(Path(args.run))
-    merged = merge_query(args.method, per_process, traces)
+    facts, per_process = _load_run(Path(args.run))
+    merged = merge_query(args.method, per_process, facts)
     for member in sorted(merged):
         print(member.qualified())
     return 0
@@ -390,21 +482,12 @@ def _dep_data_from_json(path: Path) -> DepData:
             raise ValueError(f"{path}: {key!r} must map each method to a list")
         return {parse(k): methods(vs, f"{key}[{k!r}]") for k, vs in value.items()}
 
-    messages = data.get("messages", [])
-    if not isinstance(messages, list) or not all(
-        isinstance(item, list)
-        and len(item) == 3
-        and isinstance(item[0], str)
-        and isinstance(item[1], str)
-        and type(item[2]) is int
-        for item in messages
-    ):
-        raise ValueError(f"{path}: 'messages' must be a list of [from, to, count]")
+    messages = _message_counts(data.get("messages", []), path, "'messages'")
     return DepData(
         local_ds=dep_sets("local"),
         remote_ds=dep_sets("remote"),
         executed=methods(data.get("executed"), "'executed'"),
-        messages={(a, b): n for a, b, n in messages},
+        messages=messages,
     )
 
 
@@ -420,8 +503,7 @@ def cmd_metrics(args) -> int:
     if args.depdata:
         dep = _dep_data_from_json(Path(args.depdata))
     else:
-        _, traces, per_process = _load_run(Path(args.run))
-        dep = dep_data_from_run(traces, per_process)
+        dep = dep_data_from_run(*_load_run(Path(args.run)))
     report = ipc_metrics(dep, table_rcc=args.table_rcc)
     text = render_ipc_report(report)
     return _emit(text, args.out)

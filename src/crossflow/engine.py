@@ -8,7 +8,11 @@ exceeds its sub-budget.  A controller (Q-learning by default, or pinned for
 the fixed-configuration baseline) picks the next configuration from the
 observed round cost.  Interprocess dependencies are derived at query time by
 merging the per-process results along the happens-before relation and basic
-message-passing semantics.
+message-passing semantics.  The facts of that relation which the merge reads
+(each method's span, the first recv of every other process that its first
+entry happens before, and the message count of each process pair) are
+computed once from the traces, when the run is tuned (:func:`run_facts`), so
+a query and the coupling metrics merge without the traces.
 
 Time is logical by default: a deterministic cost model maps (configuration,
 graph size, event count) to a cost, and the arbiter clock advances by event
@@ -20,15 +24,16 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .config import Configuration, MOST_PRECISE
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import (
-    EventGraph, MethodId, ProcessTrace, first_entries, method_spans, reached_methods, read_json,
+    EventGraph, EventRecord, MethodId, ProcessTrace, method_spans, reached_methods, read_json,
 )
 
 # shares of a total budget: graph construction, loading, dependence computation
@@ -506,10 +511,67 @@ def render_round_log(rounds: Iterable[RoundRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
+class RunFacts(NamedTuple):
+    """The facts of a run's traces that ``query`` and ``metrics`` read,
+    computed once by :func:`run_facts` when ``tune`` has the traces.
+
+    ``spans`` maps each executed method to its (fe, lr), the timestamps of
+    its first entry and of its last method or message event
+    (:func:`method_spans`); ``reach`` maps it to the ts of the first recv of
+    each other process that its first entry happens before; ``messages``
+    counts the messages of each (sender, receiver) process pair."""
+
+    spans: dict[MethodId, tuple[int, int]]
+    reach: dict[MethodId, dict[str, int]]
+    messages: dict[tuple[str, str], int]
+
+
+def run_facts(traces: Mapping[str, ProcessTrace]) -> RunFacts:
+    """The :class:`RunFacts` of stamped ``traces``.
+
+    A message is counted for the process whose recv has its ``msg_id``;
+    only a message that no recv took falls back to its send's ``peer``,
+    and one with neither is left out.  Influence leaves a process only
+    through its sends, so every first entry before the same next send of
+    its process reaches the same recvs, which are looked up once."""
+    # one pass: each method's first entry, each process's sends and the
+    # receiver of each message
+    entries: dict[MethodId, EventRecord] = {}
+    sends: dict[str, list[EventRecord]] = {}
+    receiver: dict[str, str] = {}
+    for proc in sorted(traces):
+        own = sends[proc] = []
+        for ev in traces[proc].events:
+            if ev.kind == "entry":
+                entries.setdefault(ev.method, ev)
+            elif ev.kind == "send":
+                own.append(ev)
+            elif ev.kind == "recv":
+                receiver[ev.msg_id] = proc
+    spans = method_spans(traces, entries)
+    graph = EventGraph(traces)
+
+    messages: dict[tuple[str, str], int] = {}
+    for proc, own in sends.items():
+        for ev in own:
+            to = receiver.get(ev.msg_id, ev.peer)
+            if to is not None:
+                messages[proc, to] = messages.get((proc, to), 0) + 1
+    send_seqs = {proc: [ev.seq for ev in own] for proc, own in sends.items()}
+    reach: dict[MethodId, dict[str, int]] = {}
+    by_next_send: dict[tuple[str, int], dict[str, int]] = {}
+    for m, ev in entries.items():
+        key = (m.process, bisect_left(send_seqs[m.process], ev.seq))
+        if key not in by_next_send:
+            by_next_send[key] = graph.first_reached_ts(ev)
+        reach[m] = by_next_send[key]
+    return RunFacts(spans, reach, messages)
+
+
 def merge_query(
     query: MethodId | tuple[str, str],
     per_process: Mapping[str, Mapping[MethodId, frozenset[MethodId]]],
-    traces: Mapping[str, ProcessTrace],
+    facts: RunFacts,
 ) -> frozenset[MethodId]:
     """Merge per-process dependence sets for a query into the final set.
 
@@ -522,23 +584,21 @@ def merge_query(
     message-induced dependents of shared code would be dropped).
     """
     key = query.code_key if isinstance(query, MethodId) else tuple(query)
-    entries = first_entries(traces)
-    spans = method_spans(traces, entries)
+    spans = facts.spans
     instances = {m: span for m, span in spans.items() if m.code_key == key}
     if not instances:
         return frozenset()
 
     anchor = min(instances, key=lambda m: (instances[m][0], m.process))
-    reach = EventGraph(traces).first_reached_ts(entries[anchor])
     members: set[MethodId] = set()
-    for m in instances.keys() | reached_methods(spans, reach):
+    for m in instances.keys() | reached_methods(spans, facts.reach[anchor]):
         local = per_process.get(m.process, {})
         members |= local.get(m, frozenset()) | {m}
     return frozenset(members)
 
 
 def dep_data_from_run(
-    traces: Mapping[str, ProcessTrace],
+    facts: RunFacts,
     per_process: Mapping[str, Mapping[MethodId, frozenset[MethodId]]],
 ):
     """Assemble coupling-metric inputs from per-process dependence results.
@@ -546,33 +606,21 @@ def dep_data_from_run(
     Local dependents of a method are its intraprocess impact set (minus
     itself); remote dependents are the methods of other processes that a
     message chain from the method's first entry reached by their last event
-    (which therefore postdates that entry).  Message counts come straight
-    from send events.
+    (which therefore postdates that entry).  Message counts are those of
+    ``facts``.
     """
     from .metrics import DepData  # local import to avoid a cycle
 
-    entries = first_entries(traces)
-    spans = method_spans(traces, entries)
-    graph = EventGraph(traces)
-
+    spans = facts.spans
     local_ds = {}
     remote_ds = {}
     for m in sorted(spans):
         intra = per_process.get(m.process, {}).get(m, frozenset())
         local_ds[m] = frozenset(x for x in intra if x != m)
-        remote_ds[m] = frozenset(
-            reached_methods(spans, graph.first_reached_ts(entries[m]))
-        )
-
-    messages: dict[tuple[str, str], int] = {}
-    for proc in sorted(traces):
-        for ev in traces[proc].events:
-            if ev.kind == "send":
-                pair = (proc, ev.peer)
-                messages[pair] = messages.get(pair, 0) + 1
+        remote_ds[m] = frozenset(reached_methods(spans, facts.reach[m]))
     return DepData(
         local_ds=local_ds,
         remote_ds=remote_ds,
         executed=frozenset(spans),
-        messages=messages,
+        messages=facts.messages,
     )

@@ -572,6 +572,9 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
     guards: dict[str, Optional[str]] = {}
     icfg: dict[str, list[str]] = {}
     callsites: dict[MethodId, list[tuple[MethodId, Stmt]]] = {}
+    # (caller, call statement) -> the first position of an equal statement
+    # in the caller's body, as ``stmts.index`` finds it, in one pass
+    call_pos: dict[tuple[MethodId, Stmt], int] = {}
     field_defs: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
     field_uses: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
     edges: set[DepEdge] = set()       # in every variant
@@ -581,11 +584,12 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
     for body in model.bodies.values():
         _intra_edges(body, edges, flow_extra, icfg)
         proc = body.method.process
-        for stmt in body.stmts:
+        for pos, stmt in enumerate(body.stmts):
             nodes[stmt.stmt_id] = body.method
             guards[stmt.stmt_id] = stmt.guard
             if stmt.kind == "call":
                 callsites.setdefault(stmt.callee, []).append((body.method, stmt))
+                call_pos.setdefault((body.method, stmt), pos)
             elif stmt.kind == "field_set":
                 field_defs.setdefault((proc, stmt.field_name), []).append(
                     (body.method, stmt)
@@ -634,7 +638,7 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
                     DepEdge("inter_adjacent", s.stmt_id, call_stmt.stmt_id)
                 )
             caller_stmts = model.bodies[caller].stmts
-            idx = caller_stmts.index(call_stmt)
+            idx = call_pos[caller, call_stmt]
             if exit_stmt and idx + 1 < len(caller_stmts):
                 icfg.setdefault(exit_stmt, []).append(
                     caller_stmts[idx + 1].stmt_id

@@ -18,9 +18,9 @@ import re
 import stat
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, islice
+from itertools import compress, groupby, islice
 from operator import attrgetter, le, lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -136,6 +136,8 @@ class ProcessTrace:
 
     process: str
     events: tuple[EventRecord, ...]
+    # every event has a ts; found by the checks of __post_init__
+    stamped: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the checks of _check_order in C-level passes: each distinct
@@ -144,12 +146,14 @@ class ProcessTrace:
         events = self.events
         seqs = list(map(attrgetter("seq"), events))
         stamps = list(map(attrgetter("ts"), events))
+        stamped = None not in stamps
+        object.__setattr__(self, "stamped", stamped)
         if not (
             all(m.process == self.process for m in set(map(attrgetter("method"), events)))
             and all(map(lt, seqs, islice(seqs, 1, None)))
             and (
                 all(map(le, stamps, islice(stamps, 1, None)))
-                if None not in stamps
+                if stamped
                 else stamps.count(None) == len(stamps)
             )
         ):
@@ -171,10 +175,6 @@ class ProcessTrace:
                 if ev.ts is not None and prev.ts is not None and ev.ts < prev.ts:
                     raise EventOrderError("timestamps decrease along trace", i)
             prev = ev
-
-    @property
-    def stamped(self) -> bool:
-        return None not in map(attrgetter("ts"), self.events)
 
 
 TraceMap = dict[str, ProcessTrace]
@@ -285,23 +285,25 @@ class EventGraph:
         current = {p: [-1] * len(procs) for p in procs}
         sent: dict[str, list[int]] = {}
         received: set[str] = set()
+        index = self._index
         for ev in merge_global(traces, MESSAGE_KINDS):
-            clock = current[ev.process]
-            clock[self._index[ev.process]] = ev.seq
+            proc, msg = ev.method.process, ev.msg_id
+            clock = current[proc]
+            clock[index[proc]] = ev.seq
             if ev.kind == "send":
-                if ev.msg_id in sent:
-                    raise MalformedTraceError(f"duplicate send msg_id {ev.msg_id!r}")
-                if ev.msg_id in received:
-                    raise CausalityError(f"recv of {ev.msg_id!r} is stamped before its send")
-                sent[ev.msg_id] = clock.copy()
+                if msg in sent:
+                    raise MalformedTraceError(f"duplicate send msg_id {msg!r}")
+                if msg in received:
+                    raise CausalityError(f"recv of {msg!r} is stamped before its send")
+                sent[msg] = clock.copy()
             else:
-                if ev.msg_id in received:
-                    raise MalformedTraceError(f"duplicate recv msg_id {ev.msg_id!r}")
-                received.add(ev.msg_id)
-                if ev.msg_id in sent:
-                    clock[:] = map(max, clock, sent[ev.msg_id])
-                self._recvs[ev.process].append(ev)
-                clocks[ev.process].append(tuple(clock))
+                if msg in received:
+                    raise MalformedTraceError(f"duplicate recv msg_id {msg!r}")
+                received.add(msg)
+                if msg in sent:
+                    clock[:] = map(max, clock, sent[msg])
+                self._recvs[proc].append(ev)
+                clocks[proc].append(tuple(clock))
         # _columns[p][i]: component i of p's recv clocks in program order,
         # nondecreasing; component p of a recv's clock is its own seq
         self._columns = {p: list(zip(*clocks[p])) for p in procs}
@@ -309,23 +311,29 @@ class EventGraph:
     def downstream_recvs(self, start: EventRecord) -> list[EventRecord]:
         """All recv events that ``start`` happens before, each process's in
         program order."""
-        i = self._index[start.process]
+        own, seq = start.method.process, start.seq
+        i = self._index[own]
         out = []
         for proc, recvs in self._recvs.items():
             if recvs:
                 # a recv of start's own process must come after start
-                bound = start.seq + 1 if proc == start.process else start.seq
+                bound = seq + 1 if proc == own else seq
                 out.extend(recvs[bisect_left(self._columns[proc][i], bound):])
         return out
 
     def first_reached_ts(self, start: EventRecord) -> dict[str, int]:
         """Per process other than ``start``'s, the ts of its first recv that
-        ``start`` happens before."""
-        out: dict[str, int] = {}
-        for recv in self.downstream_recvs(start):
-            if recv.process != start.process:
-                out.setdefault(recv.process, recv.ts)
-        return out
+        ``start`` happens before, in process order.  Each process's recvs
+        are one run of :meth:`downstream_recvs`, so only the first event of
+        each run is looked at in Python."""
+        own = start.method.process
+        return {
+            proc: next(recvs).ts
+            for proc, recvs in groupby(
+                self.downstream_recvs(start), attrgetter("method.process")
+            )
+            if proc != own
+        }
 
 
 SPAN_EVENT_KINDS = frozenset({"entry", "returned_into", "send", "recv"})
@@ -354,7 +362,10 @@ def method_spans(
     their own and are excluded, so spans are identical whether a trace holds
     all instances or only the first/last ones.  fe comes from ``entries``,
     the :func:`first_entries` of the traces, which a caller that needs
-    them too passes in; without it they are computed here.
+    them too passes in; without it they are computed here.  A method's
+    events are all in its process's trace, whose stamps never decrease
+    (:class:`ProcessTrace`), so its last span event there has its largest
+    ts.
     """
     if entries is None:
         entries = first_entries(traces)
@@ -362,7 +373,7 @@ def method_spans(
     for trace in traces.values():
         for ev in trace.events:
             if ev.kind in SPAN_EVENT_KINDS:
-                last_event[ev.method] = max(last_event.get(ev.method, 0), ev.ts)
+                last_event[ev.method] = ev.ts
     return {m: (ev.ts, last_event[m]) for m, ev in entries.items()}
 
 

@@ -29,6 +29,7 @@ from crossflow.engine import (
     arbitrate,
     merge_query,
     method_event_stream,
+    run_facts,
 )
 from crossflow.metrics import DepData, ipc_metrics
 from crossflow.methodpaths import (
@@ -278,6 +279,7 @@ def test_criterion_5_subsumption_and_recall():
         traces, truth = simulate(model, sc)
         graphs = all_graph_variants(model)
         table = MethodTable.from_traces(traces)
+        facts = run_facts(traces)
         coverage_by_proc = {
             proc: {
                 ev.stmt_id for ev in traces[proc].events
@@ -308,7 +310,7 @@ def test_criterion_5_subsumption_and_recall():
                 if m1.process == m2.process:
                     assert m2 in per_proc[m1.process][m1], (sc, enc, m1, m2)
                 else:
-                    merged = merge_query(m1, per_proc, traces)
+                    merged = merge_query(m1, per_proc, facts)
                     merged_checks += 1
                     assert m2 in merged, (sc, enc, m1, m2)
     elapsed = time.perf_counter() - t0

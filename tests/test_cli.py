@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +260,13 @@ class TestFlowpaths:
             "--out", str(tmp_path / "fp"),
         ])
         assert code == 3
+        assert "duplicate recv msg_id 'm0'" in capsys.readouterr().err
+        # tune checks the messages too, as it records the run facts
+        assert main([
+            "tune", "--bundle", str(bundle), "--graphs", str(sim / "graphs"),
+            "--budget", "1000", "--out", str(tmp_path / "run"),
+        ]) == 3
+        assert not (tmp_path / "run").exists()
         assert "duplicate recv msg_id 'm0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--path-limit", "--stmt-path-limit"])
@@ -1270,6 +1278,57 @@ def test_query_and_metrics_match_recorded_digests(tmp_path, capsys):
     assert got == DEPSET_DIGESTS
 
 
+def test_query_and_metrics_read_no_trace_file(tmp_path, capsys):
+    # run.json holds the facts of the traces: with the bundle gone, query
+    # and metrics still give the recorded digests
+    sim = run_sim(tmp_path, **DEPSET_SCENARIO)
+    run = tmp_path / "run"
+    assert main([
+        "tune",
+        "--bundle", str(sim / "traces"),
+        "--graphs", str(sim / "graphs"),
+        "--budget", "100000", "--tc", "4", "--seed", "5",
+        "--out", str(run),
+    ]) == 0
+    shutil.rmtree(sim / "traces")
+    got = {}
+    for key in DEPSET_DIGESTS:
+        capsys.readouterr()
+        if key[0] == "query":
+            code = main(["query", "--run", str(run), "--method", key[1]])
+        else:
+            code = main(["metrics", "--run", str(run)])
+        out = capsys.readouterr().out
+        got[key] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == DEPSET_DIGESTS
+
+
+def test_metrics_count_a_send_without_peer_for_its_receiver(tmp_path, capsys):
+    # a message goes to the process whose recv has its msg_id, whether or
+    # not its send names the peer
+    sim = run_sim(tmp_path, topology="n_tier", tiers=3, seed=1, length=200)
+    bare = tmp_path / "bare"
+    shutil.copytree(sim / "traces", bare)
+    trace = bare / "p1.trace"
+    lines = trace.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "send")
+    record = json.loads(lines[i])
+    del record["peer"]
+    lines[i] = json.dumps(record, sort_keys=True) + "\n"
+    trace.write_text("".join(lines))
+    reports = []
+    for bundle in (sim / "traces", bare):
+        run = tmp_path / f"run_{bundle.name}"
+        assert main([
+            "tune", "--bundle", str(bundle), "--graphs", str(sim / "graphs"),
+            "--budget", "100000", "--tc", "4", "--out", str(run),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "--run", str(run)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 # sha256 over the configuration, name and bytes of every file but run.json
 # that `tune --pin-config C` writes, for each of the 26 valid C in order,
 # recorded while every static round lifted the statement edges of its graph
@@ -1536,8 +1595,21 @@ class TestMalformedInputs:
         ({"deps_files": None}, "'deps_files' must map each process to a file name"),
         ({"bundle": None}, "'bundle' must be a path"),
         ({"bundle": 5}, "'bundle' must be a path"),
+        ({"facts": None}, "no run facts (written by an older tune); re-run tune"),
+        ({"facts": {"methods": [["p0", "Main", "run", 1, 2]], "messages": []}},
+         "each method of 'facts' must be [process, class, method, fe, lr, reach],"
+         " got ['p0', 'Main', 'run', 1, 2]"),
+        ({"facts": {"methods": [["p0", "Main", "run", 1, 2.5, {}]], "messages": []}},
+         "the timestamps of p0.Main.run in 'facts' must be integers of at least 1"),
+        ({"facts": {"methods": [["p0", "Main", "run", 1, 9, {"p1": "3"}]], "messages": []}},
+         "the timestamps of p0.Main.run in 'facts' must be integers of at least 1"),
+        ({"facts": {"methods": [["p0", "Main", "run", 1, 9, {"p9": 3}]], "messages": []}},
+         "p0.Main.run in 'facts' names process 'p9', which 'processes' does not list"),
+        ({"facts": {"methods": [], "messages": [["p0", "p1", "2"]]}},
+         "'messages' of 'facts' must be a list of [from, to, count]"),
     ], ids=["deps-files-list", "deps-file-number", "no-deps-files", "no-bundle",
-            "bundle-number"])
+            "bundle-number", "no-facts", "method-of-five", "lr-fraction",
+            "reach-ts-string", "reach-unknown-process", "message-count-string"])
     def test_bad_run_manifest_exit_3_names_it(self, tmp_path, capsys, change, message):
         sim = run_sim(tmp_path)
         run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
@@ -1548,6 +1620,23 @@ class TestMalformedInputs:
         for argv in (["query", "--method", "Main.run"], ["metrics"]):
             assert main([*argv, "--run", str(run)]) == 3
             assert capsys.readouterr().err == f"error: bad input data: {path}: {message}\n"
+
+    def test_unstamped_bundle_exit_3_before_any_output(self, tmp_path, capsys):
+        sim = run_sim(tmp_path)
+        for trace in (sim / "traces").glob("*.trace"):
+            records = [json.loads(line) for line in trace.read_text().splitlines()]
+            trace.write_text("".join(
+                json.dumps({k: v for k, v in r.items() if k != "ts"}) + "\n"
+                for r in records
+            ))
+        assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
+        assert capsys.readouterr().err == "error: trace of p0 is not stamped\n"
+        assert not (tmp_path / "run").exists()
+        assert main([
+            "flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"), "--out", str(tmp_path / "flows"),
+        ]) == 3
+        assert capsys.readouterr().err == "error: trace of p0 is not stamped\n"
 
     @pytest.mark.parametrize("vulns,message", [
         ({"entries": 5}, "'entries' must be a list of [cvss, years]"),

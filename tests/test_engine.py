@@ -20,10 +20,13 @@ from crossflow.engine import (
     lift_method_edges,
     merge_query,
     method_event_stream,
+    run_facts,
 )
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.staticgraph import StaticDepGraph
-from crossflow.trace import EventRecord, MethodId, method_spans, stamp_lamport
+from crossflow.trace import (
+    EventGraph, EventRecord, MethodId, first_entries, method_spans, stamp_lamport,
+)
 
 from oracles import remote_deps_oracle
 
@@ -346,7 +349,7 @@ class TestMergeQuery:
     def test_unexecuted_query_empty(self):
         raw = {"A": [EventRecord("entry", mid("A", "m"), 0)]}
         traces = stamp_lamport(raw)
-        ds = merge_query(("Main", "ghost"), {}, traces)
+        ds = merge_query(("Main", "ghost"), {}, run_facts(traces))
         assert ds == frozenset()
 
     def test_single_process_equals_intra(self):
@@ -364,7 +367,7 @@ class TestMergeQuery:
         # message rule; for a purely local util method the merge equals
         # the intraprocess set
         q = mid("p0", "scratch", "Util")
-        merged = merge_query(q, per_proc, traces)
+        merged = merge_query(q, per_proc, run_facts(traces))
         assert per_proc["p0"][q] <= merged
 
     def test_two_process_message_gating(self):
@@ -389,7 +392,7 @@ class TestMergeQuery:
             )
             for proc in traces
         }
-        merged = merge_query(ma, per_proc, traces)
+        merged = merge_query(ma, per_proc, run_facts(traces))
         assert mb in merged
 
         no_msg = {
@@ -406,12 +409,13 @@ class TestMergeQuery:
             )
             for proc in traces2
         }
-        merged2 = merge_query(ma, per2, traces2)
+        merged2 = merge_query(ma, per2, run_facts(traces2))
         assert mb not in merged2
 
     def test_interprocess_ground_truth_recalled(self):
         for sc in SCENARIOS:
             model, traces, truth, graphs, coverage, table = seeded_run(sc)
+            facts = run_facts(traces)
             for cfg in [C("111111"), C("000100"), C("100100")]:
                 per_proc = {
                     proc: deps_of(
@@ -423,7 +427,7 @@ class TestMergeQuery:
                 for m1, m2 in truth.dyn_dep:
                     if m1.process == m2.process:
                         continue
-                    merged = merge_query(m1, per_proc, traces)
+                    merged = merge_query(m1, per_proc, facts)
                     assert m2 in merged, (sc, cfg.encode(), m1, m2)
 
 
@@ -442,6 +446,19 @@ def remote_runs():
               EventRecord("recv", serve, 2, msg_id="m0", peer="A")],
     }
     yield "early-span", stamp_lamport(raw)
+    # A.late enters after A's first send: it reaches C but not B
+    late, c_serve = mid("A", "late"), mid("C", "serve")
+    raw = {
+        "A": [EventRecord("entry", go, 0),
+              EventRecord("send", go, 1, msg_id="m0", peer="B"),
+              EventRecord("entry", late, 2),
+              EventRecord("send", late, 3, msg_id="m1", peer="C")],
+        "B": [EventRecord("entry", serve, 0),
+              EventRecord("recv", serve, 1, msg_id="m0", peer="A")],
+        "C": [EventRecord("entry", c_serve, 0),
+              EventRecord("recv", c_serve, 1, msg_id="m1", peer="A")],
+    }
+    yield "late-entry", stamp_lamport(raw)
 
 
 class TestRemoteDependence:
@@ -452,17 +469,38 @@ class TestRemoteDependence:
         for name, traces in remote_runs():
             want = remote_deps_oracle(traces)
             assert any(want.values()), name
-            assert dict(dep_data_from_run(traces, {}).remote_ds) == want, name
+            assert dict(dep_data_from_run(run_facts(traces), {}).remote_ds) == want, name
+
+    def test_run_facts_equal_a_lookup_per_method_and_message(self):
+        # reach is looked up once per next send; each method's own lookup
+        # gives the same; each message counts for the process that took it
+        for name, traces in remote_runs():
+            facts = run_facts(traces)
+            graph = EventGraph(traces)
+            entries = first_entries(traces)
+            assert facts.spans == method_spans(traces), name
+            assert facts.reach == {
+                m: graph.first_reached_ts(ev) for m, ev in entries.items()
+            }, name
+            taken = {
+                ev.msg_id: proc for proc, t in traces.items()
+                for ev in t.events if ev.kind == "recv"
+            }
+            pairs = [
+                (proc, taken[ev.msg_id]) for proc, t in traces.items()
+                for ev in t.events if ev.kind == "send"
+            ]
+            assert facts.messages == {pair: pairs.count(pair) for pair in pairs}, name
 
     def test_merge_query_remote_members_equal_oracle(self):
         for name, traces in remote_runs():
             want = remote_deps_oracle(traces)
-            spans = method_spans(traces)
+            spans, facts = method_spans(traces), run_facts(traces)
             for m in spans:
                 twins = {t for t in spans if t.code_key == m.code_key}
                 anchor = min(twins, key=lambda t: (spans[t][0], t.process))
                 if anchor == m:
-                    merged = merge_query(m, {}, traces)
+                    merged = merge_query(m, {}, facts)
                     assert merged == {m} | twins | want[m], (name, m)
 
     def test_merge_query_joins_a_twin_no_message_reached(self):
@@ -475,5 +513,5 @@ class TestRemoteDependence:
         }
         traces = stamp_lamport(raw)
         per_process = {"B": {go_b: frozenset({go_b, helper})}}
-        merged = merge_query(go_a, per_process, traces)
+        merged = merge_query(go_a, per_process, run_facts(traces))
         assert merged == {go_a, go_b, helper}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossflow.engine import dep_data_from_run
+from crossflow.engine import dep_data_from_run, run_facts
 from crossflow.methodpaths import method_ds
 from crossflow.metrics import (
     DepData,
@@ -218,7 +218,7 @@ def simulated_dep_data(sc: Scenario) -> DepData:
         per_process.setdefault(q.process, {})[q] = frozenset(
             x for x in method_ds(q, spans, influenced) if x.process == q.process
         )
-    return dep_data_from_run(traces, per_process)
+    return dep_data_from_run(run_facts(traces), per_process)
 
 
 def assert_reports_equal(dep: DepData) -> None:
