@@ -9,10 +9,9 @@ Exit codes: 0 success (possibly empty results), 2 usage (a missing input
 file, an input or output path that cannot be opened as the command needs,
 and a write the system refuses, such as on a full disk, included; the
 message names the file), 3 data or format error, 4 invalid analysis
-configuration.  Every output file is written through ``trace.write_output``
-(a whole text) or ``trace.open_output`` (a report written a piece at a
-time), which rewrite it in place; every input is read through
-``trace.read_text``.
+configuration.  Every output file is written through ``trace.write_output``,
+which takes a whole text or, for a long report, its pieces and rewrites the
+file in place; every input is read through ``trace.read_text``.
 
 ``main`` parses a command's words with that command's parser alone
 (``command_parser``); the parser of every command (``build_parser``) is
@@ -31,7 +30,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 OUT_DIR_ENV = "CROSSFLOW_OUT"
 
@@ -86,7 +85,7 @@ from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_count
 from .trace import (
     MethodId,
     TraceError,
-    open_output,
+    json_text,
     read_bundle,
     read_json,
     read_text,
@@ -109,14 +108,6 @@ def _parse_method(text: str) -> MethodId:
     if len(parts) != 3:
         raise ValueError(f"method must be process.Class.method, got {text!r}")
     return MethodId(*parts)
-
-
-def _json_text(data, indent: int | None = 2) -> str:
-    """``data`` as the key-sorted JSON text of a written file, indented by
-    ``indent`` or, with ``None``, on one line (which ``json`` writes with its
-    C encoder; indenting runs its encoder in Python).  A NaN or infinite
-    number is a ``ValueError``: JSON has no such value."""
-    return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_object(path: Path) -> dict:
@@ -187,17 +178,14 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_bundle(out / "traces", traces, dataclasses.asdict(scenario))
     write_graph_set(out / "graphs", all_graph_variants(model))
-    with open_output(out / "groundtruth.jsonl") as fh:
-        for m1, m2 in sorted(truth.dyn_dep):
-            fh.write(json.dumps(
-                {"type": "dep", "from": m1.qualified(), "to": m2.qualified()}
-            ) + "\n")
-        for path in sorted(truth.dyn_paths):
-            fh.write(json.dumps({"type": "path", "stmts": list(path)}) + "\n")
+    records = [{"type": "dep", "from": m1.qualified(), "to": m2.qualified()}
+               for m1, m2 in sorted(truth.dyn_dep)]
+    records += [{"type": "path", "stmts": list(path)} for path in sorted(truth.dyn_paths)]
+    write_output(out / "groundtruth.jsonl", (json.dumps(r) + "\n" for r in records))
     cfg = model.default_cfg()
     write_output(
         out / "config.json",
-        _json_text({"sources": sorted(cfg.sources), "sinks": sorted(cfg.sinks)}),
+        json_text({"sources": sorted(cfg.sources), "sinks": sorted(cfg.sinks)}),
     )
     print(f"wrote bundle, graphs, ground truth under {out}")
     return 0
@@ -208,19 +196,19 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# lines per write of phase2.txt, which can run to megabytes: a batch bounds
-# the text held at once to a few hundred kilobytes (phase1.txt is written
-# one segment at a time, see render_paths)
+# lines per joined piece of phase2.txt, which can run to megabytes: a batch
+# bounds the text held at once to a few hundred kilobytes (phase1.txt is
+# written one segment at a time, see render_paths)
 REPORT_BATCH_LINES = 2000
 
 
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    """Write ``lines`` to ``path``, each ended by a newline, in batches of
-    ``REPORT_BATCH_LINES``; no lines, an empty file."""
-    with open_output(path) as fh:
-        for start in range(0, len(lines), REPORT_BATCH_LINES):
-            fh.write("\n".join(lines[start:start + REPORT_BATCH_LINES]))
-            fh.write("\n")
+def _line_pieces(lines: Sequence[str]) -> Iterator[str]:
+    """The text of ``lines``, each ended by a newline, as pieces: each
+    batch of ``REPORT_BATCH_LINES`` joined, then its last newline; no
+    lines, no pieces."""
+    for start in range(0, len(lines), REPORT_BATCH_LINES):
+        yield "\n".join(lines[start:start + REPORT_BATCH_LINES])
+        yield "\n"
 
 
 def cmd_flowpaths(args) -> int:
@@ -239,9 +227,8 @@ def cmd_flowpaths(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open_output(out / "phase1.txt") as fh:
-        fh.writelines(render_paths(result.phase1))
-    _write_lines(out / "phase2.txt", render_stmt_paths(result.phase2))
+    write_output(out / "phase1.txt", render_paths(result.phase1))
+    write_output(out / "phase2.txt", _line_pieces(render_stmt_paths(result.phase2)))
     counts = summary_counts(result.phase2)
     counts["phase1_paths"] = len(result.phase1.paths)
     counts["phase1_truncated"] = int(result.phase1.truncated)
@@ -271,7 +258,7 @@ def cmd_tune(args) -> int:
     pinned = None if args.pin_config is None else args.pin_config.require_valid()
 
     table = MethodTable.from_traces(traces)
-    facts = run_facts(traces)  # before any output: unstamped traces have none
+    facts = run_facts(traces)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     deps_files = {}
@@ -311,7 +298,7 @@ def cmd_tune(args) -> int:
         "deps_files": deps_files,
         "facts": _facts_record(facts),
     }
-    write_output(out / "run.json", _json_text(run, indent=None))
+    write_output(out / "run.json", json_text(run, indent=None))
     print(f"wrote round logs and dependence maps under {out}")
     return 0
 
@@ -543,7 +530,7 @@ def cmd_quality(args) -> int:
             n_non_nvd, vuln_entries, corrected=args.vuln_corrected
         ),
     }
-    return _emit(_json_text(vector), args.out)
+    return _emit(json_text(vector), args.out)
 
 
 def _load_rows(path: Path) -> dict[str, list]:

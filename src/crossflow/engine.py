@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .config import Configuration, MOST_PRECISE
+from .metrics import DepData
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import (
@@ -609,8 +610,6 @@ def dep_data_from_run(
     (which therefore postdates that entry).  Message counts are those of
     ``facts``.
     """
-    from .metrics import DepData  # local import to avoid a cycle
-
     spans = facts.spans
     local_ds = {}
     remote_ds = {}

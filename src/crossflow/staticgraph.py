@@ -16,13 +16,12 @@ message events by the path analyses.
 from __future__ import annotations
 
 import errno
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .trace import MethodId, read_json, read_text, write_output
+from .trace import MethodId, json_text, read_json, read_text, write_output
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -267,9 +266,7 @@ def write_graph_set(
         name = f"graph_{key}.txt"
         manifest["variants"][key] = name
         write_graph(directory / name, graph)
-    write_output(
-        directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    write_output(directory / "manifest.json", json_text(manifest))
 
 
 class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):

@@ -17,13 +17,12 @@ import os
 import re
 import stat
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, groupby, islice
 from operator import attrgetter, le, lt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 EVENT_KINDS = frozenset(
     {"entry", "returned_into", "send", "recv", "branch", "stmt_cover"}
@@ -470,9 +469,9 @@ def event_to_record(ev: EventRecord) -> dict:
 
 
 def write_trace(path: Path, trace: ProcessTrace) -> None:
-    with open_output(path) as fh:
-        for ev in trace.events:
-            fh.write(json.dumps(event_to_record(ev), sort_keys=True) + "\n")
+    write_output(path, (
+        json.dumps(event_to_record(ev), sort_keys=True) + "\n" for ev in trace.events
+    ))
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -604,15 +603,14 @@ def write_bundle(
         "processes": sorted(traces),
         "files": {proc: f"{proc}.trace" for proc in sorted(traces)},
     }
-    write_output(
-        directory / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    write_output(directory / "manifest.json", json_text(manifest))
     for proc, trace in traces.items():
         write_trace(directory / manifest["files"][proc], trace)
 
 
 # the size of the first read of an input; a read that fills its buffer is
-# followed by one sized to the whole file, so a large file takes a few reads
+# followed by one sized to the whole file, so a large file takes a few reads.
+# Also the size, in characters, of a chunk of an output written in pieces
 READ_CHUNK = 1 << 16
 
 
@@ -670,73 +668,76 @@ def _cut_stale_tail(fd: int, written: int) -> None:
             os.ftruncate(fd, end)
 
 
-@contextmanager
-def open_output(path: Path) -> Iterator[IO[str]]:
-    """A UTF-8 text stream that writes the file at ``path``, for a report
-    written a piece at a time; a whole text goes through
-    :func:`write_output`, with the same guarantees.
+def json_text(data, indent: int | None = 2) -> str:
+    """``data`` as the key-sorted JSON text of a written file, indented by
+    ``indent`` or, with ``None``, on one line (which ``json`` writes with its
+    C encoder; indenting runs its encoder in Python).  A NaN or infinite
+    number is a ``ValueError``: JSON has no such value."""
+    return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
-    A missing file is created with no system call more than a text-mode
-    ``open(path, "w")`` makes.  An existing file is written over its old bytes,
-    not truncated on opening, and on leaving, a regular file longer than
-    what was written is cut where the written bytes end: after a normal
-    exit that is the end of the new text, and after an exception
-    (including a failed write, such as a full disk) the end of what
-    reached the file, so no stale tail is left either way.  A device or a
-    pipe, which has no size to cut, is written as is.  An error of the
-    system met while writing names ``path``; the cut comes first.
+
+def _encoded_chunks(pieces: Iterable[str]) -> Iterable[bytes]:
+    """The UTF-8 bytes of ``pieces`` in chunks of about :data:`READ_CHUNK`
+    characters; a piece that long or longer is encoded on its own, never
+    copied into a chunk."""
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        if len(piece) >= READ_CHUNK:
+            if chunk:
+                yield "".join(chunk).encode("utf-8")
+                chunk, size = [], 0
+            yield piece.encode("utf-8")
+            continue
+        chunk.append(piece)
+        size += len(piece)
+        if size >= READ_CHUNK:
+            yield "".join(chunk).encode("utf-8")
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk).encode("utf-8")
+
+
+def write_output(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, through a raw
+    descriptor with no text stream: a ``str`` is encoded once, before the
+    file is opened, and written with one ``os.write``; an iterable of
+    ``str`` pieces (a long report) is encoded and written a chunk at a
+    time (see :func:`_encoded_chunks`).  A pipe, a signal or a size limit
+    that takes part of a write gets the rest in more writes.
+
+    A missing file is created.  An existing file is written over its old
+    bytes, not truncated on opening, and then, if it is a regular file
+    longer than what was written, cut where the written bytes end: after a
+    normal exit that is the end of the new text, and after an exception (a
+    failed write such as a full disk, or an error raised by the pieces)
+    the end of what reached the file, so no stale tail is left either way.
+    A device or a pipe, which has no size to cut, is written as is.  An
+    error of the system met on the file names ``path``; the cut comes
+    first.  A new file costs an open, a write per chunk, an ``fstat`` and
+    a close; a rewrite costs a seek and a cut more only when the old file
+    was longer.
 
     Skipping the truncation on opening matters on ext4, whose default
     ``auto_da_alloc`` makes the close of a file truncated to zero start
-    its write-back to disk; on tmpfs a small rewrite costs a few
-    microseconds more than truncating would.  The price is paid when a
-    process is killed outright (SIGKILL, or SIGTERM, whose default action
-    runs no ``finally``) or the power fails mid-write: the file can then
-    hold new bytes followed by the old file's tail, where truncating on
-    opening would have left it cut short, so the outputs of a run that
-    did not finish are not results."""
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        created = True
-    except FileExistsError:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        created = False
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            try:
-                yield fh
-                fh.flush()
-            finally:
-                if not created:
-                    _cut_stale_tail(fd, 0)
-    except OSError as exc:
-        _name_file(exc, path)
-        raise
-
-
-def write_output(path: Path, text: str) -> None:
-    """Write ``text`` to the file at ``path`` with the guarantees of
-    :func:`open_output`: a new file is created, an existing one is
-    written over its old bytes and cut where the written bytes end (after
-    an error too), and an error of the system names ``path``.
-
-    The text is encoded once and written through a raw descriptor, with
-    no text stream: one ``os.write``, and more until every byte is taken
-    when a pipe, a signal or a size limit takes part of them, then the
-    cut and the close.  A new file costs an open, a write, an ``fstat``
-    and a close, fewer system calls than ``open(path, "w")`` makes; a
-    rewrite costs a seek and a cut more only when the old file was
-    longer."""
-    data = text.encode("utf-8")
+    its write-back to disk.  The price is paid when a process is killed
+    outright (SIGKILL, or SIGTERM, whose default action runs no
+    ``finally``) or the power fails mid-write: the file can then hold new
+    bytes followed by the old file's tail, where truncating on opening
+    would have left it cut short, so the outputs of a run that did not
+    finish are not results."""
+    chunks = (text.encode("utf-8"),) if isinstance(text, str) else _encoded_chunks(text)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
     try:
         try:
-            written = os.write(fd, data)
-            if written < len(data):
-                with memoryview(data) as view:
-                    while written < len(view):
-                        written += os.write(fd, view[written:])
+            for data in chunks:
+                done = os.write(fd, data)
+                if done < len(data):
+                    with memoryview(data) as view:
+                        while done < len(view):
+                            done += os.write(fd, view[done:])
+                written += done
         finally:
             try:
                 _cut_stale_tail(fd, written)
@@ -761,6 +762,9 @@ def read_json(path: Path):
 
 
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
+    """The traces of the bundle at ``directory``, each from the file its
+    manifest names, and the manifest.  Every trace must be stamped, as
+    ``simulate`` writes them: no command stamps traces on input."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -781,5 +785,7 @@ def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
             raise MalformedTraceError(
                 f"{manifest_path}: no trace file named for process {proc!r}"
             )
-        traces[proc] = read_trace(directory / name, proc)
+        trace = traces[proc] = read_trace(directory / name, proc)
+        if not trace.stamped:
+            raise TraceError(f"{directory / name}: trace of {proc} is not stamped")
     return traces, manifest

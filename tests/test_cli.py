@@ -209,7 +209,7 @@ class TestFlowpaths:
     def test_report_written_in_batches_equals_joined_lines(self, tmp_path, n):
         lines = [f"path level=stmt kind=intra s{i} -> \u00e9{i}" for i in range(n)]
         path = tmp_path / "report.txt"
-        cli._write_lines(path, lines)
+        cli.write_output(path, cli._line_pieces(lines))
         assert path.read_bytes() == report_text(lines).encode("utf-8")
 
     def test_uncovered_sources_empty_report_exit_zero(self, tmp_path, capsys):
@@ -1629,14 +1629,16 @@ class TestMalformedInputs:
                 json.dumps({k: v for k, v in r.items() if k != "ts"}) + "\n"
                 for r in records
             ))
+        expected = f"error: {sim / 'traces' / 'p0.trace'}: trace of p0 is not stamped\n"
         assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
-        assert capsys.readouterr().err == "error: trace of p0 is not stamped\n"
+        assert capsys.readouterr().err == expected
         assert not (tmp_path / "run").exists()
         assert main([
             "flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
             "--config", str(sim / "config.json"), "--out", str(tmp_path / "flows"),
         ]) == 3
-        assert capsys.readouterr().err == "error: trace of p0 is not stamped\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "flows").exists()
 
     @pytest.mark.parametrize("vulns,message", [
         ({"entries": 5}, "'entries' must be a list of [cvss, years]"),

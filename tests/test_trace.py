@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossflow.trace import (
+    READ_CHUNK,
     CausalityError,
     EventGraph,
     EventRecord,
@@ -26,7 +27,6 @@ from crossflow.trace import (
     influenced_recv_ts,
     merge_global,
     method_spans,
-    open_output,
     read_bundle,
     read_text,
     reduce_first_last,
@@ -717,14 +717,85 @@ def test_rewrite_holds_exactly_the_new_bytes(tmp_path, old, new):
 @given(st.lists(st.text(max_size=30), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_rewrites_in_batches_hold_the_last_text(tmp_path_factory, texts):
-    """Each rewrite, written in pieces through the stream, leaves exactly
-    its own bytes, whatever the lengths of the texts before it."""
+    """Each rewrite, written in pieces, leaves exactly its own bytes,
+    whatever the lengths of the texts before it."""
     path = tmp_path_factory.mktemp("w") / "out.txt"
     for text in texts:
-        with open_output(path) as fh:
-            for start in range(0, len(text), 7):
-                fh.write(text[start:start + 7])
+        write_output(path, (text[start:start + 7] for start in range(0, len(text), 7)))
         assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("old", [None, "an old report\n" * 10])
+def test_no_pieces_leave_an_empty_file(tmp_path, old):
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    write_output(path, iter(()))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("pieces, sizes", [
+    (["x" * 1000] * (READ_CHUNK // 1000 + 5), [1000 * (READ_CHUNK // 1000 + 1), 4000]),
+    (["ab", "c€\n", "y" * (3 * READ_CHUNK), "tail\n"], [7, 3 * READ_CHUNK, 5]),
+    (["z" * (READ_CHUNK - 1), "é", "€\U0001d11e", "z" * READ_CHUNK],
+     [READ_CHUNK + 1, 7, READ_CHUNK]),
+], ids=["past-one-chunk", "long-after-small", "multi-byte-at-a-boundary"])
+def test_pieces_are_written_in_chunks_and_a_long_piece_alone(tmp_path, monkeypatch, pieces, sizes):
+    """Small pieces are joined into chunks of about ``READ_CHUNK``
+    characters, each one write; a piece that long follows the small
+    pieces before it in a write of its own.  A character of several bytes
+    at a chunk's boundary is whole on both sides."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"o" * (5 * READ_CHUNK))
+    real_write, written = os.write, []
+
+    def write(fd, data):
+        written.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    write_output(path, iter(pieces))
+    monkeypatch.undo()
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
+    assert written == sizes
+
+
+def track_descriptors(monkeypatch) -> tuple[list[int], list[int]]:
+    """The descriptors that ``os.open`` opens and ``os.close`` closes from
+    now on, as two lists that grow."""
+    real_open, real_close = os.open, os.close
+    opened, closed = [], []
+
+    def open_(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", open_)
+    monkeypatch.setattr(os, "close", close)
+    return opened, closed
+
+
+def test_pieces_that_raise_part_way_leave_the_bytes_written(tmp_path, monkeypatch):
+    """An error raised by the pieces after a chunk was written leaves that
+    chunk's bytes and none of the old tail, and closes the descriptor."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"o" * (4 * READ_CHUNK))
+
+    def pieces():
+        yield "n" * READ_CHUNK
+        yield "unwritten"
+        raise RuntimeError("stop")
+
+    opened, closed = track_descriptors(monkeypatch)
+    with pytest.raises(RuntimeError):
+        write_output(path, pieces())
+    monkeypatch.undo()
+    assert path.read_bytes() == b"n" * READ_CHUNK
+    assert len(opened) == 1 and closed == opened
 
 
 def test_rewrite_keeps_inode_and_mode_and_follows_symlinks(tmp_path):
@@ -745,17 +816,23 @@ def test_rewrite_keeps_inode_and_mode_and_follows_symlinks(tmp_path):
     assert target.read_text(encoding="utf-8") == "third\n"
 
 
-def test_write_stream_error_still_closes_and_cuts(tmp_path):
-    """A failure while writing closes the file, which then holds what was
-    written before the failure and nothing of the old bytes after it."""
+def test_write_stream_error_still_closes_and_cuts(tmp_path, monkeypatch):
+    """A failure of the pieces before their first chunk is full closes the
+    file, which then holds nothing: no chunk reached it, and the old bytes
+    are cut."""
     path = tmp_path / "out.txt"
     path.write_text("old old old old\n", encoding="utf-8")
+
+    def pieces():
+        yield "new"
+        raise RuntimeError("stop")
+
+    opened, closed = track_descriptors(monkeypatch)
     with pytest.raises(RuntimeError):
-        with open_output(path) as fh:
-            fh.write("new")
-            raise RuntimeError("stop")
-    assert fh.closed
-    assert path.read_bytes() == b"new"
+        write_output(path, pieces())
+    monkeypatch.undo()
+    assert len(opened) == 1 and closed == opened
+    assert path.read_bytes() == b""
 
 
 FAILED_WRITE = textwrap.dedent("""
@@ -792,9 +869,7 @@ def test_failed_write_cuts_where_the_written_bytes_end(tmp_path, size):
 
 def test_new_file_is_created_with_the_text(tmp_path):
     path = tmp_path / "new.txt"
-    with open_output(path) as fh:
-        fh.write("é first\n")
-        fh.write("second\n")
+    write_output(path, iter(["é first\n", "second\n"]))
     assert path.read_bytes() == "é first\nsecond\n".encode("utf-8")
 
 

@@ -1,15 +1,14 @@
 """Every file the package writes goes through one writer.
 
-``crossflow.trace.open_output`` (the stream) and ``write_output`` (a whole
-text at once) are the writer's two functions: they rewrite a file over its
-old bytes and cut any stale tail.  A module that opened a file for writing
+``crossflow.trace.write_output``, which takes a whole text or its pieces, is
+the writer: it rewrites a file over its old bytes and cuts any stale tail.  A module that opened a file for writing
 in another way would bring back truncate-on-open and its cost, so the
 package is scanned for such calls: the builtin ``open`` or a ``.open``
 method with a mode holding ``w``, ``a``, ``x`` or ``+`` (or a mode that is
 not a string literal), ``os.open`` with flags other than a bare
 ``os.O_RDONLY`` (a read, like ``open(file, 'rb')``), and the
-``.write_text`` and ``.write_bytes`` methods.  Only the bodies of the
-writer's two functions may make them.
+``.write_text`` and ``.write_bytes`` methods.  Only the body of the
+writer may make them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossflow"
-WRITER = frozenset({("trace.py", "open_output"), ("trace.py", "write_output")})
+WRITER = frozenset({("trace.py", "write_output")})
 WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 
@@ -61,7 +60,7 @@ def _writes(call: ast.Call) -> bool:
 
 def write_sites(package: Path = PACKAGE) -> list[str]:
     """``module:line`` of each call in ``package`` that writes a file
-    other than inside the writer's functions, in file and line order."""
+    other than inside the writer, in file and line order."""
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -78,7 +77,7 @@ def write_sites(package: Path = PACKAGE) -> list[str]:
 def test_package_writes_only_through_the_writer():
     sites = write_sites()
     assert not sites, (
-        "writes a file other than through open_output or write_output: "
+        "writes a file other than through write_output: "
         + ", ".join(sites)
     )
 
@@ -111,7 +110,7 @@ def test_scan_flags_every_kind_of_write(tmp_path):
     )
     (tmp_path / "trace.py").write_text(
         "import os\n"
-        "def open_output(path):\n"
+        "def open_output(path):  # not the writer: its two opens are flagged\n"
         "    return open(os.open(path, os.O_WRONLY | os.O_CREAT), 'w')\n"
         "def write_output(path, data):\n"
         "    os.write(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), data)\n"
@@ -126,5 +125,5 @@ def test_scan_flags_every_kind_of_write(tmp_path):
     assert write_sites(tmp_path) == [
         "a.py:3", "a.py:4", "a.py:5", "a.py:6", "a.py:7", "a.py:8", "a.py:9",
         "a.py:10", "a.py:11", "a.py:12", "a.py:13", "a.py:14", "a.py:16",
-        "trace.py:9", "trace.py:11",
+        "trace.py:3", "trace.py:3", "trace.py:9", "trace.py:11",
     ]
