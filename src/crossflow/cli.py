@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 OUT_DIR_ENV = "CROSSFLOW_OUT"
 
@@ -202,13 +202,12 @@ def cmd_simulate(args) -> int:
 REPORT_BATCH_LINES = 2000
 
 
-def _line_pieces(lines: Sequence[str]) -> Iterator[str]:
+def _line_pieces(lines: list[str]) -> Iterator[str]:
     """The text of ``lines``, each ended by a newline, as pieces: each
-    batch of ``REPORT_BATCH_LINES`` joined, then its last newline; no
-    lines, no pieces."""
+    batch of ``REPORT_BATCH_LINES`` joined with its last newline, so a
+    batch goes out in one write; no lines, no pieces."""
     for start in range(0, len(lines), REPORT_BATCH_LINES):
-        yield "\n".join(lines[start:start + REPORT_BATCH_LINES])
-        yield "\n"
+        yield "\n".join(lines[start:start + REPORT_BATCH_LINES] + [""])
 
 
 def cmd_flowpaths(args) -> int:

@@ -172,28 +172,18 @@ def method_event_stream(trace: ProcessTrace, table: MethodTable) -> list[int]:
     return out
 
 
-def _queue_positions(
-    qu: list[int],
-) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+def _queue_positions(qu: list[int]) -> tuple[dict[int, int], dict[int, int]]:
     """Per method id: queue position of its first entry (entered methods
-    only), of its first event and of its last event."""
+    only) and of its last event."""
     first_entry: dict[int, int] = {}
-    first_any: dict[int, int] = {}
     last_any: dict[int, int] = {}
     for pos, e in enumerate(qu):
-        m = abs(e)
         if e < 0:
-            first_entry.setdefault(m, pos)
-        first_any.setdefault(m, pos)
-        last_any[m] = pos
-    return first_entry, first_any, last_any
-
-
-def first_last_instances(qu: list[int]) -> list[int]:
-    """Keep each method's first entry and last event, preserving order."""
-    first_entry, _, last_any = _queue_positions(qu)
-    keep = set(first_entry.values()) | set(last_any.values())
-    return [e for pos, e in enumerate(qu) if pos in keep]
+            e = -e
+            if e not in first_entry:
+                first_entry[e] = pos
+        last_any[e] = pos
+    return first_entry, last_any
 
 
 def lift_method_edges(
@@ -231,25 +221,25 @@ def compute_deps(
     is not read.
 
     Semantics by configuration bits: without instance-level granularity the
-    queue collapses to first/last instances; statement coverage prunes the
-    static graph before use; method events gate the static edges temporally
-    (adjacent edges need immediate succession, known only at instance level);
-    without the static graph the fallback adds every method still running at
-    or after the queried method's entry; without method events the static
-    edges propagate ungated.
+    queue collapses to first/last instances, read off its one positions
+    pass; statement coverage prunes the static graph before use; method
+    events gate the static edges temporally (adjacent edges need immediate
+    succession, known only at instance level); without the static graph the
+    fallback adds every method still running at or after the queried
+    method's entry; without method events the static edges propagate
+    ungated.
     """
     config.require_valid()
-    events = qu if config.method_instance_level else first_last_instances(qu)
-    executed = {abs(e) for e in events}
+    first_entry, last_any = _queue_positions(qu)
+    executed = last_any.keys()
     ds: dict[int, set[int]] = {m: {m} for m in executed}
 
     if not config.static_graph:
-        first_entry, _, last_any = _queue_positions(events)
         for m, anchor in first_entry.items():
-            ds[m].update(m2 for m2 in executed if last_any[m2] > anchor)
+            ds[m].update(m2 for m2, last in last_any.items() if last > anchor)
     elif config.method_event and config.method_instance_level:
         # a source never executed never enters, so influence skips its edges
-        _propagate_influence(events, in_edges, ds)
+        _propagate_influence(qu, in_edges, ds)
     else:
         out_edges: dict[int, set[int]] = {}
         for m2 in executed:
@@ -257,7 +247,7 @@ def compute_deps(
                 if m1 in executed:
                     out_edges.setdefault(m1, set()).add(m2)
         if config.method_event:
-            _propagate_intervals(events, out_edges, ds)
+            _propagate_intervals(first_entry, last_any, out_edges, ds)
         else:
             for m in executed:
                 ds[m] |= reachable(out_edges, (m,)) & executed
@@ -301,7 +291,8 @@ def _propagate_influence(
 
 
 def _propagate_intervals(
-    events: list[int],
+    first_entry: Mapping[int, int],
+    last_any: Mapping[int, int],
     out_edges: Mapping[int, set[int]],
     ds: dict[int, set[int]],
 ) -> None:
@@ -310,20 +301,21 @@ def _propagate_intervals(
     With intermediate instances gone, a dependence chain is feasible when the
     impact can arrive inside every hop's activity window: the earliest
     arrival at a method is the max of the previous arrival and its first
-    entry, and must not exceed its last event.  Adjacency cannot be
-    established at this granularity, so adjacent edges behave like posterior
-    ones.  Every instance-level chain stays feasible here, and every member
-    still satisfies the event-order fallback relation.
+    entry (its last event if it never entered), and must not exceed its
+    last event.  Adjacency cannot be established at this granularity, so
+    adjacent edges behave like posterior ones.  Every instance-level chain
+    stays feasible here, and every member still satisfies the event-order
+    fallback relation.
     """
-    first_entry, first_any, last_any = _queue_positions(events)
-    for root in first_entry:
-        arrival = {root: first_entry[root]}
+    for root, start in first_entry.items():
+        arrival = {root: start}
         frontier = [root]
         while frontier:
             cur = frontier.pop()
             for nxt in sorted(out_edges.get(cur, ())):
-                cand = max(arrival[cur], first_any[nxt])
-                if cand > last_any[nxt]:
+                last = last_any[nxt]
+                cand = max(arrival[cur], first_entry.get(nxt, last))
+                if cand > last:
                     continue
                 if nxt not in arrival or cand < arrival[nxt]:
                     arrival[nxt] = cand

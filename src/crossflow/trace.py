@@ -17,7 +17,7 @@ import os
 import re
 import stat
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import compress, groupby, islice
 from operator import attrgetter, le, lt
@@ -131,37 +131,33 @@ class EventRecord(_EventFields):
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """Events of one process, ordered by seq."""
+    """Events of one process, ordered by seq, every one of them stamped."""
 
     process: str
     events: tuple[EventRecord, ...]
-    # every event has a ts; found by the checks of __post_init__
-    stamped: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the checks of _check_order in C-level passes: each distinct
-        # method's process, seq strictly rising, ts non-decreasing when
-        # every event is stamped (a trace with gaps takes the loop)
+        # method's process, seq strictly rising, ts present and
+        # non-decreasing
         events = self.events
         seqs = list(map(attrgetter("seq"), events))
         stamps = list(map(attrgetter("ts"), events))
         stamped = None not in stamps
-        object.__setattr__(self, "stamped", stamped)
         if not (
             all(m.process == self.process for m in set(map(attrgetter("method"), events)))
             and all(map(lt, seqs, islice(seqs, 1, None)))
-            and (
-                all(map(le, stamps, islice(stamps, 1, None)))
-                if stamped
-                else stamps.count(None) == len(stamps)
-            )
+            and stamped
+            and all(map(le, stamps, islice(stamps, 1, None)))
         ):
-            self._check_order()
+            self._check_order(stamped)
+            # every event is in place, so some event has no ts
+            raise MalformedTraceError(f"trace of {self.process} is not stamped")
 
-    def _check_order(self) -> None:
+    def _check_order(self, stamped: bool) -> None:
         """Raise :class:`EventOrderError` at the first event of another
-        process, with a seq not above the one before, or stamped below the
-        one before when both are stamped."""
+        process, with a seq not above the one before, or, when every event
+        is ``stamped``, stamped below the one before."""
         prev = None
         for i, ev in enumerate(self.events):
             if ev.process != self.process:
@@ -171,7 +167,7 @@ class ProcessTrace:
             if prev is not None:
                 if ev.seq <= prev.seq:
                     raise EventOrderError("seq must strictly increase", i)
-                if ev.ts is not None and prev.ts is not None and ev.ts < prev.ts:
+                if stamped and ev.ts < prev.ts:
                     raise EventOrderError("timestamps decrease along trace", i)
             prev = ev
 
@@ -244,19 +240,17 @@ def merge_global(
 ) -> tuple[EventRecord, ...]:
     """All stamped events, or those of the given ``kinds``, in one
     deterministic total order extending the Lamport partial order: sorted
-    by (ts, process, seq).  Every trace must be stamped.  The traces are
-    joined in process order, each in seq order, so a stable sort by ts
-    alone keeps ties in (process, seq) order."""
+    by (ts, process, seq).  The traces are joined in process order, each
+    in seq order, so a stable sort by ts alone keeps ties in (process,
+    seq) order."""
     flat: list[EventRecord] = []
     for proc in sorted(traces):
-        trace = traces[proc]
-        if not trace.stamped:
-            raise TraceError(f"trace of {proc} is not stamped")
+        events = traces[proc].events
         if kinds is None:
-            flat.extend(trace.events)
+            flat.extend(events)
         else:
-            wanted = map(kinds.__contains__, map(attrgetter("kind"), trace.events))
-            flat.extend(compress(trace.events, wanted))
+            wanted = map(kinds.__contains__, map(attrgetter("kind"), events))
+            flat.extend(compress(events, wanted))
     flat.sort(key=attrgetter("ts"))
     return tuple(flat)
 
@@ -458,9 +452,8 @@ def event_to_record(ev: EventRecord) -> dict:
         "kind": ev.kind,
         "class": ev.method.class_name,
         "method": ev.method.method_name,
+        "ts": ev.ts,
     }
-    if ev.ts is not None:
-        rec["ts"] = ev.ts
     for name in _FIELDS:
         value = getattr(ev, name)
         if value is not None:
@@ -573,7 +566,8 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
     JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
     ``2.5`` is none).  Records of one method share one :class:`MethodId`.
     An event that is out of place in the trace (see :class:`ProcessTrace`)
-    is named by its line too, which is counted only then.
+    is named by its line too, which is counted only then; a trace whose
+    events are in place but not all stamped is named by ``path`` alone.
 
     A file all of whose lines are in the layout that :func:`write_trace`
     writes for stamped events (every line matches one pattern, and the
@@ -591,6 +585,8 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
         # each non-blank line made one event
         n = [n for n, line in enumerate(text.split("\n"), 1) if line.strip()][exc.index]
         raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
+    except MalformedTraceError as exc:  # not stamped
+        raise MalformedTraceError(f"{path}: {exc}") from exc
 
 
 def write_bundle(
@@ -764,7 +760,8 @@ def read_json(path: Path):
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     """The traces of the bundle at ``directory``, each from the file its
     manifest names, and the manifest.  Every trace must be stamped, as
-    ``simulate`` writes them: no command stamps traces on input."""
+    ``simulate`` writes them (:func:`read_trace` refuses one that is not):
+    no command stamps traces on input."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -785,7 +782,5 @@ def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
             raise MalformedTraceError(
                 f"{manifest_path}: no trace file named for process {proc!r}"
             )
-        trace = traces[proc] = read_trace(directory / name, proc)
-        if not trace.stamped:
-            raise TraceError(f"{directory / name}: trace of {proc} is not stamped")
+        traces[proc] = read_trace(directory / name, proc)
     return traces, manifest

@@ -18,7 +18,9 @@ metrics with a class-coupling ratio recomputed per class pair).
 ``reference_event`` is the conversion of one trace record that
 ``read_trace`` does inline, kept as a function under the same rules;
 ``order_error_oracle`` is the event-by-event loop of ``ProcessTrace``'s
-checks, and ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
+checks, ``first_last_reference`` the first/last-instance reduction of a
+method-event queue that ``engine.compute_deps`` reads off its queue
+positions, and ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
 clocks by visiting every event, not only sends and recvs.  The
 last section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
@@ -554,11 +556,14 @@ def reference_event(rec) -> EventRecord:
 
 def order_error_oracle(
     process: str, events: Sequence[EventRecord]
-) -> Optional[tuple[int, str]]:
+) -> Optional[tuple[Optional[int], str]]:
     """The index and message of the first event out of place in a trace of
-    ``process``, by the loop that ``ProcessTrace`` ran over every event:
-    an event of another process, a seq not above the one before, or a ts
-    below the one before when both are set.  None when all are in place."""
+    ``process``, by the loop that ``ProcessTrace`` runs over every event:
+    an event of another process, a seq not above the one before, or, when
+    every event has a ts, a ts below the one before.  With every event in
+    place, (None, the not-stamped message) when some event has no ts, else
+    None."""
+    stamped = all(ev.ts is not None for ev in events)
     prev = None
     for i, ev in enumerate(events):
         if ev.process != process:
@@ -566,10 +571,23 @@ def order_error_oracle(
         if prev is not None:
             if ev.seq <= prev.seq:
                 return i, "seq must strictly increase"
-            if ev.ts is not None and prev.ts is not None and ev.ts < prev.ts:
+            if stamped and ev.ts < prev.ts:
                 return i, "timestamps decrease along trace"
         prev = ev
-    return None
+    return None if stamped else (None, f"trace of {process} is not stamped")
+
+
+def first_last_reference(qu: Sequence[int]) -> list[int]:
+    """The first/last-instance reduction of a method-event queue (entries
+    negative, returned-into events positive), by its definition: of each
+    method, the first entry and the last event of either sign, in queue
+    order."""
+    keep = set()
+    for m in {abs(e) for e in qu}:
+        entries = [pos for pos, e in enumerate(qu) if e == -m]
+        events = [pos for pos, e in enumerate(qu) if abs(e) == m]
+        keep.update(entries[:1] + events[-1:])
+    return [e for pos, e in enumerate(qu) if pos in keep]
 
 
 def event_graph_oracle(traces: Mapping[str, ProcessTrace]):

@@ -212,6 +212,23 @@ class TestFlowpaths:
         cli.write_output(path, cli._line_pieces(lines))
         assert path.read_bytes() == report_text(lines).encode("utf-8")
 
+    def test_report_batch_goes_out_in_one_write(self, tmp_path, monkeypatch):
+        """Each batch of a long report carries its last newline, so it
+        takes one ``os.write``: 12,500 lines of 400 characters, 7 batches
+        each longer than a write chunk, take 7 writes."""
+        lines = [f"{i:06d}" + "x" * 394 for i in range(12_500)]
+        path = tmp_path / "phase2.txt"
+        real_write, sizes = os.write, []
+
+        def counted_write(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted_write)
+        cli.write_output(path, cli._line_pieces(lines))
+        assert len(sizes) == 7
+        assert path.read_bytes() == report_text(lines).encode("utf-8")
+
     def test_uncovered_sources_empty_report_exit_zero(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
         cfg = json.loads((sim / "config.json").read_text())
@@ -1630,6 +1647,35 @@ class TestMalformedInputs:
                 for r in records
             ))
         expected = f"error: {sim / 'traces' / 'p0.trace'}: trace of p0 is not stamped\n"
+        assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "run").exists()
+        assert main([
+            "flowpaths", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
+            "--config", str(sim / "config.json"), "--out", str(tmp_path / "flows"),
+        ]) == 3
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "flows").exists()
+
+    @pytest.mark.parametrize("stamps", [None, [None, 5, 3]], ids=["one-line", "gap-then-fall"])
+    def test_partly_stamped_trace_exit_3_names_its_file(self, tmp_path, capsys, stamps):
+        """A trace with one event without ``ts`` is refused as not stamped,
+        naming its file, before any output: ``p1.trace`` with the ``ts`` of
+        its second line dropped, or cut to three lines stamped (none, 5,
+        3), whose stamps are not compared since one is missing."""
+        sim = run_sim(tmp_path)
+        trace = sim / "traces" / "p1.trace"
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        if stamps is None:
+            del records[1]["ts"]
+        else:
+            records = records[:len(stamps)]
+            for record, ts in zip(records, stamps):
+                record["ts"] = ts
+                if ts is None:
+                    del record["ts"]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        expected = f"error: {trace}: trace of p1 is not stamped\n"
         assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "run").exists()

@@ -16,7 +16,6 @@ from crossflow.engine import (
     arbitrate,
     compute_deps,
     dep_data_from_run,
-    first_last_instances,
     lift_method_edges,
     merge_query,
     method_event_stream,
@@ -28,7 +27,7 @@ from crossflow.trace import (
     EventGraph, EventRecord, MethodId, first_entries, method_spans, stamp_lamport,
 )
 
-from oracles import remote_deps_oracle
+from oracles import first_last_reference, remote_deps_oracle
 
 C = Configuration.from_string
 
@@ -92,8 +91,28 @@ class TestComputeDeps:
         # m2's entry precedes m1's last event, so m1 depends on m2 as well
         assert m1 in deps[m2]
 
-    def test_instance_reduction_keeps_first_and_last(self):
-        assert first_last_instances([-1, 1, -1, 1, -2]) == [-1, 1, -2]
+    def test_without_instances_queue_equals_its_reduction(self):
+        """Without the instance bit, a queue's dependence sets are those of
+        its first/last-instance reduction, on seeded streams, their
+        prefixes, a queue with a returned-into before the method's first
+        entry and one whose method is never entered."""
+        assert first_last_reference([-1, 1, -1, 1, -2]) == [-1, 1, -2]
+        configs = [c for c in valid_configurations() if not c.method_instance_level]
+        for sc in SCENARIOS:
+            _, traces, _, graphs, coverage, table = seeded_run(sc)
+            queues = []
+            for proc in traces:
+                qu = method_event_stream(traces[proc], table)
+                queues += [qu[:k] for k in range(0, len(qu), max(1, len(qu) // 8))]
+                queues.append(qu)
+            a, b, c = range(1, 4)
+            queues.append([a, -b, -a, b, a])  # a returns into before it enters
+            queues.append([-a, c, a, c])  # c is never entered
+            for cfg in configs:
+                for qu in queues:
+                    assert deps_of(qu, cfg, graphs, coverage, table) == deps_of(
+                        first_last_reference(qu), cfg, graphs, coverage, table
+                    ), (sc, cfg.encode(), qu)
 
     def test_eas_superset_of_most_precise(self):
         for sc in SCENARIOS:
@@ -142,6 +161,31 @@ class TestComputeDeps:
         reduced = deps_of(qu, C("111110"), graphs, set(nodes), table)
         assert mb in full[mm]
         assert full[mm] <= reduced[mm]
+
+    def test_interval_mode_reaches_unentered_method_at_its_last_event(self):
+        # c only returns into the queue, after b is done: the impact of a
+        # arrives at c no earlier than that event, too late to reach b
+        from crossflow.staticgraph import DepEdge, StaticDepGraph
+
+        ma, mb, mc = mid("P", "a", "K"), mid("P", "b", "K"), mid("P", "c", "K")
+        nodes = {"sa": ma, "sb": mb, "sc": mc}
+        g = StaticDepGraph(
+            nodes=nodes,
+            edges=frozenset(
+                {
+                    DepEdge("inter_posterior", "sa", "sc"),
+                    DepEdge("inter_posterior", "sc", "sb"),
+                }
+            ),
+            icfg_succ={},
+            guards={s: None for s in nodes},
+        )
+        graphs = {(c, f): g for c in (True, False) for f in (True, False)}
+        table = MethodTable()
+        ia, ib, ic = table.id_of(ma), table.id_of(mb), table.id_of(mc)
+        qu = [-ia, -ib, ib, ic, ia]
+        for cfg in ("111111", "111110"):
+            assert deps_of(qu, C(cfg), graphs, set(nodes), table)[ma] == {ma, mc}
 
     def test_single_bit_off_never_shrinks(self):
         for sc in SCENARIOS[:3]:

@@ -143,9 +143,10 @@ class TestMergeGlobal:
                 assert pos[src] < pos[dst]
 
     def test_unstamped_rejected(self):
-        trace = ProcessTrace("A", (ev("A", 0, "entry"),))
-        with pytest.raises(ValueError):
-            merge_global({"A": trace})
+        """A trace with an unstamped event is refused when it is built, so
+        none reaches the merge."""
+        with pytest.raises(MalformedTraceError, match="^trace of A is not stamped$"):
+            ProcessTrace("A", (ev("A", 0, "entry"),))
 
     def test_deterministic(self):
         traces = stamp_lamport(three_process_figure())
@@ -364,7 +365,7 @@ def test_read_trace_shares_one_method_id_per_method(tmp_path):
     path = tmp_path / "p.trace"
     path.write_text("".join(
         f'{{"proc": "A", "seq": {i}, "kind": "entry", "class": "C", '
-        f'"method": "{name}"}}\n'
+        f'"method": "{name}", "ts": {i + 1}}}\n'
         for i, name in enumerate(("m", "n", "m", "m"))
     ))
     events = read_trace(path, "A").events
@@ -402,6 +403,8 @@ def read_trace_per_line(path, process):
         return ProcessTrace(process, tuple(events))
     except EventOrderError as exc:
         raise MalformedTraceError(f"{path}:{numbers[exc.index]}: {exc}") from exc
+    except MalformedTraceError as exc:  # not stamped
+        raise MalformedTraceError(f"{path}: {exc}") from exc
 
 
 def canonical_line(seq: int, ts: int = 99, proc: str = "A") -> str:
@@ -501,13 +504,16 @@ def test_part_among_canonical_lines_reads_as_per_line(tmp_path, part):
 
 
 def order_outcome(process, events):
-    """(index, message) of the trace's ``EventOrderError``, or None."""
+    """(index, message) of the trace's ``EventOrderError``, (None, message)
+    of its refusal as not stamped, or None."""
     from crossflow.trace import EventOrderError
 
     try:
         ProcessTrace(process, tuple(events))
     except EventOrderError as exc:
         return exc.index, str(exc)
+    except MalformedTraceError as exc:
+        return None, str(exc)
     return None
 
 
@@ -520,7 +526,7 @@ def entries(*stamps, proc="A", seqs=None):
 
 @pytest.mark.parametrize("events,expected", [
     (entries(1, 2, 3), None),
-    (entries(None, None, None), None),
+    (entries(None, None, None), (None, "trace of A is not stamped")),
     (entries(), None),
     (entries(1, 2) + entries(3, proc="B", seqs=[2]), (2, "event of B in trace of A")),
     (entries(3, proc="B") + entries(1, 2), (0, "event of B in trace of A")),
@@ -528,28 +534,36 @@ def entries(*stamps, proc="A", seqs=None):
     (entries(1, 2, 3, seqs=[4, 2, 7]), (1, "seq must strictly increase")),
     (entries(1, 5, 4), (2, "timestamps decrease along trace")),
     (entries(2, 2, 2), None),
-    # a gap breaks the comparison: only neighbours that are both stamped
-    (entries(5, None, 3), None),
-    (entries(None, 5, 3), (2, "timestamps decrease along trace")),
-    (entries(5, None, 6, 4), (3, "timestamps decrease along trace")),
+    # along a stamped trace the first bad event is named, whichever check
+    (entries(5, 3, 4, seqs=[0, 1, 1]), (1, "timestamps decrease along trace")),
+    # a gap refuses the trace, after any process or seq error; ts are
+    # compared only along a stamped trace
+    (entries(5, None, 3), (None, "trace of A is not stamped")),
+    (entries(None, 5, 3), (None, "trace of A is not stamped")),
+    (entries(5, None, 6, 4), (None, "trace of A is not stamped")),
     (entries(5, None, 6, 4, seqs=[0, 1, 1, 2]), (2, "seq must strictly increase")),
     (entries(7, None) + entries(1, proc="B", seqs=[2]), (2, "event of B in trace of A")),
 ], ids=["stamped", "unstamped", "empty", "other-process", "other-process-first",
-        "equal-seq", "falling-seq", "falling-ts", "equal-ts", "ts-gap",
+        "equal-seq", "falling-seq", "falling-ts", "equal-ts", "ts-before-seq", "ts-gap",
         "ts-gap-then-fall", "ts-fall-after-gap", "seq-before-ts", "process-after-gap"])
 def test_order_checks_name_the_first_bad_event(events, expected):
     """The checks in C-level passes give the index and message of the loop
-    over every event."""
+    over every event, or the refusal of a trace that is not stamped."""
     assert order_error_oracle("A", events) == expected
     assert order_outcome("A", events) == expected
 
 
 @given(st.lists(st.tuples(
-    st.sampled_from("AAAB"), st.integers(0, 6), st.one_of(st.none(), st.integers(1, 6)),
-), max_size=8))
+    st.sampled_from("AAAB"), st.integers(0, 6), st.integers(1, 6),
+), max_size=8), st.sets(st.integers(0, 7), max_size=2))
 @settings(max_examples=300, deadline=None)
-def test_order_checks_equal_event_by_event_loop(rows):
-    events = [EventRecord("entry", mid(p), seq, ts) for p, seq, ts in rows]
+def test_order_checks_equal_event_by_event_loop(rows, gaps):
+    """Stamped traces, and traces whose events at the indices in ``gaps``
+    have no ts."""
+    events = [
+        EventRecord("entry", mid(p), seq, None if i in gaps else ts)
+        for i, (p, seq, ts) in enumerate(rows)
+    ]
     assert order_outcome("A", events) == order_error_oracle("A", events)
 
 
@@ -587,7 +601,8 @@ def test_simulated_traces_read_by_the_pattern(tmp_path, monkeypatch, scenario):
 
     monkeypatch.setattr(trace_module, "_decode_events", per_line)
     traces, _ = read_bundle(bundle)
-    assert traces == expected and all(t.stamped for t in traces.values())
+    assert traces == expected
+    assert all(ev.ts is not None for t in traces.values() for ev in t.events)
 
 
 @pytest.mark.parametrize("scenario", ACCEPTANCE_MIX, ids=lambda sc: f"{sc.topology}-{sc.tiers}")
