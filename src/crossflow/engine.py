@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -34,7 +33,8 @@ from .metrics import DepData
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import (
-    EventGraph, EventRecord, MethodId, ProcessTrace, method_spans, reached_methods, read_json,
+    EventGraph, MethodId, ProcessTrace, first_entries, method_spans, reached_methods,
+    read_json,
 )
 
 # shares of a total budget: graph construction, loading, dependence computation
@@ -520,45 +520,13 @@ class RunFacts(NamedTuple):
 
 
 def run_facts(traces: Mapping[str, ProcessTrace]) -> RunFacts:
-    """The :class:`RunFacts` of stamped ``traces``.
-
-    A message is counted for the process whose recv has its ``msg_id``;
-    only a message that no recv took falls back to its send's ``peer``,
-    and one with neither is left out.  Influence leaves a process only
-    through its sends, so every first entry before the same next send of
-    its process reaches the same recvs, which are looked up once."""
-    # one pass: each method's first entry, each process's sends and the
-    # receiver of each message
-    entries: dict[MethodId, EventRecord] = {}
-    sends: dict[str, list[EventRecord]] = {}
-    receiver: dict[str, str] = {}
-    for proc in sorted(traces):
-        own = sends[proc] = []
-        for ev in traces[proc].events:
-            if ev.kind == "entry":
-                entries.setdefault(ev.method, ev)
-            elif ev.kind == "send":
-                own.append(ev)
-            elif ev.kind == "recv":
-                receiver[ev.msg_id] = proc
-    spans = method_spans(traces, entries)
+    """The :class:`RunFacts` of stamped ``traces``: the spans, one
+    :meth:`EventGraph.first_reached_ts` per executed method's first entry,
+    and the graph's message counts (see :class:`EventGraph`)."""
+    entries = first_entries(traces)
     graph = EventGraph(traces)
-
-    messages: dict[tuple[str, str], int] = {}
-    for proc, own in sends.items():
-        for ev in own:
-            to = receiver.get(ev.msg_id, ev.peer)
-            if to is not None:
-                messages[proc, to] = messages.get((proc, to), 0) + 1
-    send_seqs = {proc: [ev.seq for ev in own] for proc, own in sends.items()}
-    reach: dict[MethodId, dict[str, int]] = {}
-    by_next_send: dict[tuple[str, int], dict[str, int]] = {}
-    for m, ev in entries.items():
-        key = (m.process, bisect_left(send_seqs[m.process], ev.seq))
-        if key not in by_next_send:
-            by_next_send[key] = graph.first_reached_ts(ev)
-        reach[m] = by_next_send[key]
-    return RunFacts(spans, reach, messages)
+    reach = {m: graph.first_reached_ts(ev) for m, ev in entries.items()}
+    return RunFacts(method_spans(traces, entries), reach, graph.messages)
 
 
 def merge_query(

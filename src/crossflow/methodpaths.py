@@ -81,7 +81,7 @@ class PathSet:
 def method_ds(
     q: MethodId,
     spans: Mapping[MethodId, tuple[int, int]],
-    influenced: Mapping[tuple[str, str], int],
+    influenced: Mapping[str, Mapping[str, int]],
 ) -> frozenset[MethodId]:
     """Forward impact set of q: methods whose execution may depend on it.
 
@@ -97,8 +97,7 @@ def method_ds(
         return frozenset()
     entry_ts = spans[q][0]
     reach = {
-        proc: t for (proc, origin), t in influenced.items()
-        if origin == q.process and entry_ts <= t
+        proc: t for proc, t in influenced.get(q.process, {}).items() if entry_ts <= t
     }
     reach[q.process] = entry_ts
     return frozenset(reached_methods(spans, reach))

@@ -571,10 +571,8 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
     nodes: dict[str, MethodId] = {}
     guards: dict[str, Optional[str]] = {}
     icfg: dict[str, list[str]] = {}
-    callsites: dict[MethodId, list[tuple[MethodId, Stmt]]] = {}
-    # (caller, call statement) -> the first position of an equal statement
-    # in the caller's body, as ``stmts.index`` finds it, in one pass
-    call_pos: dict[tuple[MethodId, Stmt], int] = {}
+    # callee -> (caller, call statement, its position in the caller's body)
+    callsites: dict[MethodId, list[tuple[MethodId, Stmt, int]]] = {}
     field_defs: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
     field_uses: dict[tuple[str, str], list[tuple[MethodId, Stmt]]] = {}
     edges: set[DepEdge] = set()       # in every variant
@@ -588,8 +586,7 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
             nodes[stmt.stmt_id] = body.method
             guards[stmt.stmt_id] = stmt.guard
             if stmt.kind == "call":
-                callsites.setdefault(stmt.callee, []).append((body.method, stmt))
-                call_pos.setdefault((body.method, stmt), pos)
+                callsites.setdefault(stmt.callee, []).append((body.method, stmt, pos))
             elif stmt.kind == "field_set":
                 field_defs.setdefault((proc, stmt.field_name), []).append(
                     (body.method, stmt)
@@ -622,7 +619,7 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
         ret_defs = [s for s in body.stmts if body.ret_var in s.defs]
         entry_stmt = body.stmts[0].stmt_id if body.stmts else None
         exit_stmt = body.stmts[-1].stmt_id if body.stmts else None
-        for caller, call_stmt in sites:
+        for caller, call_stmt, idx in sites:
             if entry_stmt:
                 # invocation itself: the callee's execution depends on the call
                 edges.add(
@@ -638,13 +635,12 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
                     DepEdge("inter_adjacent", s.stmt_id, call_stmt.stmt_id)
                 )
             caller_stmts = model.bodies[caller].stmts
-            idx = call_pos[caller, call_stmt]
             if exit_stmt and idx + 1 < len(caller_stmts):
                 icfg.setdefault(exit_stmt, []).append(
                     caller_stmts[idx + 1].stmt_id
                 )
-        for c1_method, c1 in sites:
-            for c2_method, c2 in sites:
+        for c1_method, c1, _ in sites:
+            for c2_method, c2, _ in sites:
                 if c1 is not c2 and c1_method != c2_method:
                     ctx_extra.add(DepEdge("inter_posterior", c1.stmt_id, c2.stmt_id))
 

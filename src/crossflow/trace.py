@@ -19,7 +19,7 @@ import stat
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 from operator import attrgetter, le, lt
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -40,8 +40,8 @@ class MalformedTraceError(TraceError):
 
 
 class EventOrderError(MalformedTraceError):
-    """An event does not belong at its place in its process's trace;
-    ``index`` is its position in the trace's events."""
+    """An event does not belong at its place in its process's trace, or has
+    no ts; ``index`` is its position in the trace's events."""
 
     def __init__(self, message: str, index: int) -> None:
         super().__init__(message)
@@ -152,12 +152,16 @@ class ProcessTrace:
         ):
             self._check_order(stamped)
             # every event is in place, so some event has no ts
-            raise MalformedTraceError(f"trace of {self.process} is not stamped")
+            raise EventOrderError(
+                f"trace of {self.process} is not stamped", stamps.index(None)
+            )
 
     def _check_order(self, stamped: bool) -> None:
         """Raise :class:`EventOrderError` at the first event of another
         process, with a seq not above the one before, or, when every event
-        is ``stamped``, stamped below the one before."""
+        is ``stamped``, stamped below the one before.  A trace without such
+        an event but not stamped is refused at its first event without ts
+        by ``__post_init__``."""
         prev = None
         for i, ev in enumerate(self.events):
             if ev.process != self.process:
@@ -256,7 +260,8 @@ def merge_global(
 
 
 class EventGraph:
-    """Happens-before index over a set of stamped traces.
+    """Happens-before index over a set of stamped traces, and the one place
+    where messages are matched by ``msg_id``.
 
     Built in one pass over the send and recv events in merged order, it
     keeps a Fidge/Mattern vector clock at every recv event: per process, the
@@ -265,9 +270,14 @@ class EventGraph:
     can learn about another process, and the pass skips them: one would only
     set its process's own component, which that process's next send or recv
     sets again.  Along one process every component only grows, so the recvs
-    of a process that an event happens before form a suffix, found by one
-    binary search.  A message whose send or recv is missing from the traces
-    (e.g. after :func:`filter_traces`) adds no edge.
+    of a process that an event happens before form a suffix, whose first
+    recv one binary search finds.  A message whose send or recv is missing
+    from the traces (e.g. after :func:`filter_traces`) adds no edge.
+
+    ``messages`` counts the sends of each (sender, receiver) process pair.
+    A message's receiver is the process whose recv took its ``msg_id``;
+    only a message that no recv took falls back to its send's ``peer``, and
+    one with neither is not counted.
     """
 
     def __init__(self, traces: Mapping[str, ProcessTrace]):
@@ -276,8 +286,9 @@ class EventGraph:
         self._recvs: dict[str, list[EventRecord]] = {p: [] for p in procs}
         clocks: dict[str, list[tuple[int, ...]]] = {p: [] for p in procs}
         current = {p: [-1] * len(procs) for p in procs}
-        sent: dict[str, list[int]] = {}
-        received: set[str] = set()
+        # msg_id -> (sender, peer, the send's clock)
+        sent: dict[str, tuple[str, Optional[str], list[int]]] = {}
+        receiver: dict[str, str] = {}
         index = self._index
         for ev in merge_global(traces, MESSAGE_KINDS):
             proc, msg = ev.method.process, ev.msg_id
@@ -286,46 +297,46 @@ class EventGraph:
             if ev.kind == "send":
                 if msg in sent:
                     raise MalformedTraceError(f"duplicate send msg_id {msg!r}")
-                if msg in received:
+                if msg in receiver:
                     raise CausalityError(f"recv of {msg!r} is stamped before its send")
-                sent[msg] = clock.copy()
+                sent[msg] = (proc, ev.peer, clock.copy())
             else:
-                if msg in received:
+                if msg in receiver:
                     raise MalformedTraceError(f"duplicate recv msg_id {msg!r}")
-                received.add(msg)
+                receiver[msg] = proc
                 if msg in sent:
-                    clock[:] = map(max, clock, sent[msg])
+                    clock[:] = map(max, clock, sent[msg][2])
                 self._recvs[proc].append(ev)
                 clocks[proc].append(tuple(clock))
         # _columns[p][i]: component i of p's recv clocks in program order,
         # nondecreasing; component p of a recv's clock is its own seq
         self._columns = {p: list(zip(*clocks[p])) for p in procs}
+        self.messages: dict[tuple[str, str], int] = {}
+        for msg, (proc, peer, _) in sent.items():
+            to = receiver.get(msg, peer)
+            if to is not None:
+                self.messages[proc, to] = self.messages.get((proc, to), 0) + 1
 
-    def downstream_recvs(self, start: EventRecord) -> list[EventRecord]:
-        """All recv events that ``start`` happens before, each process's in
-        program order."""
+    def downstream_recvs(self, start: EventRecord) -> dict[str, EventRecord]:
+        """Per process, in process order, its first recv that ``start``
+        happens before."""
         own, seq = start.method.process, start.seq
         i = self._index[own]
-        out = []
+        out = {}
         for proc, recvs in self._recvs.items():
             if recvs:
                 # a recv of start's own process must come after start
-                bound = seq + 1 if proc == own else seq
-                out.extend(recvs[bisect_left(self._columns[proc][i], bound):])
+                k = bisect_left(self._columns[proc][i], seq + 1 if proc == own else seq)
+                if k < len(recvs):
+                    out[proc] = recvs[k]
         return out
 
     def first_reached_ts(self, start: EventRecord) -> dict[str, int]:
-        """Per process other than ``start``'s, the ts of its first recv that
-        ``start`` happens before, in process order.  Each process's recvs
-        are one run of :meth:`downstream_recvs`, so only the first event of
-        each run is looked at in Python."""
+        """Per process other than ``start``'s, in process order, the ts of
+        its first recv that ``start`` happens before."""
         own = start.method.process
         return {
-            proc: next(recvs).ts
-            for proc, recvs in groupby(
-                self.downstream_recvs(start), attrgetter("method.process")
-            )
-            if proc != own
+            proc: ev.ts for proc, ev in self.downstream_recvs(start).items() if proc != own
         }
 
 
@@ -372,19 +383,17 @@ def method_spans(
 
 def influenced_recv_ts(
     traces: Mapping[str, ProcessTrace],
-) -> dict[tuple[str, str], int]:
-    """(receiver, origin) -> ts of receiver's first recv that is causally
+) -> dict[str, dict[str, int]]:
+    """origin -> {receiver: ts of receiver's first recv that is causally
     downstream of any send in the origin process, directly or via message
-    chains through other processes.  Influence leaves a process only through
-    its sends, so querying from the origin's first event covers them all."""
+    chains through other processes}, for every origin process.  Influence
+    leaves a process only through its sends, so querying from the origin's
+    first event covers them all."""
     graph = EventGraph(traces)
-    out: dict[tuple[str, str], int] = {}
-    for origin in sorted(traces):
-        if traces[origin].events:
-            first = traces[origin].events[0]
-            for receiver, ts in graph.first_reached_ts(first).items():
-                out[(receiver, origin)] = ts
-    return out
+    return {
+        origin: graph.first_reached_ts(trace.events[0]) if trace.events else {}
+        for origin, trace in traces.items()
+    }
 
 
 def reached_methods(
@@ -565,9 +574,9 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
     ``proc``, ``class``, ``method`` and ``kind``, and a ``seq`` that is a
     JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
     ``2.5`` is none).  Records of one method share one :class:`MethodId`.
-    An event that is out of place in the trace (see :class:`ProcessTrace`)
-    is named by its line too, which is counted only then; a trace whose
-    events are in place but not all stamped is named by ``path`` alone.
+    An event that is out of place in the trace (see :class:`ProcessTrace`),
+    and the first event without ``ts`` of a trace whose events are in
+    place, is named by its line too, which is counted only then.
 
     A file all of whose lines are in the layout that :func:`write_trace`
     writes for stamped events (every line matches one pattern, and the
@@ -585,8 +594,6 @@ def read_trace(path: Path, process: str) -> ProcessTrace:
         # each non-blank line made one event
         n = [n for n, line in enumerate(text.split("\n"), 1) if line.strip()][exc.index]
         raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
-    except MalformedTraceError as exc:  # not stamped
-        raise MalformedTraceError(f"{path}: {exc}") from exc
 
 
 def write_bundle(

@@ -20,8 +20,10 @@ metrics with a class-coupling ratio recomputed per class pair).
 ``order_error_oracle`` is the event-by-event loop of ``ProcessTrace``'s
 checks, ``first_last_reference`` the first/last-instance reduction of a
 method-event queue that ``engine.compute_deps`` reads off its queue
-positions, and ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
-clocks by visiting every event, not only sends and recvs.  The
+positions, ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
+clocks by visiting every event, not only sends and recvs, and
+``message_count_oracle`` counts its messages in two passes over every
+event.  The
 last section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
 and phase-2 results and the predicates that check them.
@@ -561,8 +563,8 @@ def order_error_oracle(
     ``process``, by the loop that ``ProcessTrace`` runs over every event:
     an event of another process, a seq not above the one before, or, when
     every event has a ts, a ts below the one before.  With every event in
-    place, (None, the not-stamped message) when some event has no ts, else
-    None."""
+    place, the first event without ts and the not-stamped message when there
+    is one, else None."""
     stamped = all(ev.ts is not None for ev in events)
     prev = None
     for i, ev in enumerate(events):
@@ -574,7 +576,10 @@ def order_error_oracle(
             if stamped and ev.ts < prev.ts:
                 return i, "timestamps decrease along trace"
         prev = ev
-    return None if stamped else (None, f"trace of {process} is not stamped")
+    for i, ev in enumerate(events):
+        if ev.ts is None:
+            return i, f"trace of {process} is not stamped"
+    return None
 
 
 def first_last_reference(qu: Sequence[int]) -> list[int]:
@@ -612,6 +617,21 @@ def event_graph_oracle(traces: Mapping[str, ProcessTrace]):
             recvs[ev.process].append(ev)
             clocks[ev.process].append(tuple(clock))
     return recvs, {p: list(zip(*clocks[p])) for p in procs}
+
+
+def message_count_oracle(traces: Mapping[str, ProcessTrace]) -> dict[tuple[str, str], int]:
+    """``EventGraph.messages``: per (sender, receiver), the sends whose
+    ``msg_id`` a recv of the receiver took, or, when no recv took it, whose
+    ``peer`` is the receiver; found by one pass over every event for the
+    recvs and one for the sends."""
+    taken = {
+        ev.msg_id: proc for proc, t in traces.items() for ev in t.events if ev.kind == "recv"
+    }
+    pairs = [
+        (proc, taken.get(ev.msg_id, ev.peer))
+        for proc, t in traces.items() for ev in t.events if ev.kind == "send"
+    ]
+    return {pair: pairs.count(pair) for pair in pairs if pair[1] is not None}
 
 
 # ---------------------------------------------------------------------------

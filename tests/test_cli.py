@@ -1646,7 +1646,7 @@ class TestMalformedInputs:
                 json.dumps({k: v for k, v in r.items() if k != "ts"}) + "\n"
                 for r in records
             ))
-        expected = f"error: {sim / 'traces' / 'p0.trace'}: trace of p0 is not stamped\n"
+        expected = f"error: {sim / 'traces' / 'p0.trace'}:1: trace of p0 is not stamped\n"
         assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "run").exists()
@@ -1660,9 +1660,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("stamps", [None, [None, 5, 3]], ids=["one-line", "gap-then-fall"])
     def test_partly_stamped_trace_exit_3_names_its_file(self, tmp_path, capsys, stamps):
         """A trace with one event without ``ts`` is refused as not stamped,
-        naming its file, before any output: ``p1.trace`` with the ``ts`` of
-        its second line dropped, or cut to three lines stamped (none, 5,
-        3), whose stamps are not compared since one is missing."""
+        naming its file and the line of that event, before any output:
+        ``p1.trace`` with the ``ts`` of its second line dropped, or cut to
+        three lines stamped (none, 5, 3), whose stamps are not compared
+        since one is missing."""
         sim = run_sim(tmp_path)
         trace = sim / "traces" / "p1.trace"
         records = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -1675,7 +1676,8 @@ class TestMalformedInputs:
                 if ts is None:
                     del record["ts"]
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
-        expected = f"error: {trace}: trace of p1 is not stamped\n"
+        line = 2 if stamps is None else 1
+        expected = f"error: {trace}:{line}: trace of p1 is not stamped\n"
         assert self.tune(sim, tmp_path / "run", "--budget", "1000") == 3
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "run").exists()

@@ -42,6 +42,7 @@ from oracles import (
     event_graph_oracle,
     hb_oracle,
     influenced_map_oracle,
+    message_count_oracle,
     order_error_oracle,
     reference_event,
     spans_oracle,
@@ -155,7 +156,7 @@ class TestMergeGlobal:
 
 def closure_recvs(traces, reach, e):
     """The recv events that ``e`` happens before by the closure ``reach``,
-    in the order of ``EventGraph.downstream_recvs``."""
+    sorted by (process, seq)."""
     return sorted(
         (r for t in traces.values() for r in t.events
          if r.kind == "recv" and r.key() in reach[e.key()]),
@@ -163,16 +164,37 @@ def closure_recvs(traces, reach, e):
     )
 
 
+def first_closure_recvs(traces, reach, e):
+    """Of :func:`closure_recvs`, each process's first, as (process, recv)
+    pairs in process order: the items of ``EventGraph.downstream_recvs``."""
+    first = {}
+    for r in closure_recvs(traces, reach, e):
+        first.setdefault(r.process, r)
+    return list(first.items())
+
+
+def trace_variants(full):
+    """The full traces and two restrictions that drop message ends
+    (relevance filtering) or method instances (first/last reduction)."""
+    runs = {e.method for t in full.values() for e in t.events if e.method.method_name == "run"}
+    return (
+        full,
+        filter_traces(full, runs),
+        {p: reduce_first_last(t) for p, t in full.items()},
+    )
+
+
 class TestHappensBefore:
-    """The happens-before index, asked for each event's downstream recvs."""
+    """The happens-before index, asked for each event's first downstream
+    recv per process."""
 
     def test_same_process_by_seq(self):
         # C's entry happens before C's recv; the recv does not reach itself
         traces = stamp_lamport(three_process_figure())
         e, f = traces["C"].events
         graph = EventGraph(traces)
-        assert graph.downstream_recvs(e) == [f]
-        assert graph.downstream_recvs(f) == []
+        assert graph.downstream_recvs(e) == {"C": f}
+        assert graph.downstream_recvs(f) == {}
 
     def test_concurrent_unlinked_processes(self):
         # A and B each hear from C, never from each other
@@ -186,26 +208,27 @@ class TestHappensBefore:
         graph = EventGraph(traces)
         a, a_recv = traces["A"].events
         b, b_recv = traces["B"].events
-        assert graph.downstream_recvs(a) == [a_recv]
-        assert graph.downstream_recvs(b) == [b_recv]
-        assert graph.downstream_recvs(a_recv) == graph.downstream_recvs(b_recv) == []
+        assert graph.downstream_recvs(a) == {"A": a_recv}
+        assert graph.downstream_recvs(b) == {"B": b_recv}
+        assert graph.downstream_recvs(a_recv) == graph.downstream_recvs(b_recv) == {}
 
     def test_send_to_post_recv_event(self):
         # A's send reaches B's recv, which precedes B's send in program order
         traces = stamp_lamport(three_process_figure())
         send = traces["A"].events[1]
         recv, post = traces["B"].events
-        assert EventGraph(traces).downstream_recvs(send) == [recv, traces["C"].events[1]]
+        assert EventGraph(traces).downstream_recvs(send) == {"B": recv, "C": traces["C"].events[1]}
         assert recv.seq < post.seq
         assert hb_oracle(traces, send, post)
 
     def test_matches_closure_oracle_on_figure(self):
-        traces = stamp_lamport(three_process_figure())
-        graph = EventGraph(traces)
-        reach = closure_matrix(traces)
-        for trace in traces.values():
-            for e in trace.events:
-                assert graph.downstream_recvs(e) == closure_recvs(traces, reach, e)
+        for traces in trace_variants(stamp_lamport(three_process_figure())):
+            graph = EventGraph(traces)
+            reach = closure_matrix(traces)
+            for trace in traces.values():
+                for e in trace.events:
+                    got = list(graph.downstream_recvs(e).items())
+                    assert got == first_closure_recvs(traces, reach, e)
 
 
 # --- randomized property: LTS correctness over generated causal schedules ---
@@ -256,21 +279,20 @@ def test_lts_correctness_property(raw):
 @given(random_schedule())
 @settings(max_examples=30, deadline=None)
 def test_happens_before_equals_oracle(raw):
-    """On the full traces and on two restrictions that drop message ends
-    (relevance filtering) or method instances (first/last reduction)."""
-    full = stamp_lamport(raw)
-    runs = {e.method for t in full.values() for e in t.events if e.method.method_name == "run"}
-    for traces in (
-        full,
-        filter_traces(full, runs),
-        {p: reduce_first_last(t) for p, t in full.items()},
-    ):
+    """On every variant of :func:`trace_variants`."""
+    for traces in trace_variants(stamp_lamport(raw)):
         reach = closure_matrix(traces)
         graph = EventGraph(traces)
         for t in traces.values():
             for e in t.events:
-                assert graph.downstream_recvs(e) == closure_recvs(traces, reach, e)
-        assert influenced_recv_ts(traces) == influenced_map_oracle(traces, reach)
+                got = list(graph.downstream_recvs(e).items())
+                assert got == first_closure_recvs(traces, reach, e)
+        influenced = influenced_recv_ts(traces)
+        assert influenced.keys() == traces.keys()
+        assert {
+            (receiver, origin): ts
+            for origin, reached in influenced.items() for receiver, ts in reached.items()
+        } == influenced_map_oracle(traces, reach)
 
 
 @pytest.mark.parametrize("kind", ["recv", "send"])
@@ -332,10 +354,8 @@ def test_method_spans_equal_plain_scan(scenario):
 def test_influenced_recv_transitive():
     traces = stamp_lamport(three_process_figure())
     infl = influenced_recv_ts(traces)
-    assert infl[("B", "A")] == 3
-    assert infl[("C", "B")] == 5
     # C never hears from A directly, but A's send reaches C through B
-    assert infl[("C", "A")] == 5
+    assert infl == {"A": {"B": 3, "C": 5}, "B": {"C": 5}, "C": {}}
 
 
 def test_bundle_round_trip(tmp_path):
@@ -403,8 +423,6 @@ def read_trace_per_line(path, process):
         return ProcessTrace(process, tuple(events))
     except EventOrderError as exc:
         raise MalformedTraceError(f"{path}:{numbers[exc.index]}: {exc}") from exc
-    except MalformedTraceError as exc:  # not stamped
-        raise MalformedTraceError(f"{path}: {exc}") from exc
 
 
 def canonical_line(seq: int, ts: int = 99, proc: str = "A") -> str:
@@ -504,16 +522,13 @@ def test_part_among_canonical_lines_reads_as_per_line(tmp_path, part):
 
 
 def order_outcome(process, events):
-    """(index, message) of the trace's ``EventOrderError``, (None, message)
-    of its refusal as not stamped, or None."""
+    """(index, message) of the trace's ``EventOrderError``, or None."""
     from crossflow.trace import EventOrderError
 
     try:
         ProcessTrace(process, tuple(events))
     except EventOrderError as exc:
         return exc.index, str(exc)
-    except MalformedTraceError as exc:
-        return None, str(exc)
     return None
 
 
@@ -526,7 +541,7 @@ def entries(*stamps, proc="A", seqs=None):
 
 @pytest.mark.parametrize("events,expected", [
     (entries(1, 2, 3), None),
-    (entries(None, None, None), (None, "trace of A is not stamped")),
+    (entries(None, None, None), (0, "trace of A is not stamped")),
     (entries(), None),
     (entries(1, 2) + entries(3, proc="B", seqs=[2]), (2, "event of B in trace of A")),
     (entries(3, proc="B") + entries(1, 2), (0, "event of B in trace of A")),
@@ -536,11 +551,11 @@ def entries(*stamps, proc="A", seqs=None):
     (entries(2, 2, 2), None),
     # along a stamped trace the first bad event is named, whichever check
     (entries(5, 3, 4, seqs=[0, 1, 1]), (1, "timestamps decrease along trace")),
-    # a gap refuses the trace, after any process or seq error; ts are
-    # compared only along a stamped trace
-    (entries(5, None, 3), (None, "trace of A is not stamped")),
-    (entries(None, 5, 3), (None, "trace of A is not stamped")),
-    (entries(5, None, 6, 4), (None, "trace of A is not stamped")),
+    # a gap refuses the trace at its first event without ts, after any
+    # process or seq error; ts are compared only along a stamped trace
+    (entries(5, None, 3), (1, "trace of A is not stamped")),
+    (entries(None, 5, 3), (0, "trace of A is not stamped")),
+    (entries(5, None, 6, 4), (1, "trace of A is not stamped")),
     (entries(5, None, 6, 4, seqs=[0, 1, 1, 2]), (2, "seq must strictly increase")),
     (entries(7, None) + entries(1, proc="B", seqs=[2]), (2, "event of B in trace of A")),
 ], ids=["stamped", "unstamped", "empty", "other-process", "other-process-first",
@@ -548,7 +563,7 @@ def entries(*stamps, proc="A", seqs=None):
         "ts-gap-then-fall", "ts-fall-after-gap", "seq-before-ts", "process-after-gap"])
 def test_order_checks_name_the_first_bad_event(events, expected):
     """The checks in C-level passes give the index and message of the loop
-    over every event, or the refusal of a trace that is not stamped."""
+    over every event, the refusal of a trace that is not stamped included."""
     assert order_error_oracle("A", events) == expected
     assert order_outcome("A", events) == expected
 
@@ -628,6 +643,36 @@ def test_event_graph_equals_pass_over_every_event(scenario):
                             expected[proc] = recv.ts
                             break
                 assert graph.first_reached_ts(ev) == expected
+
+
+def without_peers(traces):
+    """``traces`` with the ``peer`` of every send removed."""
+    return {
+        proc: ProcessTrace(proc, tuple(
+            ev._replace(peer=None) if ev.kind == "send" else ev for ev in t.events
+        ))
+        for proc, t in traces.items()
+    }
+
+
+@pytest.mark.parametrize("scenario", ACCEPTANCE_MIX, ids=lambda sc: f"{sc.topology}-{sc.tiers}")
+def test_event_graph_counts_messages_as_a_pass_over_every_event(scenario):
+    """On the run, on two relevance restrictions, which drop recvs of sends
+    they keep (such a send counts for its ``peer``), and on each of these
+    without peers (a send that no kept recv took is then not counted)."""
+    traces, _ = simulate(generate_program(scenario), scenario)
+    methods = sorted(spans_oracle(traces))
+    by_peer = uncounted = 0
+    for some in (traces, *(filter_traces(traces, methods[k::2]) for k in (0, 1))):
+        received = {ev.msg_id for t in some.values() for ev in t.events if ev.kind == "recv"}
+        for variant in (some, without_peers(some)):
+            assert EventGraph(variant).messages == message_count_oracle(variant)
+            for t in variant.values():
+                for ev in t.events:
+                    if ev.kind == "send" and ev.msg_id not in received:
+                        by_peer += ev.peer is not None
+                        uncounted += ev.peer is None
+    assert by_peer and uncounted
 
 
 @given(st.lists(st.tuples(*[st.text("Pp.-x", min_size=1, max_size=3)] * 3)))
