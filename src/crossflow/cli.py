@@ -85,6 +85,7 @@ from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_count
 from .trace import (
     MethodId,
     TraceError,
+    is_number,
     json_text,
     read_bundle,
     read_json,
@@ -126,25 +127,12 @@ def _load_scenario(path: Path) -> Scenario:
 
     def integer(key: str, default: int) -> int:
         value = data.get(key, default)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}") from None
+        if type(value) is not int:
+            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}")
+        return value
 
     tiers = None if data.get("tiers") is None else integer("tiers", 0)
     return Scenario(data["topology"], integer("seed", 0), integer("length", 80), tiers)
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number that is a finite float: not the NaN and
-    Infinity that ``json.loads`` accepts, nor an integer too big for a
-    float.  type() rather than isinstance(), since JSON true is no number."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _string_list(value, path: Path, what: str) -> list[str]:
@@ -304,14 +292,15 @@ def cmd_tune(args) -> int:
 
 def _message_counts(value, path: Path, what: str) -> dict[tuple[str, str], int]:
     """``value`` as message counts if it is a list of ``[from, to, count]``
-    with two process names and an integer; anything else is a data error
-    naming the file and the member ``what``."""
+    with two process names and an integer that a float can hold; anything
+    else is a data error naming the file and the member ``what``."""
     if not isinstance(value, list) or not all(
         isinstance(item, list)
         and len(item) == 3
         and isinstance(item[0], str)
         and isinstance(item[1], str)
         and type(item[2]) is int
+        and is_number(item[2])
         for item in value
     ):
         raise ValueError(f"{path}: {what} must be a list of [from, to, count]")
@@ -508,10 +497,10 @@ def cmd_quality(args) -> int:
         path = Path(args.vulns)
         vdata = _load_object(path)
         n_non_nvd, vuln_entries = vdata.get("n_non_nvd", 0), vdata.get("entries", [])
-        if type(n_non_nvd) is not int:
+        if type(n_non_nvd) is not int or not is_number(n_non_nvd):
             raise ValueError(f"{path}: 'n_non_nvd' must be an integer")
         if not isinstance(vuln_entries, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(_is_number(v) for v in e)
+            isinstance(e, list) and len(e) == 2 and all(is_number(v) for v in e)
             for e in vuln_entries
         ):
             raise ValueError(f"{path}: 'entries' must be a list of [cvss, years]")
@@ -537,7 +526,7 @@ def _load_rows(path: Path) -> dict[str, list]:
     list of numbers; anything else is a data error naming the file."""
     rows = _load_object(path)
     if not all(
-        isinstance(row, list) and all(_is_number(v) for v in row)
+        isinstance(row, list) and all(is_number(v) for v in row)
         for row in rows.values()
     ):
         raise ValueError(f"{path}: must map each metric name to a list of numbers")
@@ -574,7 +563,7 @@ def cmd_classify(args) -> int:
     path = Path(args.features)
     points = read_json(path)
     if not isinstance(points, list) or not all(
-        isinstance(p, list) and all(_is_number(v) for v in p) for p in points
+        isinstance(p, list) and all(is_number(v) for v in p) for p in points
     ):
         raise ValueError(f"{path}: features must be a list of lists of numbers")
     if len({len(p) for p in points}) > 1:
@@ -604,8 +593,10 @@ def positive_int(text: str) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 0."""
+    """argparse type of a count: an integer of at least 0 that a float holds."""
     value = int(text)
+    if not is_number(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value

@@ -33,8 +33,8 @@ from .metrics import DepData
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import (
-    EventGraph, MethodId, ProcessTrace, first_entries, method_spans, reached_methods,
-    read_json,
+    EventGraph, MethodId, ProcessTrace, first_entries, is_number, method_spans,
+    reached_methods, read_json,
 )
 
 # shares of a total budget: graph construction, loading, dependence computation
@@ -128,8 +128,7 @@ class CostModel:
                         f"{path}: cost-model field 'mode' must be"
                         " 'synthetic' or 'wallclock'"
                     )
-            # type() rather than isinstance(): JSON true is no cost
-            elif type(value) not in (int, float) or not -math.inf < value < math.inf:
+            elif not is_number(value):
                 raise ValueError(
                     f"{path}: cost-model field {key!r} must be a finite number"
                 )

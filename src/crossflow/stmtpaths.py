@@ -1,8 +1,8 @@
 """Statement-level flow path refinement.
 
-Builds a dynamic dependence graph by activating static edges against the
-merged event sequence, prunes it with statement coverage, discovers per-trace
-path segments, and splices segments at message junctions:
+Builds a dynamic dependence graph over the covered statements by activating
+static edges against the execution events, discovers per-process path
+segments, and splices segments at message junctions:
 
   * an adjacent interprocedural edge activates only when the dependent method
     executes immediately after the depended-on one (no method event between,
@@ -26,11 +26,12 @@ counts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .staticgraph import StaticDepGraph, SourceSinkConfig, between, partial_graph
 from .trace import METHOD_EVENT_KINDS, EventRecord, MethodId, ProcessTrace, merge_global
@@ -83,44 +84,46 @@ class InletOutletIndex:
         return cls(frozenset(inlets), frozenset(outlets))
 
 
-def _method_event_seq(trace: ProcessTrace) -> list[MethodId]:
-    return [ev.method for ev in trace.events if ev.kind in METHOD_EVENT_KINDS]
-
-
 def build_ddg(
     sdg: StaticDepGraph,
     source_stmt: str,
     sink_stmt: str,
     traces: Mapping[str, ProcessTrace],
+    coverage: Container[str],
     inlets: Iterable[str] = (),
     outlets: Iterable[str] = (),
 ) -> DynDepGraph:
-    """Activate static dependencies against the execution events.
+    """Activate the static dependencies between covered statements.
 
     The graph is grown from the source (with inlets as additional start
     points) and keeps only nodes from which the sink or an outlet is still
-    reachable; an unexecuted source or sink method yields the empty graph.
+    reachable, all of them in ``coverage``; an unexecuted source or sink
+    method yields the empty graph.  A method's first and last method events
+    are compared by ``seq``, which rises along its process's one trace.
     """
     adjacent_pairs: set[tuple[MethodId, MethodId]] = set()
-    first_pos: dict[MethodId, int] = {}
-    last_pos: dict[MethodId, int] = {}
-    executed: set[MethodId] = set()
+    first_seq: dict[MethodId, int] = {}
+    last_seq: dict[MethodId, int] = {}
     for trace in traces.values():
-        seq = _method_event_seq(trace)
-        for i, m in enumerate(seq):
-            executed.add(m)
-            first_pos.setdefault(m, i)
-            last_pos[m] = i
-            if i + 1 < len(seq):
-                adjacent_pairs.add((m, seq[i + 1]))
+        prev = None
+        for ev in trace.events:
+            if ev.kind in METHOD_EVENT_KINDS:
+                m = ev.method
+                first_seq.setdefault(m, ev.seq)
+                last_seq[m] = ev.seq
+                if prev is not None:
+                    adjacent_pairs.add((prev, m))
+                prev = m
 
-    src_method = sdg.nodes.get(source_stmt)
-    sink_method = sdg.nodes.get(sink_stmt)
-    if src_method not in executed or sink_method not in executed:
+    executed = last_seq.keys()
+    if sdg.nodes.get(source_stmt) not in executed or sdg.nodes.get(sink_stmt) not in executed:
         return DynDepGraph(frozenset(), frozenset())
 
+    covered = {stmt for stmt in sdg.nodes if stmt in coverage}
     active: set[tuple[str, str]] = set()
     for e in sdg.edges:
+        if e.src not in covered or e.dst not in covered:
+            continue
         m1, m2 = sdg.nodes[e.src], sdg.nodes[e.dst]
         if m1 not in executed or m2 not in executed:
             continue
@@ -130,24 +133,15 @@ def build_ddg(
             if (m1, m2) in adjacent_pairs:
                 active.add((e.src, e.dst))
         elif e.kind == "inter_posterior":
-            if m1.process == m2.process and first_pos[m1] <= last_pos[m2]:
+            if m1.process == m2.process and first_seq[m1] <= last_seq[m2]:
                 active.add((e.src, e.dst))
 
-    starts = {source_stmt} | (set(inlets) & set(sdg.nodes))
-    ends = {sink_stmt} | (set(outlets) & set(sdg.nodes))
+    starts = covered & {source_stmt, *inlets}
+    ends = covered & {sink_stmt, *outlets}
     keep = between(active, starts, ends)
     return DynDepGraph(
         nodes=frozenset(keep),
         edges=frozenset((a, b) for a, b in active if a in keep and b in keep),
-    )
-
-
-def prune_ddg(ddg: DynDepGraph, coverage: Iterable[str]) -> DynDepGraph:
-    """Drop uncovered statements and their edges."""
-    keep = ddg.nodes & set(coverage)
-    return DynDepGraph(
-        nodes=frozenset(keep),
-        edges=frozenset((a, b) for a, b in ddg.edges if a in keep and b in keep),
     )
 
 
@@ -160,8 +154,8 @@ def find_paths(
 ) -> list[tuple[str, ...]]:
     """All simple paths from ``ins`` to ``outs`` over the ``allowed``
     statements of ``ddg``, each a statement tuple, at most ``limit`` long.
-    ``allowed`` must hold only nodes of ``ddg``; phase 2 passes those whose
-    enclosing methods executed in one process."""
+    ``allowed`` must hold only nodes of ``ddg``; phase 2 passes those of
+    one process."""
     starts = sorted(set(ins) & allowed)
     ends = set(outs) & allowed
     adj = ddg.out_adj
@@ -342,14 +336,15 @@ def phase2(
     strict_splice: bool = False,
 ) -> Phase2Result:
     """Statement-level flow paths for every covered source/sink callsite pair,
-    over the methods ``pair_methods`` gives its (source method, sink method)."""
+    over the methods ``pair_methods`` gives its (source method, sink method).
+
+    A pair's DDG statements are grouped by their method's process, whose
+    trace executed that method, unless the graph puts a send or recv
+    statement in another method than the trace records there."""
     cfg.require_nonempty()
     if not pair_methods:
         return Phase2Result(())
     order = merge_global(traces)
-    executed_by_proc: dict[str, set[MethodId]] = {
-        proc: {ev.method for ev in trace.events} for proc, trace in traces.items()
-    }
 
     results = []
     for s in sorted(cfg.sources):
@@ -363,18 +358,16 @@ def phase2(
             partial = partial_graph(sdg, path_methods)
             index = InletOutletIndex.build(traces, path_methods)
             ddg = build_ddg(
-                partial, s, t, traces,
+                partial, s, t, traces, coverage,
                 inlets=index.inlets, outlets=index.outlets,
             )
-            ddg = prune_ddg(ddg, coverage)
             if not ddg.nodes:
                 continue
             src_proc, sink_proc = ms.process, mt.process
-            # per process, the DDG statements whose methods executed there
-            allowed = {
-                proc: {s for s in ddg.nodes if partial.nodes[s] in methods}
-                for proc, methods in executed_by_proc.items()
-            }
+            # per process, the DDG statements of its methods
+            allowed: defaultdict[str, set[str]] = defaultdict(set)
+            for stmt in ddg.nodes:
+                allowed[partial.nodes[stmt].process].add(stmt)
 
             source_segs = find_paths(
                 ddg, {s}, index.outlets, allowed[src_proc], path_limit
@@ -386,9 +379,7 @@ def phase2(
                     for p in find_paths(ddg, {s}, {t}, allowed[src_proc], path_limit)
                 )
             remote_segs: list[tuple[str, ...]] = []
-            for proc in sorted(traces):
-                if proc in (src_proc, sink_proc):
-                    continue
+            for proc in sorted(allowed.keys() - {src_proc, sink_proc}):
                 remote_segs.extend(
                     find_paths(
                         ddg, index.inlets, index.outlets, allowed[proc],

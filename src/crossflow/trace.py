@@ -13,6 +13,7 @@ answers it: Fidge/Mattern vector clocks kept at recv events.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import stat
@@ -762,6 +763,16 @@ def read_json(path: Path):
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def is_number(value) -> bool:
+    """True for a JSON number that is a finite float: not the NaN and
+    Infinity that ``json.loads`` accepts, nor an integer too big for a
+    float.  type() rather than isinstance(), since JSON true is no number."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:

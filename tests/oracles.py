@@ -21,9 +21,10 @@ metrics with a class-coupling ratio recomputed per class pair).
 checks, ``first_last_reference`` the first/last-instance reduction of a
 method-event queue that ``engine.compute_deps`` reads off its queue
 positions, ``event_graph_oracle`` builds ``EventGraph``'s recv lists and
-clocks by visiting every event, not only sends and recvs, and
+clocks by visiting every event, not only sends and recvs,
 ``message_count_oracle`` counts its messages in two passes over every
-event.  The
+event, and ``pruned_ddg_oracle`` drops uncovered statements from a DDG
+built over all of them, as phase 2 once did.  The
 last section holds helpers that
 only the tests call, so the package need not carry them: views of phase-1
 and phase-2 results and the predicates that check them.
@@ -632,6 +633,26 @@ def message_count_oracle(traces: Mapping[str, ProcessTrace]) -> dict[tuple[str, 
         for proc, t in traces.items() for ev in t.events if ev.kind == "send"
     ]
     return {pair: pairs.count(pair) for pair in pairs if pair[1] is not None}
+
+
+def pruned_ddg_oracle(
+    nodes: Iterable[str],
+    edges: Iterable[tuple[str, str]],
+    coverage: set[str],
+    stmt_methods: Mapping[str, MethodId],
+    traces: Mapping[str, ProcessTrace],
+) -> tuple[frozenset[str], frozenset[tuple[str, str]], dict[str, set[str]]]:
+    """A DDG built over every statement, pruned afterwards: its covered
+    statements, the edges between them and, per process, the covered
+    statements whose methods have any event in that process's trace, found
+    by a pass over every event."""
+    keep = frozenset(n for n in nodes if n in coverage)
+    kept_edges = frozenset((a, b) for a, b in edges if a in keep and b in keep)
+    groups = {}
+    for proc, trace in traces.items():
+        methods = {ev.method for ev in trace.events}
+        groups[proc] = {n for n in keep if stmt_methods[n] in methods}
+    return keep, kept_edges, groups
 
 
 # ---------------------------------------------------------------------------

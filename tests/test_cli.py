@@ -439,13 +439,13 @@ FLAG_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FLAG_DIGESTS))
-def test_flowpaths_flag_reports_match_recorded_digests(tmp_path, capsys, name):
-    sim = run_sim(tmp_path, name, **RECORDED_DIGESTS[name][0])
+def flag_report_digests(tmp_path, sim) -> dict[str, tuple[str, ...]]:
+    """Per phase-2 flag, the digests of a default-mode run with it on."""
     runs = {
         "strict-splice": ["--strict-splice"],
         "coverage-branches": ["--coverage", "branches"],
     }
+    got = {}
     for run, flags in runs.items():
         out = tmp_path / f"fp_{run}"
         assert main([
@@ -456,11 +456,17 @@ def test_flowpaths_flag_reports_match_recorded_digests(tmp_path, capsys, name):
             *flags,
             "--out", str(out),
         ]) == 0
-        got = tuple(
+        got[run] = tuple(
             hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in ("phase1.txt", "phase2.txt", "summary.txt")
         )
-        assert got == FLAG_DIGESTS[name][run], (name, run)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_DIGESTS))
+def test_flowpaths_flag_reports_match_recorded_digests(tmp_path, capsys, name):
+    sim = run_sim(tmp_path, name, **RECORDED_DIGESTS[name][0])
+    assert flag_report_digests(tmp_path, sim) == FLAG_DIGESTS[name]
 
 
 # sha256 of phase1.txt, phase2.txt and summary.txt of a run where the
@@ -530,6 +536,42 @@ CHAIN7_DIGESTS = {
         "617336f73ad0c3e8f9d2784302677caab009d431fba20d8620d8f206e4f6cab3",
     ),
 }
+
+
+# the same as FLAG_DIGESTS for the 7-tier chain and 12-peer ring, taken
+# before phase 2 applied coverage while it built each pair's DDG
+CAPPED_FLAG_DIGESTS = {
+    "chain7": (CHAIN7_SCENARIO, {
+        "strict-splice": (
+            "a6a9c375b4b7b01f92c495f39e0b121adb09f409c928c13559c269c226308eb1",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "5637af940ed5a6a84cee9ca268f0ba13f78be9381f95736005a4077940d8fd39",
+        ),
+        "coverage-branches": (
+            "a6a9c375b4b7b01f92c495f39e0b121adb09f409c928c13559c269c226308eb1",
+            "6347ea4d33a4991d7ce427e4123cec2cc6d322f948f265d8bf157b2f4bcf6cf8",
+            "617336f73ad0c3e8f9d2784302677caab009d431fba20d8620d8f206e4f6cab3",
+        ),
+    }),
+    "ring12": (RING12_SCENARIO, {
+        "strict-splice": (
+            "7c9ff8c1dc035f939fac862223fc05c23ec6fa457a8c40504d38ba96b10d21ad",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "5637af940ed5a6a84cee9ca268f0ba13f78be9381f95736005a4077940d8fd39",
+        ),
+        "coverage-branches": (
+            "7c9ff8c1dc035f939fac862223fc05c23ec6fa457a8c40504d38ba96b10d21ad",
+            "c66635d066ae4f0656deb86bc05e2d825a0fb9bea7e7f8357a11e101c0e6b063",
+            "a7dcf936428b0c16bf3137ca44765e6102e0fc889767d6251440837cdab43ddd",
+        ),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_FLAG_DIGESTS))
+def test_capped_flag_reports_match_recorded_digests(tmp_path, capsys, name):
+    scenario, want = CAPPED_FLAG_DIGESTS[name]
+    assert flag_report_digests(tmp_path, run_sim(tmp_path, **scenario)) == want
 
 
 def assert_capped_reports(tmp_path, scenario, digests):
@@ -1387,12 +1429,6 @@ class TestMalformedInputs:
             "--out", str(out),
         ])
 
-    def test_string_tiers_coerced_like_seed(self, tmp_path, capsys):
-        sim = run_sim(tmp_path, topology="n_tier", tiers="3", seed="2")
-        manifest = json.loads((sim / "traces" / "manifest.json").read_text())
-        assert manifest["processes"] == ["p0", "p1", "p2"]
-        assert manifest["scenario"]["tiers"] == 3
-
     def test_non_integer_tiers_exit_3(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "s.json", topology="n_tier", tiers="three")
         code = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")])
@@ -1429,8 +1465,10 @@ class TestMalformedInputs:
         ('{"flow_factor": true}', "cost-model field 'flow_factor' must be a finite number"),
         ('{"mode": "wallclok"}', "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
         ('{"mode": 5}', "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
+        ('{"compute_base": 1%s}' % ("0" * 400),
+         "cost-model field 'compute_base' must be a finite number"),
     ], ids=["unknown-key", "not-an-object", "not-a-number", "nan", "boolean",
-            "mode-misspelt", "mode-number"])
+            "mode-misspelt", "mode-number", "beyond-float"])
     def test_bad_cost_model_exit_3_names_file(self, tmp_path, capsys, text, message):
         sim = run_sim(tmp_path)
         costs = tmp_path / "costs.json"
@@ -1524,6 +1562,10 @@ class TestMalformedInputs:
         ("--ports", "-1", "must be at least 0, got -1"),
         ("--files", "-1", "must be at least 0, got -1"),
         ("--files", "1.5", "invalid nonnegative_int value: '1.5'"),
+        pytest.param(
+            "--endpoints", "1" + "0" * 400, "must be a finite number, got 1" + "0" * 400,
+            id="endpoints-beyond-float",
+        ),
     ])
     def test_quality_out_of_range_usage_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "quality.json"
@@ -1624,9 +1666,12 @@ class TestMalformedInputs:
          "p0.Main.run in 'facts' names process 'p9', which 'processes' does not list"),
         ({"facts": {"methods": [], "messages": [["p0", "p1", "2"]]}},
          "'messages' of 'facts' must be a list of [from, to, count]"),
+        ({"facts": {"methods": [], "messages": [["p0", "p1", 10**400]]}},
+         "'messages' of 'facts' must be a list of [from, to, count]"),
     ], ids=["deps-files-list", "deps-file-number", "no-deps-files", "no-bundle",
             "bundle-number", "no-facts", "method-of-five", "lr-fraction",
-            "reach-ts-string", "reach-unknown-process", "message-count-string"])
+            "reach-ts-string", "reach-unknown-process", "message-count-string",
+            "message-count-beyond-float"])
     def test_bad_run_manifest_exit_3_names_it(self, tmp_path, capsys, change, message):
         sim = run_sim(tmp_path)
         run = TestTuneAndQuery().run_tune(tmp_path, sim, pin_config="111111")
@@ -1693,10 +1738,11 @@ class TestMalformedInputs:
         ({"entries": [[1]]}, "'entries' must be a list of [cvss, years]"),
         ({"entries": [["5.0", 10]]}, "'entries' must be a list of [cvss, years]"),
         ({"n_non_nvd": [1]}, "'n_non_nvd' must be an integer"),
+        ({"n_non_nvd": 10**400}, "'n_non_nvd' must be an integer"),
         ({"entries": [[5.0, float("inf")]]}, "'entries' must be a list of [cvss, years]"),
         ({"entries": [[10**400, 1]]}, "'entries' must be a list of [cvss, years]"),
     ], ids=["entries-number", "entry-of-one", "cvss-string", "count-list",
-            "years-infinity", "cvss-beyond-float"])
+            "count-beyond-float", "years-infinity", "cvss-beyond-float"])
     def test_bad_vulns_exit_3_names_file(self, tmp_path, capsys, vulns, message):
         bad = tmp_path / "vulns.json"
         bad.write_text(json.dumps(vulns))
@@ -1876,7 +1922,12 @@ class TestMalformedInputs:
         ({"seed": None}, "'seed' must be an integer, got None"),
         ({"length": [80]}, "'length' must be an integer, got [80]"),
         ({"tiers": "three"}, "'tiers' must be an integer, got 'three'"),
-    ], ids=["no-topology", "seed-string", "seed-null", "length-list", "tiers-string"])
+        ({"length": float("inf")}, "'length' must be an integer, got inf"),
+        ({"seed": 2.9}, "'seed' must be an integer, got 2.9"),
+        ({"length": True}, "'length' must be an integer, got True"),
+        ({"tiers": "7"}, "'tiers' must be an integer, got '7'"),
+    ], ids=["no-topology", "seed-string", "seed-null", "length-list", "tiers-string",
+            "length-infinity", "seed-fraction", "length-boolean", "tiers-digits"])
     def test_bad_scenario_member_exit_3_names_file_and_key(
         self, tmp_path, capsys, change, message
     ):
@@ -1975,10 +2026,11 @@ class TestMalformedInputs:
         ({"messages": [["p", "q", None]]}, "'messages' must be a list of [from, to, count]"),
         ({"messages": {"p": "q"}}, "'messages' must be a list of [from, to, count]"),
         ({"messages": ["pq4"]}, "'messages' must be a list of [from, to, count]"),
+        ({"messages": [["p", "q", 10**400]]}, "'messages' must be a list of [from, to, count]"),
     ], ids=["local-not-list", "executed-string", "executed-number", "executed-null",
             "bad-method", "remote-list", "remote-null", "message-pair",
             "message-string-count", "message-null-count", "messages-object",
-            "message-string"])
+            "message-string", "message-count-beyond-float"])
     def test_bad_depdata_member_exit_3_names_file(self, tmp_path, capsys, change, message):
         bad = tmp_path / "dep.json"
         bad.write_text(json.dumps({**self.DEP_OK, **change}))

@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import random
 
-from crossflow import trace
+from crossflow import stmtpaths, trace
 from crossflow.pipeline import analyze_flows, direct_coverage
 from crossflow.simulator import Scenario, all_graph_variants, generate_program, simulate
 from crossflow.staticgraph import DepEdge, SourceSinkConfig, StaticDepGraph
 from crossflow.stmtpaths import (
+    DEFAULT_STMT_PATH_LIMIT,
     DynDepGraph,
     InletOutletIndex,
     build_ddg,
     find_paths,
     phase2,
-    prune_ddg,
     splice_segments,
     summary_counts,
 )
@@ -24,9 +24,11 @@ from oracles import (
     all_simple_paths,
     all_stmt_sequences,
     junction_oracle,
+    pruned_ddg_oracle,
     splice_oracle,
     stmt_sequences,
 )
+from test_acceptance import scenario_for
 
 
 def mid(proc, name):
@@ -66,25 +68,25 @@ class TestBuildDdg:
 
     def test_never_after_no_edge(self):
         traces = self._traces([self.m2, self.m1])
-        ddg = build_ddg(self.post_graph, "a", "b", traces)
+        ddg = build_ddg(self.post_graph, "a", "b", traces, coverage=self.post_graph.nodes)
         assert not ddg.edges
 
     def test_adjacent_needs_immediate_succession(self):
         other = mid("P", "other")
         traces = self._traces([self.m1, other, self.m2])
-        ddg = build_ddg(self.graph, "a", "b", traces)
+        ddg = build_ddg(self.graph, "a", "b", traces, coverage=self.graph.nodes)
         assert ("a", "b") not in ddg.edges
-        ddg_post = build_ddg(self.post_graph, "a", "b", traces)
+        ddg_post = build_ddg(self.post_graph, "a", "b", traces, coverage=self.post_graph.nodes)
         assert ("a", "b") in ddg_post.edges
 
     def test_adjacent_activates_when_consecutive(self):
         traces = self._traces([self.m1, self.m2])
-        ddg = build_ddg(self.graph, "a", "b", traces)
+        ddg = build_ddg(self.graph, "a", "b", traces, coverage=self.graph.nodes)
         assert ("a", "b") in ddg.edges
 
     def test_unexecuted_source_empty(self):
         traces = self._traces([self.m2])
-        assert not build_ddg(self.graph, "a", "b", traces).nodes
+        assert not build_ddg(self.graph, "a", "b", traces, coverage=self.graph.nodes).nodes
 
     def test_single_method_restricted_to_s_t(self):
         m = mid("P", "solo")
@@ -98,27 +100,92 @@ class TestBuildDdg:
         )
         raw = {"P": [EventRecord("entry", m, seq=0)]}
         traces = stamp_lamport(raw)
-        ddg = build_ddg(graph, "s", "t", traces)
+        ddg = build_ddg(graph, "s", "t", traces, coverage=graph.nodes)
         assert ddg.nodes == {"s", "x", "t"}
 
 
 class TestPruneDdg:
-    def _ddg(self):
-        return DynDepGraph(
+    """Coverage prunes the DDG as ``build_ddg`` activates its edges."""
+
+    def _build(self, coverage):
+        m = mid("P", "solo")
+        graph = make_graph(
+            {"s": m, "x": m, "t": m},
+            [("intra_data", "s", "x"), ("intra_data", "x", "t")],
+        )
+        traces = stamp_lamport({"P": [EventRecord("entry", m, seq=0)]})
+        return build_ddg(graph, "s", "t", traces, coverage)
+
+    def test_full_coverage_identity(self):
+        assert self._build({"s", "x", "t"}) == DynDepGraph(
             nodes=frozenset({"s", "x", "t"}),
             edges=frozenset({("s", "x"), ("x", "t")}),
         )
 
-    def test_full_coverage_identity(self):
-        ddg = self._ddg()
-        assert prune_ddg(ddg, {"s", "x", "t"}) == ddg
-
     def test_zero_coverage_empty(self):
-        assert not prune_ddg(self._ddg(), set()).nodes
+        assert self._build(set()) == DynDepGraph(frozenset(), frozenset())
 
     def test_bridge_removal(self):
-        pruned = prune_ddg(self._ddg(), {"s", "t"})
-        assert pruned.nodes == {"s", "t"} and not pruned.edges
+        ddg = self._build({"s", "t"})
+        assert not ddg.edges and not ddg.nodes - {"s", "t"}
+        assert not find_paths(ddg, {"s"}, {"t"}, set(ddg.nodes))
+
+
+class TestCoverageInBuild:
+    """Building a pair's DDG over covered statements finds the segments of
+    building it over every statement and pruning it afterwards: under phase
+    2's coverage, which on simulated runs covers every DDG statement, and
+    under that coverage with a seeded fifth of the pair's statements
+    dropped."""
+
+    SCENARIOS = (
+        [scenario_for(seed) for seed in range(10)]
+        + [Scenario("n_tier", seed=s, length=1000, tiers=k) for s, k in ((1, 5), (2, 6), (3, 7))]
+        + [Scenario("peer_to_peer", seed=s, length=1000, tiers=k)
+           for s, k in ((1, 8), (2, 10), (3, 12))]
+    )
+
+    def test_segments_equal_pruning_after_build(self, monkeypatch):
+        build = stmtpaths.build_ddg
+        rng = random.Random(0)
+        segments = []
+        dropped = []
+
+        def checked(sdg, s, t, traces, coverage, inlets=(), outlets=()):
+            full = build(sdg, s, t, traces, sdg.nodes, inlets=inlets, outlets=outlets)
+            thinned = set(coverage) - set(rng.sample(sorted(sdg.nodes), len(sdg.nodes) // 5))
+            for cov in (coverage, thinned):
+                ddg = build(sdg, s, t, traces, cov, inlets=inlets, outlets=outlets)
+                nodes, edges, old_groups = pruned_ddg_oracle(
+                    full.nodes, full.edges, cov, sdg.nodes, traces
+                )
+                old = DynDepGraph(nodes, edges)
+                dropped.extend(full.nodes - nodes)
+                groups = {proc: set() for proc in traces}
+                for stmt in ddg.nodes:
+                    groups[sdg.nodes[stmt].process].add(stmt)
+                for proc in traces:
+                    for ins, outs in (
+                        ({s}, outlets), ({s}, {t}), (inlets, outlets), (inlets, {t})
+                    ):
+                        got = find_paths(ddg, ins, outs, groups[proc], DEFAULT_STMT_PATH_LIMIT)
+                        want = find_paths(
+                            old, ins, outs, old_groups[proc], DEFAULT_STMT_PATH_LIMIT
+                        )
+                        assert got == want, (s, t, proc)
+                        segments.extend(got)
+            return build(sdg, s, t, traces, coverage, inlets=inlets, outlets=outlets)
+
+        monkeypatch.setattr(stmtpaths, "build_ddg", checked)
+        for sc in self.SCENARIOS:
+            model = generate_program(sc)
+            traces, _ = simulate(model, sc)
+            graphs = all_graph_variants(model)
+            for style in ("direct", "branches"):
+                segments.clear()
+                analyze_flows(traces, graphs, model.default_cfg(), coverage_style=style)
+                assert segments, (sc, style)
+        assert dropped
 
 
 class TestFindPaths:
