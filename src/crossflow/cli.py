@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -83,6 +84,13 @@ from .staticgraph import (
 from .stats import DegenerateDataError, kmeans2, spearman
 from .stmtpaths import DEFAULT_STMT_PATH_LIMIT, render_stmt_paths, summary_counts
 from .trace import (
+    DEP_DATA,
+    FEATURES,
+    METRIC_ROWS,
+    RUN,
+    SCENARIO,
+    SOURCE_SINK,
+    VULNS,
     MethodId,
     TraceError,
     is_number,
@@ -111,43 +119,17 @@ def _parse_method(text: str) -> MethodId:
     return MethodId(*parts)
 
 
-def _load_object(path: Path) -> dict:
-    """The JSON object in the file at ``path``; anything else is a data
-    error naming the file."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    return data
-
-
 def _load_scenario(path: Path) -> Scenario:
-    data = _load_object(path)
-    if "topology" not in data:
-        raise ValueError(f"{path}: no 'topology'")
-
-    def integer(key: str, default: int) -> int:
-        value = data.get(key, default)
-        if type(value) is not int:
-            raise ValueError(f"{path}: {key!r} must be an integer, got {value!r}")
-        return value
-
-    tiers = None if data.get("tiers") is None else integer("tiers", 0)
-    return Scenario(data["topology"], integer("seed", 0), integer("length", 80), tiers)
-
-
-def _string_list(value, path: Path, what: str) -> list[str]:
-    """``value`` if it is a JSON list of strings; anything else is a data
-    error naming the file and the member."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{path}: {what} must be a list of strings")
-    return value
+    data = read_json(path, SCENARIO, ValueError)
+    return Scenario(
+        data["topology"], data.get("seed", 0), data.get("length", 80), data.get("tiers")
+    )
 
 
 def _load_cfg(path: Path) -> SourceSinkConfig:
-    data = _load_object(path)
+    data = read_json(path, SOURCE_SINK, ValueError)
     return SourceSinkConfig(
-        sources=frozenset(_string_list(data.get("sources", []), path, "'sources'")),
-        sinks=frozenset(_string_list(data.get("sinks", []), path, "'sinks'")),
+        sources=frozenset(data.get("sources", ())), sinks=frozenset(data.get("sinks", ()))
     )
 
 
@@ -290,28 +272,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _message_counts(value, path: Path, what: str) -> dict[tuple[str, str], int]:
-    """``value`` as message counts if it is a list of ``[from, to, count]``
-    with two process names and an integer that a float can hold; anything
-    else is a data error naming the file and the member ``what``."""
-    if not isinstance(value, list) or not all(
-        isinstance(item, list)
-        and len(item) == 3
-        and isinstance(item[0], str)
-        and isinstance(item[1], str)
-        and type(item[2]) is int
-        and is_number(item[2])
-        for item in value
-    ):
-        raise ValueError(f"{path}: {what} must be a list of [from, to, count]")
-    return {(a, b): n for a, b, n in value}
-
-
-def _is_ts(value) -> bool:
-    """True for a Lamport timestamp: a JSON integer of at least 1."""
-    return type(value) is int and value >= 1
-
-
 def _facts_record(facts: RunFacts) -> dict:
     """The ``facts`` member of ``run.json``, which :func:`_load_facts`
     reads back: lists rather than an object per method, so that encoding
@@ -326,43 +286,14 @@ def _facts_record(facts: RunFacts) -> dict:
 
 def _load_facts(manifest: dict, path: Path) -> RunFacts:
     """The :class:`RunFacts` that ``tune`` recorded in ``run.json`` at
-    ``path``: ``facts`` holds ``methods``, a list of ``[process, class,
-    method, fe, lr, reach]`` with ``reach`` mapping processes to
-    timestamps, and ``messages``, a list of ``[from, to, count]``.  Every
-    process that a method or its ``reach`` names must be one of
-    ``processes``.  A manifest without facts, as ``tune`` wrote before it
-    recorded them, or a member of another shape is a data error naming the
-    file."""
-    facts = manifest.get("facts")
-    if facts is None:
-        raise ValueError(f"{path}: no run facts (written by an older tune); re-run tune")
-    processes = manifest.get("processes")
-    if not isinstance(processes, list) or not all(isinstance(p, str) for p in processes):
-        raise ValueError(f"{path}: 'processes' must be a list of process names")
-    methods = facts.get("methods") if isinstance(facts, dict) else None
-    if not isinstance(methods, list):
-        raise ValueError(f"{path}: 'facts' must hold a 'methods' list")
-    known = frozenset(processes)
+    ``path``, a manifest of the shape :data:`RUN`, whose ``reach`` maps
+    processes to timestamps.  Every process that a method or its ``reach``
+    names must be one of ``processes``, else a data error names the file."""
+    facts, known = manifest["facts"], frozenset(manifest["processes"])
     spans: dict[MethodId, tuple[int, int]] = {}
     reach: dict[MethodId, dict[str, int]] = {}
-    for entry in methods:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 6
-            and all(isinstance(part, str) and part for part in entry[:3])
-            and isinstance(entry[5], dict)
-        ):
-            raise ValueError(
-                f"{path}: each method of 'facts' must be"
-                f" [process, class, method, fe, lr, reach], got {entry!r}"
-            )
-        *name, fe, lr, hits = entry
-        method = MethodId(*name)
-        if not (_is_ts(fe) and _is_ts(lr) and all(map(_is_ts, hits.values()))):
-            raise ValueError(
-                f"{path}: the timestamps of {method.qualified()} in 'facts'"
-                " must be integers of at least 1"
-            )
+    for *name, fe, lr, hits in facts["methods"]:
+        method = tuple.__new__(MethodId, name)  # RUN holds its fields non-empty
         unknown = ({method.process} | hits.keys()) - known
         if unknown:
             raise ValueError(
@@ -371,30 +302,21 @@ def _load_facts(manifest: dict, path: Path) -> RunFacts:
             )
         spans[method] = (fe, lr)
         reach[method] = hits
-    messages = _message_counts(facts.get("messages"), path, "'messages' of 'facts'")
-    return RunFacts(spans, reach, messages)
+    return RunFacts(spans, reach, {(a, b): n for a, b, n in facts["messages"]})
 
 
 def _load_run(run_dir: Path) -> tuple[RunFacts, dict]:
     """The run facts and the dependence maps of a ``tune`` output
     directory, read from it alone: the trace bundle is not opened.
-    ``run.json`` must name the ``bundle`` it was tuned on, map each process
-    in ``deps_files`` to a file name and hold the facts that
-    :func:`_load_facts` reads, else a data error names it.  Each non-blank
-    line of a deps file must be ``dep <method> <method>``, else a data
-    error names the file and the line."""
+    ``run.json`` must have the shape :data:`RUN`, which one that ``tune``
+    wrote before it recorded facts has not, else a data error names it.
+    Each non-blank line of a deps file must be ``dep <method> <method>``,
+    else a data error names the file and the line."""
     path = run_dir / "run.json"
-    manifest = _load_object(path)
-    bundle, deps_files = manifest.get("bundle"), manifest.get("deps_files")
-    if not isinstance(bundle, str):
-        raise ValueError(f"{path}: 'bundle' must be a path")
-    if not isinstance(deps_files, dict) or not all(
-        isinstance(name, str) for name in deps_files.values()
-    ):
-        raise ValueError(f"{path}: 'deps_files' must map each process to a file name")
+    manifest = read_json(path, RUN, ValueError)
     facts = _load_facts(manifest, path)
     per_process = {}
-    for proc, name in deps_files.items():
+    for proc, name in manifest["deps_files"].items():
         deps: dict[MethodId, set[MethodId]] = {}
         methods: dict[str, MethodId] = {}
         for lineno, line in enumerate(read_text(run_dir / name).splitlines(), 1):
@@ -435,35 +357,20 @@ def cmd_query(args) -> int:
 
 
 def _dep_data_from_json(path: Path) -> DepData:
-    """The dependence data of a ``--depdata`` file: ``executed``, a list of
-    methods; ``local`` and ``remote``, each mapping a method to a list of
-    methods; ``messages``, a list of ``[from, to, count]`` with two process
-    names and an integer.  A member of another shape is a data error naming
-    the file."""
-    data = _load_object(path)
-
-    def parse(text: str) -> MethodId:
-        try:
-            return _parse_method(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-    def methods(value, what: str) -> frozenset[MethodId]:
-        return frozenset(parse(v) for v in _string_list(value, path, what))
-
-    def dep_sets(key: str) -> dict[MethodId, frozenset[MethodId]]:
-        value = data.get(key, {})
-        if not isinstance(value, dict):
-            raise ValueError(f"{path}: {key!r} must map each method to a list")
-        return {parse(k): methods(vs, f"{key}[{k!r}]") for k, vs in value.items()}
-
-    messages = _message_counts(data.get("messages", []), path, "'messages'")
-    return DepData(
-        local_ds=dep_sets("local"),
-        remote_ds=dep_sets("remote"),
-        executed=methods(data.get("executed"), "'executed'"),
-        messages=messages,
-    )
+    """The dependence data of a ``--depdata`` file, of the shape
+    :data:`DEP_DATA`, whose strings must be methods, else a data error
+    names the file."""
+    data = read_json(path, DEP_DATA, ValueError)
+    try:
+        local_ds, remote_ds = [{
+            _parse_method(k): frozenset(map(_parse_method, vs))
+            for k, vs in data.get(key, {}).items()
+        } for key in ("local", "remote")]
+        executed = frozenset(map(_parse_method, data["executed"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    messages = {(a, b): n for a, b, n in data.get("messages", [])}
+    return DepData(local_ds, remote_ds, executed, messages)
 
 
 def _emit(text: str, out) -> int:
@@ -491,19 +398,7 @@ def cmd_quality(args) -> int:
             if line.startswith("path level=stmt"):
                 lengths.append(len(line.split("->")))
     count, mean_len = path_stats(lengths, args.ksloc)
-    vuln_entries = []
-    n_non_nvd = 0
-    if args.vulns:
-        path = Path(args.vulns)
-        vdata = _load_object(path)
-        n_non_nvd, vuln_entries = vdata.get("n_non_nvd", 0), vdata.get("entries", [])
-        if type(n_non_nvd) is not int or not is_number(n_non_nvd):
-            raise ValueError(f"{path}: 'n_non_nvd' must be an integer")
-        if not isinstance(vuln_entries, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(is_number(v) for v in e)
-            for e in vuln_entries
-        ):
-            raise ValueError(f"{path}: 'entries' must be a list of [cvss, years]")
+    vulns = read_json(Path(args.vulns), VULNS, ValueError) if args.vulns else {}
     vector = {
         "exec_time": args.exec_time,
         "code_churn": args.code_churn,
@@ -515,27 +410,15 @@ def cmd_quality(args) -> int:
             args.endpoints, args.ports, args.files, args.sloc
         ),
         "vulnerableness": vulnerableness(
-            n_non_nvd, vuln_entries, corrected=args.vuln_corrected
+            vulns.get("n_non_nvd", 0), vulns.get("entries", []), corrected=args.vuln_corrected
         ),
     }
     return _emit(json_text(vector), args.out)
 
 
-def _load_rows(path: Path) -> dict[str, list]:
-    """A ``correlate`` input: a JSON object mapping each metric name to a
-    list of numbers; anything else is a data error naming the file."""
-    rows = _load_object(path)
-    if not all(
-        isinstance(row, list) and all(is_number(v) for v in row)
-        for row in rows.values()
-    ):
-        raise ValueError(f"{path}: must map each metric name to a list of numbers")
-    return rows
-
-
 def cmd_correlate(args) -> int:
-    ipc_rows = _load_rows(Path(args.ipc))
-    quality_rows = _load_rows(Path(args.quality))
+    ipc_rows = read_json(Path(args.ipc), METRIC_ROWS, ValueError)
+    quality_rows = read_json(Path(args.quality), METRIC_ROWS, ValueError)
     for q_name in (q for q in QUALITY_METRICS if q in quality_rows):
         q = quality_rows[q_name]
         if len(q) < 3:
@@ -561,14 +444,16 @@ def cmd_correlate(args) -> int:
 
 def cmd_classify(args) -> int:
     path = Path(args.features)
-    points = read_json(path)
-    if not isinstance(points, list) or not all(
-        isinstance(p, list) and all(is_number(v) for v in p) for p in points
-    ):
-        raise ValueError(f"{path}: features must be a list of lists of numbers")
-    if len({len(p) for p in points}) > 1:
-        raise ValueError(f"{path}: points must share dimensionality")
-    result = kmeans2(points, seed=args.seed)
+    try:
+        result = kmeans2(read_json(path, FEATURES, ValueError), seed=args.seed)
+        finite = all(map(math.isfinite, (result.inertia, *chain(*result.centers))))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{path}: features too large: a squared distance or a coordinate sum"
+            " overflows a float"
+        )
     lines = [
         f"point {i} cluster {label}" for i, label in enumerate(result.labels)
     ]
@@ -583,55 +468,40 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse type of a limit: an integer of at least 1 (a limit of 0
-    would silently empty its report)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(name: str, convert, *checks):
+    """The argparse type called ``name``: ``convert`` of the text, refused
+    with the message of the first (predicate, message) check that its value
+    fails, formatted with the ``text`` and the ``value``."""
+
+    def parse(text: str):
+        value = convert(text)
+        for test, message in checks:
+            if not test(value):
+                raise argparse.ArgumentTypeError(message.format(text=text, value=value))
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 0 that a float holds."""
-    value = int(text)
-    if not is_number(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def finite_float(text: str) -> float:
-    """argparse type of a number written to a report: a finite float."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    """argparse type of a size to divide by: a finite float above 0."""
-    value = finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    """argparse type of a time threshold: a finite float of at least 0."""
-    value = finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
-def unit_float(text: str) -> float:
-    """argparse type of a probability: a finite float in [0, 1]."""
-    value = finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+# the types of a limit (a limit of 0 would silently empty its report), a
+# count, a number written to a report, a size to divide by, a time threshold
+# and a probability; a count's integer and every float must be finite
+_FINITE = (is_number, "must be a finite number, got {text}")
+positive_int = _checked("positive_int", int, (lambda v: v >= 1, "must be at least 1, got {value}"))
+nonnegative_int = _checked(
+    "nonnegative_int", int, _FINITE, (lambda v: v >= 0, "must be at least 0, got {value}")
+)
+finite_float = _checked("finite_float", float, _FINITE)
+positive_float = _checked(
+    "positive_float", float, _FINITE, (lambda v: v > 0, "must be positive, got {text}")
+)
+nonnegative_float = _checked(
+    "nonnegative_float", float, _FINITE, (lambda v: v >= 0, "must be at least 0, got {text}")
+)
+unit_float = _checked(
+    "unit_float", float, _FINITE, (lambda v: 0 <= v <= 1, "must be in [0, 1], got {text}")
+)
 
 
 def query_method(text: str) -> MethodId | tuple[str, str]:

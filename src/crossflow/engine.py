@@ -33,8 +33,8 @@ from .metrics import DepData
 from .qlearn import LearnerParams, QTable, reward, select_action, update
 from .staticgraph import INTER_KINDS, StaticDepGraph, reachable
 from .trace import (
-    EventGraph, MethodId, ProcessTrace, first_entries, is_number, method_spans,
-    reached_methods, read_json,
+    NAMES, EventGraph, MethodId, ProcessTrace, first_entries, is_number, is_object,
+    method_spans, optional, reached_methods, read_json,
 )
 
 # shares of a total budget: graph construction, loading, dependence computation
@@ -111,28 +111,21 @@ class CostModel:
 
     @classmethod
     def from_file(cls, path: Path) -> "CostModel":
-        """The model in a JSON object of field values; a non-object, an
-        unknown field, a ``mode`` other than ``synthetic`` or ``wallclock``
-        or a cost that is not a finite number raises ``ValueError`` naming
-        the file."""
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: cost model must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"{path}: unknown cost-model field {key!r}")
-            if key == "mode":
-                if value not in ("synthetic", "wallclock"):
-                    raise ValueError(
-                        f"{path}: cost-model field 'mode' must be"
-                        " 'synthetic' or 'wallclock'"
-                    )
-            elif not is_number(value):
-                raise ValueError(
-                    f"{path}: cost-model field {key!r} must be a finite number"
-                )
-        return cls(**data)
+        """The model in a JSON object of field values, of the shape
+        :data:`COST_MODEL`, else ``ValueError`` naming the file."""
+        return cls(**read_json(path, COST_MODEL, ValueError))
+
+
+# a cost-model file: absent fields keep their defaults
+COST_MODEL = (
+    (None, is_object, "cost model must be a JSON object"),
+    (NAMES, {f.name for f in fields(CostModel)}.__contains__,
+     "unknown cost-model field {key!r}"),
+    ("mode", optional(("synthetic", "wallclock").__contains__),
+     "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
+    *((f.name, optional(is_number), f"cost-model field {f.name!r} must be a finite number")
+      for f in fields(CostModel) if f.name != "mode"),
+)
 
 
 class MethodTable:

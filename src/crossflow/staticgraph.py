@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .trace import MethodId, json_text, read_json, read_text, write_output
+from .trace import GRAPH_MANIFEST, MethodId, json_text, read_json, read_text, write_output
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -206,39 +206,44 @@ def write_graph(path: Path, graph: StaticDepGraph) -> None:
 
 
 def read_graph(path: Path) -> StaticDepGraph:
+    """The graph in the file at ``path``.  Each record is unpacked into its
+    exact tokens, so one of another length, a ``msgsite`` of a role other
+    than ``send`` or ``recv`` or an edge of an unknown kind raises
+    ``GraphFormatError`` naming the file and the line; a line of another
+    tag is skipped, such as the ``entry`` records of older graph files."""
     nodes: dict[str, MethodId] = {}
     methods: dict[tuple[str, str, str], MethodId] = {}
     edges = set()
     icfg: dict[str, list[str]] = {}
     guards: dict[str, Optional[str]] = {}
-    sends, recvs = set(), set()
+    sites: dict[str, set[str]] = {"send": set(), "recv": set()}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
+        tag = parts[0]
         try:
-            tag = parts[0]
             if tag == "node":
-                stmt, name, cls, proc = parts[1:5]
+                _, stmt, name, cls, proc = parts
                 key = (proc, cls, name)
                 method = methods.get(key)
                 if method is None:
                     method = methods[key] = MethodId(*key)
                 nodes[stmt] = method
             elif tag == "edge":
-                kind, src, dst = parts[1:4]
+                _, kind, src, dst = parts
                 edges.add(DepEdge(kind, src, dst))
             elif tag == "cfg":
-                icfg.setdefault(parts[1], []).append(parts[2])
+                _, src, dst = parts
+                icfg.setdefault(src, []).append(dst)
             elif tag == "guard":
-                guards[parts[1]] = parts[2]
+                _, stmt, guard = parts
+                guards[stmt] = guard
             elif tag == "msgsite":
-                (sends if parts[1] == "send" else recvs).add(parts[2])
-            # unknown record tags tolerated, such as the `entry` records
-            # that older graph files hold
-        except (IndexError, ValueError) as exc:
-            raise GraphFormatError(f"{path}:{lineno}: bad record {line!r}") from exc
+                _, role, stmt = parts
+                sites[role].add(stmt)
+        except (KeyError, ValueError) as exc:
+            raise GraphFormatError(f"{path}:{lineno}: bad record {line.strip()!r}") from exc
     for stmt in nodes:
         guards.setdefault(stmt, None)
     try:
@@ -246,8 +251,8 @@ def read_graph(path: Path) -> StaticDepGraph:
             nodes=nodes,
             edges=frozenset(edges),
             icfg_succ={s: tuple(d) for s, d in icfg.items()},
-            send_sites=frozenset(sends),
-            recv_sites=frozenset(recvs),
+            send_sites=frozenset(sites["send"]),
+            recv_sites=frozenset(sites["recv"]),
             guards=guards,
         )
     except GraphFormatError as exc:
@@ -297,34 +302,17 @@ class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):
 def read_graph_set(directory: Path) -> GraphSet:
     """The variants that ``directory``'s manifest lists.
 
-    The manifest is a JSON object whose ``variants`` maps each key to a
-    file name; a key is two characters, ``0`` or ``1`` (context, flow
-    sensitivity).  Any other shape or key raises ``GraphFormatError``
-    naming the manifest.  Every listed file must exist (else
+    The manifest must have the shape :data:`GRAPH_MANIFEST`, else
+    ``GraphFormatError`` names it.  Every listed file must exist (else
     ``FileNotFoundError`` before any analysis runs), but a variant is
     parsed only when first looked up: a malformed variant raises
     ``GraphFormatError`` then, naming its file, and one that is never
     looked up is never reported.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise GraphFormatError(f"{manifest_path}: not a JSON object")
-    variants = manifest.get("variants")
-    if not isinstance(variants, dict) or not all(
-        isinstance(name, str) for name in variants.values()
-    ):
-        raise GraphFormatError(
-            f"{manifest_path}: 'variants' must map each variant key to a file name"
-        )
+    manifest = read_json(directory / "manifest.json", GRAPH_MANIFEST, GraphFormatError)
     files = {}
-    for key, name in variants.items():
-        if len(key) != 2 or not set(key) <= {"0", "1"}:
-            raise GraphFormatError(
-                f"{manifest_path}: bad variant key {key!r}"
-                " (want two characters, each 0 or 1)"
-            )
+    for key, name in manifest["variants"].items():
         path = directory / name
         if not path.is_file():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))

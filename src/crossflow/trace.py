@@ -95,31 +95,12 @@ class _EventFields(NamedTuple):
 class EventRecord(_EventFields):
     """One traced event.  ``ts`` is None until Lamport stamping.
 
-    A tuple, built and compared in C; ``__new__`` rejects an unknown kind,
-    a message event without ``msg_id`` and a timestamp below 1."""
+    A tuple, compared in C.  Its fields follow the rules of a trace file's
+    records, :data:`TRACE_RECORD`, which are checked where a trace is read:
+    a known kind, a ``msg_id`` on every message event and a ts of at least
+    1."""
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        method: MethodId,
-        seq: int,
-        ts: Optional[int] = None,
-        msg_id: Optional[str] = None,
-        peer: Optional[str] = None,
-        branch_id: Optional[str] = None,
-        stmt_id: Optional[str] = None,
-    ) -> "EventRecord":
-        if kind not in EVENT_KINDS:
-            raise MalformedTraceError(f"unknown event kind {kind!r}")
-        if kind in ("send", "recv") and msg_id is None:
-            raise MalformedTraceError(f"{kind} event requires msg_id")
-        if ts is not None and ts < 1:
-            raise MalformedTraceError("stamped timestamps start at 1")
-        return tuple.__new__(
-            cls, (kind, method, seq, ts, msg_id, peer, branch_id, stmt_id)
-        )
 
     @property
     def process(self) -> str:
@@ -503,8 +484,8 @@ def _match_events(text: str) -> Optional[tuple[EventRecord, ...]]:
     """The events of ``text`` when every line of it matches
     :func:`_trace_line` and every send and recv has a ``msg_id``, else
     None.  Such lines hold exactly the values their JSON decodes to and
-    pass every check of a record, so each event is built straight from the
-    matched groups, as a tuple, without :class:`EventRecord`'s checks."""
+    have the shape :data:`TRACE_RECORD`, so each event is built straight
+    from the matched groups, as a tuple."""
     rows = _trace_line().findall(text)
     if len(rows) != text.count("\n") or not text.endswith("\n"):
         return None
@@ -547,34 +528,25 @@ def _decode_events(text: str, path: Path) -> tuple[EventRecord, ...]:
             ) from exc
         except ValueError as exc:  # an integer past the interpreter's digit limit
             raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
-        try:
-            key = (rec["proc"], rec["class"], rec["method"])
-            method = methods.get(key)
-            if method is None:
-                method = methods[key] = MethodId(*key)
-            kind, seq, ts = rec["kind"], rec["seq"], rec.get("ts")
-            if type(seq) is not int or not (ts is None or type(ts) is int):
-                raise TypeError("seq and ts must be JSON integers")
-            events.append(EventRecord(
-                kind, method, seq, ts, rec.get("msg_id"), rec.get("peer"),
-                rec.get("branch_id"), rec.get("stmt_id"),
-            ))
-        except MalformedTraceError as exc:  # a ValueError: caught first
-            raise MalformedTraceError(f"{path}:{n}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedTraceError(
-                f"{path}:{n}: bad trace record {rec!r}"
-            ) from exc
+        check_shape(TRACE_RECORD, rec, f"{path}:{n}", MalformedTraceError)
+        key = (rec["proc"], rec["class"], rec["method"])
+        method = methods.get(key)
+        if method is None:
+            method = methods[key] = MethodId(*key)
+        events.append(EventRecord(
+            rec["kind"], method, rec["seq"], rec.get("ts"), rec.get("msg_id"),
+            rec.get("peer"), rec.get("branch_id"), rec.get("stmt_id"),
+        ))
     return tuple(events)
 
 
 def read_trace(path: Path, process: str) -> ProcessTrace:
     """The trace of ``process`` in the file at ``path``: one JSON record per
     non-blank line, else :class:`MalformedTraceError` naming ``path`` and
-    the number of the first bad line, and quoting it.  A record needs
-    ``proc``, ``class``, ``method`` and ``kind``, and a ``seq`` that is a
-    JSON integer, as ``ts`` is when present and not null (JSON ``true`` or
-    ``2.5`` is none).  Records of one method share one :class:`MethodId`.
+    the number of the first bad line, and quoting it.  A record has the
+    shape :data:`TRACE_RECORD`: its string fields are non-empty and its
+    ``seq`` and ``ts`` JSON integers (JSON ``true`` or ``2.5`` is none).
+    Records of one method share one :class:`MethodId`.
     An event that is out of place in the trace (see :class:`ProcessTrace`),
     and the first event without ``ts`` of a trace whose events are in
     place, is named by its line too, which is counted only then.
@@ -752,17 +724,19 @@ def write_output(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def read_json(path: Path):
-    """The JSON value in the file at ``path``.  Text that is not JSON raises
+def read_json(path: Path, shape: Sequence, error: type):
+    """The JSON value in the file at ``path``, of the given ``shape`` (else
+    ``error``, see :func:`check_shape`).  Text that is not JSON raises
     ``json.JSONDecodeError``, and an integer longer than the interpreter's
     digit limit ``ValueError``, whose message names the file."""
     text = read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return check_shape(shape, data, path, error)
 
 
 def is_number(value) -> bool:
@@ -775,6 +749,186 @@ def is_number(value) -> bool:
         return False
 
 
+# ---------------------------------------------------------------------------
+# Input shapes.  Each input format declares its shape once, as (field,
+# predicate, message) entries that its one decoder checks with check_shape.
+# A field is an object member by name, None for the whole record, NAMES for
+# the name of each member of an object, or MEMBERS for the value of each
+# member of an object or a list.  An absent member reads as ABSENT, which
+# only optional() and nullable() admit.  An entry may hold, in place of a
+# predicate, the shape of a present member.
+# ---------------------------------------------------------------------------
+
+ABSENT, NAMES, MEMBERS = object(), object(), object()  # unlike any JSON value
+
+
+def check_shape(shape: Sequence, record, where, error: type):
+    """``record`` if each entry of ``shape`` holds, in order; else ``error``
+    of ``where`` and the message of the first that fails, formatted with
+    the ``record``, the member's ``key`` and its ``value``."""
+    for field, test, message in shape:
+        if field is NAMES or field is MEMBERS:
+            items = record.items() if type(record) is dict else enumerate(record)
+        else:
+            items = ((field, record if field is None else record.get(field, ABSENT)),)
+        for key, value in items:
+            if type(test) is tuple:
+                if value is not ABSENT:
+                    check_shape(test, value, where, error)
+            elif not test(key if field is NAMES else value):
+                raise error(f"{where}: " + message.format(record=record, key=key, value=value))
+    return record
+
+
+def of_type(kind: type):
+    """Values of exactly the type ``kind``, as JSON true is no ``int``."""
+    return lambda value: type(value) is kind
+
+
+is_int, is_list, is_object = of_type(int), of_type(list), of_type(dict)
+
+
+def is_name(value) -> bool:
+    return type(value) is str and value != ""
+
+
+def is_count(value) -> bool:
+    """True for a JSON integer that a float can hold."""
+    return type(value) is int and is_number(value)
+
+
+def is_ts(value) -> bool:
+    """True for a Lamport timestamp: a JSON integer of at least 1."""
+    return type(value) is int and value >= 1
+
+
+def is_present(value) -> bool:
+    return value is not ABSENT and value is not None
+
+
+def optional(test):
+    return lambda value: value is ABSENT or test(value)
+
+
+def nullable(test):
+    return lambda value: value is ABSENT or value is None or test(value)
+
+
+def list_of(test):
+    return lambda value: type(value) is list and all(map(test, value))
+
+
+def map_of(test):
+    """JSON objects whose every member's value passes ``test``."""
+    return lambda value: type(value) is dict and all(map(test, value.values()))
+
+
+def tuple_of(*tests):
+    """JSON lists of one item per test, each passing its test (None passes
+    any item); a loop, as ``all`` over a generator costs twice as much."""
+    checks = [(i, test) for i, test in enumerate(tests) if test is not None]
+
+    def test(value) -> bool:
+        if type(value) is not list or len(value) != len(tests):
+            return False
+        for i, item_test in checks:
+            if not item_test(value[i]):
+                return False
+        return True
+
+    return test
+
+
+NOT_AN_OBJECT = (None, is_object, "not a JSON object")
+_BAD_RECORD = "bad trace record {record!r}"
+
+# one line of a trace file, a bundle's manifest.json (its scenario is not
+# read) and a graph directory's (a variant key is two characters, each 0 or
+# 1: context, flow sensitivity)
+TRACE_RECORD = (
+    (None, is_object, _BAD_RECORD),
+    *((name, is_name, _BAD_RECORD) for name in ("proc", "class", "method", "kind")),
+    ("seq", is_int, _BAD_RECORD),
+    ("ts", nullable(is_int), _BAD_RECORD),
+    *((name, nullable(is_name), _BAD_RECORD) for name in _FIELDS),
+    ("kind", EVENT_KINDS.__contains__, "unknown event kind {value!r}"),
+    (None, lambda rec: rec["kind"] not in MESSAGE_KINDS or is_present(rec.get("msg_id")),
+     "{record[kind]} event requires msg_id"),
+    ("ts", nullable(is_ts), "stamped timestamps start at 1"),
+)
+BUNDLE_MANIFEST = (
+    NOT_AN_OBJECT,
+    ("processes", list_of(is_name), "'processes' must be a list of process names"),
+    ("files", optional(map_of(is_name)), "'files' must map each process to a file name"),
+)
+GRAPH_MANIFEST = (
+    NOT_AN_OBJECT,
+    ("variants", map_of(is_name), "'variants' must map each variant key to a file name"),
+    ("variants", (
+        (NAMES, lambda key: len(key) == 2 and set(key) <= {"0", "1"},
+         "bad variant key {key!r} (want two characters, each 0 or 1)"),
+    ), None),
+)
+
+# the JSON inputs of the commands
+SCENARIO = (  # simulate --scenario
+    NOT_AN_OBJECT,
+    ("topology", is_present, "no 'topology'"),
+    ("seed", optional(is_int), "'seed' must be an integer, got {value!r}"),
+    ("length", optional(is_int), "'length' must be an integer, got {value!r}"),
+    ("tiers", nullable(is_int), "'tiers' must be an integer, got {value!r}"),
+)
+SOURCE_SINK = (  # flowpaths --config
+    NOT_AN_OBJECT,
+    ("sources", optional(list_of(is_name)), "'sources' must be a list of strings"),
+    ("sinks", optional(list_of(is_name)), "'sinks' must be a list of strings"),
+)
+MESSAGE_COUNTS = list_of(tuple_of(is_name, is_name, is_count))
+FACT_METHODS = (
+    (MEMBERS, tuple_of(is_name, is_name, is_name, None, None, is_object),
+     "each method of 'facts' must be [process, class, method, fe, lr, reach], got {value!r}"),
+    (MEMBERS, tuple_of(None, None, None, is_ts, is_ts, map_of(is_ts)),
+     "the timestamps of {value[0]}.{value[1]}.{value[2]} in 'facts'"
+     " must be integers of at least 1"),
+)
+RUN = (  # run.json of a tune output, read by query and metrics --run
+    NOT_AN_OBJECT,
+    ("bundle", is_name, "'bundle' must be a path"),
+    ("deps_files", map_of(is_name), "'deps_files' must map each process to a file name"),
+    ("facts", is_present, "no run facts (written by an older tune); re-run tune"),
+    ("processes", list_of(is_name), "'processes' must be a list of process names"),
+    ("facts", (
+        (None, is_object, "'facts' must hold a 'methods' list"),
+        ("methods", is_list, "'facts' must hold a 'methods' list"),
+        ("methods", FACT_METHODS, None),
+        ("messages", MESSAGE_COUNTS, "'messages' of 'facts' must be a list of [from, to, count]"),
+    ), None),
+)
+DEP_DATA = (  # metrics --depdata
+    NOT_AN_OBJECT,
+    ("messages", optional(MESSAGE_COUNTS), "'messages' must be a list of [from, to, count]"),
+    ("local", optional(is_object), "'local' must map each method to a list"),
+    ("local", ((MEMBERS, list_of(is_name), "local[{key!r}] must be a list of strings"),), None),
+    ("remote", optional(is_object), "'remote' must map each method to a list"),
+    ("remote", ((MEMBERS, list_of(is_name), "remote[{key!r}] must be a list of strings"),), None),
+    ("executed", list_of(is_name), "'executed' must be a list of strings"),
+)
+VULNS = (  # quality --vulns
+    NOT_AN_OBJECT,
+    ("n_non_nvd", optional(is_count), "'n_non_nvd' must be an integer"),
+    ("entries", optional(list_of(tuple_of(is_number, is_number))),
+     "'entries' must be a list of [cvss, years]"),
+)
+METRIC_ROWS = (  # correlate --ipc and --quality
+    NOT_AN_OBJECT,
+    (None, map_of(list_of(is_number)), "must map each metric name to a list of numbers"),
+)
+FEATURES = (  # classify --features
+    (None, list_of(list_of(is_number)), "features must be a list of lists of numbers"),
+    (None, lambda points: len({len(p) for p in points}) < 2, "points must share dimensionality"),
+)
+
+
 def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     """The traces of the bundle at ``directory``, each from the file its
     manifest names, and the manifest.  Every trace must be stamped, as
@@ -782,23 +936,13 @@ def read_bundle(directory: Path) -> tuple[TraceMap, dict]:
     no command stamps traces on input."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise MalformedTraceError(f"no manifest.json in {directory}")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise MalformedTraceError(f"{manifest_path}: not a JSON object")
-    processes = manifest.get("processes")
-    if not isinstance(processes, list) or not all(isinstance(p, str) for p in processes):
-        raise MalformedTraceError(
-            f"{manifest_path}: 'processes' must be a list of process names"
-        )
-    files = manifest.get("files")
+    manifest = read_json(manifest_path, BUNDLE_MANIFEST, MalformedTraceError)
+    files = manifest.get("files", {})
     traces = {}
-    for proc in processes:
-        name = files.get(proc) if isinstance(files, dict) else None
-        if not isinstance(name, str):
+    for proc in manifest["processes"]:
+        if proc not in files:
             raise MalformedTraceError(
                 f"{manifest_path}: no trace file named for process {proc!r}"
             )
-        traces[proc] = read_trace(directory / name, proc)
+        traces[proc] = read_trace(directory / files[proc], proc)
     return traces, manifest

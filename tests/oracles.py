@@ -533,16 +533,34 @@ def reference_event(rec) -> EventRecord:
     """The event of one decoded trace record, converted field by field
     with a new ``MethodId`` per record, by the rules that ``read_trace``
     applies in its loop: ``seq``, and ``ts`` unless absent or null, must
-    be JSON integers (``True`` and ``2.0`` are not).  A record that lacks
-    a field or holds a bad one is a ``MalformedTraceError`` quoting it; one
-    that ``EventRecord`` rejects raises that error."""
+    be JSON integers (``True`` and ``2.0`` are not); ``proc``, ``class``,
+    ``method`` and ``kind``, and the other string fields unless absent or
+    null, must be non-empty strings.  A record that lacks a field or holds
+    a bad one is a ``MalformedTraceError`` quoting it.  Then the kind must
+    be known, a send or recv needs a ``msg_id`` and a ts is at least 1,
+    else a ``MalformedTraceError`` says which rule failed."""
     try:
         seq, ts = rec["seq"], rec.get("ts")
         for value in (seq,) if ts is None else (seq, ts):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"not a JSON integer: {value!r}")
+        strings = [rec[name] for name in ("proc", "class", "method", "kind")]
+        strings += [
+            rec[name] for name in ("msg_id", "peer", "branch_id", "stmt_id")
+            if rec.get(name) is not None
+        ]
+        for value in strings:
+            if not isinstance(value, str) or value == "":
+                raise TypeError(f"not a non-empty string: {value!r}")
+        kind = rec["kind"]
+        if kind not in ("entry", "returned_into", "send", "recv", "branch", "stmt_cover"):
+            raise MalformedTraceError(f"unknown event kind {kind!r}")
+        if kind in ("send", "recv") and rec.get("msg_id") is None:
+            raise MalformedTraceError(f"{kind} event requires msg_id")
+        if ts is not None and ts < 1:
+            raise MalformedTraceError("stamped timestamps start at 1")
         return EventRecord(
-            kind=rec["kind"],
+            kind=kind,
             method=MethodId(rec["proc"], rec["class"], rec["method"]),
             seq=seq,
             ts=ts,

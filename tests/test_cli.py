@@ -1179,12 +1179,38 @@ class TestInputReaders:
          "bad trace record {'class': 'C', 'kind': ['entry'], 'method': 'm',"
          " 'proc': 'A', 'seq': 1}"),
         ([GOOD, GOOD1.replace('"entry"', '"exit"')], 3, "unknown event kind 'exit'"),
+        ([GOOD, GOOD1.replace('"entry"', '"send"')], 3, "send event requires msg_id"),
+        ([GOOD, GOOD1.replace('"entry"', '"recv"').replace("}", ', "ts": 3}')], 3,
+         "recv event requires msg_id"),
+        ([GOOD, GOOD1.replace("}", ', "ts": 0}')], 3, "stamped timestamps start at 1"),
+        # every string field is a non-empty JSON string
+        ([GOOD, GOOD1.replace('"entry"', '"stmt_cover"').replace("}", ', "stmt_id": []}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'stmt_cover', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'stmt_id': []}"),
+        ([GOOD, GOOD1.replace('"m"', "2.5")], 3,
+         "bad trace record {'class': 'C', 'kind': 'entry', 'method': 2.5,"
+         " 'proc': 'A', 'seq': 1}"),
+        ([GOOD, GOOD1.replace('"C"', "7")], 3,
+         "bad trace record {'class': 7, 'kind': 'entry', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1}"),
+        ([GOOD, GOOD1.replace('"entry"', '"send"').replace("}", ', "msg_id": 5}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'send', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'msg_id': 5}"),
+        ([GOOD, GOOD1.replace('"entry"', '"branch"').replace("}", ', "branch_id": 3}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'branch', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'branch_id': 3}"),
+        ([GOOD, GOOD1.replace('"entry"', '"send"').replace(
+            "}", ', "msg_id": "x", "peer": {"a": 1}}')], 3,
+         "bad trace record {'class': 'C', 'kind': 'send', 'method': 'm',"
+         " 'proc': 'A', 'seq': 1, 'msg_id': 'x', 'peer': {'a': 1}}"),
     ], ids=["bad-json", "two-records", "two-records-no-comma", "value-over-two-lines",
             "record-over-two-lines", "bare-number", "missing-kind",
             "bad-record-before-bad-json", "seq-not-an-integer", "empty-method", "seq-decreases",
             "event-of-other-process", "ts-decreases", "seq-true", "seq-and-ts-floats",
             "seq-string", "ts-true", "ts-float", "ts-string", "kind-not-a-string",
-            "unknown-kind"])
+            "unknown-kind", "send-without-msg-id", "recv-without-msg-id", "ts-zero",
+            "stmt-id-list", "method-float", "class-number", "msg-id-number",
+            "branch-id-number", "peer-object"])
     def test_bad_trace_line_exit_3(self, tmp_path, capsys, lines, lineno, message):
         bundle = tmp_path / "traces"
         bundle.mkdir()
@@ -1750,6 +1776,7 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == f"error: bad input data: {bad}: {message}\n"
 
     NOT_POINTS = "features must be a list of lists of numbers"
+    TOO_LARGE = "features too large: a squared distance or a coordinate sum overflows a float"
 
     @pytest.mark.parametrize("features,message", [
         ({"a": [1.0, 2.0], "b": [3.0, 4.0]}, NOT_POINTS),
@@ -1759,8 +1786,13 @@ class TestMalformedInputs:
         ([[1, float("-inf")], [2, 3], [4, 5]], NOT_POINTS),
         ([[10**400, 1], [2, 3], [4, 5]], NOT_POINTS),
         ([[1, 2], [3, 4], [5]], "points must share dimensionality"),
+        # finite coordinates whose squared distances overflow a float
+        ([[1e308, 1e308], [-1e308, -1e308], [0, 0]], TOO_LARGE),
+        # near ones whose coordinate sums do: the centers would be infinite
+        ([[1e308, 0], [1e308, 0], [1e308, 1], [1e308, 1]], TOO_LARGE),
     ], ids=["object", "numbers", "string-coordinate", "nan-coordinate",
-            "infinite-coordinate", "coordinate-beyond-float", "ragged"])
+            "infinite-coordinate", "coordinate-beyond-float", "ragged", "distances-overflow",
+            "sums-overflow"])
     def test_bad_features_exit_3_names_file(self, tmp_path, capsys, features, message):
         bad = tmp_path / "features.json"
         bad.write_text(json.dumps(features))

@@ -228,6 +228,38 @@ def test_graph_set_reports_a_malformed_variant_when_read(tmp_path):
         graphs[(True, False)]
 
 
+GRAPH_LINES = ["node s1 run Main p0", "node s2 run Main p0"]
+
+
+@pytest.mark.parametrize("record", [
+    "msgsite bogus s1",
+    "node s1 run Main p0 extra",
+    "edge intra_data s1 s2 junk",
+    "cfg s1 s2 s3",
+    "guard s2 b1 b2",
+], ids=["msgsite-role", "node-of-six", "edge-of-five", "cfg-of-four", "guard-of-four"])
+def test_graph_record_of_another_shape_names_file_and_line(tmp_path, record):
+    """Each tag takes an exact number of tokens, and a msgsite the role
+    send or recv; a record of another shape is refused at its line."""
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join([*GRAPH_LINES, record]) + "\n")
+    with pytest.raises(GraphFormatError) as info:
+        read_graph(path)
+    assert str(info.value) == f"{path}:3: bad record {record!r}"
+
+
+def test_graph_records_of_other_tags_are_skipped(tmp_path):
+    """Files from earlier versions hold `entry` records; a record of any
+    tag the format does not declare is skipped, whatever its tokens."""
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join([
+        *GRAPH_LINES, "entry p0 s1", "bogus", "  ", "msgsite send s1", "cfg s1 s2",
+    ]) + "\n")
+    graph = read_graph(path)
+    assert set(graph.nodes) == {"s1", "s2"}
+    assert graph.send_sites == {"s1"} and graph.icfg_succ == {"s1": ("s2",)}
+
+
 def test_graph_set_missing_file_raises_up_front(tmp_path):
     variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
     write_graph_set(tmp_path, variants)

@@ -684,18 +684,6 @@ def test_method_ids_sort_by_their_fields(fields):
     )
 
 
-@pytest.mark.parametrize("args,message", [
-    (("exit", MethodId("A", "C", "m"), 0), "unknown event kind 'exit'"),
-    (("send", MethodId("A", "C", "m"), 0), "send event requires msg_id"),
-    (("recv", MethodId("A", "C", "m"), 0, 3), "recv event requires msg_id"),
-    (("entry", MethodId("A", "C", "m"), 0, 0), "stamped timestamps start at 1"),
-])
-def test_event_record_rejects_bad_fields(args, message):
-    with pytest.raises(MalformedTraceError) as info:
-        EventRecord(*args)
-    assert str(info.value) == message
-
-
 def test_stamping_keeps_event_type_and_fields():
     m = MethodId("A", "C", "m")
     raw = {"A": [EventRecord("send", m, 0, msg_id="x", peer="B", stmt_id="s")],
