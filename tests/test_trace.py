@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import stat
@@ -23,12 +24,14 @@ from crossflow.trace import (
     MalformedTraceError,
     MethodId,
     ProcessTrace,
+    event_to_record,
     filter_traces,
     influenced_recv_ts,
     merge_global,
     method_spans,
     read_bundle,
     read_text,
+    read_trace,
     reduce_first_last,
     stamp_lamport,
     write_bundle,
@@ -682,6 +685,22 @@ def test_method_ids_sort_by_their_fields(fields):
     assert sorted(methods) == sorted(
         methods, key=lambda m: (m.process, m.class_name, m.method_name)
     )
+
+
+@pytest.mark.parametrize("args,message", [
+    (("exit", MethodId("A", "C", "m"), 0), "unknown event kind 'exit'"),
+    (("send", MethodId("A", "C", "m"), 0), "send event requires msg_id"),
+    (("recv", MethodId("A", "C", "m"), 0, 3), "recv event requires msg_id"),
+    (("entry", MethodId("A", "C", "m"), 0, 0), "stamped timestamps start at 1"),
+])
+def test_event_record_rejects_bad_fields(tmp_path, args, message):
+    """An event that breaks a rule of TRACE_RECORD is refused where its
+    trace line is read, naming the line."""
+    path = tmp_path / "A.jsonl"
+    path.write_text(json.dumps(event_to_record(EventRecord(*args))) + "\n")
+    with pytest.raises(MalformedTraceError) as info:
+        read_trace(path, "A")
+    assert str(info.value) == f"{path}:1: {message}"
 
 
 def test_stamping_keeps_event_type_and_fields():
