@@ -228,8 +228,7 @@ def cmd_tune(args) -> int:
 
     table = MethodTable.from_traces(traces)
     facts = run_facts(traces)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    outputs = {}  # file name -> text, written once every round has run
     deps_files = {}
     for idx, proc in enumerate(sorted(traces)):
         trace = traces[proc]
@@ -248,16 +247,21 @@ def cmd_tune(args) -> int:
             state, budget, costs, controller, graphs, coverage, table,
             flush=True,
         )
-        write_output(out / f"rounds_{proc}.log", render_round_log(rounds))
+        overflow = next((r for r in rounds if not math.isfinite(r.cost)), None)
+        if overflow is not None:
+            raise ValueError(
+                f"{args.cost_model}: round {overflow.index} of {proc} costs"
+                f" {overflow.cost}: a cost-model product overflows a float"
+            )
+        outputs[f"rounds_{proc}.log"] = render_round_log(rounds)
         if args.dump_qtable and isinstance(controller, QLearnController):
-            write_output(out / f"qtable_{proc}.txt", controller.table.dump())
+            outputs[f"qtable_{proc}.txt"] = controller.table.dump()
         final = next((r.deps for r in reversed(rounds) if r.deps is not None), {})
-        deps_name = f"deps_{proc}.txt"
-        deps_files[proc] = deps_name
-        write_output(out / deps_name, "".join(
+        deps_name = deps_files[proc] = f"deps_{proc}.txt"
+        outputs[deps_name] = "".join(
             f"dep {method.qualified()} {member.qualified()}\n"
             for method in sorted(final) for member in sorted(final[method])
-        ))
+        )
     run = {
         "bundle": str(args.bundle),
         "graphs": str(args.graphs),
@@ -267,6 +271,10 @@ def cmd_tune(args) -> int:
         "deps_files": deps_files,
         "facts": _facts_record(facts),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        write_output(out / name, text)
     write_output(out / "run.json", json_text(run, indent=None))
     print(f"wrote round logs and dependence maps under {out}")
     return 0
@@ -367,10 +375,10 @@ def _dep_data_from_json(path: Path) -> DepData:
             for k, vs in data.get(key, {}).items()
         } for key in ("local", "remote")]
         executed = frozenset(map(_parse_method, data["executed"]))
+        messages = {(a, b): n for a, b, n in data.get("messages", [])}
+        return DepData(local_ds, remote_ds, executed, messages)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    messages = {(a, b): n for a, b, n in data.get("messages", [])}
-    return DepData(local_ds, remote_ds, executed, messages)
 
 
 def _emit(text: str, out) -> int:
@@ -399,6 +407,11 @@ def cmd_quality(args) -> int:
                 lengths.append(len(line.split("->")))
     count, mean_len = path_stats(lengths, args.ksloc)
     vulns = read_json(Path(args.vulns), VULNS, ValueError) if args.vulns else {}
+    score = vulnerableness(
+        vulns.get("n_non_nvd", 0), vulns.get("entries", []), corrected=args.vuln_corrected
+    )
+    if not math.isfinite(score):
+        raise ValueError(f"{args.vulns}: the vulnerableness of 'entries' overflows a float")
     vector = {
         "exec_time": args.exec_time,
         "code_churn": args.code_churn,
@@ -409,9 +422,7 @@ def cmd_quality(args) -> int:
         "attack_surface": attack_surface(
             args.endpoints, args.ports, args.files, args.sloc
         ),
-        "vulnerableness": vulnerableness(
-            vulns.get("n_non_nvd", 0), vulns.get("entries", []), corrected=args.vuln_corrected
-        ),
+        "vulnerableness": score,
     }
     return _emit(json_text(vector), args.out)
 

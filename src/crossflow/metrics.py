@@ -36,14 +36,14 @@ class DepData:
     def __post_init__(self) -> None:
         for m, deps in self.local_ds.items():
             if not deps <= self.executed:
-                raise MetricsError(f"local dependents of {m} not all executed")
+                raise MetricsError(f"local dependents of {m.qualified()} not all executed")
             if any(d.process != m.process for d in deps):
-                raise MetricsError(f"local dependents of {m} cross processes")
+                raise MetricsError(f"local dependents of {m.qualified()} cross processes")
         for m, deps in self.remote_ds.items():
             if not deps <= self.executed:
-                raise MetricsError(f"remote dependents of {m} not all executed")
+                raise MetricsError(f"remote dependents of {m.qualified()} not all executed")
             if any(d.process == m.process for d in deps):
-                raise MetricsError(f"remote dependents of {m} share its process")
+                raise MetricsError(f"remote dependents of {m.qualified()} share its process")
 
     def local(self, m: MethodId) -> frozenset[MethodId]:
         return self.local_ds.get(m, frozenset())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterable, Mapping, Optional
 
 from .staticgraph import DepEdge, SourceSinkConfig, StaticDepGraph
@@ -639,10 +640,12 @@ def all_graph_variants(model: ProgramModel) -> dict[tuple[bool, bool], StaticDep
                 icfg.setdefault(exit_stmt, []).append(
                     caller_stmts[idx + 1].stmt_id
                 )
-        for c1_method, c1, _ in sites:
-            for c2_method, c2, _ in sites:
-                if c1 is not c2 and c1_method != c2_method:
-                    ctx_extra.add(DepEdge("inter_posterior", c1.stmt_id, c2.stmt_id))
+        # merged contexts pair the call sites of different callers only
+        by_caller: dict[MethodId, list[str]] = {}
+        for caller, call_stmt, _ in sites:
+            by_caller.setdefault(caller, []).append(call_stmt.stmt_id)
+        for c1s, c2s in permutations(by_caller.values(), 2):
+            ctx_extra.update(DepEdge("inter_posterior", c1, c2) for c1 in c1s for c2 in c2s)
 
     icfg_succ = {k: tuple(dict.fromkeys(v)) for k, v in icfg.items()}
     return {

@@ -15,13 +15,11 @@ message events by the path analyses.
 
 from __future__ import annotations
 
-import errno
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .trace import GRAPH_MANIFEST, MethodId, json_text, read_json, read_text, write_output
+from .trace import MethodId, read_text, write_output
 
 EDGE_KINDS = ("intra_data", "intra_control", "inter_adjacent", "inter_posterior")
 INTRA_KINDS = frozenset({"intra_data", "intra_control"})
@@ -178,42 +176,75 @@ def coverage_from_branches(
 
 
 # ---------------------------------------------------------------------------
-# Graph files: line-delimited records.  `node` and `edge` records carry the
-# dependence graph; `cfg`, `guard` and `msgsite` records carry the ICFG,
-# branch guards, and message callsites.
+# The graph file: line-delimited records of all variants of one program, the
+# records they share once, each edge once with the variants that hold it.
 # ---------------------------------------------------------------------------
 
+GRAPH_FILE = "graph.txt"
+# variant key -> (context-, flow-sensitive), most sensitive first
+VARIANT_KEYS = {"11": (True, True), "10": (True, False), "01": (False, True), "00": (False, False)}
 
-def write_graph(path: Path, graph: StaticDepGraph) -> None:
-    lines = []
-    for stmt in sorted(graph.nodes):
-        m = graph.nodes[stmt]
+
+def write_graph_set(
+    directory: Path, variants: Mapping[tuple[bool, bool], StaticDepGraph]
+) -> None:
+    """Write the sensitivity variants, most sensitive first, into the one
+    graph file of ``directory``.  The variants must share every record but
+    their edges, else ``GraphFormatError``."""
+    named = [(name, variants[key]) for name, key in VARIANT_KEYS.items() if key in variants]
+    first_name, first = named[0]
+    shared = (first.nodes, first.icfg_succ, first.guards, first.send_sites, first.recv_sites)
+    held: dict[DepEdge, list[str]] = {}
+    for name, g in named:
+        if (g.nodes, g.icfg_succ, g.guards, g.send_sites, g.recv_sites) != shared:
+            raise GraphFormatError(
+                f"graph variant {name} differs from {first_name} in more than its edges"
+            )
+        for e in g.edges:
+            held.setdefault(e, []).append(name)
+    lines = [" ".join(["variants", *(name for name, _ in named)])]
+    for stmt in sorted(first.nodes):
+        m = first.nodes[stmt]
         lines.append(f"node {stmt} {m.method_name} {m.class_name} {m.process}")
-    for e in sorted(graph.edges):
-        lines.append(f"edge {e.kind} {e.src} {e.dst}")
-    for src in sorted(graph.icfg_succ):
-        for dst in graph.icfg_succ[src]:
+    for e in sorted(held):
+        names = held[e]
+        tag = "" if len(names) == len(named) else " " + ",".join(names)
+        lines.append(f"edge {e.kind} {e.src} {e.dst}{tag}")
+    for src in sorted(first.icfg_succ):
+        for dst in first.icfg_succ[src]:
             lines.append(f"cfg {src} {dst}")
-    for stmt in sorted(graph.guards):
-        guard = graph.guards[stmt]
+    for stmt in sorted(first.guards):
+        guard = first.guards[stmt]
         if guard is not None:
             lines.append(f"guard {stmt} {guard}")
-    for stmt in sorted(graph.send_sites):
+    for stmt in sorted(first.send_sites):
         lines.append(f"msgsite send {stmt}")
-    for stmt in sorted(graph.recv_sites):
+    for stmt in sorted(first.recv_sites):
         lines.append(f"msgsite recv {stmt}")
-    write_output(path, "\n".join(lines) + "\n")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_output(directory / GRAPH_FILE, "\n".join(lines) + "\n")
 
 
-def read_graph(path: Path) -> StaticDepGraph:
-    """The graph in the file at ``path``.  Each record is unpacked into its
-    exact tokens, so one of another length, a ``msgsite`` of a role other
-    than ``send`` or ``recv`` or an edge of an unknown kind raises
-    ``GraphFormatError`` naming the file and the line; a line of another
-    tag is skipped, such as the ``entry`` records of older graph files."""
+def read_graph_set(directory: Path) -> dict[tuple[bool, bool], StaticDepGraph]:
+    """The variants of the graph file in ``directory``, parsed in one pass;
+    they share one node map, ICFG and guard map.
+
+    Each record is unpacked into its exact tokens, so one of another
+    length, a second ``variants`` record or one that names no key, another
+    key or a key twice, an edge of an unknown kind or held by a variant
+    that ``variants`` does not list, or a ``msgsite`` of a role other than
+    ``send`` or ``recv`` raises ``GraphFormatError`` naming the file and
+    the line, as a file without a ``variants`` record does naming the
+    file; a line of another tag is skipped, such as the ``entry`` records
+    of older graph files.
+    """
+    path = Path(directory) / GRAPH_FILE
+    keys: list[str] = []
     nodes: dict[str, MethodId] = {}
     methods: dict[tuple[str, str, str], MethodId] = {}
-    edges = set()
+    # the keys ending an edge record -> its first line number and text, the edges
+    held: dict[str, tuple[int, str, list[DepEdge]]] = {}
     icfg: dict[str, list[str]] = {}
     guards: dict[str, Optional[str]] = {}
     sites: dict[str, set[str]] = {"send": set(), "recv": set()}
@@ -231,8 +262,11 @@ def read_graph(path: Path) -> StaticDepGraph:
                     method = methods[key] = MethodId(*key)
                 nodes[stmt] = method
             elif tag == "edge":
-                _, kind, src, dst = parts
-                edges.add(DepEdge(kind, src, dst))
+                _, kind, src, dst, holders = parts if len(parts) == 5 else (*parts, "")
+                group = held.get(holders)
+                if group is None:
+                    group = held[holders] = (lineno, line, [])
+                group[2].append(DepEdge(kind, src, dst))
             elif tag == "cfg":
                 _, src, dst = parts
                 icfg.setdefault(src, []).append(dst)
@@ -242,79 +276,36 @@ def read_graph(path: Path) -> StaticDepGraph:
             elif tag == "msgsite":
                 _, role, stmt = parts
                 sites[role].add(stmt)
+            elif tag == "variants":
+                names = parts[1:]
+                if keys or not names or len(VARIANT_KEYS.keys() & names) != len(names):
+                    raise ValueError("a second variants record, or a bad key")
+                keys = names
         except (KeyError, ValueError) as exc:
             raise GraphFormatError(f"{path}:{lineno}: bad record {line.strip()!r}") from exc
+    if not keys:
+        raise GraphFormatError(f"{path}: no variants record")
+    groups = []
+    for holders, (lineno, line, group) in held.items():
+        names = holders.split(",") if holders else keys
+        if not set(names).issubset(keys):
+            raise GraphFormatError(f"{path}:{lineno}: bad record {line.strip()!r}")
+        groups.append((names, group))
     for stmt in nodes:
         guards.setdefault(stmt, None)
+    icfg_succ = {s: tuple(d) for s, d in icfg.items()}
+    send_sites, recv_sites = frozenset(sites["send"]), frozenset(sites["recv"])
     try:
-        return StaticDepGraph(
-            nodes=nodes,
-            edges=frozenset(edges),
-            icfg_succ={s: tuple(d) for s, d in icfg.items()},
-            send_sites=frozenset(sites["send"]),
-            recv_sites=frozenset(sites["recv"]),
-            guards=guards,
-        )
+        return {
+            VARIANT_KEYS[key]: StaticDepGraph(
+                nodes=nodes,
+                edges=frozenset().union(*(group for names, group in groups if key in names)),
+                icfg_succ=icfg_succ,
+                send_sites=send_sites,
+                recv_sites=recv_sites,
+                guards=guards,
+            )
+            for key in keys
+        }
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-
-
-def write_graph_set(
-    directory: Path, variants: Mapping[tuple[bool, bool], StaticDepGraph]
-) -> None:
-    """Write all sensitivity variants plus a manifest linking bit pairs to files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"variants": {}}
-    for (ctx, flow), graph in sorted(variants.items()):
-        key = f"{int(ctx)}{int(flow)}"
-        name = f"graph_{key}.txt"
-        manifest["variants"][key] = name
-        write_graph(directory / name, graph)
-    write_output(directory / "manifest.json", json_text(manifest))
-
-
-class GraphSet(Mapping[tuple[bool, bool], StaticDepGraph]):
-    """The sensitivity variants of a graph directory, each parsed from its
-    file on its first lookup.  ``in``, ``len`` and iteration answer from the
-    manifest and parse nothing, so a run reads only the variants it uses."""
-
-    def __init__(self, files: dict[tuple[bool, bool], Path]):
-        self._files = files
-        self._graphs: dict[tuple[bool, bool], StaticDepGraph] = {}
-
-    def __getitem__(self, key: tuple[bool, bool]) -> StaticDepGraph:
-        graph = self._graphs.get(key)
-        if graph is None:
-            graph = self._graphs[key] = read_graph(self._files[key])
-        return graph
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._files
-
-    def __iter__(self):
-        return iter(self._files)
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-
-def read_graph_set(directory: Path) -> GraphSet:
-    """The variants that ``directory``'s manifest lists.
-
-    The manifest must have the shape :data:`GRAPH_MANIFEST`, else
-    ``GraphFormatError`` names it.  Every listed file must exist (else
-    ``FileNotFoundError`` before any analysis runs), but a variant is
-    parsed only when first looked up: a malformed variant raises
-    ``GraphFormatError`` then, naming its file, and one that is never
-    looked up is never reported.
-    """
-    directory = Path(directory)
-    manifest = read_json(directory / "manifest.json", GRAPH_MANIFEST, GraphFormatError)
-    files = {}
-    for key, name in manifest["variants"].items():
-        path = directory / name
-        if not path.is_file():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-        files[(key[0] == "1", key[1] == "1")] = path
-    return GraphSet(files)

@@ -841,9 +841,8 @@ def tuple_of(*tests):
 NOT_AN_OBJECT = (None, is_object, "not a JSON object")
 _BAD_RECORD = "bad trace record {record!r}"
 
-# one line of a trace file, a bundle's manifest.json (its scenario is not
-# read) and a graph directory's (a variant key is two characters, each 0 or
-# 1: context, flow sensitivity)
+# one line of a trace file, and a bundle's manifest.json (its scenario is
+# not read)
 TRACE_RECORD = (
     (None, is_object, _BAD_RECORD),
     *((name, is_name, _BAD_RECORD) for name in ("proc", "class", "method", "kind")),
@@ -859,14 +858,6 @@ BUNDLE_MANIFEST = (
     NOT_AN_OBJECT,
     ("processes", list_of(is_name), "'processes' must be a list of process names"),
     ("files", optional(map_of(is_name)), "'files' must map each process to a file name"),
-)
-GRAPH_MANIFEST = (
-    NOT_AN_OBJECT,
-    ("variants", map_of(is_name), "'variants' must map each variant key to a file name"),
-    ("variants", (
-        (NAMES, lambda key: len(key) == 2 and set(key) <= {"0", "1"},
-         "bad variant key {key!r} (want two characters, each 0 or 1)"),
-    ), None),
 )
 
 # the JSON inputs of the commands

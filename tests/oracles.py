@@ -3,14 +3,15 @@
 Everything here recomputes results straight from definitions, by exhaustive
 closure or enumeration, deliberately avoiding the incremental algorithms in
 the package under test; method spans, influence and dependence sets come
-from a plain scan of the traces and from ``closure_matrix``.  Six oracles
+from a plain scan of the traces and from ``closure_matrix``.  Seven oracles
 are earlier versions of package code, kept as they were so that optimized
 versions can be held to exactly the same output: ``reference_method_paths``
 (the phase-1 enumerator, whose caps decide which paths are emitted; it
 keeps its own record, not the package's ``PathSet``),
 ``reference_render_paths`` (the ``phase1.txt`` writer over
-method tuples), ``junction_oracle`` (the splice junction rule,
-re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
+method tuples), ``reference_graph_file`` (the writer of one static-graph
+variant's file, from before the variants shared one file),
+``junction_oracle`` (the splice junction rule, re-evaluated per question), ``splice_oracle`` (the segment splicer, testing
 every junction of every prefix with ``junction_oracle``) and
 ``permutation_p_oracle`` (the exact Spearman p over every permutation, once
 a vectorized loop, here a plain one) and ``reference_ipc_metrics`` (the IPC
@@ -441,6 +442,28 @@ def reference_render_paths(paths: Iterable[tuple[MethodId, ...]]) -> str:
         for key in sorted(tuple([rank[m] for m in p]) for p in paths)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_graph_file(graph) -> str:
+    """One static-graph variant in the file layout it had while each
+    variant was written to a file of its own: sorted ``node`` and ``edge``
+    records, the ICFG successors in their order, the set guards, then the
+    send and the recv sites, from the graph's fields alone."""
+    lines = [
+        f"node {stmt} {m.method_name} {m.class_name} {m.process}"
+        for stmt, m in sorted(graph.nodes.items())
+    ]
+    lines += [f"edge {kind} {src} {dst}" for kind, src, dst in sorted(graph.edges)]
+    lines += [
+        f"cfg {src} {dst}" for src in sorted(graph.icfg_succ) for dst in graph.icfg_succ[src]
+    ]
+    lines += [
+        f"guard {stmt} {guard}" for stmt, guard in sorted(graph.guards.items())
+        if guard is not None
+    ]
+    lines += [f"msgsite send {stmt}" for stmt in sorted(graph.send_sites)]
+    lines += [f"msgsite recv {stmt}" for stmt in sorted(graph.recv_sites)]
+    return "\n".join(lines) + "\n"
 
 
 def reference_ipc_metrics(dep, table_rcc: bool = False):

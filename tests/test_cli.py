@@ -23,7 +23,8 @@ from crossflow.metrics import IPC_METRICS
 from crossflow.pipeline import MODES
 from crossflow.trace import MethodId
 
-from oracles import report_text
+from crossflow.staticgraph import read_graph_set
+from oracles import reference_graph_file, report_text
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -93,9 +94,11 @@ class TestSimulate:
         assert code == 2
 
 
-# sha256 of every graph file `simulate` writes, recorded while each
-# sensitivity variant was built by its own pass over the program model
-# (those files also held `entry <proc> <stmt>` lines, removed before hashing)
+# sha256 of each sensitivity variant's graph file, recorded while each
+# variant was built by its own pass over the program model and written to a
+# file of its own (those files also held `entry <proc> <stmt>` lines,
+# removed before hashing); each variant `simulate` writes is read back and
+# rendered in that layout by `oracles.reference_graph_file`
 GRAPH_DIGESTS = {
     "n_tier": (
         {"topology": "n_tier", "tiers": 4, "seed": 4, "length": 130},
@@ -131,9 +134,11 @@ GRAPH_DIGESTS = {
 def test_graph_files_match_recorded_digests(tmp_path, capsys, name):
     scenario, want = GRAPH_DIGESTS[name]
     graphs = run_sim(tmp_path, name, **scenario) / "graphs"
+    assert [f.name for f in graphs.iterdir()] == ["graph.txt"]
     got = {
-        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(graphs.glob("*.txt"))
+        f"graph_{int(ctx)}{int(flow)}.txt":
+            hashlib.sha256(reference_graph_file(graph).encode()).hexdigest()
+        for (ctx, flow), graph in read_graph_set(graphs).items()
     }
     assert got == want
 
@@ -1244,18 +1249,9 @@ class TestInputReaders:
             "--out", str(out),
         ])
 
-    def test_malformed_variant_never_read_is_not_parsed(self, tmp_path, capsys):
-        sim = run_sim(tmp_path)
-        assert self.flowpaths(sim, tmp_path / "intact") == 0
-        # flowpaths reads only the context-insensitive, flow-sensitive variant
-        with open(sim / "graphs" / "graph_11.txt", "a") as fh:
-            fh.write("node lonely\n")
-        assert self.flowpaths(sim, tmp_path / "out") == 0
-        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "intact")
-
     def test_malformed_variant_read_exit_3_names_line(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
-        path = sim / "graphs" / "graph_01.txt"
+        path = sim / "graphs" / "graph.txt"
         lineno = len(path.read_text().splitlines()) + 1
         with open(path, "a") as fh:
             fh.write("node lonely\n")
@@ -1266,7 +1262,7 @@ class TestInputReaders:
 
     def test_edge_to_unknown_statement_exit_3_names_file(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
-        path = sim / "graphs" / "graph_01.txt"
+        path = sim / "graphs" / "graph.txt"
         with open(path, "a") as fh:
             fh.write("edge intra_data ghost.s1 ghost.s2\n")
         assert self.flowpaths(sim, tmp_path / "out") == 3
@@ -1277,21 +1273,22 @@ class TestInputReaders:
 
     @pytest.mark.parametrize("key", ["1", "2x", "011"])
     def test_bad_manifest_key_exit_3(self, tmp_path, capsys, key):
+        """The graph file's manifest is its `variants` record, which lists
+        the variant keys: two characters each, each 0 or 1."""
         sim = run_sim(tmp_path)
-        manifest = sim / "graphs" / "manifest.json"
-        data = json.loads(manifest.read_text())
-        data["variants"][key] = data["variants"].pop("11")
-        manifest.write_text(json.dumps(data))
+        path = sim / "graphs" / "graph.txt"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "variants 11 10 01 00"
+        lines[0] = f"variants {key} 10 01 00"
+        path.write_text("\n".join(lines) + "\n")
         assert self.flowpaths(sim, tmp_path / "out") == 3
-        assert capsys.readouterr().err == (
-            f"error: {manifest}: bad variant key {key!r}"
-            " (want two characters, each 0 or 1)\n"
-        )
+        assert capsys.readouterr().err == f"error: {path}:1: bad record {lines[0]!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_variant_file_exit_2_before_analysis(self, tmp_path, capsys):
+        """The variants share one graph file, which must exist."""
         sim = run_sim(tmp_path)
-        path = sim / "graphs" / "graph_11.txt"
+        path = sim / "graphs" / "graph.txt"
         path.unlink()
         assert self.flowpaths(sim, tmp_path / "out") == 2
         assert capsys.readouterr().err == f"error: missing file: {path}\n"
@@ -1493,8 +1490,12 @@ class TestMalformedInputs:
         ('{"mode": 5}', "cost-model field 'mode' must be 'synthetic' or 'wallclock'"),
         ('{"compute_base": 1%s}' % ("0" * 400),
          "cost-model field 'compute_base' must be a finite number"),
+        (json.dumps(dict.fromkeys(
+            ["compute_base", "compute_per_event", "construct_per_edge", "instance_factor"],
+            1e308)),
+         "round 0 of p0 costs inf: a cost-model product overflows a float"),
     ], ids=["unknown-key", "not-an-object", "not-a-number", "nan", "boolean",
-            "mode-misspelt", "mode-number", "beyond-float"])
+            "mode-misspelt", "mode-number", "beyond-float", "cost-overflows"])
     def test_bad_cost_model_exit_3_names_file(self, tmp_path, capsys, text, message):
         sim = run_sim(tmp_path)
         costs = tmp_path / "costs.json"
@@ -1504,6 +1505,7 @@ class TestMalformedInputs:
         )
         assert code == 3
         assert capsys.readouterr().err == f"error: bad input data: {costs}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_cost_model_of_known_fields_accepted(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
@@ -1635,8 +1637,8 @@ class TestMalformedInputs:
         vulns.write_text('{"n_non_nvd": 0, "entries": [[1e308, 1.0]]}')
         out = tmp_path / "quality.json"
         assert main(["quality", "--vulns", str(vulns), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(
-            "error: bad input data: Out of range float values are not JSON compliant"
+        assert capsys.readouterr().err == (
+            f"error: bad input data: {vulns}: the vulnerableness of 'entries' overflows a float\n"
         )
         assert not out.exists()
 
@@ -1658,21 +1660,6 @@ class TestMalformedInputs:
         path.write_text(json.dumps(manifest))
         assert self.tune(sim, tmp_path / "out", "--budget", "1000") == 3
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
-    @pytest.mark.parametrize("manifest,message", [
-        (["graph_01.txt"], "not a JSON object"),
-        ({"variants": ["graph_01.txt"]},
-         "'variants' must map each variant key to a file name"),
-        ({}, "'variants' must map each variant key to a file name"),
-        ({"variants": {"01": 5}}, "'variants' must map each variant key to a file name"),
-    ], ids=["list", "variants-list", "no-variants", "file-name-number"])
-    def test_bad_graph_manifest_exit_3_names_it(self, tmp_path, capsys, manifest, message):
-        sim = run_sim(tmp_path)
-        path = sim / "graphs" / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        assert self.tune(sim, tmp_path / "out", "--budget", "1000") == 3
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change,message", [
         ({"deps_files": ["deps_p0.txt"]}, "'deps_files' must map each process to a file name"),
@@ -1840,7 +1827,6 @@ class TestMalformedInputs:
             "ipc": ipc,
             "quality": quality,
             "trace-manifest": sim / "traces" / "manifest.json",
-            "graph-manifest": sim / "graphs" / "manifest.json",
         }.get(kind, tmp_path / "bad.json")
         tune = [
             "tune", "--bundle", str(sim / "traces"), "--graphs", str(sim / "graphs"),
@@ -1861,13 +1847,12 @@ class TestMalformedInputs:
             "quality": ["correlate", "--ipc", str(ipc), "--quality", str(quality)],
             "cost-model": [*tune, "--cost-model", str(bad)],
             "trace-manifest": tune,
-            "graph-manifest": tune,
         }[kind]
         return bad, argv
 
     @pytest.mark.parametrize("kind", [
         "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
-        "quality", "cost-model", "trace-manifest", "graph-manifest",
+        "quality", "cost-model", "trace-manifest",
     ])
     def test_invalid_json_exit_3_names_file(self, tmp_path, capsys, kind):
         bad, argv = self.json_file_and_argv(tmp_path, kind)
@@ -1881,7 +1866,7 @@ class TestMalformedInputs:
     @needs_digit_limit
     @pytest.mark.parametrize("kind", [
         "scenario", "config", "run", "depdata", "vulns", "features", "ipc",
-        "quality", "cost-model", "trace-manifest", "graph-manifest",
+        "quality", "cost-model", "trace-manifest",
     ])
     def test_overlong_integer_exit_3_names_file(self, tmp_path, capsys, kind):
         """An integer past the interpreter's digit limit is a data error
@@ -1926,7 +1911,7 @@ class TestMalformedInputs:
         bad = {
             "ipc": ipc,
             "trace": sim / "traces" / "p0.trace",
-            "graph": sim / "graphs" / "graph_11.txt",
+            "graph": sim / "graphs" / "graph.txt",
             "deps": run / "deps_p0.txt",
         }.get(kind, tmp_path / "bad.txt")
         bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"[]"))
@@ -2019,10 +2004,13 @@ class TestMalformedInputs:
 
     def test_missing_variant_fails_only_when_a_round_computes(self, tmp_path, capsys):
         sim = run_sim(tmp_path)
-        manifest = sim / "graphs" / "manifest.json"
-        data = json.loads(manifest.read_text())
-        del data["variants"]["11"]
-        manifest.write_text(json.dumps(data))
+        path = sim / "graphs" / "graph.txt"
+        lines = path.read_text().splitlines()
+        # every variant holds variant 11's edges, so no edge record names it
+        assert lines[0] == "variants 11 10 01 00"
+        tags = [line.split()[4:] for line in lines if line.startswith("edge")]
+        assert not any("11" in tag[0].split(",") for tag in tags if tag)
+        path.write_text("\n".join(["variants 10 01 00", *lines[1:]]) + "\n")
         # a budget of 5 cancels every construction, so no round computes
         assert self.tune(sim, tmp_path / "small", "--budget", "5", "--pin-config", "111111") == 0
         logs = sorted((tmp_path / "small").glob("rounds_*.log"))
@@ -2059,10 +2047,14 @@ class TestMalformedInputs:
         ({"messages": {"p": "q"}}, "'messages' must be a list of [from, to, count]"),
         ({"messages": ["pq4"]}, "'messages' must be a list of [from, to, count]"),
         ({"messages": [["p", "q", 10**400]]}, "'messages' must be a list of [from, to, count]"),
+        ({"local": {"p.K.a": ["q.K.a"]}}, "local dependents of p.K.a cross processes"),
+        ({"local": {"p.K.a": ["p.K.c"]}}, "local dependents of p.K.a not all executed"),
+        ({"remote": {"p.K.a": ["p.K.b"]}}, "remote dependents of p.K.a share its process"),
     ], ids=["local-not-list", "executed-string", "executed-number", "executed-null",
             "bad-method", "remote-list", "remote-null", "message-pair",
             "message-string-count", "message-null-count", "messages-object",
-            "message-string", "message-count-beyond-float"])
+            "message-string", "message-count-beyond-float", "local-of-other-process",
+            "local-not-executed", "remote-of-same-process"])
     def test_bad_depdata_member_exit_3_names_file(self, tmp_path, capsys, change, message):
         bad = tmp_path / "dep.json"
         bad.write_text(json.dumps({**self.DEP_OK, **change}))

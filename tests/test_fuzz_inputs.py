@@ -1,6 +1,6 @@
 """Seeded mutation fuzz of every command's input files: no traceback.
 
-One small simulated setting (a bundle, its graph files and config, a tune
+One small simulated setting (a bundle, its graph file and config, a tune
 output with its cost model, and the JSON inputs of ``metrics --depdata``,
 ``quality``, ``correlate`` and ``classify``) is made once.  Each example
 mutates one input file in place (one JSON value replaced, one token
@@ -30,10 +30,10 @@ from crossflow.metrics import IPC_METRICS
 ALARM_S = 20
 
 # the input files whose content can end a command with exit 4, and its
-# error: a graph manifest without the variant that a tune round needs, and
+# error: a graph file without the variant that a tune round needs, and
 # features with fewer than two distinct points
 DOCUMENTED_EXIT_4 = {
-    "sim/graphs/manifest.json": "error: no static graph variant",
+    "sim/graphs/graph.txt": "error: no static graph variant",
     "features.json": "error: k-means with k=2 needs two distinct points",
 }
 
@@ -52,7 +52,7 @@ JSON_VALUES = st.recursive(
 TOKENS = st.sampled_from([
     "", "{", "}", "[", "]", ",", ":", '"', "null", "true", "-1", "0", "1e999",
     "18446744073709551617", '""', '"x"', "send", "recv", "node", "edge", "cfg",
-    "bogus", "p9", "dep",
+    "bogus", "p9", "dep", "variants", "00", "01,10", "11,2",
 ])
 
 
@@ -99,7 +99,7 @@ def _setting(root: Path) -> dict[str, list[list[str]]]:
                   "--quality", str(root / "quality.json")]]
     inputs = {
         "sim/traces/manifest.json": reads_bundle,
-        "sim/graphs/manifest.json": reads_bundle,
+        "sim/graphs/graph.txt": reads_bundle,
         "sim/config.json": [flows],
         "costs.json": [tune],
         "run/run.json": reads_run,
@@ -112,8 +112,6 @@ def _setting(root: Path) -> dict[str, list[list[str]]]:
     }
     for trace in sorted((sim / "traces").glob("*.trace")):
         inputs[str(trace.relative_to(root))] = reads_bundle
-    for graph in sorted((sim / "graphs").glob("graph_*.txt")):
-        inputs[str(graph.relative_to(root))] = reads_bundle
     return inputs
 
 

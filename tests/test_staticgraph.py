@@ -16,10 +16,8 @@ from crossflow.staticgraph import (
     between,
     coverage_from_branches,
     partial_graph,
-    read_graph,
     read_graph_set,
     relevant_methods,
-    write_graph,
     write_graph_set,
 )
 from crossflow.simulator import Scenario, all_graph_variants, generate_program
@@ -182,53 +180,66 @@ def test_graph_file_round_trip(tmp_path):
     sc = Scenario("n_tier", seed=5, tiers=3)
     model = generate_program(sc)
     variants = all_graph_variants(model)
-    g = variants[(True, False)]
-    write_graph(tmp_path / "g.txt", g)
-    loaded = read_graph(tmp_path / "g.txt")
-    assert loaded.nodes == dict(g.nodes)
-    assert loaded.edges == g.edges
-    assert loaded.send_sites == g.send_sites
-    assert loaded.recv_sites == g.recv_sites
     write_graph_set(tmp_path / "set", variants)
+    assert [f.name for f in (tmp_path / "set").iterdir()] == ["graph.txt"]
     loaded_set = read_graph_set(tmp_path / "set")
     assert set(loaded_set) == set(variants)
-    for key in variants:
-        assert loaded_set[key].edges == variants[key].edges
+    for key, g in variants.items():
+        loaded = loaded_set[key]
+        assert loaded.nodes == dict(g.nodes)
+        assert loaded.edges == g.edges
+        assert loaded.icfg_succ == g.icfg_succ
+        assert loaded.guards == g.guards
+        assert loaded.send_sites == g.send_sites
+        assert loaded.recv_sites == g.recv_sites
+    first = loaded_set[(True, True)]
+    for loaded in loaded_set.values():
+        assert loaded.nodes is first.nodes and loaded.icfg_succ is first.icfg_succ
+        assert loaded.guards is first.guards
 
 
-def test_graph_set_parses_a_variant_on_first_lookup(tmp_path, monkeypatch):
-    from crossflow import staticgraph
-
-    variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
+def test_graph_file_lists_shared_records_and_each_edge_once(tmp_path):
+    """Every variant holds the untagged edges; a tagged edge only the
+    variants its tag names."""
+    n = MethodId("P", "C", "n")
+    m = MethodId("P", "C", "m")
+    nodes = {"a": n, "b": n, "c": m}
+    shared = frozenset({DepEdge("intra_data", "a", "b")})
+    extra = DepEdge("inter_posterior", "a", "c")
+    variants = {
+        (ctx, flow): StaticDepGraph(
+            nodes=nodes, edges=shared if ctx else shared | {extra},
+            icfg_succ={"a": ("b",)}, recv_sites=frozenset({"a"}),
+            guards={"a": None, "b": "a", "c": None},
+        )
+        for ctx in (True, False) for flow in (True, False)
+    }
     write_graph_set(tmp_path, variants)
-    parsed = []
-    real = staticgraph.read_graph
-
-    def spy(path):
-        parsed.append(path.name)
-        return real(path)
-
-    monkeypatch.setattr(staticgraph, "read_graph", spy)
-    graphs = read_graph_set(tmp_path)
-    assert (True, True) in graphs and (2, 2) not in graphs
-    assert len(graphs) == 4 and set(graphs) == set(variants)
-    assert parsed == []
-    assert graphs[(False, True)].edges == variants[(False, True)].edges
-    assert graphs[(False, True)] is graphs[(False, True)]
-    assert parsed == ["graph_01.txt"]
+    assert (tmp_path / "graph.txt").read_text().splitlines() == [
+        "variants 11 10 01 00",
+        "node a n C P", "node b n C P", "node c m C P",
+        "edge inter_posterior a c 01,00",
+        "edge intra_data a b",
+        "cfg a b",
+        "guard b a",
+        "msgsite recv a",
+    ]
+    assert read_graph_set(tmp_path) == variants
 
 
-def test_graph_set_reports_a_malformed_variant_when_read(tmp_path):
-    variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
-    write_graph_set(tmp_path, variants)
-    (tmp_path / "graph_10.txt").write_text("node lonely\n")
-    graphs = read_graph_set(tmp_path)
-    assert graphs[(True, True)].edges == variants[(True, True)].edges
-    with pytest.raises(GraphFormatError, match="graph_10.txt:1: bad record"):
-        graphs[(True, False)]
+def test_graph_variants_of_other_shared_records_refused(tmp_path):
+    variants = dict(all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3))))
+    g = variants[(False, False)]
+    variants[(False, False)] = StaticDepGraph(
+        nodes=g.nodes, edges=g.edges, icfg_succ=g.icfg_succ, guards=g.guards,
+        send_sites=g.send_sites,
+    )
+    with pytest.raises(GraphFormatError, match="graph variant 00 differs from 11"):
+        write_graph_set(tmp_path, variants)
+    assert not (tmp_path / "graph.txt").exists()
 
 
-GRAPH_LINES = ["node s1 run Main p0", "node s2 run Main p0"]
+GRAPH_LINES = ["variants 11 00", "node s1 run Main p0", "node s2 run Main p0"]
 
 
 @pytest.mark.parametrize("record", [
@@ -237,25 +248,49 @@ GRAPH_LINES = ["node s1 run Main p0", "node s2 run Main p0"]
     "edge intra_data s1 s2 junk",
     "cfg s1 s2 s3",
     "guard s2 b1 b2",
-], ids=["msgsite-role", "node-of-six", "edge-of-five", "cfg-of-four", "guard-of-four"])
+    "variants 01",
+    "edge intra_data s1 s2 00,01",
+    "edge intra_data s1 s2 00 11",
+], ids=["msgsite-role", "node-of-six", "edge-of-five", "cfg-of-four", "guard-of-four",
+        "second-variants", "edge-of-unlisted-variant", "edge-of-six"])
 def test_graph_record_of_another_shape_names_file_and_line(tmp_path, record):
-    """Each tag takes an exact number of tokens, and a msgsite the role
-    send or recv; a record of another shape is refused at its line."""
-    path = tmp_path / "g.txt"
+    """Each tag takes an exact number of tokens (an edge 4, or 5 when it
+    ends with keys that the variants record lists), a msgsite the role
+    send or recv, and the variants record comes once; a record of another
+    shape is refused at its line."""
+    path = tmp_path / "graph.txt"
     path.write_text("\n".join([*GRAPH_LINES, record]) + "\n")
     with pytest.raises(GraphFormatError) as info:
-        read_graph(path)
-    assert str(info.value) == f"{path}:3: bad record {record!r}"
+        read_graph_set(tmp_path)
+    assert str(info.value) == f"{path}:4: bad record {record!r}"
+
+
+@pytest.mark.parametrize("record", ["variants", "variants 11 11"], ids=["no-key", "key-twice"])
+def test_bad_variants_record_names_file_and_line(tmp_path, record):
+    """A first `variants` record must name distinct keys (the keys
+    themselves are rows of the CLI's bad-manifest-key test)."""
+    path = tmp_path / "graph.txt"
+    path.write_text("\n".join([record, *GRAPH_LINES[1:]]) + "\n")
+    with pytest.raises(GraphFormatError) as info:
+        read_graph_set(tmp_path)
+    assert str(info.value) == f"{path}:1: bad record {record!r}"
+
+
+def test_graph_file_without_variants_record_refused(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("\n".join(GRAPH_LINES[1:]) + "\n")
+    with pytest.raises(GraphFormatError) as info:
+        read_graph_set(tmp_path)
+    assert str(info.value) == f"{path}: no variants record"
 
 
 def test_graph_records_of_other_tags_are_skipped(tmp_path):
     """Files from earlier versions hold `entry` records; a record of any
     tag the format does not declare is skipped, whatever its tokens."""
-    path = tmp_path / "g.txt"
-    path.write_text("\n".join([
+    (tmp_path / "graph.txt").write_text("\n".join([
         *GRAPH_LINES, "entry p0 s1", "bogus", "  ", "msgsite send s1", "cfg s1 s2",
     ]) + "\n")
-    graph = read_graph(path)
+    graph = read_graph_set(tmp_path)[(False, False)]
     assert set(graph.nodes) == {"s1", "s2"}
     assert graph.send_sites == {"s1"} and graph.icfg_succ == {"s1": ("s2",)}
 
@@ -263,10 +298,10 @@ def test_graph_records_of_other_tags_are_skipped(tmp_path):
 def test_graph_set_missing_file_raises_up_front(tmp_path):
     variants = all_graph_variants(generate_program(Scenario("n_tier", seed=5, tiers=3)))
     write_graph_set(tmp_path, variants)
-    (tmp_path / "graph_00.txt").unlink()
+    (tmp_path / "graph.txt").unlink()
     with pytest.raises(FileNotFoundError) as info:
         read_graph_set(tmp_path)
-    assert info.value.filename == str(tmp_path / "graph_00.txt")
+    assert info.value.filename == str(tmp_path / "graph.txt")
 
 
 def test_bad_edge_kind_rejected():
